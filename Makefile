@@ -3,13 +3,27 @@
 
 GO ?= go
 
-.PHONY: build vet kregret-vet test test-race test-debug test-fault test-serve test-chaos test-crash fuzz-smoke bench bench-diff bench-smoke bench-shard check
+.PHONY: build vet fmt bench-module kregret-vet test test-race test-debug test-fault test-serve test-chaos test-crash fuzz-smoke bench bench-diff bench-smoke bench-shard check
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Fails when gofmt would rewrite any tracked Go file. The analyzer
+# fixtures under testdata/ are excluded: their expected findings are
+# pinned to line numbers.
+fmt:
+	@out=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l) || exit 1; \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# The benchmark is its own module (cmd/kregret-bench/go.mod), so the
+# root ./... skips it. Vet and test it through its replace directive so
+# a library change that breaks the benchmark fails here.
+bench-module:
+	$(GO) -C cmd/kregret-bench vet ./...
+	$(GO) -C cmd/kregret-bench test ./...
 
 # Domain-aware static analysis: floatcmp, slicealias, naninf, errdrop,
 # ctxflow, poolscope, atomicguard, wireguard, sleepctx.
@@ -120,4 +134,4 @@ bench-shard:
 		-out /tmp/kregret_bench_shard.json
 	$(GO) test -count=1 -run 'Sharded|MergeShardCores|CoresetDifferential' .
 
-check: build vet kregret-vet test-race test-debug test-fault test-serve test-chaos test-crash bench-smoke bench-shard
+check: build vet fmt bench-module kregret-vet test-race test-debug test-fault test-serve test-chaos test-crash bench-smoke bench-shard

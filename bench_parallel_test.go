@@ -132,7 +132,7 @@ func BenchmarkPaper(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			happy.ComputeAmongSkylineParallel(pts, sky, w)
+			happy.ComputeAmongSkylineCertParallel(pts, sky, w).HappyPoints()
 		}
 	})
 	b.Run("PreprocessFold", func(b *testing.B) {

@@ -82,7 +82,7 @@ func BenchmarkTable3(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				hp := happy.ComputeAmongSkyline(pts, sky)
+				hp := happy.ComputeAmongSkylineCertParallel(pts, sky, 1).HappyPoints()
 				if _, err := core.ConvexAmongHappy(pts, hp); err != nil {
 					b.Fatal(err)
 				}
@@ -191,7 +191,7 @@ func BenchmarkFig11(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				happy.ComputeAmongSkyline(pts, sky)
+				happy.ComputeAmongSkylineCertParallel(pts, sky, 1).HappyPoints()
 			}
 		})
 		p := prepReal(b, name)
@@ -217,7 +217,7 @@ func synthCands(b *testing.B, n, d int) []geom.Vector {
 	if err != nil {
 		b.Fatal(err)
 	}
-	hp := happy.ComputeAmongSkyline(pts, sky)
+	hp := happy.ComputeAmongSkylineCertParallel(pts, sky, 1).HappyPoints()
 	cand, err := core.Select(pts, hp)
 	if err != nil {
 		b.Fatal(err)
@@ -324,22 +324,6 @@ func BenchmarkHeadline(b *testing.B) {
 
 // --- micro-benchmarks of the substrates -------------------------------
 
-func BenchmarkSkylineAlgorithms(b *testing.B) {
-	pts, err := dataset.AntiCorrelated(20000, 5, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, algo := range []skyline.Algorithm{skyline.BNL, skyline.SFS, skyline.DC} {
-		b.Run(algo.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := skyline.Compute(pts, algo); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkHappyFilter(b *testing.B) {
 	pts, err := dataset.AntiCorrelated(20000, 5, 7)
 	if err != nil {
@@ -351,7 +335,7 @@ func BenchmarkHappyFilter(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		happy.ComputeAmongSkyline(pts, sky)
+		happy.ComputeAmongSkylineCertParallel(pts, sky, 1).HappyPoints()
 	}
 }
 

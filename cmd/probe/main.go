@@ -25,7 +25,7 @@ func report(pts []geom.Vector) {
 	}
 	fmt.Printf("  sky=%d (%v)\n", len(sky), time.Since(t0))
 	t0 = time.Now()
-	hp := happy.ComputeAmongSkyline(pts, sky)
+	hp := happy.ComputeAmongSkylineCertParallel(pts, sky, 1).HappyPoints()
 	fmt.Printf("  happy=%d (%v)\n", len(hp), time.Since(t0))
 	t0 = time.Now()
 	conv, err := core.ConvexAmongHappy(pts, hp)
@@ -63,7 +63,7 @@ func main() {
 			panic(err)
 		}
 		sky, _ := skyline.Of(pts)
-		hp := happy.ComputeAmongSkyline(pts, sky)
+		hp := happy.ComputeAmongSkylineCertParallel(pts, sky, 1).HappyPoints()
 		cand, _ := core.Select(pts, hp)
 		fmt.Printf("happy=%d\n", len(cand))
 		t0 := time.Now()

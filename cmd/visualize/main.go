@@ -69,7 +69,7 @@ func run(in, out string, k, tent, size int) error {
 	if err != nil {
 		return err
 	}
-	hp := happy.ComputeAmongSkyline(pts, sky)
+	hp := happy.ComputeAmongSkylineCertParallel(pts, sky, 1).HappyPoints()
 	inHappy := map[int]bool{}
 	for _, i := range hp {
 		inHappy[i] = true

@@ -106,6 +106,14 @@ func TestEngineWatchdogQuarantinesStuckQuery(t *testing.T) {
 		}
 	}()
 
+	// An unfaulted query first fills the epoch's candidate caches, so
+	// the 10ms budget below is spent inside the stalled solver rather
+	// than in first-query preprocessing, which alone can outlast it
+	// under -race.
+	if _, err := eng.Query(context.Background(), 2, WithAlgorithm(AlgoGreedy)); err != nil {
+		t.Fatal(err)
+	}
+
 	// Every simplex pivot batch stalls 60ms; the query budget is
 	// 10ms, so the worker runs ~50ms past its deadline — far beyond
 	// the watchdog's one-interval grace.

@@ -73,7 +73,7 @@ func TestLemma3Relationship(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hp := happy.ComputeAmongSkyline(pts, sky)
+		hp := happy.ComputeAmongSkylineCertParallel(pts, sky, 1).HappyPoints()
 		conv, err := ConvexAmongHappy(pts, hp)
 		if err != nil {
 			t.Fatal(err)

@@ -10,9 +10,9 @@
 // intended pipeline is:
 //
 //	sky, _  := skyline.Of(points)
-//	happy   := happy.ComputeAmongSkyline(points, sky)
-//	cand    := core.Select(points, happy)       // gather candidates
-//	res, _  := core.GeoGreedy(cand, k)
+//	cert    := happy.ComputeAmongSkylineCertParallel(points, sky, 0)
+//	cand, _ := core.Select(points, cert.HappyPoints()) // gather candidates
+//	res, _  := core.GeoGreedyParCtx(ctx, cand, k, 0)
 //
 // The top-level package kregret wires this pipeline behind a
 // friendlier API.

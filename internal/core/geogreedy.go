@@ -29,44 +29,28 @@ func GeoGreedy(pts []geom.Vector, k int) (*Result, error) {
 	return geoGreedyTrace(context.Background(), pts, k, 1, nil)
 }
 
-// GeoGreedyCtx is GeoGreedy with cooperative cancellation: the
-// context is checked once per greedy iteration, once per candidate
-// re-scan batch, and inside every dual-hull insertion, so a deadline
-// or cancel stops the algorithm within one batch even on pathological
-// hulls. The returned error wraps ctx.Err() when canceled.
-func GeoGreedyCtx(ctx context.Context, pts []geom.Vector, k int) (*Result, error) {
-	return geoGreedyTrace(ctx, pts, k, 1, nil)
-}
-
-// GeoGreedyParCtx is GeoGreedyCtx with intra-query parallelism: the
-// candidate support scans, re-location passes and argmax reductions
-// fan out over up to `workers` goroutines (0 = the process default,
-// 1 = the exact sequential path). The answer is byte-identical to the
-// sequential one for every worker count — reductions break ties by
-// lowest index and NaN supports surface as ErrDegenerate with the
-// lowest poisoned candidate, exactly as the sequential scan reports
-// them.
+// GeoGreedyParCtx is GeoGreedy with cooperative cancellation and
+// intra-query parallelism. The context is checked once per greedy
+// iteration, once per candidate re-scan batch, and inside every
+// dual-hull insertion, so a deadline or cancel stops the algorithm
+// within one batch even on pathological hulls; the returned error
+// wraps ctx.Err() when canceled. The candidate support scans,
+// re-location passes and argmax reductions fan out over up to
+// `workers` goroutines (0 = the process default, 1 = the exact
+// sequential path). The answer is byte-identical to the sequential one
+// for every worker count — reductions break ties by lowest index and
+// NaN supports surface as ErrDegenerate with the lowest poisoned
+// candidate, exactly as the sequential scan reports them.
 func GeoGreedyParCtx(ctx context.Context, pts []geom.Vector, k, workers int) (*Result, error) {
 	return geoGreedyTrace(ctx, pts, k, workers, nil)
 }
 
-// GeoGreedyTrace is GeoGreedy plus a per-insertion callback: after
-// every selection step the callback receives the selected index and
-// the maximum regret ratio of the selection so far. StoredList uses
-// it to materialize the full insertion order with prefix regrets.
-func GeoGreedyTrace(pts []geom.Vector, k int, onSelect func(index int, mrrSoFar float64)) (*Result, error) {
-	return geoGreedyTrace(context.Background(), pts, k, 1, onSelect)
-}
-
-// GeoGreedyTraceCtx is GeoGreedyTrace with cooperative cancellation
-// (see GeoGreedyCtx).
-func GeoGreedyTraceCtx(ctx context.Context, pts []geom.Vector, k int, onSelect func(index int, mrrSoFar float64)) (*Result, error) {
-	return geoGreedyTrace(ctx, pts, k, 1, onSelect)
-}
-
-// GeoGreedyTraceParCtx is GeoGreedyTraceCtx with intra-query
-// parallelism (see GeoGreedyParCtx). The callback itself is always
-// invoked from the calling goroutine, in selection order.
+// GeoGreedyTraceParCtx is GeoGreedyParCtx plus a per-insertion
+// callback: after every selection step the callback receives the
+// selected index and the maximum regret ratio of the selection so far.
+// StoredList uses it to materialize the full insertion order with
+// prefix regrets. The callback itself is always invoked from the
+// calling goroutine, in selection order.
 func GeoGreedyTraceParCtx(ctx context.Context, pts []geom.Vector, k, workers int, onSelect func(index int, mrrSoFar float64)) (*Result, error) {
 	return geoGreedyTrace(ctx, pts, k, workers, onSelect)
 }

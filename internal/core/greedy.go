@@ -29,17 +29,13 @@ func Greedy(pts []geom.Vector, k int) (*Result, error) {
 	return greedyPar(context.Background(), pts, k, 1)
 }
 
-// GreedyCtx is Greedy with cooperative cancellation: the context is
-// checked before every per-candidate LP and inside each simplex solve
-// (per pivot batch), so even iterations over large candidate sets
-// stop promptly. The returned error wraps ctx.Err() when canceled.
-func GreedyCtx(ctx context.Context, pts []geom.Vector, k int) (*Result, error) {
-	return greedyPar(ctx, pts, k, 1)
-}
-
-// GreedyParCtx is GreedyCtx with intra-query parallelism: the
-// independent per-candidate LP solves of each iteration fan out over
-// up to `workers` goroutines (0 = the process default, 1 = the exact
+// GreedyParCtx is Greedy with cooperative cancellation and
+// intra-query parallelism. The context is checked before every
+// per-candidate LP and inside each simplex solve (per pivot batch), so
+// even iterations over large candidate sets stop promptly; the
+// returned error wraps ctx.Err() when canceled. The independent
+// per-candidate LP solves of each iteration fan out over up to
+// `workers` goroutines (0 = the process default, 1 = the exact
 // sequential path). Each LP optimum is deterministic, the optima land
 // in a per-candidate slot and the argmax fold runs sequentially in
 // index order, so the selection is byte-identical to the sequential

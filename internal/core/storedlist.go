@@ -38,18 +38,13 @@ var ErrBeyondList = errors.New("core: k beyond the materialized stored-list pref
 // paper's "total time" of StoredList is the largest of the three
 // algorithms because of it — while Query is then near-free.
 func BuildStoredList(pts []geom.Vector) (*StoredList, error) {
-	return BuildStoredListCtx(context.Background(), pts)
+	return BuildStoredListParCtx(context.Background(), pts, 1)
 }
 
-// BuildStoredListCtx is BuildStoredList with cooperative cancellation
-// (the preprocessing is one full GeoGreedy run; see GeoGreedyCtx for
-// the check granularity).
-func BuildStoredListCtx(ctx context.Context, pts []geom.Vector) (*StoredList, error) {
-	return BuildStoredListParCtx(ctx, pts, 1)
-}
-
-// BuildStoredListParCtx is BuildStoredListCtx with intra-query
-// parallelism (see BuildStoredListUpToParCtx).
+// BuildStoredListParCtx is BuildStoredList with cooperative
+// cancellation and intra-query parallelism (the preprocessing is one
+// full GeoGreedy run; see GeoGreedyParCtx for the check granularity
+// and BuildStoredListUpToParCtx for the worker contract).
 func BuildStoredListParCtx(ctx context.Context, pts []geom.Vector, workers int) (*StoredList, error) {
 	s, err := BuildStoredListUpToParCtx(ctx, pts, len(pts), workers)
 	if err != nil {
@@ -65,21 +60,15 @@ func BuildStoredListParCtx(ctx context.Context, pts []geom.Vector, workers int) 
 // rejects larger ks with ErrBeyondList (unless the greedy exhausted
 // the hull before maxLen, in which case the list is complete anyway).
 func BuildStoredListUpTo(pts []geom.Vector, maxLen int) (*StoredList, error) {
-	return BuildStoredListUpToCtx(context.Background(), pts, maxLen)
+	return BuildStoredListUpToParCtx(context.Background(), pts, maxLen, 1)
 }
 
-// BuildStoredListUpToCtx is BuildStoredListUpTo with cooperative
-// cancellation.
-func BuildStoredListUpToCtx(ctx context.Context, pts []geom.Vector, maxLen int) (*StoredList, error) {
-	return BuildStoredListUpToParCtx(ctx, pts, maxLen, 1)
-}
-
-// BuildStoredListUpToParCtx is BuildStoredListUpToCtx with
-// intra-query parallelism: the underlying GeoGreedy run and the
-// seed-prefix regret fixups fan out over up to `workers` goroutines
-// (0 = the process default, 1 = the exact sequential path). The
-// materialized order and per-prefix regrets are byte-identical for
-// every worker count.
+// BuildStoredListUpToParCtx is BuildStoredListUpTo with cooperative
+// cancellation and intra-query parallelism: the underlying GeoGreedy
+// run and the seed-prefix regret fixups fan out over up to `workers`
+// goroutines (0 = the process default, 1 = the exact sequential
+// path). The materialized order and per-prefix regrets are
+// byte-identical for every worker count.
 func BuildStoredListUpToParCtx(ctx context.Context, pts []geom.Vector, maxLen, workers int) (*StoredList, error) {
 	d, err := validatePoints(pts)
 	if err != nil {

@@ -56,7 +56,7 @@ func PrepareReal(name dataset.RealName, n int) (*RealPipeline, error) {
 	}
 	p.SkyTime = time.Since(t0)
 	t0 = time.Now()
-	p.Happy = happy.ComputeAmongSkyline(pts, p.Sky)
+	p.Happy = happy.ComputeAmongSkylineCertParallel(pts, p.Sky, 1).HappyPoints()
 	p.HappyTime = time.Since(t0)
 	return p, nil
 }
@@ -249,7 +249,7 @@ func runSynth(n, d, k int, withGreedy bool) (SynthRow, error) {
 	if err != nil {
 		return SynthRow{}, err
 	}
-	hp := happy.ComputeAmongSkyline(pts, sky)
+	hp := happy.ComputeAmongSkylineCertParallel(pts, sky, 1).HappyPoints()
 	cand, err := core.Select(pts, hp)
 	if err != nil {
 		return SynthRow{}, err
@@ -359,7 +359,7 @@ func Headline(n, d, k int, withGreedy bool) (*HeadlineResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	hp := happy.ComputeAmongSkyline(pts, sky)
+	hp := happy.ComputeAmongSkylineCertParallel(pts, sky, 1).HappyPoints()
 	res.PreTime = time.Since(t0)
 	res.SkyCount, res.HappyCount = len(sky), len(hp)
 	cand, err := core.Select(pts, hp)

@@ -24,8 +24,8 @@ type Cert struct {
 	Wit []int32
 }
 
-// HappyPoints returns the happy indices (ascending), exactly the
-// slice ComputeAmongSkyline returns for the same inputs.
+// HappyPoints returns the happy indices (ascending): the members of
+// Sky subjugated by no other member.
 func (c *Cert) HappyPoints() []int {
 	out := make([]int, 0, len(c.Sky))
 	for i, w := range c.Wit {
@@ -42,20 +42,16 @@ func (c *Cert) HappyPoints() []int {
 // stay small to balance.
 const certGrain = 8
 
-// ComputeAmongSkylineCert computes the witness certificate for the
-// candidates sky against adversaries sky, via the blocked kernel when
-// the set is large enough to amortize the sweep build and the scalar
-// scan otherwise. The caller is responsible for sky being the true
-// skyline of pts (ascending) and pts being validated.
-func ComputeAmongSkylineCert(pts []geom.Vector, sky []int) *Cert {
-	return ComputeAmongSkylineCertParallel(pts, sky, 1)
-}
-
-// ComputeAmongSkylineCertParallel is ComputeAmongSkylineCert with the
-// candidate loop fanned out over `workers` goroutines (0 means the
-// process default). The certificate is identical for every width:
-// both paths share one sweep, and each candidate's witness depends
-// only on that read-only sweep.
+// ComputeAmongSkylineCertParallel computes the witness certificate for
+// the candidates sky against adversaries sky, via the blocked kernel
+// when the set is large enough to amortize the sweep build and the
+// scalar scan otherwise. The caller is responsible for sky being the
+// true skyline of pts (ascending) and pts being validated. The
+// candidate loop fans out over `workers` goroutines (0 means the
+// process default, 1 the sequential path); the certificate is
+// identical for every width, because each candidate's witness depends
+// only on the one read-only sweep all workers share. The happy set is
+// the certificate's HappyPoints.
 func ComputeAmongSkylineCertParallel(pts []geom.Vector, sky []int, workers int) *Cert {
 	c, err := ComputeAmongSkylineCertParallelCtx(context.Background(), pts, sky, workers)
 	if err != nil {
@@ -70,10 +66,6 @@ func ComputeAmongSkylineCertParallel(pts []geom.Vector, sky []int, workers int) 
 // returned error wraps ctx.Err() when canceled; the certificate is
 // identical to the sequential one whenever the error is nil.
 func ComputeAmongSkylineCertParallelCtx(ctx context.Context, pts []geom.Vector, sky []int, workers int) (*Cert, error) {
-	return computeCertCtx(ctx, pts, sky, workers)
-}
-
-func computeCertCtx(ctx context.Context, pts []geom.Vector, sky []int, workers int) (*Cert, error) {
 	if len(sky) == 0 {
 		return &Cert{Sky: sky}, nil
 	}

@@ -62,6 +62,7 @@ import (
 	"sort"
 
 	"repro/internal/geom"
+	"repro/internal/skyline"
 )
 
 // Tolerance for the on/below classifications.
@@ -248,7 +249,9 @@ func SubjugatesByPlanes(p, q geom.Vector) (bool, error) {
 // after a skyline pre-filter: happy points are skyline points
 // (Lemma 3), and a skyline point fails to be happy iff some skyline
 // point subjugates it (if p subjugates q and p* dominates p, then p*
-// subjugates q — proof in the package tests' oracle comparison).
+// subjugates q — proof in the package tests' oracle comparison). The
+// skyline comes from skyline.Of and the filter from the certificate
+// entry, so Compute shares both operators with the serving path.
 func Compute(pts []geom.Vector) ([]int, error) {
 	if len(pts) == 0 {
 		return nil, nil
@@ -262,81 +265,9 @@ func Compute(pts []geom.Vector) ([]int, error) {
 			return nil, err
 		}
 	}
-	sky := skylineFilter(pts)
-	return ComputeAmongSkyline(pts, sky), nil
-}
-
-// ComputeAmongSkyline is Compute for callers that already hold the
-// skyline index set (avoids recomputing it in pipelines that need
-// both, e.g. Table III). The caller is responsible for sky being the
-// true skyline of pts. Large candidate sets go through the blocked
-// subjugation kernel (kernel.go); small ones through the scalar scan
-// — the returned set is identical either way (pinned by the
-// differential suite in kernel_test.go).
-func ComputeAmongSkyline(pts []geom.Vector, sky []int) []int {
-	return ComputeAmongSkylineCert(pts, sky).HappyPoints()
-}
-
-// computeAmong returns the members of candidates subjugated by no
-// member of adversaries.
-func computeAmong(pts []geom.Vector, candidates, adversaries []int) []int {
-	out := make([]int, 0, len(candidates))
-	for _, qi := range candidates {
-		q := pts[qi]
-		isHappy := true
-		for _, pi := range adversaries {
-			if pi == qi {
-				continue
-			}
-			if subjugates(pts[pi], q) {
-				isHappy = false
-				break
-			}
-		}
-		if isHappy {
-			out = append(out, qi)
-		}
+	sky, err := skyline.Of(pts)
+	if err != nil {
+		return nil, fmt.Errorf("happy: %w", err)
 	}
-	sort.Ints(out)
-	return out
-}
-
-// skylineFilter returns the skyline indices with a sort-filter pass
-// (duplicated minimally from package skyline to keep the dependency
-// graph flat; the full operators live in internal/skyline).
-func skylineFilter(pts []geom.Vector) []int {
-	order := make([]int, len(pts))
-	for i := range order {
-		order[i] = i
-	}
-	sums := make([]float64, len(pts))
-	for i, p := range pts {
-		sums[i] = p.Sum()
-	}
-	sort.Slice(order, func(a, b int) bool {
-		// Exact ordered comparisons keep the order transitive.
-		sa, sb := sums[order[a]], sums[order[b]]
-		if sa > sb {
-			return true
-		}
-		if sa < sb {
-			return false
-		}
-		return order[a] < order[b]
-	})
-	var sky []int
-	for _, i := range order {
-		dominated := false
-		for _, si := range sky {
-			if geom.Dominates(pts[si], pts[i]) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			sky = append(sky, i)
-		}
-	}
-	sort.Ints(sky)
-	return sky
+	return ComputeAmongSkylineCertParallel(pts, sky, 1).HappyPoints(), nil
 }

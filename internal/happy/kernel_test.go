@@ -43,7 +43,7 @@ func TestKernelMatchesScalarDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sky := skylineFilter(pts)
+			sky := bruteSkyline(pts)
 			wk := witnessesKernel(pts, sky)
 			ws := witnessesScalar(pts, sky)
 			if len(wk) != len(sky) || len(ws) != len(sky) {
@@ -80,9 +80,9 @@ func TestKernelMatchesScalarDifferential(t *testing.T) {
 	}
 }
 
-// TestCertMatchesLegacyCompute ties the certificate path to the
-// legacy entry points: HappyPoints() must equal computeAmong on the
-// same skyline, for sets on both sides of the kernelMinSky cutoff.
+// TestCertMatchesLegacyCompute ties the certificate path to the scalar
+// oracle: HappyPoints() must equal computeAmong on the same skyline,
+// for sets on both sides of the kernelMinSky cutoff.
 func TestCertMatchesLegacyCompute(t *testing.T) {
 	for _, n := range []int{30, 900} {
 		for _, g := range kernelGens {
@@ -90,9 +90,9 @@ func TestCertMatchesLegacyCompute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sky := skylineFilter(pts)
+			sky := bruteSkyline(pts)
 			want := computeAmong(pts, sky, sky)
-			got := ComputeAmongSkylineCert(pts, sky).HappyPoints()
+			got := ComputeAmongSkylineCertParallel(pts, sky, 1).HappyPoints()
 			if len(got) != len(want) {
 				t.Fatalf("%s n=%d: cert happy |%d| vs legacy |%d|", g.name, n, len(got), len(want))
 			}
@@ -113,7 +113,7 @@ func TestCertParallelDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sky := skylineFilter(pts)
+	sky := bruteSkyline(pts)
 	if len(sky) < kernelMinSky {
 		t.Fatalf("skyline %d too small to exercise the kernel", len(sky))
 	}
@@ -138,7 +138,7 @@ func TestCertParallelCtxCanceled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sky := skylineFilter(pts)
+	sky := bruteSkyline(pts)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, w := range []int{1, 4} {

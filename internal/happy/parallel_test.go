@@ -31,10 +31,10 @@ func TestComputeParallelMatchesSequential(t *testing.T) {
 				p[j] /= maxv
 			}
 		}
-		sky := skylineFilter(pts)
-		want := ComputeAmongSkyline(pts, sky)
+		sky := bruteSkyline(pts)
+		want := computeAmong(pts, sky, sky)
 		for _, workers := range []int{0, 1, 3, 8} {
-			got := ComputeAmongSkylineParallel(pts, sky, workers)
+			got := ComputeAmongSkylineCertParallel(pts, sky, workers).HappyPoints()
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d workers=%d: %v vs %v", trial, workers, got, want)
 			}

@@ -61,7 +61,7 @@ func TestUpdateCertDifferential(t *testing.T) {
 			}
 			pts := append([]geom.Vector(nil), pool[:60]...)
 			pool = pool[60:]
-			sky := skylineFilter(pts)
+			sky := bruteSkyline(pts)
 			cert := &Cert{Sky: sky, Wit: witnessesScalar(pts, sky)}
 			rng := rand.New(rand.NewSource(int64(d * 3)))
 			for step := 0; step < 150; step++ {
@@ -104,7 +104,7 @@ func TestUpdateInsertWitnessEvicted(t *testing.T) {
 		{0.65, 0.3},
 		{0.1, 0.9},
 	}
-	sky := skylineFilter(pts)
+	sky := bruteSkyline(pts)
 	cert := &Cert{Sky: sky, Wit: witnessesScalar(pts, sky)}
 	w, ok := witnessOf(cert, 1)
 	if !ok || w != 0 {
@@ -134,7 +134,7 @@ func TestUpdateDeleteWitnessDeleted(t *testing.T) {
 		{0.1, 0.9},
 		{0.9, 0.1},
 	}
-	sky := skylineFilter(pts)
+	sky := bruteSkyline(pts)
 	cert := &Cert{Sky: sky, Wit: witnessesScalar(pts, sky)}
 	skyNew, entrants, wasSky, err := skyline.UpdateDelete(pts, cert.Sky, 0)
 	if err != nil {

@@ -1,7 +1,7 @@
 // The blocked skyline kernel: a sort-filter-skyline pass over packed
-// rows with a two-tier dominance window. This is the default
-// algorithm behind Of and ComputeParallel; BNL/SFS/DC remain as the
-// scalar references the differential suite pins it against.
+// rows with a two-tier dominance window. It is the package's only
+// skyline algorithm: Of, OfSubset and ComputeParallel all run it, and
+// the tests pin it against an O(n²) brute-force oracle.
 //
 // Structure, in arrival order of the descending-coordinate-sum radix
 // sort (mat.SortIdxByFloatDesc — O(n), it replaces the comparison
@@ -56,7 +56,9 @@ const (
 	// kernelRebuild0: window size triggering the first rebuild;
 	// subsequent triggers grow by 5/4.
 	kernelRebuild0 = 128
-	// kernelMinN: below this, plain SFS beats the kernel's setup.
+	// kernelMinN: points per stripe in computeParallelKernel. It caps
+	// the stripe count at ⌈n/kernelMinN⌉, so inputs of at most
+	// kernelMinN points run as one sequential kernel pass.
 	kernelMinN = 512
 )
 
@@ -297,10 +299,6 @@ func (w *domWindow) result() []int {
 // computeKernel is the blocked skyline pass over all of pts. It
 // assumes validate(pts) passed.
 func computeKernel(pts []geom.Vector) ([]int, error) {
-	n := len(pts)
-	if n == 0 {
-		return nil, nil
-	}
 	return computeKernelIndexed(pts, nil)
 }
 

@@ -31,8 +31,8 @@ func equalInts(t *testing.T, ctxt string, got, want []int) {
 	}
 }
 
-// TestKernelMatchesReferences pins the blocked kernel against SFS and
-// the brute-force oracle across dimensions, distributions, and sizes
+// TestKernelMatchesReferences pins the blocked kernel against the
+// brute-force oracle across dimensions, distributions, and sizes
 // spanning the rebuild schedule (several rebuilds at n=3000 for
 // anti-correlated data).
 func TestKernelMatchesReferences(t *testing.T) {
@@ -43,18 +43,11 @@ func TestKernelMatchesReferences(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := Compute(pts, SFS)
+				got, err := Of(pts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := Compute(pts, Kernel)
-				if err != nil {
-					t.Fatal(err)
-				}
-				equalInts(t, g.name, got, want)
-				if n <= 700 {
-					equalInts(t, g.name+"/brute", got, brute(pts))
-				}
+				equalInts(t, g.name, got, brute(pts))
 			}
 		}
 	}
@@ -180,15 +173,25 @@ func TestParallelKernelCanceled(t *testing.T) {
 	}
 }
 
-// TestKernelAlgorithmRegistered: the public dispatch path.
+// TestKernelAlgorithmRegistered: the public entry Of dispatches to the
+// kernel.
 func TestKernelAlgorithmRegistered(t *testing.T) {
-	if Kernel.String() != "Kernel" {
-		t.Fatalf("Kernel.String() = %q", Kernel.String())
-	}
 	pts := []geom.Vector{{0.9, 0.1}, {0.1, 0.9}, {0.8, 0.05}}
 	got, err := Of(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	equalInts(t, "Of", got, []int{0, 1})
+	pts, err = dataset.AntiCorrelated(1000, 3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err = Of(pts); err != nil {
+		t.Fatal(err)
+	}
+	want, err := computeKernel(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalInts(t, "Of vs kernel", got, want)
 }

@@ -10,18 +10,34 @@ import (
 	"repro/internal/geom"
 )
 
-// brute is the obvious O(n²) oracle.
+// brute is the obvious O(n²) oracle: a point is on the skyline when no
+// other point dominates it.
 func brute(pts []geom.Vector) []int {
 	var out []int
-	for i := range pts {
-		if IsSkylinePoint(pts, i) {
+	for i, p := range pts {
+		dominated := false
+		for j, q := range pts {
+			if j != i && geom.Dominates(q, p) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
 			out = append(out, i)
 		}
 	}
 	return out
 }
 
-var algos = []Algorithm{BNL, SFS, DC}
+// entries are the public skyline operators every shared test runs
+// over; all must return the same ascending index set.
+var entries = []struct {
+	name string
+	fn   func([]geom.Vector) ([]int, error)
+}{
+	{"Of", Of},
+	{"ComputeParallel", func(pts []geom.Vector) ([]int, error) { return ComputeParallel(pts, 4) }},
+}
 
 func TestKnownSmall(t *testing.T) {
 	pts := []geom.Vector{
@@ -33,39 +49,39 @@ func TestKnownSmall(t *testing.T) {
 		{0.94, 0.79}, // dominated by p1
 	}
 	want := []int{0, 1, 2, 3}
-	for _, a := range algos {
-		got, err := Compute(pts, a)
+	for _, e := range entries {
+		got, err := e.fn(pts)
 		if err != nil {
-			t.Fatalf("%v: %v", a, err)
+			t.Fatalf("%s: %v", e.name, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: got %v, want %v", a, got, want)
+			t.Fatalf("%s: got %v, want %v", e.name, got, want)
 		}
 	}
 }
 
 func TestEmptyAndSingle(t *testing.T) {
-	for _, a := range algos {
-		got, err := Compute(nil, a)
+	for _, e := range entries {
+		got, err := e.fn(nil)
 		if err != nil || len(got) != 0 {
-			t.Fatalf("%v empty: %v, %v", a, got, err)
+			t.Fatalf("%s empty: %v, %v", e.name, got, err)
 		}
-		got, err = Compute([]geom.Vector{{1, 2}}, a)
+		got, err = e.fn([]geom.Vector{{1, 2}})
 		if err != nil || !reflect.DeepEqual(got, []int{0}) {
-			t.Fatalf("%v single: %v, %v", a, got, err)
+			t.Fatalf("%s single: %v, %v", e.name, got, err)
 		}
 	}
 }
 
 func TestDuplicatesRetained(t *testing.T) {
 	pts := []geom.Vector{{1, 1}, {1, 1}, {0.5, 0.5}}
-	for _, a := range algos {
-		got, err := Compute(pts, a)
+	for _, e := range entries {
+		got, err := e.fn(pts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, []int{0, 1}) {
-			t.Fatalf("%v: got %v, want both duplicates", a, got)
+			t.Fatalf("%s: got %v, want both duplicates", e.name, got)
 		}
 	}
 }
@@ -77,26 +93,25 @@ func TestAllSkyline(t *testing.T) {
 		x := float64(i) / 49
 		pts = append(pts, geom.Vector{x, 1 - x})
 	}
-	for _, a := range algos {
-		got, err := Compute(pts, a)
+	for _, e := range entries {
+		got, err := e.fn(pts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(pts) {
-			t.Fatalf("%v: %d skyline points, want all %d", a, len(got), len(pts))
+			t.Fatalf("%s: %d skyline points, want all %d", e.name, len(got), len(pts))
 		}
 	}
 }
 
 func TestBadInput(t *testing.T) {
-	if _, err := Compute([]geom.Vector{{1, 2}, {1}}, BNL); err == nil {
-		t.Fatal("ragged input accepted")
-	}
-	if _, err := Compute([]geom.Vector{{math.NaN(), 1}}, SFS); err == nil {
-		t.Fatal("NaN input accepted")
-	}
-	if _, err := Compute([]geom.Vector{{1}}, Algorithm(42)); err == nil {
-		t.Fatal("unknown algorithm accepted")
+	for _, e := range entries {
+		if _, err := e.fn([]geom.Vector{{1, 2}, {1}}); err == nil {
+			t.Fatalf("%s: ragged input accepted", e.name)
+		}
+		if _, err := e.fn([]geom.Vector{{math.NaN(), 1}}); err == nil {
+			t.Fatalf("%s: NaN input accepted", e.name)
+		}
 	}
 }
 
@@ -115,13 +130,13 @@ func TestAlgorithmsAgreeRandom(t *testing.T) {
 			pts[i] = p
 		}
 		want := brute(pts)
-		for _, a := range algos {
-			got, err := Compute(pts, a)
+		for _, e := range entries {
+			got, err := e.fn(pts)
 			if err != nil {
-				t.Fatalf("%v: %v", a, err)
+				t.Fatalf("%s: %v", e.name, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d %v: got %v, want %v", trial, a, got, want)
+				t.Fatalf("trial %d %s: got %v, want %v", trial, e.name, got, want)
 			}
 		}
 	}
@@ -140,49 +155,42 @@ func TestSkylineCharacterization(t *testing.T) {
 			}
 			pts[i] = p
 		}
-		sky, err := Compute(pts, SFS)
-		if err != nil {
-			return false
-		}
-		inSky := make(map[int]bool)
-		for _, i := range sky {
-			inSky[i] = true
-		}
-		for _, i := range sky {
-			for _, j := range sky {
-				if i != j && geom.Dominates(pts[i], pts[j]) {
+		for _, e := range entries {
+			sky, err := e.fn(pts)
+			if err != nil {
+				return false
+			}
+			inSky := make(map[int]bool)
+			for _, i := range sky {
+				inSky[i] = true
+			}
+			for _, i := range sky {
+				for _, j := range sky {
+					if i != j && geom.Dominates(pts[i], pts[j]) {
+						return false
+					}
+				}
+			}
+			for i := range pts {
+				if inSky[i] {
+					continue
+				}
+				dominated := false
+				for _, s := range sky {
+					if geom.Dominates(pts[s], pts[i]) {
+						dominated = true
+						break
+					}
+				}
+				if !dominated {
 					return false
 				}
-			}
-		}
-		for i := range pts {
-			if inSky[i] {
-				continue
-			}
-			dominated := false
-			for _, s := range sky {
-				if geom.Dominates(pts[s], pts[i]) {
-					dominated = true
-					break
-				}
-			}
-			if !dominated {
-				return false
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAlgorithmString(t *testing.T) {
-	if BNL.String() != "BNL" || SFS.String() != "SFS" || DC.String() != "DC" {
-		t.Fatal("algorithm names wrong")
-	}
-	if Algorithm(9).String() == "" {
-		t.Fatal("unknown algorithm String empty")
 	}
 }
 

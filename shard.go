@@ -158,7 +158,7 @@ func buildShardView(ctx context.Context, ds *Dataset, shards int, eps float64) (
 		if err != nil {
 			return nil, nil, 0, fmt.Errorf("kregret: shard union skyline: %w", err)
 		}
-		cand = happy.ComputeAmongSkyline(st.pts, sky)
+		cand = happy.ComputeAmongSkylineCertParallel(st.pts, sky, 1).HappyPoints()
 	}
 	coreIdx, _, err := coreset.Build(ctx, st.pts, cand, kernelEps, parallel.Resolve(st.workers))
 	if err != nil {
