@@ -84,13 +84,96 @@ type Polytope struct {
 	// contract.
 	tv *mat.Transposed
 
-	// Insertion scratch, reused across AddHalfspace calls: with k
-	// insertions per query and queries pooled by core, these would
-	// otherwise allocate on every greedy iteration.
-	colScratch []geom.Vector
-	valScratch []float64
+	// Vertices, their points and tight sets, and constraint normals are
+	// carved from these slabs (see carve). Memory is never handed back:
+	// callers may hold a removed vertex, so a slab lives until the
+	// polytope and every vertex carved from it are unreachable.
+	vertSlab  []Vertex
+	floatSlab []float64
+	tightSlab []int32
+
+	// Insertion scratch, reused by every AddHalfspace so that an
+	// insertion allocates only its result and, now and then, a slab.
+	spare      []*Vertex     // the other half of the verts double buffer
+	colScratch []geom.Vector // rebuildTV's column list
+	valScratch []float64     // a·v − b per vertex
 	clsScratch []vclass
-	cntScratch map[int]int
+	removed    []int32   // indices into verts of the vertices cut off
+	incidence  [][]int32 // constraint → strictly-inside vertices tight on it
+	shared     []int32   // vertex → tight constraints shared with the removed vertex at hand; zero between uses
+	touched    []int32   // vertices with a nonzero shared count, in first-touch order
+	common     []int32   // tight set of a candidate edge, then of its crossing vertex
+	basis      []int32   // refine's independent tight constraints
+	rhs        []float64
+	point      []float64     // crossing point
+	solution   []float64     // refined crossing point
+	rows       linalg.Matrix // constraint normals loaded by normals
+	lu         linalg.LU
+}
+
+// minSlab is the fewest vertices a fresh slab is sized for.
+const minSlab = 64
+
+// carve returns n fresh elements of *slab as a capacity-capped view,
+// so an append to it reallocates instead of writing into a neighbour.
+// When the slab is short it is replaced by a new one of max(n, size)
+// elements; the old one stays alive through the views it handed out.
+func carve[T any](slab *[]T, n, size int) []T {
+	s := *slab
+	if cap(s)-len(s) < n {
+		s = make([]T, 0, max(n, size))
+	}
+	*slab = s[:len(s)+n]
+	return s[len(s) : len(s)+n : len(s)+n]
+}
+
+// grow returns s resized to n, reallocating with headroom when the
+// capacity is short. Elements past the old length are whatever the
+// buffer last held (zero after a reallocation).
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, 2*n)
+	}
+	return s[:n]
+}
+
+// slabVerts sizes a fresh slab in vertices: the live vertex count, so
+// a slab lasts a few insertions and the unused tail of the last one
+// stays a fraction of the polytope.
+func (p *Polytope) slabVerts() int { return max(len(p.verts), minSlab) }
+
+// newFloats returns a slab-carved copy of x.
+func (p *Polytope) newFloats(x []float64) geom.Vector {
+	out := carve(&p.floatSlab, len(x), p.slabVerts()*p.dim)
+	copy(out, x)
+	return out
+}
+
+// newTight returns a slab-carved tight set of length n.
+func (p *Polytope) newTight(n int) []int32 {
+	return carve(&p.tightSlab, n, p.slabVerts()*(p.dim+1))
+}
+
+// newVertex creates a vertex with the next ID from slab-carved copies
+// of point and tight.
+func (p *Polytope) newVertex(point []float64, tight []int32) *Vertex {
+	v := &carve(&p.vertSlab, 1, p.slabVerts())[0]
+	v.ID = p.nextID
+	p.nextID++
+	v.Point = p.newFloats(point)
+	v.Tight = p.newTight(len(tight))
+	copy(v.Tight, tight)
+	return v
+}
+
+// tighten marks constraint c tight at v. c is the constraint being
+// inserted, larger than every index already in v.Tight, so it goes
+// last.
+func (p *Polytope) tighten(v *Vertex, c int32) {
+	t := p.newTight(len(v.Tight) + 1)
+	copy(t, v.Tight)
+	t[len(v.Tight)] = c
+	v.Tight = t
 }
 
 // vclass classifies a vertex against an incoming halfspace.
@@ -107,10 +190,8 @@ const (
 // snapped new vertex points by then, so the matrix captures the final
 // coordinates.
 func (p *Polytope) rebuildTV() {
-	if cap(p.colScratch) < len(p.verts) {
-		p.colScratch = make([]geom.Vector, len(p.verts))
-	}
-	cols := p.colScratch[:len(p.verts)]
+	p.colScratch = grow(p.colScratch, len(p.verts))
+	cols := p.colScratch
 	for c, v := range p.verts {
 		cols[c] = v.Point
 	}
@@ -127,7 +208,8 @@ type AddResult struct {
 	Redundant bool
 	// RemovedIDs holds the IDs of vertices cut off by the halfspace.
 	RemovedIDs []int
-	// Added holds the vertices created on the new hyperplane.
+	// Added holds the vertices created on the new hyperplane, in an
+	// order (and so with IDs) that repeats from run to run.
 	Added []*Vertex
 	// OnPlane holds pre-existing vertices that happen to lie on the
 	// new hyperplane (kept, now tight on it). Together with Added
@@ -155,21 +237,31 @@ func NewBox(upper []float64) (*Polytope, error) {
 			return nil, fmt.Errorf("%w: upper bound %d is %g, need finite positive", ErrBadHalfspace, i, u)
 		}
 	}
-	p := &Polytope{dim: d}
+	n := 1 << d
+	p := &Polytope{
+		dim:       d,
+		verts:     make([]*Vertex, 0, n),
+		vertSlab:  make([]Vertex, 0, n),
+		floatSlab: make([]float64, 0, (n+2*d)*d),
+		tightSlab: make([]int32, 0, n*d),
+	}
+	axis := make([]float64, d)
 	for i := 0; i < d; i++ {
-		n := make(geom.Vector, d)
-		n[i] = -1
-		p.cons = append(p.cons, geom.Hyperplane{Normal: n, Offset: 0})
+		axis[i] = -1
+		p.cons = append(p.cons, geom.Hyperplane{Normal: p.newFloats(axis), Offset: 0})
+		axis[i] = 0
 	}
 	for i := 0; i < d; i++ {
-		n := make(geom.Vector, d)
-		n[i] = 1
-		p.cons = append(p.cons, geom.Hyperplane{Normal: n, Offset: upper[i]})
+		axis[i] = 1
+		p.cons = append(p.cons, geom.Hyperplane{Normal: p.newFloats(axis), Offset: upper[i]})
+		axis[i] = 0
 	}
-	for mask := 0; mask < 1<<d; mask++ {
-		pt := make(geom.Vector, d)
-		tight := make([]int32, 0, d)
+	pt := make([]float64, d)
+	tight := make([]int32, 0, d)
+	for mask := 0; mask < n; mask++ {
+		tight = tight[:0]
 		for i := 0; i < d; i++ {
+			pt[i] = 0
 			if mask&(1<<i) != 0 {
 				pt[i] = upper[i]
 			}
@@ -185,8 +277,7 @@ func NewBox(upper []float64) (*Polytope, error) {
 				tight = append(tight, int32(d+i))
 			}
 		}
-		p.verts = append(p.verts, &Vertex{ID: p.nextID, Point: pt, Tight: tight})
-		p.nextID++
+		p.verts = append(p.verts, p.newVertex(pt, tight))
 	}
 	p.rebuildTV()
 	return p, nil
@@ -326,16 +417,15 @@ func (p *Polytope) AddHalfspaceCtx(ctx context.Context, normal geom.Vector, offs
 		return AddResult{}, fmt.Errorf("%w (injected degeneracy)", ErrEmpty)
 	}
 	cIdx := int32(len(p.cons))
-	p.cons = append(p.cons, geom.Hyperplane{Normal: normal.Clone(), Offset: offset})
+	p.cons = append(p.cons, geom.Hyperplane{Normal: p.newFloats(normal), Offset: offset})
 
 	tol := onEps * (1 + math.Abs(offset))
-	if cap(p.valScratch) < len(p.verts) {
-		p.valScratch = make([]float64, len(p.verts))
-		p.clsScratch = make([]vclass, len(p.verts))
-	}
-	vals := p.valScratch[:len(p.verts)]
-	classes := p.clsScratch[:len(p.verts)]
-	var nAbove, nOn int
+	n := len(p.verts)
+	p.valScratch = grow(p.valScratch, n)
+	p.clsScratch = grow(p.clsScratch, n)
+	p.shared = grow(p.shared, n)
+	vals, classes := p.valScratch, p.clsScratch
+	var nAbove int
 	for i, v := range p.verts {
 		val := normal.Dot(v.Point) - offset
 		vals[i] = val
@@ -345,7 +435,6 @@ func (p *Polytope) AddHalfspaceCtx(ctx context.Context, normal geom.Vector, offs
 			nAbove++
 		case val >= -tol:
 			classes[i] = on
-			nOn++
 		default:
 			classes[i] = below
 		}
@@ -356,114 +445,123 @@ func (p *Polytope) AddHalfspaceCtx(ctx context.Context, normal geom.Vector, offs
 		// vertices and keep everything.
 		for i, v := range p.verts {
 			if classes[i] == on {
-				v.Tight = insertSorted(v.Tight, cIdx)
+				p.tighten(v, cIdx)
 			}
 		}
 		return AddResult{Redundant: true}, nil
 	}
-	if nAbove == len(p.verts) {
+	if nAbove == n {
 		return AddResult{}, ErrEmpty
 	}
 
-	// Partition.
-	var kept []*Vertex
-	var keptVals []float64
-	var removedIdx []int
-	var onPlane []*Vertex
+	// Partition. The surviving vertices go to the spare half of the
+	// vertex double buffer, followed below by the created ones; the
+	// incidence index lists, per constraint, the strictly-inside
+	// vertices tight on it.
+	next := p.spare[:0]
+	removed := p.removed[:0]
 	removedIDs := make([]int, 0, nAbove)
+	var onPlane []*Vertex
+	for len(p.incidence) < len(p.cons) {
+		p.incidence = append(p.incidence, nil) // keeps the other lists' buffers
+	}
+	for c := range p.incidence {
+		p.incidence[c] = p.incidence[c][:0]
+	}
 	for i, v := range p.verts {
 		switch classes[i] {
 		case above:
-			removedIdx = append(removedIdx, i)
+			removed = append(removed, int32(i))
 			removedIDs = append(removedIDs, v.ID)
 		case on:
-			v.Tight = insertSorted(v.Tight, cIdx)
-			kept = append(kept, v)
-			keptVals = append(keptVals, vals[i])
+			p.tighten(v, cIdx)
+			next = append(next, v)
 			onPlane = append(onPlane, v)
 		default:
-			kept = append(kept, v)
-			keptVals = append(keptVals, vals[i])
+			next = append(next, v)
+			for _, c := range v.Tight {
+				p.incidence[c] = append(p.incidence[c], int32(i))
+			}
 		}
 	}
+	p.removed = removed
+	nKept := len(next)
 
 	// Generate new vertices on edges between strictly-inside kept
 	// vertices and removed vertices. Edges from "on" vertices do not
 	// create new vertices (the crossing point is the on-vertex
-	// itself).
+	// itself), so those are not indexed.
 	//
 	// Candidate pruning: an edge's endpoints share at least dim−1
-	// tight constraints, so for each removed vertex we only test kept
-	// vertices reachable through the per-constraint incidence index.
+	// tight constraints, so for each removed vertex we only test the
+	// inside vertices reachable through the incidence index, counting
+	// shared constraints in a dense per-vertex table. Candidates are
+	// visited in first-touch order, which is deterministic because
+	// tight sets and incidence lists are ascending, so the created
+	// vertices, their order and their IDs repeat from run to run.
 	if err := ctx.Err(); err != nil {
 		return AddResult{}, fmt.Errorf("dd: halfspace insertion canceled: %w", err)
 	}
-	incidence := p.buildIncidence(kept)
-	var added []*Vertex
-	if p.cntScratch == nil {
-		p.cntScratch = make(map[int]int, 64)
-	}
-	counts := p.cntScratch // kept index → #shared tight constraints
-	for _, ri := range removedIdx {
+	shared := p.shared
+	for _, ri := range removed {
 		w := p.verts[ri]
 		wVal := vals[ri]
-		clear(counts)
+		touched := p.touched[:0]
 		for _, c := range w.Tight {
-			for _, ki := range incidence[c] {
-				counts[ki]++
+			for _, ui := range p.incidence[c] {
+				if shared[ui] == 0 {
+					touched = append(touched, ui)
+				}
+				shared[ui]++
 			}
 		}
-		for ki, cnt := range counts {
-			if cnt < p.dim-1 {
+		p.touched = touched
+		for _, ui := range touched {
+			cnt := shared[ui]
+			shared[ui] = 0
+			if int(cnt) < p.dim-1 {
 				continue
 			}
-			u := kept[ki]
-			if keptVals[ki] >= -tol {
-				continue // "on" vertex; no new vertex from this edge
-			}
-			common := intersectSorted(u.Tight, w.Tight)
-			if !p.isEdge(common) {
+			u := p.verts[ui]
+			p.common = intersectSorted(p.common[:0], u.Tight, w.Tight)
+			if !p.isEdge(p.common) {
 				continue
 			}
-			uVal := keptVals[ki]
+			uVal := vals[ui]
 			// Crossing point: x = u + t(w−u), t = −uVal/(wVal−uVal).
 			den := wVal - uVal
 			if den <= 0 {
 				continue // numerically impossible: wVal > 0 > uVal
 			}
 			t := -uVal / den
-			pt := make(geom.Vector, p.dim)
+			p.point = grow(p.point, p.dim)
+			pt := p.point
 			for j := range pt {
 				pt[j] = u.Point[j] + t*(w.Point[j]-u.Point[j])
 			}
-			tight := insertSorted(append([]int32(nil), common...), cIdx)
-			nv := &Vertex{ID: -1, Point: pt, Tight: tight}
-			p.refine(nv)
-			added = appendUnique(added, nv)
+			// cIdx exceeds every index in common, so appending keeps
+			// the tight set sorted.
+			p.common = append(p.common, cIdx)
+			pt = p.refine(pt, p.common)
+			// A duplicate crossing keeps the first copy's point and
+			// unites the tight sets.
+			if dup := findPoint(next[nKept:], pt); dup != nil {
+				dup.Tight = p.union(dup.Tight, p.common)
+				continue
+			}
+			next = append(next, p.newVertex(pt, p.common))
 		}
 	}
-	for _, nv := range added {
-		nv.ID = p.nextID
-		p.nextID++
+	var added []*Vertex
+	if len(next) > nKept {
+		added = append([]*Vertex(nil), next[nKept:]...)
 	}
-	p.verts = append(kept, added...)
+	p.verts, p.spare = next, p.verts
 	if len(p.verts) == 0 {
 		return AddResult{}, ErrEmpty
 	}
 	p.rebuildTV()
 	return AddResult{RemovedIDs: removedIDs, Added: added, OnPlane: onPlane}, nil
-}
-
-// buildIncidence maps every constraint index to the kept-vertex
-// indices tight on it.
-func (p *Polytope) buildIncidence(kept []*Vertex) map[int32][]int {
-	m := make(map[int32][]int, 2*p.dim)
-	for ki, v := range kept {
-		for _, c := range v.Tight {
-			m[c] = append(m[c], ki)
-		}
-	}
-	return m
 }
 
 // isEdge reports whether the constraints in common define a
@@ -474,81 +572,80 @@ func (p *Polytope) isEdge(common []int32) bool {
 	if len(common) < p.dim-1 {
 		return false
 	}
-	m := linalg.NewMatrix(len(common), p.dim)
-	for r, c := range common {
-		copy(m.Row(r), p.cons[c].Normal)
-	}
-	return linalg.Rank(m, 1e-9) == p.dim-1
+	return linalg.RankInPlace(p.normals(common), 1e-9) == p.dim-1
 }
 
-// refine snaps a vertex onto the exact intersection of dim linearly
-// independent tight constraints, eliminating interpolation drift
-// across long insertion sequences. On numerical failure the
-// interpolated coordinates are kept.
-func (p *Polytope) refine(v *Vertex) {
-	rows := make([][]float64, 0, p.dim)
-	rhs := make([]float64, 0, p.dim)
-	m := linalg.NewMatrix(p.dim, p.dim)
-	for _, c := range v.Tight {
-		cand := append(rows, p.cons[c].Normal)
-		mt := linalg.NewMatrix(len(cand), p.dim)
-		for r, row := range cand {
-			copy(mt.Row(r), row)
-		}
-		if linalg.Rank(mt, 1e-9) == len(cand) {
-			rows = cand
-			rhs = append(rhs, p.cons[c].Offset)
-			if len(rows) == p.dim {
+// normals loads the normals of constraints cs into the polytope's
+// scratch matrix, one per row.
+func (p *Polytope) normals(cs []int32) *linalg.Matrix {
+	p.rows = linalg.Matrix{Rows: len(cs), Cols: p.dim, Data: grow(p.rows.Data, len(cs)*p.dim)}
+	for r, c := range cs {
+		copy(p.rows.Row(r), p.cons[c].Normal)
+	}
+	return &p.rows
+}
+
+// refine snaps a crossing point onto the exact intersection of dim
+// linearly independent tight constraints, eliminating interpolation
+// drift across long insertion sequences. It returns the snapped point
+// in scratch storage, or pt itself on numerical failure.
+func (p *Polytope) refine(pt []float64, tight []int32) []float64 {
+	// A candidate joins only while len(basis) < dim, so capacity dim
+	// keeps cand's append in place.
+	basis := grow(p.basis, p.dim)[:0]
+	for _, c := range tight {
+		cand := append(basis, c)
+		if linalg.RankInPlace(p.normals(cand), 1e-9) == len(cand) {
+			basis = cand
+			if len(basis) == p.dim {
 				break
 			}
 		}
 	}
-	if len(rows) < p.dim {
-		return
+	p.basis = basis
+	if len(basis) < p.dim {
+		return pt
 	}
-	for r, row := range rows {
-		copy(m.Row(r), row)
+	rhs := p.rhs[:0]
+	for _, c := range basis {
+		rhs = append(rhs, p.cons[c].Offset)
 	}
-	x, err := linalg.Solve(m, rhs)
-	if err != nil {
-		return
+	p.rhs = rhs
+	if p.lu.FactorInPlace(p.normals(basis)) != nil {
+		return pt
 	}
-	pt := geom.Vector(x)
-	if !pt.IsFinite() || !pt.Equal(v.Point, 1e-5) {
-		return // reject wild solutions; keep the interpolated point
+	p.solution = grow(p.solution, p.dim)
+	x := geom.Vector(p.solution)
+	if p.lu.SolveInto(x, rhs) != nil {
+		return pt
 	}
-	v.Point = pt
+	if !x.IsFinite() || !x.Equal(pt, 1e-5) {
+		return pt // reject wild solutions; keep the interpolated point
+	}
+	return x
 }
 
-// appendUnique adds nv to added unless a geometrically identical
-// vertex is already present; duplicate crossings happen when more
-// than dim constraints meet the cutting plane at one point. When a
-// duplicate is found their tight sets are merged.
-func appendUnique(added []*Vertex, nv *Vertex) []*Vertex {
-	for _, v := range added {
-		if v.Point.Equal(nv.Point, 1e-8) {
-			v.Tight = unionSorted(v.Tight, nv.Tight)
-			return added
+// findPoint returns the first vertex of vs geometrically identical to
+// pt, or nil. Duplicate crossings happen when more than dim
+// constraints meet the cutting plane at one point.
+func findPoint(vs []*Vertex, pt geom.Vector) *Vertex {
+	for _, v := range vs {
+		if v.Point.Equal(pt, 1e-8) {
+			return v
 		}
 	}
-	return append(added, nv)
+	return nil
 }
 
-// insertSorted inserts c into the sorted slice s if absent.
-func insertSorted(s []int32, c int32) []int32 {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= c })
-	if i < len(s) && s[i] == c {
-		return s
-	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = c
-	return s
+// union returns the union of two sorted tight sets, slab-carved.
+func (p *Polytope) union(a, b []int32) []int32 {
+	out := unionSorted(p.newTight(len(a) + len(b))[:0], a, b)
+	return out[:len(out):len(out)]
 }
 
-// intersectSorted returns the intersection of two sorted slices.
-func intersectSorted(a, b []int32) []int32 {
-	out := make([]int32, 0, min(len(a), len(b)))
+// intersectSorted appends the intersection of two sorted slices to
+// dst.
+func intersectSorted(dst, a, b []int32) []int32 {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -557,33 +654,31 @@ func intersectSorted(a, b []int32) []int32 {
 		case a[i] > b[j]:
 			j++
 		default:
-			out = append(out, a[i])
+			dst = append(dst, a[i])
 			i++
 			j++
 		}
 	}
-	return out
+	return dst
 }
 
-// unionSorted returns the union of two sorted slices.
-func unionSorted(a, b []int32) []int32 {
-	out := make([]int32, 0, len(a)+len(b))
+// unionSorted appends the union of two sorted slices to dst.
+func unionSorted(dst, a, b []int32) []int32 {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
 		case a[i] < b[j]:
-			out = append(out, a[i])
+			dst = append(dst, a[i])
 			i++
 		case a[i] > b[j]:
-			out = append(out, b[j])
+			dst = append(dst, b[j])
 			j++
 		default:
-			out = append(out, a[i])
+			dst = append(dst, a[i])
 			i++
 			j++
 		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
 }

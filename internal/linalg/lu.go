@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -20,14 +21,31 @@ type LU struct {
 const singularTol = 1e-12
 
 // Factor computes the LU decomposition of the square matrix a.
-// The input is not modified.
+// The input is not modified: Factor is FactorInPlace on a clone.
 func Factor(a *Matrix) (*LU, error) {
+	f := new(LU)
+	err := f.FactorInPlace(a.Clone())
+	if err != nil && !errors.Is(err, ErrSingular) {
+		return nil, err
+	}
+	return f, err
+}
+
+// FactorInPlace computes the LU decomposition of the square matrix a
+// into f, overwriting a with the compact factors, which f keeps. The
+// pivot storage of a previous factorization is reused, so a caller
+// that owns one LU and one scratch matrix factors without allocating.
+// On ErrSingular f is left unusable for Solve, as Factor's result is.
+func (f *LU) FactorInPlace(a *Matrix) error {
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("%w: LU of %dx%d matrix", ErrShape, a.Rows, a.Cols)
+		return fmt.Errorf("%w: LU of %dx%d matrix", ErrShape, a.Rows, a.Cols)
 	}
 	n := a.Rows
-	lu := a.Clone()
-	pivot := make([]int, n)
+	if cap(f.pivot) < n {
+		f.pivot = make([]int, n)
+	}
+	lu, pivot := a, f.pivot[:n]
+	*f = LU{lu: lu, pivot: pivot, n: n}
 	sign := 1
 	for i := range pivot {
 		pivot[i] = i
@@ -41,7 +59,7 @@ func Factor(a *Matrix) (*LU, error) {
 			}
 		}
 		if best < singularTol {
-			return &LU{lu: lu, pivot: pivot, sign: 0, n: n}, ErrSingular
+			return ErrSingular
 		}
 		if p != col {
 			swapRows(lu, p, col)
@@ -50,14 +68,15 @@ func Factor(a *Matrix) (*LU, error) {
 		}
 		inv := 1 / lu.At(col, col)
 		for r := col + 1; r < n; r++ {
-			f := lu.At(r, col) * inv
-			lu.Set(r, col, f)
+			l := lu.At(r, col) * inv
+			lu.Set(r, col, l)
 			for c := col + 1; c < n; c++ {
-				lu.Set(r, c, lu.At(r, c)-f*lu.At(col, c))
+				lu.Set(r, c, lu.At(r, c)-l*lu.At(col, c))
 			}
 		}
 	}
-	return &LU{lu: lu, pivot: pivot, sign: sign, n: n}, nil
+	f.sign = sign
+	return nil
 }
 
 func swapRows(m *Matrix, i, j int) {
@@ -79,15 +98,28 @@ func (f *LU) Det() float64 {
 	return d
 }
 
-// Solve solves A·x = b for one right-hand side.
+// Solve solves A·x = b for one right-hand side: SolveInto a fresh
+// slice.
 func (f *LU) Solve(b []float64) ([]float64, error) {
+	x := make([]float64, f.n)
+	if err := f.SolveInto(x, b); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// SolveInto solves A·x = b for one right-hand side into x, which must
+// have the system's length and must not overlap b.
+func (f *LU) SolveInto(x, b []float64) error {
 	if f.sign == 0 {
-		return nil, ErrSingular
+		return ErrSingular
 	}
 	if len(b) != f.n {
-		return nil, fmt.Errorf("%w: rhs length %d, want %d", ErrShape, len(b), f.n)
+		return fmt.Errorf("%w: rhs length %d, want %d", ErrShape, len(b), f.n)
 	}
-	x := make([]float64, f.n)
+	if len(x) != f.n {
+		return fmt.Errorf("%w: solution length %d, want %d", ErrShape, len(x), f.n)
+	}
 	// Apply permutation.
 	for i, p := range f.pivot {
 		x[i] = b[p]
@@ -108,7 +140,7 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 		}
 		x[i] = s / f.lu.At(i, i)
 	}
-	return x, nil
+	return nil
 }
 
 // Solve is a convenience wrapper: factor a and solve a·x = b.
@@ -159,9 +191,12 @@ func Inverse(a *Matrix) (*Matrix, error) {
 
 // Rank estimates the numerical rank of a (possibly rectangular)
 // matrix by Gaussian elimination with full row pivoting and the given
-// tolerance.
-func Rank(a *Matrix, tol float64) int {
-	m := a.Clone()
+// tolerance. The input is not modified: Rank is RankInPlace on a
+// clone.
+func Rank(a *Matrix, tol float64) int { return RankInPlace(a.Clone(), tol) }
+
+// RankInPlace is Rank on m itself: the elimination overwrites m.
+func RankInPlace(m *Matrix, tol float64) int {
 	rank := 0
 	rows, cols := m.Rows, m.Cols
 	for col := 0; col < cols && rank < rows; col++ {
