@@ -96,20 +96,21 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzKernels -fuzztime=10s ./internal/mat
 	$(GO) test -run=^$$ -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal
 
-# Performance baseline: runs BenchmarkPaper at parallelism 1 and 4,
-# three passes each (keeping the per-benchmark noise floor), and
-# writes BENCH_<rev>.json (ns/op, allocs/op, speedup). Compare the
-# json against the previous revision's before merging perf work; the
-# interesting regressions are allocs/op (the scratch pools) and the
-# sequential ns/op (parallelism must not tax workers=1).
+# Performance baseline: runs BenchmarkPaper at parallelism 1 and at
+# the machine width (GOMAXPROCS), three passes each (keeping the
+# per-benchmark noise floor), and writes BENCH_<rev>.json (ns/op,
+# allocs/op, speedup). Compare the json against the previous
+# revision's before merging perf work; the interesting regressions
+# are allocs/op (the scratch pools) and the sequential ns/op
+# (parallelism must not tax workers=1).
 bench:
-	$(GO) run ./cmd/benchbaseline -parallelism 4 -count 3
+	$(GO) run ./cmd/benchbaseline -count 3
 
 # Baseline plus comparison: records the same report, then diffs it
 # against the most recent earlier BENCH_*.json and fails on a >10%
 # sequential ns/op regression (when n and benchtime match).
 bench-diff:
-	$(GO) run ./cmd/benchbaseline -parallelism 4 -count 3 -diff latest
+	$(GO) run ./cmd/benchbaseline -count 3 -diff latest
 
 # Same harness at toy size: proves the flag plumbing, the bench run
 # and the json writer end to end in seconds, then asserts sequential
@@ -117,9 +118,9 @@ bench-diff:
 # determinism suite). Part of `make check`; the ns/op numbers
 # themselves are meaningless at this scale.
 bench-smoke:
-	$(GO) run ./cmd/benchbaseline -n 4000 -benchtime 1x -parallelism 4 \
+	$(GO) run ./cmd/benchbaseline -n 4000 -benchtime 1x \
 		-out /tmp/kregret_bench_smoke.json
-	$(GO) test -count=1 -run 'ParallelMatch|ParallelExhaustion|EngineParallelism' \
+	$(GO) test -count=1 -run 'ParallelMatch|ParallelExhaustion|EngineParallelism|WidthParity' \
 		./internal/core .
 
 # Sharded serving smoke: the cold-query pair (unsharded baseline vs
@@ -129,7 +130,7 @@ bench-smoke:
 # this scale — the point is that the sharded path builds, serves and
 # stays within its contract.
 bench-shard:
-	$(GO) run ./cmd/benchbaseline -n 4000 -benchtime 1x -parallelism 4 \
+	$(GO) run ./cmd/benchbaseline -n 4000 -benchtime 1x \
 		-bench 'Paper/(ColdQuery|ShardedColdQuery)' \
 		-out /tmp/kregret_bench_shard.json
 	$(GO) test -count=1 -run 'Sharded|MergeShardCores|CoresetDifferential' .

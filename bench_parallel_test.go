@@ -4,8 +4,10 @@ package kregret
 // paper-scale hot paths (GeoGreedy at n=100k d=4, the exact and
 // sampled evaluators, the candidate preprocessing) with the worker
 // count taken from the -kregret.parallelism flag, so one binary
-// measures both the sequential path and any fan-out width.
-// cmd/benchbaseline runs it at parallelism 1 and N, diffs ns/op and
+// measures both the sequential path and any fan-out width. The
+// entries that go through Dataset or Engine run at GOMAXPROCS, so
+// cmd/benchbaseline pairs each pass's flag with the same -cpu width.
+// It runs the suite at parallelism 1 and N, diffs ns/op and
 // allocs/op, and writes BENCH_<rev>.json.
 
 import (
@@ -24,7 +26,7 @@ import (
 
 var (
 	benchParallelism = flag.Int("kregret.parallelism", 1,
-		"worker count for BenchmarkPaper (1 = exact sequential path, 0 = process default)")
+		"worker count for BenchmarkPaper (1 = exact sequential path, 0 = GOMAXPROCS)")
 	benchPaperN = flag.Int("kregret.benchn", 100000,
 		"dataset size for BenchmarkPaper (lower it for smoke runs)")
 )
@@ -144,7 +146,7 @@ func BenchmarkPaper(b *testing.B) {
 		// the serving path — they must find the successor epoch
 		// pre-seeded. Includes the O(n) copy-on-write point clone, the
 		// price of epoch isolation.
-		ds, err := NewDataset(vecsToPoints(pts), WithoutNormalization(), WithParallelism(w))
+		ds, err := NewDataset(vecsToPoints(pts), WithoutNormalization())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,7 +188,7 @@ func BenchmarkPaper(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			ds, err := NewDataset(ps, WithoutNormalization(), WithParallelism(w))
+			ds, err := NewDataset(ps, WithoutNormalization())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -210,7 +212,7 @@ func BenchmarkPaper(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			ds, err := NewDataset(ps, WithoutNormalization(), WithParallelism(w))
+			ds, err := NewDataset(ps, WithoutNormalization())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -4,8 +4,11 @@
 // width — alternating the two so host drift cancels out of the
 // speedup ratio — parses the `go test -bench` output, and writes a
 // BENCH_<rev>.json with ns/op, B/op, allocs/op and the per-benchmark
-// speedup. CI and `make bench` both go through this binary so every
-// revision's numbers land in the same machine-readable shape.
+// speedup. Each pass sets both the suite's -kregret.parallelism flag
+// and go test's -cpu to its width: the entries that build a Dataset
+// or Engine run at GOMAXPROCS. CI and `make bench` both go through
+// this binary so every revision's numbers land in the same
+// machine-readable shape.
 //
 // Usage:
 //
@@ -357,12 +360,13 @@ func foldPass(acc map[string]measurement, cpu string, workers, n int, benchtime,
 }
 
 // runPass executes one `go test -bench` invocation at the given
-// worker width and returns the parsed measurements keyed by benchmark
-// name (the -cpu suffix stripped), plus the reported cpu model.
+// worker width (as both the suite flag and GOMAXPROCS) and returns the
+// parsed measurements keyed by benchmark name (the -cpu suffix
+// stripped), plus the reported cpu model.
 func runPass(workers, n int, benchtime, bench string) (map[string]measurement, string, error) {
 	args := []string{
 		"test", "-run=^$", "-bench=" + bench, "-benchmem", "-count=1",
-		"-benchtime=" + benchtime, "-timeout=60m", ".",
+		"-benchtime=" + benchtime, "-timeout=60m", fmt.Sprintf("-cpu=%d", workers), ".",
 		"-args",
 		fmt.Sprintf("-kregret.parallelism=%d", workers),
 		fmt.Sprintf("-kregret.benchn=%d", n),

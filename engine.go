@@ -36,7 +36,6 @@ type EngineOption func(*engineOptions)
 
 type engineOptions struct {
 	workers, queueDepth int
-	parallelismBudget   int
 	maxQueryTime        time.Duration
 	breakerThreshold    int
 	breakerCooldown     time.Duration
@@ -52,28 +51,14 @@ type engineOptions struct {
 }
 
 // WithWorkers bounds how many queries execute concurrently (default
-// GOMAXPROCS). This is the hard cap on simultaneous solver work.
+// GOMAXPROCS). This is the hard cap on simultaneous solver work. Each
+// live query's solver runs max(1, GOMAXPROCS / n) wide.
 func WithWorkers(n int) EngineOption { return func(o *engineOptions) { o.workers = n } }
 
 // WithQueueDepth bounds how many admitted queries may wait for a
 // worker (default twice the worker count). Requests beyond it are
 // shed with ErrOverloaded.
 func WithQueueDepth(n int) EngineOption { return func(o *engineOptions) { o.queueDepth = n } }
-
-// WithParallelismBudget caps the total intra-query fan-out across the
-// whole engine: each query runs with WithParallelism(budget / pool
-// workers) (at least 1), so inter-query concurrency and intra-query
-// parallelism compose to at most ~budget busy goroutines instead of
-// multiplying. The default budget is the process default parallelism
-// (see WithParallelism), which with the default worker count gives
-// every query the exact sequential path — a saturated pool already
-// uses every core. Raise the budget (or lower the worker count) to
-// give individual queries more cores, e.g. a 1-worker engine with
-// budget 8 runs one query at a time, 8-wide. A WithParallelism in
-// WithQueryDefaults or per-call options overrides the derived value.
-func WithParallelismBudget(n int) EngineOption {
-	return func(o *engineOptions) { o.parallelismBudget = n }
-}
 
 // WithQueryTimeout caps the wall-clock budget of every query (default
 // none). The effective budget is the smaller of this cap and the
@@ -235,9 +220,8 @@ type Engine struct {
 	pool     *serve.Pool
 	breakers *serve.BreakerSet
 	opts     engineOptions
-	// perQueryWorkers is the intra-query parallelism injected into
-	// every query (overridable via options): the engine's parallelism
-	// budget divided by the pool's worker count.
+	// perQueryWorkers is the width every live solver runs at:
+	// GOMAXPROCS divided by the pool's worker count, at least 1.
 	perQueryWorkers int
 
 	degraded        atomic.Uint64
@@ -353,7 +337,7 @@ func NewEngineContext(ctx context.Context, ds *Dataset, opts ...EngineOption) (*
 	}
 	e.epoch.Store(ep)
 	e.pool = serve.NewPool(serve.Config{Workers: o.workers, QueueDepth: o.queueDepth})
-	e.perQueryWorkers = derivePerQueryWorkers(o.parallelismBudget, e.pool.Stats().Workers)
+	e.perQueryWorkers = derivePerQueryWorkers(parallel.Resolve(0), e.pool.Stats().Workers)
 	if o.watchdogInterval > 0 {
 		e.muInflight.Lock()
 		e.inflight = map[uint64]*inflightEntry{}
@@ -365,11 +349,11 @@ func NewEngineContext(ctx context.Context, ds *Dataset, opts ...EngineOption) (*
 	return e, nil
 }
 
-// derivePerQueryWorkers splits the engine-wide parallelism budget
-// (0 = the process default) evenly over the pool workers; every query
-// gets at least the sequential path.
+// derivePerQueryWorkers splits a width budget (the engine passes
+// GOMAXPROCS) evenly over the pool workers, so inter-query and
+// intra-query concurrency compose to about the budget instead of
+// multiplying; every query gets at least the sequential path.
 func derivePerQueryWorkers(budget, poolWorkers int) int {
-	budget = parallel.Resolve(budget)
 	if poolWorkers < 1 {
 		poolWorkers = 1
 	}
@@ -399,7 +383,7 @@ func loadOrRebuildIndex(ds *Dataset, path string) (*Index, bool, error) {
 	}
 	idx, berr := ds.BuildIndex()
 	if berr != nil {
-		return nil, false, fmt.Errorf("kregret: engine snapshot unusable (%v) and rebuild failed: %w", err, berr)
+		return nil, false, fmt.Errorf("kregret: engine snapshot unusable (%w) and rebuild failed: %w", err, berr)
 	}
 	if serr := idx.SaveFile(path, ds); serr != nil {
 		return nil, false, fmt.Errorf("kregret: rewriting engine snapshot: %w", serr)
@@ -425,10 +409,7 @@ func (e *Engine) Query(ctx context.Context, k int, opts ...Option) (*Answer, err
 	if k < 1 {
 		return nil, ErrBadK
 	}
-	// The derived per-query parallelism goes first so WithQueryDefaults
-	// and per-call options can both override it.
-	all := make([]Option, 0, len(e.opts.queryOpts)+len(opts)+1)
-	all = append(all, WithParallelism(e.perQueryWorkers))
+	all := make([]Option, 0, len(e.opts.queryOpts)+len(opts))
 	all = append(all, e.opts.queryOpts...)
 	all = append(all, opts...)
 	var (
@@ -561,7 +542,7 @@ func (e *Engine) serveOnce(ctx context.Context, k int, o *options, opts []Option
 		serveDS, coreMap = ep.serveDS, ep.coreMap
 	}
 	serveQuery := func(extra ...Option) (*Answer, error) {
-		ans, err := serveDS.QueryContext(ctx, k, append(opts, extra...)...)
+		ans, err := serveDS.queryContext(ctx, k, e.perQueryWorkers, append(opts, extra...)...)
 		if err == nil && coreMap != nil {
 			for i, ci := range ans.Indices {
 				ans.Indices[i] = coreMap[ci]

@@ -7,7 +7,7 @@
 // fallback) or absorbed by the degradation chain — exactly like a
 // panic on the sequential path. The dataset is large enough
 // (n > 2×grain) that the solver scans genuinely split into multiple
-// chunks; with WithParallelism(1) the same site must be inert.
+// chunks; at GOMAXPROCS 1 the same site must be inert.
 package kregret
 
 import (
@@ -40,8 +40,9 @@ func parallelFaultDataset(t *testing.T) *Dataset {
 func TestParallelWorkerPanicTyped(t *testing.T) {
 	armed(t)
 	ds := parallelFaultDataset(t)
+	setGOMAXPROCS(t, 4)
 	fault.Arm(fault.SiteParallelWorker, 1)
-	ans, err := ds.Query(5, WithCandidates(CandidatesAll), WithParallelism(4), WithoutFallback())
+	ans, err := ds.Query(5, WithCandidates(CandidatesAll), WithoutFallback())
 	if ans != nil || err == nil {
 		t.Fatalf("want error, got ans=%v err=%v", ans, err)
 	}
@@ -64,12 +65,14 @@ func TestParallelWorkerPanicTyped(t *testing.T) {
 // every parallel solver stage — GeoGreedy, its perturbed retry, and
 // Greedy all fan out and panic — and the engine-served query lands on
 // Cube (whose arithmetic never enters a parallel region), degraded
-// but answered. The engine's parallelism budget, not a per-call
-// option, is what switches the solvers onto the fan-out path.
+// but answered. The engine's per-query width (GOMAXPROCS 4 over one
+// pool worker), not a per-call option, is what switches the solvers
+// onto the fan-out path.
 func TestEngineParallelWorkerPanicDegrades(t *testing.T) {
 	armed(t)
 	ds := parallelFaultDataset(t)
-	eng, err := NewEngine(ds, WithWorkers(1), WithParallelismBudget(4),
+	setGOMAXPROCS(t, 4)
+	eng, err := NewEngine(ds, WithWorkers(1),
 		WithQueryDefaults(WithCandidates(CandidatesAll)))
 	if err != nil {
 		t.Fatal(err)
@@ -113,14 +116,15 @@ func TestEngineParallelWorkerPanicDegrades(t *testing.T) {
 }
 
 // TestParallelWorkerSiteInertSequential: with the exact sequential
-// path (WithParallelism(1)) the armed site must never fire — the
+// path (GOMAXPROCS 1) the armed site must never fire — the
 // fault hook lives only in the concurrent worker loop, so sequential
 // queries cannot pay for it even under the fault build tag.
 func TestParallelWorkerSiteInertSequential(t *testing.T) {
 	armed(t)
 	ds := parallelFaultDataset(t)
+	setGOMAXPROCS(t, 1)
 	fault.Arm(fault.SiteParallelWorker, -1)
-	ans, err := ds.Query(5, WithCandidates(CandidatesAll), WithParallelism(1))
+	ans, err := ds.Query(5, WithCandidates(CandidatesAll))
 	if err != nil {
 		t.Fatal(err)
 	}

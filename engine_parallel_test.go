@@ -8,10 +8,10 @@ import (
 )
 
 // TestEngineParallelismDeterminism race-stresses intra-query
-// parallelism under inter-query concurrency: a 2-worker engine whose
-// parallelism budget gives every query a 4-wide fan-out serves
+// parallelism under inter-query concurrency: at GOMAXPROCS 8 a
+// 2-worker engine gives every query a 4-wide fan-out and serves
 // overlapping queries from 8 goroutines, and every answer must be
-// byte-identical to the sequential (WithParallelism(1)) reference.
+// byte-identical to the sequential reference computed at GOMAXPROCS 1.
 // Run with -race (the Makefile's test-race target does): the chunk
 // claims, per-slot writes and argmax merges in internal/parallel are
 // exactly the state this test hammers.
@@ -22,16 +22,17 @@ func TestEngineParallelismDeterminism(t *testing.T) {
 	}
 	ks := []int{3, 5, 8}
 	ref := make(map[int]*Answer, len(ks))
+	setGOMAXPROCS(t, 1)
 	for _, k := range ks {
-		ans, err := ds.Query(k, WithCandidates(CandidatesAll), WithParallelism(1))
+		ans, err := ds.Query(k, WithCandidates(CandidatesAll))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ref[k] = ans
 	}
 
+	setGOMAXPROCS(t, 8)
 	eng, err := NewEngine(ds, WithWorkers(2), WithQueueDepth(32),
-		WithParallelismBudget(8),
 		WithQueryDefaults(WithCandidates(CandidatesAll)))
 	if err != nil {
 		t.Fatal(err)
@@ -76,9 +77,9 @@ func TestEngineParallelismDeterminism(t *testing.T) {
 }
 
 // TestEngineParallelismBudgetDerivation pins the budget → per-query
-// worker split at the unit level, including the default (budget =
-// process parallelism, which a saturated default pool consumes
-// entirely) and the floor of one.
+// worker split at the unit level. The engine's budget is GOMAXPROCS,
+// which a default pool (GOMAXPROCS workers) consumes entirely, so
+// {8, 8} is the default case; {2, 8} is the floor of one.
 func TestEngineParallelismBudgetDerivation(t *testing.T) {
 	cases := []struct {
 		budget, poolWorkers, want int

@@ -2,8 +2,10 @@ package kregret
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -197,12 +199,13 @@ func FuzzLoadIndex(f *testing.F) {
 	})
 }
 
-// FuzzCoresetBound fuzzes the ε-kernel layer end to end: for
-// fuzzer-shaped datasets and a fuzzer-chosen eps, the core must be an
-// ascending subset of the happy points whose reported ratio honors
-// eps, and a coreset-backed query's true regret over the full dataset
-// must stay within eps of its reported value — the WithCoreset
-// contract, under adversarial geometry instead of friendly samples.
+// FuzzCoresetBound fuzzes the sharded ε-kernel layer end to end: for
+// fuzzer-shaped datasets, a fuzzer-chosen shard count and eps,
+// buildShardView's core must be a strictly ascending index set into
+// the dataset whose own regret over the full dataset honors eps, and
+// a query on the serving view must have true regret within eps of its
+// reported value — the WithShardedServing contract, under adversarial
+// geometry instead of friendly samples.
 func FuzzCoresetBound(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -210,42 +213,54 @@ func FuzzCoresetBound(f *testing.F) {
 			return
 		}
 		pts := decodePoints(data)
-		eps := float64(int(data[0]^data[1])%90) / 100 // [0, 0.89]
-		ds, err := NewDataset(pts, WithCoreset(eps))
+		epsPct := int(data[0]^data[1]) % 90
+		eps := float64(epsPct) / 100 // [0, 0.89]
+		shards := 1 + int(data[1]>>4)%4
+		ds, err := NewDataset(pts)
 		if err != nil {
 			return
 		}
-		core, mrr, err := ds.Coreset()
+		serveDS, core, _, err := buildShardView(context.Background(), ds, shards, eps)
 		if err != nil {
 			return // degenerate geometry is allowed to fail, not panic
 		}
-		if mrr > eps+1e-9 {
-			t.Fatalf("core ratio %v exceeds eps %v", mrr, eps)
-		}
-		happy, err := ds.HappyPoints()
-		if err != nil {
-			t.Fatal(err)
-		}
-		inHappy := map[int]bool{}
-		for _, h := range happy {
-			inHappy[h] = true
-		}
 		for i, c := range core {
-			if !inHappy[c] {
-				t.Fatalf("core index %d is not a happy point", c)
+			if c < 0 || c >= ds.Len() {
+				t.Fatalf("core index %d outside [0, %d)", c, ds.Len())
 			}
 			if i > 0 && core[i-1] >= c {
 				t.Fatalf("core not strictly ascending: %v", core)
 			}
 		}
+		if epsPct == 0 {
+			// The exact plan: every shard count serves the happy points.
+			hp, err := ds.HappyPoints()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(core, hp) {
+				t.Fatalf("eps=0 core %v != happy points %v", core, hp)
+			}
+		}
+		coreMRR, err := ds.EvaluateMRR(core)
+		if err != nil {
+			t.Fatalf("EvaluateMRR on the core: %v", err)
+		}
+		if coreMRR > eps+1e-9 {
+			t.Fatalf("core regret %v exceeds eps %v", coreMRR, eps)
+		}
 		k := 1 + int(data[0]>>4)%6
-		ans, err := ds.Query(k)
+		ans, err := serveDS.Query(k)
 		if err != nil {
 			return
 		}
-		trueMRR, err := ds.EvaluateMRR(ans.Indices)
+		sel := make([]int, len(ans.Indices))
+		for i, ci := range ans.Indices {
+			sel[i] = core[ci]
+		}
+		trueMRR, err := ds.EvaluateMRR(sel)
 		if err != nil {
-			t.Fatalf("EvaluateMRR on coreset answer: %v", err)
+			t.Fatalf("EvaluateMRR on the sharded answer: %v", err)
 		}
 		if trueMRR > ans.MRR+eps+1e-9 {
 			t.Fatalf("true regret %v exceeds reported %v + eps %v", trueMRR, ans.MRR, eps)

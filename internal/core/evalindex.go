@@ -29,8 +29,8 @@ import (
 // differential suite asserts pruned and full-scan evaluators agree
 // byte-identically on every distribution, dimension and worker count.
 //
-// The zero extreme set (SetExtreme never called) means full scans;
-// that is the WithPruning(false) path and the reference side of the
+// The zero extreme set (SetExtreme never called) means full scans:
+// the free-function evaluators and the reference side of the
 // differential tests.
 type EvalIndex struct {
 	pts  []geom.Vector

@@ -40,7 +40,7 @@ func MRRGeometric(pts []geom.Vector, sel []int) (float64, error) {
 // dual-hull insertion and once per support-scan batch; the returned
 // error wraps ctx.Err() when canceled. The per-point support scan
 // over the selection's dual hull fans out over up to `workers`
-// goroutines (0 = the process default, 1 = the exact sequential path).
+// goroutines (0 = GOMAXPROCS, 1 = the exact sequential path).
 // The hull is read-only during the scan and the max reduction is
 // order-independent, so the result is identical for every worker
 // count; a NaN support poisons the reduction and surfaces as
@@ -196,8 +196,8 @@ func WorstUtility(pts []geom.Vector, sel []int) (geom.Vector, int, error) {
 // WorstUtilityParCtx is WorstUtility with cooperative cancellation
 // (see MRRGeometricParCtx for the check granularity) and intra-query
 // parallelism, mirroring the other ParCtx signatures: the per-point
-// support scan fans out over up to `workers` goroutines (0 = the
-// process default, 1 = the exact sequential path) and the witness fold
+// support scan fans out over up to `workers` goroutines (0 =
+// GOMAXPROCS, 1 = the exact sequential path) and the witness fold
 // runs sequentially in index order, so the answer is byte-identical at
 // every worker count.
 func WorstUtilityParCtx(ctx context.Context, pts []geom.Vector, sel []int, workers int) (geom.Vector, int, error) {

@@ -36,7 +36,7 @@ func GeoGreedy(pts []geom.Vector, k int) (*Result, error) {
 // within one batch even on pathological hulls; the returned error
 // wraps ctx.Err() when canceled. The candidate support scans,
 // re-location passes and argmax reductions fan out over up to
-// `workers` goroutines (0 = the process default, 1 = the exact
+// `workers` goroutines (0 = GOMAXPROCS, 1 = the exact
 // sequential path). The answer is byte-identical to the sequential one
 // for every worker count — reductions break ties by lowest index and
 // NaN supports surface as ErrDegenerate with the lowest poisoned

@@ -35,7 +35,7 @@ func Greedy(pts []geom.Vector, k int) (*Result, error) {
 // even iterations over large candidate sets stop promptly; the
 // returned error wraps ctx.Err() when canceled. The independent
 // per-candidate LP solves of each iteration fan out over up to
-// `workers` goroutines (0 = the process default, 1 = the exact
+// `workers` goroutines (0 = GOMAXPROCS, 1 = the exact
 // sequential path). Each LP optimum is deterministic, the optima land
 // in a per-candidate slot and the argmax fold runs sequentially in
 // index order, so the selection is byte-identical to the sequential

@@ -66,7 +66,7 @@ func BuildStoredListUpTo(pts []geom.Vector, maxLen int) (*StoredList, error) {
 // BuildStoredListUpToParCtx is BuildStoredListUpTo with cooperative
 // cancellation and intra-query parallelism: the underlying GeoGreedy
 // run and the seed-prefix regret fixups fan out over up to `workers`
-// goroutines (0 = the process default, 1 = the exact sequential
+// goroutines (0 = GOMAXPROCS, 1 = the exact sequential
 // path). The materialized order and per-prefix regrets are
 // byte-identical for every worker count.
 func BuildStoredListUpToParCtx(ctx context.Context, pts []geom.Vector, maxLen, workers int) (*StoredList, error) {

@@ -47,8 +47,8 @@ const certGrain = 8
 // when the set is large enough to amortize the sweep build and the
 // scalar scan otherwise. The caller is responsible for sky being the
 // true skyline of pts (ascending) and pts being validated. The
-// candidate loop fans out over `workers` goroutines (0 means the
-// process default, 1 the sequential path); the certificate is
+// candidate loop fans out over `workers` goroutines (0 means
+// GOMAXPROCS, 1 the sequential path); the certificate is
 // identical for every width, because each candidate's witness depends
 // only on the one read-only sweep all workers share. The happy set is
 // the certificate's HappyPoints.

@@ -31,12 +31,10 @@
 //     failure instead of hiding it. The lowest poisoned index is
 //     reported so the error message matches the sequential scan's.
 //
-// Parallelism is a knob, not a guarantee: Resolve(0) yields the
-// process default (GOMAXPROCS, overridable once via the
-// KREGRET_PARALLELISM environment variable), and workers == 1 — or any
-// input smaller than the call site's grain — takes the exact
-// sequential code path, so tests and small queries pay zero
-// synchronization overhead.
+// The width is the call's workers argument, and 0 means GOMAXPROCS,
+// read at every call. workers == 1 — or any input smaller than the
+// call site's grain — takes the exact sequential code path, so small
+// inputs pay zero synchronization overhead.
 package parallel
 
 import (
@@ -44,58 +42,19 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/fault"
 )
 
-// EnvParallelism is the environment variable consulted once per
-// process for the default worker count ("the KRegretParallelism
-// knob"): a positive integer overrides GOMAXPROCS as the meaning of
-// "workers = 0". Invalid or non-positive values are ignored.
-const EnvParallelism = "KREGRET_PARALLELISM"
-
-var (
-	defaultOnce sync.Once
-	defaultN    int
-)
-
-// DefaultWorkers returns the process-wide default parallelism:
-// GOMAXPROCS(0) unless EnvParallelism names a positive integer. The
-// value is computed once; later environment changes have no effect.
-func DefaultWorkers() int {
-	defaultOnce.Do(func() {
-		defaultN = runtime.GOMAXPROCS(0)
-		if n, ok := parseParallelismEnv(os.Getenv(EnvParallelism)); ok {
-			defaultN = n
-		}
-	})
-	return defaultN
-}
-
-// parseParallelismEnv parses the EnvParallelism override: a positive
-// integer is accepted, everything else rejected.
-func parseParallelismEnv(s string) (int, bool) {
-	if s == "" {
-		return 0, false
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 {
-		return 0, false
-	}
-	return n, true
-}
-
-// Resolve maps the caller-facing workers knob to a concrete worker
-// count: 0 means DefaultWorkers, anything below 1 is clamped to the
+// Resolve maps a call's workers argument to a concrete worker count:
+// 0 means the current GOMAXPROCS, anything below 1 is clamped to the
 // exact sequential path.
 func Resolve(workers int) int {
 	if workers == 0 {
-		return DefaultWorkers()
+		return runtime.GOMAXPROCS(0)
 	}
 	if workers < 1 {
 		return 1
@@ -231,7 +190,7 @@ func run(ctx context.Context, p plan, body func(c, start, end int) error) error 
 
 // For splits [0, n) into chunks of at least grain indices and runs
 // body(start, end) for each, concurrently on up to `workers`
-// goroutines (0 = DefaultWorkers). With workers == 1 — or when n is
+// goroutines (0 = GOMAXPROCS). With workers == 1 — or when n is
 // too small to fill two chunks — body runs once, inline, as
 // body(0, n): the exact sequential path.
 //

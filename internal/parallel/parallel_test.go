@@ -5,44 +5,28 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
 
+// TestResolve pins the width mapping, with 0 following the live
+// GOMAXPROCS: a changed GOMAXPROCS (as under go test -cpu 1,2) must
+// change the width of every later Resolve(0).
 func TestResolve(t *testing.T) {
-	if got := Resolve(0); got != DefaultWorkers() {
-		t.Fatalf("Resolve(0) = %d, want DefaultWorkers() = %d", got, DefaultWorkers())
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	for _, procs := range []int{1, 3, 2} {
+		runtime.GOMAXPROCS(procs)
+		if got := Resolve(0); got != procs {
+			t.Fatalf("Resolve(0) = %d at GOMAXPROCS %d", got, procs)
+		}
 	}
 	if got := Resolve(-3); got != 1 {
 		t.Fatalf("Resolve(-3) = %d, want 1", got)
 	}
 	if got := Resolve(7); got != 7 {
 		t.Fatalf("Resolve(7) = %d, want 7", got)
-	}
-	if DefaultWorkers() < 1 {
-		t.Fatalf("DefaultWorkers() = %d, want >= 1", DefaultWorkers())
-	}
-}
-
-func TestParseParallelismEnv(t *testing.T) {
-	cases := []struct {
-		in string
-		n  int
-		ok bool
-	}{
-		{"", 0, false},
-		{"0", 0, false},
-		{"-2", 0, false},
-		{"abc", 0, false},
-		{"3.5", 0, false},
-		{"1", 1, true},
-		{"16", 16, true},
-	}
-	for _, c := range cases {
-		n, ok := parseParallelismEnv(c.in)
-		if n != c.n || ok != c.ok {
-			t.Errorf("parseParallelismEnv(%q) = (%d, %v), want (%d, %v)", c.in, n, ok, c.n, c.ok)
-		}
 	}
 }
 
@@ -151,11 +135,11 @@ func TestForCancellation(t *testing.T) {
 
 func TestForCancellationMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int32
+	// Every body call cancels (cancel is idempotent), so no worker can
+	// pass the context check of a second chunk. With more chunks than
+	// workers, some worker always claims one and records the error.
 	err := For(ctx, 1<<20, 4, 1, func(start, end int) error {
-		if ran.Add(1) == 1 {
-			cancel()
-		}
+		cancel()
 		return nil
 	})
 	if !errors.Is(err, context.Canceled) {

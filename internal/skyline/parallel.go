@@ -8,8 +8,8 @@ import (
 )
 
 // ComputeParallel computes the skyline with the blocked kernel,
-// striping the points across `workers` goroutines (0 means the
-// process default) and merging with one more kernel pass over the
+// striping the points across `workers` goroutines (0 means
+// GOMAXPROCS) and merging with one more kernel pass over the
 // union of stripe skylines. Output is identical to Of on every input
 // — the kernel is exact and order-independent, so the stripe
 // decomposition changes only wall-clock.

@@ -51,6 +51,14 @@
 // with WithSnapshot falls back from a corrupt snapshot to a rebuild.
 // See DESIGN.md §10 for the serving model.
 //
+// # Parallelism
+//
+// There is no width setting. Dataset passes (skyline, happy points,
+// evaluators, index builds) fan out over GOMAXPROCS goroutines, and
+// an Engine runs each live query max(1, GOMAXPROCS / workers) wide, so
+// a saturated pool does not oversubscribe the machine. Answers are
+// byte-identical at every width (DESIGN.md §11).
+//
 // See the examples directory for complete programs and DESIGN.md for
 // the geometry behind the implementation.
 package kregret
@@ -59,16 +67,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/coreset"
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/happy"
-	"repro/internal/parallel"
 	"repro/internal/skyline"
 	"repro/internal/wal"
 )
@@ -187,42 +192,15 @@ type options struct {
 	normalize  bool
 	algorithm  Algorithm
 	candidates CandidateSet
-	workers    int
 	fallback   bool
-	pruning    bool
-	coresetEps float64
 	walPath    string
 	walSnap    string
 	syncEvery  int
 }
 
-// validateCoreset rejects ε-kernel tolerances outside [0, 1) before
-// any state is built (0 keeps the coreset layer disabled).
-func (o *options) validateCoreset() error {
-	if math.IsNaN(o.coresetEps) || o.coresetEps < 0 || o.coresetEps >= 1 {
-		return fmt.Errorf("kregret: coreset eps must be in [0, 1), got %v", o.coresetEps)
-	}
-	return nil
-}
-
 func defaultOptions() options {
-	return options{normalize: true, algorithm: AlgoGeoGreedy, candidates: CandidatesHappy, workers: 0, fallback: true, pruning: true}
+	return options{normalize: true, algorithm: AlgoGeoGreedy, candidates: CandidatesHappy, fallback: true}
 }
-
-// WithParallelism bounds the intra-query parallelism at `workers`
-// goroutines: the candidate-set preprocessing (skyline and happy-point
-// extraction) and the solvers' hot loops — GeoGreedy's support scans
-// and re-location passes, Greedy's per-candidate LP solves, the exact
-// and sampled regret evaluations — all fan out up to this width. The
-// default 0 means the process default (GOMAXPROCS, overridable once
-// via the KREGRET_PARALLELISM environment variable); 1 is the exact
-// sequential path. Answers are byte-identical for every setting — the
-// fan-out uses deterministic index-ordered reductions — so the knob
-// trades only wall-clock against CPU.
-//
-// As a NewDataset option it sets the dataset-wide default; as a Query
-// option it overrides that default for one query.
-func WithParallelism(workers int) Option { return func(o *options) { o.workers = workers } }
 
 // WithoutNormalization makes NewDataset keep coordinates as given.
 // The data must then already be strictly positive; the paper's
@@ -235,40 +213,6 @@ func WithAlgorithm(a Algorithm) Option { return func(o *options) { o.algorithm =
 
 // WithCandidates selects the candidate set the solver searches.
 func WithCandidates(c CandidateSet) Option { return func(o *options) { o.candidates = c } }
-
-// WithPruning toggles extreme-set pruning in the evaluators
-// (EvaluateMRR, RegretOf, AverageRegret, WorstUtility): when on (the
-// default), the "max over the dataset" side of every evaluation scans
-// only the skyline points. The results are bit-identical — for any
-// non-negative utility the dataset maximum is attained at a skyline
-// point with the same float64 value (DESIGN.md §12) — so the toggle
-// exists for the differential test suite and for measuring the
-// pruning win itself, not because the answers differ.
-//
-// It is a NewDataset option; as a Query option it has no effect
-// (queries already run over filtered candidate sets).
-func WithPruning(on bool) Option { return func(o *options) { o.pruning = on } }
-
-// WithCoreset makes the dataset serve happy-point queries from an
-// ε-kernel coreset: a subset of the happy points whose maximum regret
-// ratio against the full candidate set is at most eps (see DESIGN.md
-// §17). Query (with the default CandidatesHappy), BuildIndex and the
-// samplers then search the core instead of the full candidate set, so
-// their cost depends on eps and the hull geometry rather than on n —
-// the scale knob for very large datasets. The price is bounded
-// approximation: a selection's true regret over the whole dataset
-// exceeds the reported (core-measured) value by at most eps.
-//
-// eps = 0 (the default) disables the layer — every answer is exactly
-// the full happy-point answer. eps outside [0, 1) is rejected by
-// NewDataset. CandidatesSkyline and CandidatesAll queries ignore the
-// core (they exist to reproduce the paper's exact baselines).
-//
-// Only a NewDataset/Recover option; as a Query option it has no
-// effect. The core is built lazily per epoch — mutations invalidate it
-// like every other candidate cache — and can be inspected with
-// Dataset.Coreset.
-func WithCoreset(eps float64) Option { return func(o *options) { o.coresetEps = eps } }
 
 // WithoutFallback disables the degradation chain: a numerical failure
 // of the configured algorithm surfaces as a *NumericalError instead
@@ -291,9 +235,6 @@ func WithoutFallback() Option { return func(o *options) { o.fallback = false } }
 // fsynced) before it is applied, and Recover rebuilds the exact
 // pre-crash state from the last snapshot plus the log.
 type Dataset struct {
-	workers int
-	pruning bool
-
 	// state is the current epoch. Readers load it once per operation
 	// (see snap) and do all their work against that one epoch.
 	state atomic.Pointer[dsState]
@@ -312,11 +253,8 @@ type Dataset struct {
 // modified again — mutations build a new one — so the caches stay
 // valid for as long as any reader holds the epoch.
 type dsState struct {
-	pts        []geom.Vector
-	seq        uint64 // last mutation folded into this epoch
-	workers    int
-	pruning    bool
-	coresetEps float64 // 0 = coreset layer disabled
+	pts []geom.Vector
+	seq uint64 // last mutation folded into this epoch
 
 	evalOnce sync.Once
 	eval     *core.EvalIndex
@@ -340,15 +278,6 @@ type dsState struct {
 	convOnce sync.Once
 	conv     []int
 	convErr  error
-
-	coreOnce sync.Once
-	coreIdx  []int
-	coreMRR  float64
-	coreErr  error
-}
-
-func newState(pts []geom.Vector, seq uint64, workers int, pruning bool, coresetEps float64) *dsState {
-	return &dsState{pts: pts, seq: seq, workers: workers, pruning: pruning, coresetEps: coresetEps}
 }
 
 // snap returns the current epoch. Every public operation loads it
@@ -358,9 +287,9 @@ func (d *Dataset) snap() *dsState { return d.state.Load() }
 
 // newDatasetFromVectors finishes Dataset construction from validated,
 // already-normalized vectors (shared by NewDataset and Recover).
-func newDatasetFromVectors(pts []geom.Vector, seq uint64, o options) *Dataset {
-	d := &Dataset{workers: o.workers, pruning: o.pruning}
-	d.state.Store(newState(pts, seq, o.workers, o.pruning, o.coresetEps))
+func newDatasetFromVectors(pts []geom.Vector, seq uint64) *Dataset {
+	d := &Dataset{}
+	d.state.Store(&dsState{pts: pts, seq: seq})
 	return d
 }
 
@@ -404,10 +333,7 @@ func NewDataset(points []Point, opts ...Option) (*Dataset, error) {
 	if err := validateVectors(pts); err != nil {
 		return nil, err
 	}
-	if err := o.validateCoreset(); err != nil {
-		return nil, err
-	}
-	d := newDatasetFromVectors(pts, 0, o)
+	d := newDatasetFromVectors(pts, 0)
 	if o.walPath != "" {
 		if err := d.attachWAL(o); err != nil {
 			return nil, err
@@ -417,10 +343,11 @@ func NewDataset(points []Point, opts ...Option) (*Dataset, error) {
 }
 
 // evalIndex lazily builds the epoch's evaluation index: the points
-// flattened into one contiguous matrix plus (with pruning on) the
-// skyline as the extreme set the evaluators scan. Built once behind a
-// sync.Once; concurrent first callers share the computation, and the
-// skyline itself is reused from — or seeds — the skyline cache.
+// flattened into one contiguous matrix plus the skyline as the
+// extreme set the evaluators scan (bit-identical to a full scan,
+// DESIGN.md §12). Built once behind a sync.Once; concurrent first
+// callers share the computation, and the skyline itself is reused
+// from — or seeds — the skyline cache.
 func (s *dsState) evalIndex() (*core.EvalIndex, error) {
 	s.evalOnce.Do(func() {
 		x, err := core.NewEvalIndex(s.pts)
@@ -428,16 +355,14 @@ func (s *dsState) evalIndex() (*core.EvalIndex, error) {
 			s.evalErr = fmt.Errorf("kregret: %w", err)
 			return
 		}
-		if s.pruning {
-			sky, err := s.skyline()
-			if err != nil {
-				s.evalErr = err
-				return
-			}
-			if err := x.SetExtreme(sky); err != nil {
-				s.evalErr = fmt.Errorf("kregret: %w", err)
-				return
-			}
+		sky, err := s.skyline()
+		if err != nil {
+			s.evalErr = err
+			return
+		}
+		if err := x.SetExtreme(sky); err != nil {
+			s.evalErr = fmt.Errorf("kregret: %w", err)
+			return
 		}
 		s.eval = x
 	})
@@ -471,11 +396,7 @@ func (d *Dataset) Point(i int) Point {
 // copied — callers must not modify the slice).
 func (s *dsState) skyline() ([]int, error) {
 	s.skyOnce.Do(func() {
-		if parallel.Resolve(s.workers) == 1 {
-			s.sky, s.skyErr = skyline.Of(s.pts)
-		} else {
-			s.sky, s.skyErr = skyline.ComputeParallel(s.pts, s.workers)
-		}
+		s.sky, s.skyErr = skyline.ComputeParallel(s.pts, 0)
 		if s.skyErr != nil {
 			s.skyErr = fmt.Errorf("kregret: %w", s.skyErr)
 			return
@@ -508,7 +429,7 @@ func (s *dsState) happyPoints() ([]int, error) {
 			s.happyErr = err
 			return
 		}
-		s.cert = happy.ComputeAmongSkylineCertParallel(s.pts, sky, parallel.Resolve(s.workers))
+		s.cert = happy.ComputeAmongSkylineCertParallel(s.pts, sky, 0)
 		s.happy = s.cert.HappyPoints()
 		s.happyDone.Store(true)
 	})
@@ -528,51 +449,6 @@ func (d *Dataset) HappyPoints() ([]int, error) {
 		return nil, err
 	}
 	return append([]int(nil), h...), nil
-}
-
-// coreset returns the epoch's cached ε-kernel indices and the
-// kernel's regret ratio against the happy points (shared slice, not
-// copied). With the layer disabled it is exactly the happy set.
-func (s *dsState) coreset() ([]int, float64, error) {
-	return s.coresetCtx(context.Background())
-}
-
-// coresetCtx is coreset with the (first) construction bounded by ctx.
-// Like every per-epoch cache it computes once: a canceled first build
-// poisons the cache with the cancellation error, exactly as a
-// numerical failure would.
-func (s *dsState) coresetCtx(ctx context.Context) ([]int, float64, error) {
-	s.coreOnce.Do(func() {
-		hp, err := s.happyPoints()
-		if err != nil {
-			s.coreErr = err
-			return
-		}
-		idx, mrr, err := coreset.Build(ctx, s.pts, hp, s.coresetEps, parallel.Resolve(s.workers))
-		if err != nil {
-			s.coreErr = fmt.Errorf("kregret: %w", err)
-			return
-		}
-		s.coreIdx, s.coreMRR = idx, mrr
-	})
-	if s.coreErr != nil {
-		return nil, 0, s.coreErr
-	}
-	return s.coreIdx, s.coreMRR, nil
-}
-
-// Coreset returns the indices of the ε-kernel core the dataset serves
-// happy-point queries from, together with the core's maximum regret
-// ratio measured against the full happy-point candidate set (≤ the
-// configured eps). Without WithCoreset it returns the happy points and
-// a zero ratio. Computed once per epoch and cached; concurrent callers
-// share the computation.
-func (d *Dataset) Coreset() ([]int, float64, error) {
-	idx, mrr, err := d.snap().coreset()
-	if err != nil {
-		return nil, 0, err
-	}
-	return append([]int(nil), idx...), mrr, nil
 }
 
 // convexPoints returns the epoch's cached hull-extreme indices
@@ -634,10 +510,6 @@ type Answer struct {
 func (s *dsState) candidateIndices(c CandidateSet) ([]int, error) {
 	switch c {
 	case CandidatesHappy:
-		if s.coresetEps > 0 {
-			idx, _, err := s.coreset()
-			return idx, err
-		}
 		return s.happyPoints()
 	case CandidatesSkyline:
 		return s.skyline()
@@ -667,8 +539,13 @@ func (d *Dataset) Query(k int, opts ...Option) (*Answer, error) {
 // running to completion. An already-expired context returns before
 // any work is done.
 func (d *Dataset) QueryContext(ctx context.Context, k int, opts ...Option) (*Answer, error) {
+	return d.queryContext(ctx, k, 0, opts...)
+}
+
+// queryContext is QueryContext with the solver running at the given
+// width (0 = GOMAXPROCS). The Engine passes its per-query width here.
+func (d *Dataset) queryContext(ctx context.Context, k, workers int, opts ...Option) (*Answer, error) {
 	o := defaultOptions()
-	o.workers = d.workers // dataset-wide default, overridable per query
 	for _, f := range opts {
 		f(&o)
 	}
@@ -687,7 +564,7 @@ func (d *Dataset) QueryContext(ctx context.Context, k int, opts ...Option) (*Ans
 	if err != nil {
 		return nil, fmt.Errorf("kregret: %w", err)
 	}
-	res, deg, err := solveWithFallback(ctx, &o, candPts, k)
+	res, deg, err := solveWithFallback(ctx, &o, candPts, k, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -719,8 +596,8 @@ type degradation struct {
 // retry of the same solver, then each strictly more robust (and
 // strictly weaker or slower) algorithm below it — Greedy, then Cube.
 // Cancellation and invalid-input errors are never retried.
-func solveWithFallback(ctx context.Context, o *options, candPts []geom.Vector, k int) (*core.Result, degradation, error) {
-	res, err := runSolver(ctx, o.algorithm, candPts, k, o.candidates, o.workers)
+func solveWithFallback(ctx context.Context, o *options, candPts []geom.Vector, k, workers int) (*core.Result, degradation, error) {
+	res, err := runSolver(ctx, o.algorithm, candPts, k, o.candidates, workers)
 	if err == nil {
 		return res, degradation{algorithm: o.algorithm}, nil
 	}
@@ -733,7 +610,7 @@ func solveWithFallback(ctx context.Context, o *options, candPts []geom.Vector, k
 	// candidates — a ~1e-9 relative nudge resolves exact-degeneracy
 	// ties (coplanar points, duplicate coordinates) without moving
 	// any regret ratio beyond float noise.
-	if res, err2 := runSolver(ctx, o.algorithm, perturbed(candPts), k, o.candidates, o.workers); err2 == nil {
+	if res, err2 := runSolver(ctx, o.algorithm, perturbed(candPts), k, o.candidates, workers); err2 == nil {
 		return res, degradation{
 			algorithm: o.algorithm,
 			degraded:  true,
@@ -751,7 +628,7 @@ func solveWithFallback(ctx context.Context, o *options, candPts []geom.Vector, k
 	// through LPs with no incremental hull state; Cube is non-
 	// adaptive arithmetic that cannot fail numerically.
 	for _, alg := range fallbackChain(o.algorithm) {
-		res, err2 := runSolver(ctx, alg, candPts, k, o.candidates, o.workers)
+		res, err2 := runSolver(ctx, alg, candPts, k, o.candidates, workers)
 		if err2 == nil {
 			return res, degradation{
 				algorithm: alg,
@@ -872,8 +749,8 @@ func (d *Dataset) EvaluateMRR(selection []int) (float64, error) {
 
 // EvaluateMRRContext is EvaluateMRR bounded by a context (see
 // QueryContext for the cancellation granularity). The per-point
-// support scan fans out over the dataset's parallelism (see
-// WithParallelism); the result is identical for every width.
+// support scan fans out over GOMAXPROCS goroutines; the result is
+// identical for every width.
 func (d *Dataset) EvaluateMRRContext(ctx context.Context, selection []int) (float64, error) {
 	x, err := d.snap().evalIndex()
 	if err != nil {
@@ -881,7 +758,7 @@ func (d *Dataset) EvaluateMRRContext(ctx context.Context, selection []int) (floa
 	}
 	var mrr float64
 	err = d.protect("EvaluateMRR", func() error {
-		m, err := x.MRRGeometricParCtx(ctx, selection, d.workers)
+		m, err := x.MRRGeometricParCtx(ctx, selection, 0)
 		if err != nil {
 			return fmt.Errorf("kregret: %w", err)
 		}
@@ -948,7 +825,7 @@ func (d *Dataset) AverageRegretContext(ctx context.Context, selection []int, sam
 	if err != nil {
 		return 0, err
 	}
-	r, err := x.AverageRegretSampledParCtx(ctx, selection, samples, seed, d.workers)
+	r, err := x.AverageRegretSampledParCtx(ctx, selection, samples, seed, 0)
 	if err != nil {
 		return 0, fmt.Errorf("kregret: %w", err)
 	}
@@ -965,8 +842,8 @@ func (d *Dataset) WorstUtility(selection []int) (weights Point, witness int, err
 
 // WorstUtilityContext is WorstUtility bounded by a context (see
 // QueryContext for the cancellation granularity). The support scan
-// fans out over the dataset's parallelism (see WithParallelism); the
-// answer is identical for every width.
+// fans out over GOMAXPROCS goroutines; the answer is identical for
+// every width.
 func (d *Dataset) WorstUtilityContext(ctx context.Context, selection []int) (weights Point, witness int, err error) {
 	x, err := d.snap().evalIndex()
 	if err != nil {
@@ -974,7 +851,7 @@ func (d *Dataset) WorstUtilityContext(ctx context.Context, selection []int) (wei
 	}
 	witness = -1
 	err = d.protect("WorstUtility", func() error {
-		w, wit, err := x.WorstUtilityParCtx(ctx, selection, d.workers)
+		w, wit, err := x.WorstUtilityParCtx(ctx, selection, 0)
 		if err != nil {
 			return fmt.Errorf("kregret: %w", err)
 		}
@@ -1047,9 +924,9 @@ func (d *Dataset) buildIndex(ctx context.Context, maxK int) (*Index, error) {
 	err = d.protect("BuildIndex", func() error {
 		var err error
 		if maxK <= 0 {
-			list, err = core.BuildStoredListParCtx(ctx, candPts, d.workers)
+			list, err = core.BuildStoredListParCtx(ctx, candPts, 0)
 		} else {
-			list, err = core.BuildStoredListUpToParCtx(ctx, candPts, maxK, d.workers)
+			list, err = core.BuildStoredListUpToParCtx(ctx, candPts, maxK, 0)
 		}
 		if err != nil {
 			return fmt.Errorf("kregret: %w", err)

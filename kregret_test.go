@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -328,36 +329,58 @@ func TestQueryCube(t *testing.T) {
 	}
 }
 
-func TestWithParallelismParity(t *testing.T) {
+// setGOMAXPROCS sets GOMAXPROCS for the rest of the test and restores
+// it afterwards. Dataset passes run at width GOMAXPROCS and the Engine
+// derives its per-query width from it, so this is how a test picks a
+// width.
+func setGOMAXPROCS(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestWidthParity builds the same dataset at GOMAXPROCS 1 (the exact
+// sequential path) and 4 and requires identical candidate sets,
+// answers and evaluator results.
+func TestWidthParity(t *testing.T) {
 	pts := testPoints(600, 4, 22)
-	seq, err := NewDataset(pts)
-	if err != nil {
-		t.Fatal(err)
+	type result struct {
+		sky, happy []int
+		ans        *Answer
+		mrr        float64
 	}
-	par, err := NewDataset(pts, WithParallelism(0))
-	if err != nil {
-		t.Fatal(err)
+	run := func(procs int) result {
+		setGOMAXPROCS(t, procs)
+		ds, err := NewDataset(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r result
+		if r.sky, err = ds.Skyline(); err != nil {
+			t.Fatal(err)
+		}
+		if r.happy, err = ds.HappyPoints(); err != nil {
+			t.Fatal(err)
+		}
+		if r.ans, err = ds.Query(8); err != nil {
+			t.Fatal(err)
+		}
+		if r.mrr, err = ds.EvaluateMRR(r.ans.Indices); err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	s1, err := seq.Skyline()
-	if err != nil {
-		t.Fatal(err)
+	seq, par := run(1), run(4)
+	if !reflect.DeepEqual(seq.sky, par.sky) {
+		t.Fatal("skyline differs between GOMAXPROCS 1 and 4")
 	}
-	s2, err := par.Skyline()
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(seq.happy, par.happy) {
+		t.Fatal("happy points differ between GOMAXPROCS 1 and 4")
 	}
-	if !reflect.DeepEqual(s1, s2) {
-		t.Fatal("parallel skyline differs")
+	if !reflect.DeepEqual(seq.ans, par.ans) {
+		t.Fatalf("answers differ: %+v vs %+v", seq.ans, par.ans)
 	}
-	h1, err := seq.HappyPoints()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := par.HappyPoints()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(h1, h2) {
-		t.Fatal("parallel happy points differ")
+	if math.Float64bits(seq.mrr) != math.Float64bits(par.mrr) {
+		t.Fatalf("EvaluateMRR differs: %v vs %v", seq.mrr, par.mrr)
 	}
 }

@@ -87,7 +87,7 @@ func (d *Dataset) Seq() uint64 { return d.snap().seq }
 // to later mutations of the parent. The snapshot has no WAL — it is
 // a view, not a fork of the durable history.
 func (d *Dataset) Snapshot() *Dataset {
-	nd := &Dataset{workers: d.workers, pruning: d.pruning}
+	nd := &Dataset{}
 	nd.state.Store(d.snap())
 	return nd
 }
@@ -139,7 +139,7 @@ func (d *Dataset) Insert(p Point) (int, error) {
 	pts := make([]geom.Vector, len(st.pts)+1)
 	copy(pts, st.pts)
 	pts[len(st.pts)] = v
-	ns := newState(pts, seq, st.workers, st.pruning, st.coresetEps)
+	ns := &dsState{pts: pts, seq: seq}
 	seedAfterInsert(st, ns)
 	d.state.Store(ns)
 	return len(pts) - 1, nil
@@ -236,7 +236,7 @@ func (d *Dataset) Delete(i int) error {
 		pts = append(pts, st.pts[:i]...)
 		pts = append(pts, st.pts[i+1:]...)
 	}
-	ns := newState(pts, seq, st.workers, st.pruning, st.coresetEps)
+	ns := &dsState{pts: pts, seq: seq}
 	seedAfterDelete(st, ns, i)
 	d.state.Store(ns)
 	return nil
@@ -348,9 +348,6 @@ func Recover(snapshotPath, walPath string, opts ...Option) (*Dataset, error) {
 	for _, f := range opts {
 		f(&o)
 	}
-	if err := o.validateCoreset(); err != nil {
-		return nil, err
-	}
 	pts, seq, err := loadDatasetFile(snapshotPath)
 	if err != nil {
 		return nil, err
@@ -371,7 +368,7 @@ func Recover(snapshotPath, walPath string, opts ...Option) (*Dataset, error) {
 	if len(pts) == 0 {
 		return nil, errors.Join(ErrNoPoints, log.Close())
 	}
-	d := newDatasetFromVectors(pts, seq, o)
+	d := newDatasetFromVectors(pts, seq)
 	d.muMut.Lock()
 	d.wal, d.walSnap = log, snapshotPath
 	d.muMut.Unlock()

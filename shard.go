@@ -28,6 +28,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -105,7 +106,7 @@ func (e *Engine) shardEpoch(ctx context.Context, ep *engineEpoch) {
 
 // buildShardView partitions the epoch's points into contiguous shards,
 // reduces each shard with the ε-dominance cover (shards fan out over
-// the dataset's parallelism), and runs the exact kernel machinery only
+// GOMAXPROCS goroutines), and runs the exact kernel machinery only
 // on the merged survivor union. The ε budget is split evenly: each
 // shard's cover keeps every shard point within (1−eps/2) of a
 // survivor, and the kernel tightening on the union spends the other
@@ -125,7 +126,7 @@ func buildShardView(ctx context.Context, ds *Dataset, shards int, eps float64) (
 		shards = n
 	}
 	outs := make([][]int, shards)
-	err := parallel.For(ctx, shards, parallel.Resolve(st.workers), 1, func(start, end int) error {
+	err := parallel.For(ctx, shards, 0, 1, func(start, end int) error {
 		for s := start; s < end; s++ {
 			lo, hi := s*n/shards, (s+1)*n/shards
 			if lo >= hi {
@@ -158,9 +159,9 @@ func buildShardView(ctx context.Context, ds *Dataset, shards int, eps float64) (
 		if err != nil {
 			return nil, nil, 0, fmt.Errorf("kregret: shard union skyline: %w", err)
 		}
-		cand = happy.ComputeAmongSkylineCertParallel(st.pts, sky, 1).HappyPoints()
+		cand = happy.ComputeAmongSkylineCertParallel(st.pts, sky, 0).HappyPoints()
 	}
-	coreIdx, _, err := coreset.Build(ctx, st.pts, cand, kernelEps, parallel.Resolve(st.workers))
+	coreIdx, _, err := coreset.Build(ctx, st.pts, cand, kernelEps, 0)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("kregret: merged coreset: %w", err)
 	}
@@ -168,7 +169,7 @@ func buildShardView(ctx context.Context, ds *Dataset, shards int, eps float64) (
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("kregret: shard merge: %w", err)
 	}
-	serveDS := newDatasetFromVectors(pts, st.seq, options{workers: st.workers, pruning: st.pruning})
+	serveDS := newDatasetFromVectors(pts, st.seq)
 	return serveDS, coreIdx, shards, nil
 }
 
@@ -214,31 +215,24 @@ func buildShardedIndex(ctx context.Context, serveDS *Dataset, coreMap []int) (*I
 // back atomically.
 func loadOrRebuildShardedIndex(ctx context.Context, fullDS, serveDS *Dataset, coreMap []int, path string) (*Index, bool, error) {
 	idx, err := LoadFile(path, fullDS)
-	if err == nil && equalInts(idx.core, coreMap) {
+	if err == nil && slices.Equal(idx.core, coreMap) {
 		return idx, false, nil
 	}
-	if err != nil && !loadFailureRebuildable(err) {
+	if err == nil {
+		// The snapshot loaded but was built over a different core (an
+		// unsharded engine's, or another shard/eps plan's): serving it
+		// would answer from the wrong candidate set. Rebuild instead.
+		err = fmt.Errorf("%w: snapshot core does not match the sharded core", ErrIndexMismatch)
+	}
+	if !loadFailureRebuildable(err) {
 		return nil, false, fmt.Errorf("kregret: engine snapshot: %w", err)
 	}
 	idx, berr := buildShardedIndex(ctx, serveDS, coreMap)
 	if berr != nil {
-		return nil, false, fmt.Errorf("kregret: engine snapshot unusable (%v) and sharded rebuild failed: %w", err, berr)
+		return nil, false, fmt.Errorf("kregret: engine snapshot unusable (%w) and sharded rebuild failed: %w", err, berr)
 	}
 	if serr := idx.SaveFile(path, fullDS); serr != nil {
 		return nil, false, fmt.Errorf("kregret: rewriting engine snapshot: %w", serr)
 	}
 	return idx, true, nil
-}
-
-// equalInts reports whether two index slices are identical.
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -2,9 +2,8 @@
 
 // Fault-injection tests for the coreset and sharded-serving layer:
 // an armed shard-merge or coreset-build site must degrade the engine
-// to its unsharded path (counted, never wrong), and a coreset-backed
-// dataset must surface the failure as a typed numerical error. They
-// compile only under the kregretfault tag (`make test-fault`).
+// to its unsharded path (counted, never wrong). They compile only
+// under the kregretfault tag (`make test-fault`).
 package kregret
 
 import (
@@ -85,33 +84,5 @@ func TestCoresetBuildFaultFallsBackUnsharded(t *testing.T) {
 	}
 	if _, err := eng.Query(context.Background(), 4); err != nil {
 		t.Fatalf("fallen-back engine cannot answer: %v", err)
-	}
-}
-
-// TestCoresetBuildFaultOnDataset: on a coreset-enabled Dataset the
-// failure has no fallback set to hide in — the query surfaces a typed
-// numerical error (and the epoch cache pins it, like any poisoned
-// candidate cache).
-func TestCoresetBuildFaultOnDataset(t *testing.T) {
-	fault.Reset()
-	t.Cleanup(fault.Reset)
-	ds, err := NewDataset(testPoints(100, 3, 122), WithCoreset(0.1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fault.Arm(fault.SiteCoresetBuild, 1)
-	if _, _, err := ds.Coreset(); err == nil {
-		t.Fatal("armed coreset build succeeded")
-	}
-	if _, err := ds.Query(4); err == nil {
-		t.Fatal("query on a poisoned core cache succeeded")
-	}
-	// A fresh epoch (post-mutation) rebuilds the core with the site
-	// disarmed and recovers.
-	if _, err := ds.Insert(Point{1.5, 1.5, 1.5}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ds.Query(4); err != nil {
-		t.Fatalf("fresh epoch did not recover: %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package kregret
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
 	"testing"
@@ -119,6 +120,61 @@ func TestShardedEpsBound(t *testing.T) {
 		}
 		if trueMRR > ans.MRR+eps+1e-9 {
 			t.Fatalf("k=%d: true regret %v exceeds reported %v + eps", k, trueMRR, ans.MRR)
+		}
+	}
+}
+
+// TestCoresetDifferential is the ε-kernel core's differential over a
+// grid of dimensions, shard counts and budgets: every answer served
+// from the core has true regret over the FULL dataset within eps of
+// the regret it reports — the composition bound of the merge stage's
+// coreset — and within eps of the exact unsharded answer's regret.
+func TestCoresetDifferential(t *testing.T) {
+	for _, d := range []int{2, 3, 4} {
+		ds, err := NewDataset(testPoints(800, d, int64(93+d)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ks := []int{d, 5, 10, 20}
+		exact := make(map[int]float64, len(ks))
+		for _, k := range ks {
+			ans, err := ds.Query(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact[k] = ans.MRR
+		}
+		for _, shards := range []int{1, 5} {
+			for _, eps := range []float64{0.05, 0.15} {
+				t.Run(fmt.Sprintf("d=%d/S=%d/eps=%v", d, shards, eps), func(t *testing.T) {
+					eng, err := NewEngine(ds, WithShardedServing(shards, eps))
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer shutdownEngine(t, eng)
+					for _, k := range ks {
+						ans, err := eng.Query(context.Background(), k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, i := range ans.Indices {
+							if i < 0 || i >= ds.Len() {
+								t.Fatalf("k=%d: index %d outside the full dataset", k, i)
+							}
+						}
+						trueMRR, err := ds.EvaluateMRR(ans.Indices)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if trueMRR > ans.MRR+eps+1e-9 {
+							t.Fatalf("k=%d: true regret %v exceeds reported %v + eps", k, trueMRR, ans.MRR)
+						}
+						if trueMRR > exact[k]+eps+1e-9 {
+							t.Fatalf("k=%d: true regret %v exceeds unsharded %v + eps", k, trueMRR, exact[k])
+						}
+					}
+				})
+			}
 		}
 	}
 }
@@ -314,6 +370,41 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("sharded engine adopted an unsharded snapshot")
 	}
 	shutdownEngine(t, eng5)
+}
+
+// TestShardedReloadNamesCoreMismatch: when a loaded snapshot's core
+// does not match the sharded core and the rebuild then fails, the
+// error carries the mismatch as a wrapped ErrIndexMismatch beside the
+// rebuild's own cause, never a nil cause.
+func TestShardedReloadNamesCoreMismatch(t *testing.T) {
+	ds, err := NewDataset(testPoints(300, 3, 112))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := ds.BuildIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "engine.snap")
+	if err := idx.SaveFile(path, ds); err != nil { // unsharded: no core
+		t.Fatal(err)
+	}
+	serveDS, coreMap, _, err := buildShardView(context.Background(), ds, 2, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, _, err = loadOrRebuildShardedIndex(ctx, ds, serveDS, coreMap, path)
+	if err == nil {
+		t.Fatal("sharded rebuild under a canceled context succeeded")
+	}
+	if !errors.Is(err, ErrIndexMismatch) {
+		t.Fatalf("error does not name the core mismatch: %v", err)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error lost the rebuild's cause: %v", err)
+	}
 }
 
 // TestSnapshotRejectsBadCore: persisted cores are validated like the
