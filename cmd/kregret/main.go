@@ -12,7 +12,7 @@
 //	kregret -k 10 -in cars.csv -load-index i.snap   # serve from the snapshot
 //	kregret -k 10 -in cars.csv -concurrency 4       # serve through the engine
 //	kregret -k 10 -in cars.csv -concurrency 4 \
-//	    -retries 2 -watchdog 50ms                   # + self-healing
+//	    -watchdog 50ms                              # + stuck-query watchdog
 //	kregret -k 10 -in cars.csv -wal cars.wal        # durable mutable dataset
 //	kregret -k 10 -in cars.csv -wal cars.wal \
 //	    -insert 0.62,0.48 -compact                  # durable insert, then compact
@@ -30,12 +30,12 @@
 // The -save-index/-load-index/-concurrency flags route the query
 // through kregret.Engine: admission control, per-query budgets,
 // circuit breaking, and crash-safe snapshot files (a corrupt or
-// mismatched snapshot is rebuilt, not fatal). -retries grants each
-// query a budget of transparent re-attempts after transient numerical
-// failures (exponential backoff from -retry-backoff, never past the
-// deadline); -watchdog scans in-flight queries at the given interval
-// and quarantines the breaker key of any found running past its
-// deadline. Engine counters are reported on exit.
+// mismatched snapshot is rebuilt, not fatal). -watchdog scans
+// in-flight queries at the given interval and quarantines the breaker
+// key of any found running past its deadline. Engine counters are
+// reported on exit, among them the degradation chain's perturbed
+// re-runs after a numerical failure ("retries") and how many of them
+// answered ("rescued").
 //
 // Input: one tuple per CSV record, numeric fields only, optional
 // header row; every attribute is treated as larger-is-better (negate
@@ -60,22 +60,20 @@ import (
 
 // runConfig carries the parsed flags.
 type runConfig struct {
-	in           string
-	k            int
-	algo, cand   string
-	stats        bool
-	timeout      time.Duration
-	concurrency  int
-	saveIndex    string
-	loadIndex    string
-	retries      int
-	retryBackoff time.Duration
-	watchdog     time.Duration
-	wal          string
-	walSnap      string
-	insert       string
-	del          int
-	compact      bool
+	in          string
+	k           int
+	algo, cand  string
+	stats       bool
+	timeout     time.Duration
+	concurrency int
+	saveIndex   string
+	loadIndex   string
+	watchdog    time.Duration
+	wal         string
+	walSnap     string
+	insert      string
+	del         int
+	compact     bool
 }
 
 func main() {
@@ -89,8 +87,6 @@ func main() {
 	flag.IntVar(&cfg.concurrency, "concurrency", 0, "serve through the engine with this many workers (0 = direct query)")
 	flag.StringVar(&cfg.saveIndex, "save-index", "", "build the StoredList index and save it to this file (atomic write)")
 	flag.StringVar(&cfg.loadIndex, "load-index", "", "serve from this index snapshot (rebuilt if missing or corrupt)")
-	flag.IntVar(&cfg.retries, "retries", 0, "engine mode: transparent retries per query after a transient numerical failure")
-	flag.DurationVar(&cfg.retryBackoff, "retry-backoff", time.Millisecond, "engine mode: base backoff between retries (doubles per attempt, jittered)")
 	flag.DurationVar(&cfg.watchdog, "watchdog", 0, "engine mode: scan interval for stuck in-flight queries (0 = no watchdog)")
 	flag.StringVar(&cfg.wal, "wal", "", "write-ahead log path: makes the dataset durably mutable (recovered from <wal>+snapshot when they exist)")
 	flag.StringVar(&cfg.walSnap, "wal-snap", "", "base snapshot path for -wal (default <wal>.snap)")
@@ -288,9 +284,6 @@ func runEngine(ctx context.Context, cfg runConfig, ds *kregret.Dataset, opts []k
 	}
 	if snapshot != "" {
 		engOpts = append(engOpts, kregret.WithSnapshot(snapshot))
-	}
-	if cfg.retries > 0 {
-		engOpts = append(engOpts, kregret.WithRetryBudget(cfg.retries, cfg.retryBackoff))
 	}
 	if cfg.watchdog > 0 {
 		engOpts = append(engOpts, kregret.WithWatchdog(cfg.watchdog))

@@ -4,13 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/serve"
 )
@@ -40,9 +39,6 @@ type engineOptions struct {
 	breakerThreshold    int
 	breakerCooldown     time.Duration
 	snapshotPath        string
-	queryOpts           []Option
-	retryBudget         int
-	retryBackoff        time.Duration
 	watchdogInterval    time.Duration
 	rebuildEvery        int
 	sharded             bool
@@ -88,30 +84,6 @@ func WithBreaker(threshold int, cooldown time.Duration) EngineOption {
 // rebuild is recorded in Stats().SnapshotRebuilt.
 func WithSnapshot(path string) EngineOption {
 	return func(o *engineOptions) { o.snapshotPath = path }
-}
-
-// WithQueryDefaults sets query options (algorithm, candidate set, …)
-// applied to every Engine.Query before the per-call options.
-func WithQueryDefaults(opts ...Option) EngineOption {
-	return func(o *engineOptions) { o.queryOpts = append(o.queryOpts, opts...) }
-}
-
-// WithRetryBudget gives every query up to `retries` transparent
-// re-attempts after a transient numerical failure (a *NumericalError
-// — cancellation and validation errors are never retried), with
-// capped exponential backoff plus jitter between attempts: the n-th
-// wait is backoff·2ⁿ, capped at 64·backoff, jittered into [d/2, d) so
-// a storm of failing workers does not re-converge in lockstep. The
-// wait honors the request context — a retry is never started when the
-// remaining deadline cannot outlast its backoff, so the budget adds
-// latency only to queries that still have time to be rescued.
-// Re-attempts and rescues are counted in Stats (Retries,
-// RetrySuccesses). Default: no retries.
-func WithRetryBudget(retries int, backoff time.Duration) EngineOption {
-	return func(o *engineOptions) {
-		o.retryBudget = retries
-		o.retryBackoff = backoff
-	}
 }
 
 // WithRebuildThreshold sets how many applied mutations accumulate
@@ -163,8 +135,9 @@ type EngineStats struct {
 	Breakers             map[string]string
 	// Self-healing counters. ShedAtDequeue is the subset of
 	// ShedDeadline dropped after admission (see serve.Stats); Retries
-	// counts transparent re-attempts under WithRetryBudget and
-	// RetrySuccesses the queries rescued by one; WatchdogStuck counts
+	// counts the ε-perturbed re-runs the degradation chain made after
+	// a numerical failure (the first fallback stage, DESIGN.md §9) and
+	// RetrySuccesses the ones that answered; WatchdogStuck counts
 	// in-flight queries the watchdog found running past their
 	// deadline (each quarantines its breaker key). DrainDuration is
 	// how long the shutdown drain took, zero until it has completed.
@@ -320,16 +293,7 @@ func NewEngineContext(ctx context.Context, ds *Dataset, opts ...EngineOption) (*
 	ep := &engineEpoch{num: 1, ds: ds.Snapshot()}
 	e.shardEpoch(ctx, ep)
 	if o.snapshotPath != "" {
-		var (
-			idx     *Index
-			rebuilt bool
-			err     error
-		)
-		if ep.serveDS != nil {
-			idx, rebuilt, err = loadOrRebuildShardedIndex(ctx, ep.ds, ep.serveDS, ep.coreMap, o.snapshotPath)
-		} else {
-			idx, rebuilt, err = loadOrRebuildIndex(ep.ds, o.snapshotPath)
-		}
+		idx, rebuilt, err := loadOrRebuildIndex(ctx, ep, o.snapshotPath)
 		if err != nil {
 			return nil, err
 		}
@@ -364,31 +328,44 @@ func derivePerQueryWorkers(budget, poolWorkers int) int {
 }
 
 // loadOrRebuildIndex implements the crash-safe startup path: a
-// loadable snapshot wins; a missing, corrupt or mismatched one is
-// replaced by a fresh build written back atomically. Only unexpected
-// failures (I/O errors, a numerically failing build) propagate.
-func loadOrRebuildIndex(ds *Dataset, path string) (*Index, bool, error) {
-	idx, err := LoadFile(path, ds)
-	if err == nil && idx.core == nil {
+// snapshot that loads and carries exactly the epoch's core (nil for an
+// unsharded epoch) wins; a missing, corrupt or mismatched one is
+// replaced by a fresh build under ctx, written back atomically. Only
+// unexpected failures (I/O errors, a canceled or numerically failing
+// build) propagate.
+func loadOrRebuildIndex(ctx context.Context, ep *engineEpoch, path string) (*Index, bool, error) {
+	idx, err := LoadFile(path, ep.ds)
+	if err == nil && slices.Equal(idx.core, ep.coreMap) {
 		return idx, false, nil
 	}
 	if err == nil {
-		// A sharded engine persisted this snapshot: its StoredList was
-		// built over a coreset, so an unsharded engine serving it would
-		// silently return approximate answers. Rebuild instead.
-		err = fmt.Errorf("%w: snapshot carries a sharded core", ErrIndexMismatch)
+		// The snapshot was built over a different candidate set: a
+		// sharded core on an exact engine (silently approximate
+		// answers), an exact list on a sharded one, or another
+		// shard/eps plan's core. Rebuild instead.
+		err = fmt.Errorf("%w: snapshot core does not match the serving core", ErrIndexMismatch)
 	}
 	if !loadFailureRebuildable(err) {
 		return nil, false, fmt.Errorf("kregret: engine snapshot: %w", err)
 	}
-	idx, berr := ds.BuildIndex()
+	idx, berr := ep.buildIndex(ctx)
 	if berr != nil {
 		return nil, false, fmt.Errorf("kregret: engine snapshot unusable (%w) and rebuild failed: %w", err, berr)
 	}
-	if serr := idx.SaveFile(path, ds); serr != nil {
+	if serr := idx.SaveFile(path, ep.ds); serr != nil {
 		return nil, false, fmt.Errorf("kregret: rewriting engine snapshot: %w", serr)
 	}
 	return idx, true, nil
+}
+
+// buildIndex materializes the StoredList the epoch serves: over the
+// sharded core when the epoch has one, over the full dataset's happy
+// points otherwise.
+func (ep *engineEpoch) buildIndex(ctx context.Context) (*Index, error) {
+	if ep.serveDS != nil {
+		return buildShardedIndex(ctx, ep.serveDS, ep.coreMap)
+	}
+	return ep.ds.BuildIndexContext(ctx)
 }
 
 // loadFailureRebuildable reports whether a snapshot load failure is
@@ -409,15 +386,12 @@ func (e *Engine) Query(ctx context.Context, k int, opts ...Option) (*Answer, err
 	if k < 1 {
 		return nil, ErrBadK
 	}
-	all := make([]Option, 0, len(e.opts.queryOpts)+len(opts))
-	all = append(all, e.opts.queryOpts...)
-	all = append(all, opts...)
 	var (
 		ans *Answer
 		err error
 	)
 	perr := e.pool.Do(ctx, func(jctx context.Context) {
-		ans, err = e.serve(jctx, k, all)
+		ans, err = e.serve(jctx, k, opts)
 	})
 	if perr != nil {
 		return nil, fmt.Errorf("kregret: %w", perr)
@@ -425,10 +399,10 @@ func (e *Engine) Query(ctx context.Context, k int, opts ...Option) (*Answer, err
 	return ans, err
 }
 
-// serve runs one admitted query on a worker goroutine: the per-query
-// wall-clock budget, then serveOnce under the retry budget — a failed
-// attempt with a transient numerical cause is re-run after a capped,
-// jittered, context-aware backoff, and never past the deadline.
+// serve runs one admitted query on a worker goroutine under the
+// per-query wall-clock budget. A failure returns at once: the one
+// re-run worth making, over perturbed candidates, already happened
+// inside the degradation chain.
 func (e *Engine) serve(ctx context.Context, k int, opts []Option) (*Answer, error) {
 	if e.opts.maxQueryTime > 0 {
 		var cancel context.CancelFunc
@@ -439,81 +413,13 @@ func (e *Engine) serve(ctx context.Context, k int, opts []Option) (*Answer, erro
 	for _, f := range opts {
 		f(&o)
 	}
-
-	var (
-		ans *Answer
-		err error
-	)
-	for attempt := 0; ; attempt++ {
-		ans, err = e.serveOnce(ctx, k, &o, opts)
-		if err == nil && attempt > 0 {
-			e.retrySuccesses.Add(1)
-		}
-		if err == nil || attempt >= e.opts.retryBudget || !transientError(err) {
-			return ans, err
-		}
-		delay := retryDelay(e.opts.retryBackoff, attempt)
-		if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= delay {
-			// The deadline ends before the backoff would: retrying
-			// could only burn a worker on doomed work.
-			return ans, err
-		}
-		e.retries.Add(1)
-		if !waitBackoff(ctx, delay) {
-			return ans, err
-		}
-	}
+	return e.serveOnce(ctx, k, &o, opts)
 }
 
-// transientError reports whether a failed attempt is worth retrying:
-// only numerical failures are — cancellation and validation errors
-// say the request (not the solver's luck) was the problem. Both forms
-// count: the typed *NumericalError (fallback chain exhausted, or a
-// recovered panic) and the bare core degeneracy error that
-// WithoutFallback queries surface directly.
-func transientError(err error) bool {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	if core.IsNumerical(err) {
-		return true
-	}
-	var ne *NumericalError
-	return errors.As(err, &ne)
-}
-
-// retryDelay is the capped exponential backoff with jitter: the n-th
-// retry waits base·2ⁿ (capped at 64·base), jittered into [d/2, d) so
-// concurrent failing queries do not re-converge in lockstep.
-func retryDelay(base time.Duration, attempt int) time.Duration {
-	if base <= 0 {
-		base = time.Millisecond
-	}
-	if attempt > 6 {
-		attempt = 6
-	}
-	d := base << uint(attempt)
-	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-}
-
-// waitBackoff blocks for d or until ctx ends, whichever comes first,
-// and reports whether the full wait elapsed — the context-aware wait
-// shape the sleepctx analyzer enforces for every retry loop.
-func waitBackoff(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// serveOnce runs one attempt of an admitted query. It loads the
-// serving epoch exactly once, up front: every read below — index,
-// breaker key, solver — comes from that one generation, so an epoch
-// swap mid-attempt cannot hand the attempt a mixed view.
+// serveOnce answers an admitted query. It loads the serving epoch
+// exactly once, up front: every read below — index, breaker key,
+// solver — comes from that one generation, so an epoch swap mid-query
+// cannot hand the query a mixed view.
 func (e *Engine) serveOnce(ctx context.Context, k int, o *options, opts []Option) (*Answer, error) {
 	ep := e.epoch.Load()
 	if e.watchdogDone != nil {
@@ -542,7 +448,15 @@ func (e *Engine) serveOnce(ctx context.Context, k int, o *options, opts []Option
 		serveDS, coreMap = ep.serveDS, ep.coreMap
 	}
 	serveQuery := func(extra ...Option) (*Answer, error) {
-		ans, err := serveDS.queryContext(ctx, k, e.perQueryWorkers, append(opts, extra...)...)
+		// Capping opts makes append copy instead of writing into the
+		// caller's variadic slice.
+		ans, deg, err := serveDS.queryContext(ctx, k, e.perQueryWorkers, append(opts[:len(opts):len(opts)], extra...)...)
+		if deg.retried {
+			e.retries.Add(1)
+		}
+		if deg.rescued {
+			e.retrySuccesses.Add(1)
+		}
 		if err == nil && coreMap != nil {
 			for i, ci := range ans.Indices {
 				ans.Indices[i] = coreMap[ci]
@@ -812,15 +726,7 @@ func (e *Engine) foldLocked(ctx context.Context) error {
 	ep := &engineEpoch{num: old.num + 1, ds: e.base.Snapshot()}
 	e.shardEpoch(ctx, ep)
 	if e.opts.snapshotPath != "" {
-		var (
-			idx *Index
-			err error
-		)
-		if ep.serveDS != nil {
-			idx, err = buildShardedIndex(ctx, ep.serveDS, ep.coreMap)
-		} else {
-			idx, err = ep.ds.BuildIndexContext(ctx)
-		}
+		idx, err := ep.buildIndex(ctx)
 		if err != nil {
 			// Mutations stay pending; the next Apply retries the
 			// fold. Queries keep answering from the old epoch.

@@ -29,8 +29,7 @@ func TestEngineBreakerCycleUnderNumericalStorm(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	ds := faultDataset(t)
 	const cooldown = 100 * time.Millisecond
-	eng, err := NewEngine(ds, WithWorkers(1), WithBreaker(3, cooldown),
-		WithQueryDefaults(WithCandidates(CandidatesAll)))
+	eng, err := NewEngine(ds, WithWorkers(1), WithBreaker(3, cooldown))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +44,7 @@ func TestEngineBreakerCycleUnderNumericalStorm(t *testing.T) {
 	// the full retry ladder and comes back degraded.
 	fault.Arm(fault.SiteGeoGreedySupport, -1)
 	for i := 0; i < 3; i++ {
-		ans, err := eng.Query(context.Background(), 5)
+		ans, err := eng.Query(context.Background(), 5, WithCandidates(CandidatesAll))
 		if err != nil {
 			t.Fatalf("storm query %d failed outright: %v", i, err)
 		}
@@ -60,7 +59,7 @@ func TestEngineBreakerCycleUnderNumericalStorm(t *testing.T) {
 	// Open breaker: the next query must not pay the retry ladder — it
 	// goes straight to Cube, still labeled degraded.
 	before := fault.Fired(fault.SiteGeoGreedySupport)
-	ans, err := eng.Query(context.Background(), 5)
+	ans, err := eng.Query(context.Background(), 5, WithCandidates(CandidatesAll))
 	if err != nil {
 		t.Fatalf("short-circuited query failed: %v", err)
 	}
@@ -81,7 +80,7 @@ func TestEngineBreakerCycleUnderNumericalStorm(t *testing.T) {
 	// solver, succeeds, and closes the breaker.
 	fault.Reset()
 	time.Sleep(cooldown + 20*time.Millisecond)
-	ans, err = eng.Query(context.Background(), 5)
+	ans, err = eng.Query(context.Background(), 5, WithCandidates(CandidatesAll))
 	if err != nil {
 		t.Fatalf("probe query failed: %v", err)
 	}

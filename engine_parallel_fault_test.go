@@ -72,8 +72,7 @@ func TestEngineParallelWorkerPanicDegrades(t *testing.T) {
 	armed(t)
 	ds := parallelFaultDataset(t)
 	setGOMAXPROCS(t, 4)
-	eng, err := NewEngine(ds, WithWorkers(1),
-		WithQueryDefaults(WithCandidates(CandidatesAll)))
+	eng, err := NewEngine(ds, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +83,7 @@ func TestEngineParallelWorkerPanicDegrades(t *testing.T) {
 	}()
 
 	fault.Arm(fault.SiteParallelWorker, -1)
-	ans, err := eng.Query(context.Background(), 5)
+	ans, err := eng.Query(context.Background(), 5, WithCandidates(CandidatesAll))
 	if err != nil {
 		t.Fatalf("query failed outright instead of degrading: %v", err)
 	}
@@ -106,7 +105,7 @@ func TestEngineParallelWorkerPanicDegrades(t *testing.T) {
 
 	// Storm over: the same engine answers cleanly again.
 	fault.Reset()
-	ans, err = eng.Query(context.Background(), 5)
+	ans, err = eng.Query(context.Background(), 5, WithCandidates(CandidatesAll))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,8 +32,7 @@ func TestEngineParallelismDeterminism(t *testing.T) {
 	}
 
 	setGOMAXPROCS(t, 8)
-	eng, err := NewEngine(ds, WithWorkers(2), WithQueueDepth(32),
-		WithQueryDefaults(WithCandidates(CandidatesAll)))
+	eng, err := NewEngine(ds, WithWorkers(2), WithQueueDepth(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +54,7 @@ func TestEngineParallelismDeterminism(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				k := ks[(g+r)%len(ks)]
-				ans, err := eng.Query(context.Background(), k)
+				ans, err := eng.Query(context.Background(), k, WithCandidates(CandidatesAll))
 				if err != nil {
 					t.Errorf("goroutine %d k=%d: %v", g, k, err)
 					continue

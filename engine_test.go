@@ -132,8 +132,7 @@ func TestEngineQueryTimeoutBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(ds, WithWorkers(1), WithQueryTimeout(50*time.Millisecond),
-		WithQueryDefaults(WithCandidates(CandidatesAll)))
+	eng, err := NewEngine(ds, WithWorkers(1), WithQueryTimeout(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +142,7 @@ func TestEngineQueryTimeoutBudget(t *testing.T) {
 		}
 	}()
 	start := time.Now()
-	_, err = eng.Query(context.Background(), 80)
+	_, err = eng.Query(context.Background(), 80, WithCandidates(CandidatesAll))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded from the query budget, got %v", err)
 	}
@@ -226,6 +225,38 @@ func TestEngineSnapshotStartup(t *testing.T) {
 	}
 	if _, err := LoadFile(path, ds); err != nil {
 		t.Fatalf("snapshot not repaired after rebuild: %v", err)
+	}
+}
+
+// TestNewEngineContextCanceledRebuild: a snapshot rebuild at startup
+// runs under the constructor's context. Canceled, it fails with
+// context.Canceled and writes no snapshot — unsharded, and sharded
+// where the canceled shard build falls back to unsharded serving.
+func TestNewEngineContextCanceledRebuild(t *testing.T) {
+	ds, err := NewDataset(testPoints(300, 3, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, opts := range map[string][]EngineOption{
+		"unsharded": nil,
+		"sharded":   {WithShardedServing(1, 0)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "idx.snap")
+			eng, err := NewEngineContext(ctx, ds, append(opts, WithSnapshot(path))...)
+			if err == nil {
+				shutdownEngine(t, eng)
+				t.Fatal("rebuild under a canceled context succeeded")
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("want context.Canceled, got %v", err)
+			}
+			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("canceled rebuild wrote a snapshot (stat: %v)", err)
+			}
+		})
 	}
 }
 

@@ -173,6 +173,9 @@ func FuzzLoadIndex(f *testing.F) {
 	f.Add(flipped)
 	f.Add(valid[:3]) // shorter than the magic
 	f.Add([]byte("KRGXgarbage after magic"))
+	// A bare header claiming a 4 GiB payload: rejected without sizing
+	// a buffer by the claim.
+	f.Add(binary.LittleEndian.AppendUint64([]byte("KRGX\x02"), 1<<32))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -11,9 +11,9 @@ import (
 )
 
 // WireGuard protects the gob wire formats behind Index.Save and
-// StoredList.Save (the v1/v2 compat promise): every named struct a
-// package gob-encodes or gob-decodes must be registered in a package
-// manifest that pins its version and field layout on one line:
+// StoredList.Save: every named struct a package gob-encodes or
+// gob-decodes must be registered in a package manifest that pins its
+// version and field layout on one line:
 //
 //	var wireManifest = map[string]string{
 //	    "indexWire": "v2 Version int; Checksum uint64; N int; Dim int; Cand []int; Ext []int",

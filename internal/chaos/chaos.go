@@ -43,8 +43,8 @@ import (
 
 // RequestClass labels the traffic mix of a soak run. Each class pins
 // a distinct (algorithm, candidate set, context) shape so the storm
-// exercises the index fast path, the live solvers, the retry budget
-// and both admission shed paths at once.
+// exercises the index fast path, the live solvers, the degradation
+// chain and both admission shed paths at once.
 type RequestClass int
 
 const (
@@ -55,8 +55,8 @@ const (
 	// candidates, bypassing the index so solver faults land on it.
 	ClassHealthyLive
 	// ClassNoFallback disables the degradation chain: injected
-	// numerical faults surface as errors, which is what makes the
-	// engine's retry budget observable.
+	// numerical faults surface to the caller as errors instead of
+	// degraded answers.
 	ClassNoFallback
 	// ClassSkewed routes to the Greedy solver, concentrating load on
 	// a second breaker key so per-key isolation is visible.

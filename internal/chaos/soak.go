@@ -195,7 +195,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		kregret.WithWorkers(4),
 		kregret.WithQueueDepth(8),
 		kregret.WithBreaker(3, 40*time.Millisecond),
-		kregret.WithRetryBudget(2, time.Millisecond),
 		kregret.WithWatchdog(5*time.Millisecond),
 		kregret.WithQueryTimeout(250*time.Millisecond),
 		kregret.WithSnapshot(snap),

@@ -539,34 +539,37 @@ func (d *Dataset) Query(k int, opts ...Option) (*Answer, error) {
 // running to completion. An already-expired context returns before
 // any work is done.
 func (d *Dataset) QueryContext(ctx context.Context, k int, opts ...Option) (*Answer, error) {
-	return d.queryContext(ctx, k, 0, opts...)
+	ans, _, err := d.queryContext(ctx, k, 0, opts...)
+	return ans, err
 }
 
 // queryContext is QueryContext with the solver running at the given
-// width (0 = GOMAXPROCS). The Engine passes its per-query width here.
-func (d *Dataset) queryContext(ctx context.Context, k, workers int, opts ...Option) (*Answer, error) {
+// width (0 = GOMAXPROCS). The Engine passes its per-query width here
+// and counts the degradation chain's perturbed re-run from the
+// returned record, which is set on failure too.
+func (d *Dataset) queryContext(ctx context.Context, k, workers int, opts ...Option) (*Answer, degradation, error) {
 	o := defaultOptions()
 	for _, f := range opts {
 		f(&o)
 	}
 	if k < 1 {
-		return nil, ErrBadK
+		return nil, degradation{}, ErrBadK
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("kregret: query canceled: %w", err)
+		return nil, degradation{}, fmt.Errorf("kregret: query canceled: %w", err)
 	}
 	st := d.snap()
 	cand, err := st.candidateIndices(o.candidates)
 	if err != nil {
-		return nil, err
+		return nil, degradation{}, err
 	}
 	candPts, err := core.Select(st.pts, cand)
 	if err != nil {
-		return nil, fmt.Errorf("kregret: %w", err)
+		return nil, degradation{}, fmt.Errorf("kregret: %w", err)
 	}
 	res, deg, err := solveWithFallback(ctx, &o, candPts, k, workers)
 	if err != nil {
-		return nil, err
+		return nil, deg, err
 	}
 	ans := &Answer{
 		Indices:        make([]int, len(res.Indices)),
@@ -579,15 +582,17 @@ func (d *Dataset) queryContext(ctx context.Context, k, workers int, opts ...Opti
 	for i, ci := range res.Indices {
 		ans.Indices[i] = cand[ci]
 	}
-	return ans, nil
+	return ans, deg, nil
 }
 
 // degradation records which solver finally answered and why earlier
-// stages failed.
+// stages failed. retried reports that stage 1, the perturbed re-run,
+// ran (kept on failure too), and rescued that it answered.
 type degradation struct {
-	algorithm Algorithm
-	degraded  bool
-	reason    string
+	algorithm        Algorithm
+	degraded         bool
+	reason           string
+	retried, rescued bool
 }
 
 // solveWithFallback runs the configured solver behind the panic
@@ -605,6 +610,8 @@ func solveWithFallback(ctx context.Context, o *options, candPts []geom.Vector, k
 		return nil, degradation{}, err
 	}
 	failures := []error{fmt.Errorf("%v: %w", o.algorithm, err)}
+	// Every return below has made the perturbed re-run.
+	ranStage1 := degradation{retried: true}
 
 	// Stage 1: same solver over deterministically perturbed
 	// candidates — a ~1e-9 relative nudge resolves exact-degeneracy
@@ -615,9 +622,11 @@ func solveWithFallback(ctx context.Context, o *options, candPts []geom.Vector, k
 			algorithm: o.algorithm,
 			degraded:  true,
 			reason:    fmt.Sprintf("%v retried with epsilon perturbation after: %v", o.algorithm, err),
+			retried:   true,
+			rescued:   true,
 		}, nil
 	} else if !retriable(err2) {
-		return nil, degradation{}, err2
+		return nil, ranStage1, err2
 	} else {
 		failures = append(failures, fmt.Errorf("%v (perturbed): %w", o.algorithm, err2))
 	}
@@ -634,14 +643,15 @@ func solveWithFallback(ctx context.Context, o *options, candPts []geom.Vector, k
 				algorithm: alg,
 				degraded:  true,
 				reason:    fmt.Sprintf("fell back to %v after: %v", alg, errors.Join(failures...)),
+				retried:   true,
 			}, nil
 		}
 		if !retriable(err2) {
-			return nil, degradation{}, err2
+			return nil, ranStage1, err2
 		}
 		failures = append(failures, fmt.Errorf("%v: %w", alg, err2))
 	}
-	return nil, degradation{}, &NumericalError{
+	return nil, ranStage1, &NumericalError{
 		Op:            "Query",
 		Algorithm:     o.algorithm,
 		K:             k,
@@ -910,6 +920,9 @@ func (d *Dataset) BuildIndexUpToContext(ctx context.Context, maxK int) (*Index, 
 }
 
 func (d *Dataset) buildIndex(ctx context.Context, maxK int) (*Index, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("kregret: index build canceled: %w", err)
+	}
 	st := d.snap()
 	hp, err := st.candidateIndices(CandidatesHappy)
 	if err != nil {

@@ -1,7 +1,6 @@
 package kregret
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
@@ -33,50 +32,78 @@ var (
 	ErrCorruptIndex = errors.New("kregret: corrupt index snapshot")
 )
 
-// Snapshot wire format v2 (the current write format):
+// Snapshot frame, shared by index snapshots (magic "KRGX", frame
+// version 2) and dataset base snapshots (magic "KRGD", frame version
+// 1):
 //
-//	offset 0  magic "KRGX" (4 bytes)
-//	       4  format version (1 byte, currently 2)
+//	offset 0  magic (4 bytes)
+//	       4  frame version (1 byte)
 //	       5  payload length (uint64 little-endian)
-//	      13  payload: the v1 body — gob(indexWire) ++ gob(StoredList)
+//	      13  payload (gob streams)
 //	  13+len  CRC-32C over bytes [0, 13+len) (uint32 little-endian)
 //
-// The CRC trailer covers the header and both gob streams together, so
-// a truncation or bit flip anywhere in the file — including inside
-// the second stream, which v1 could not protect — surfaces as
-// ErrCorruptIndex before any gob decoding happens. Version 1 files
-// (bare concatenated gob streams, no frame) are still readable: they
-// cannot begin with the magic because a gob stream's first byte is a
-// small message length, and 'K' (0x4b) would imply a 75-byte first
-// message where the indexWire type definition is longer.
+// The CRC trailer covers the header and the payload together, so a
+// truncation or bit flip anywhere in the file surfaces as the kind's
+// typed corrupt error before any gob decoding happens.
 const (
 	snapshotMagic   = "KRGX"
 	snapshotVersion = 2
+	dsSnapMagic     = "KRGD"
+	dsSnapVersion   = 1
 	snapshotHdrLen  = 4 + 1 + 8
-	// maxSnapshotPayload caps the framed payload length so a corrupt
-	// length field cannot drive an allocation of attacker-chosen size.
-	maxSnapshotPayload = 1 << 32
 )
 
 var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
 
+// frameSnapshot wraps payload in a snapshot frame.
+func frameSnapshot(magic string, version byte, payload []byte) []byte {
+	frame := make([]byte, snapshotHdrLen, snapshotHdrLen+len(payload)+4)
+	copy(frame, magic)
+	frame[4] = version
+	binary.LittleEndian.PutUint64(frame[5:], uint64(len(payload)))
+	frame = append(frame, payload...)
+	return binary.LittleEndian.AppendUint32(frame, crc32.Checksum(frame, snapshotCRC))
+}
+
+// unframeSnapshot checks that data is exactly one frame with the given
+// magic and version and returns its payload. Damage — a short input, a
+// wrong magic, a length that disagrees with the bytes present, a CRC
+// mismatch — wraps corrupt; a different frame version is a plain
+// version error.
+func unframeSnapshot(data []byte, magic string, version byte, corrupt error) ([]byte, error) {
+	if len(data) < snapshotHdrLen+4 {
+		return nil, fmt.Errorf("%w: %d bytes is shorter than the frame", corrupt, len(data))
+	}
+	if string(data[:4]) != magic {
+		return nil, fmt.Errorf("%w: bad magic %q", corrupt, data[:4])
+	}
+	if v := data[4]; v != version {
+		return nil, fmt.Errorf("kregret: %q snapshot format v%d, want v%d", magic, v, version)
+	}
+	if n := binary.LittleEndian.Uint64(data[5:]); n != uint64(len(data)-snapshotHdrLen-4) {
+		return nil, fmt.Errorf("%w: payload length %d does not match %d bytes", corrupt, n, len(data))
+	}
+	body, trailer := data[:len(data)-4], data[len(data)-4:]
+	if stored, crc := binary.LittleEndian.Uint32(trailer), crc32.Checksum(body, snapshotCRC); stored != crc {
+		return nil, fmt.Errorf("%w: CRC mismatch (stored %08x, computed %08x)", corrupt, stored, crc)
+	}
+	return body[snapshotHdrLen:], nil
+}
+
 // indexWire is the gob envelope around a stored list: the happy
 // candidate mapping plus a checksum binding the index to the dataset
 // it was built from. Its Version field versions the payload schema,
-// independent of the outer frame version.
+// independent of the outer frame version; only the current one loads.
 //
-// Payload v2 adds Ext — the skyline (extreme set) indices computed
-// during preprocessing — so loading a snapshot also seeds the
-// dataset's evaluation pruning without recomputing the skyline pass.
-// v1 payloads (no Ext; gob omits absent fields, so the field decodes
-// as nil) still load, they just skip the seeding.
-//
-// Payload v3 adds Core — the sharded engine's merged coreset (global
-// indices, ascending) — so reload can tell a core-built StoredList
-// apart from an exact one and match it against the current shard
-// configuration. Ext and Core are mutually exclusive: a core-built
-// snapshot skips the full-dataset skyline (recomputing it at scale
-// would defeat the sharding). v1/v2 payloads decode with Core nil.
+// Ext carries the skyline (extreme set) indices computed during
+// preprocessing, so loading a snapshot also seeds the dataset's
+// evaluation pruning without recomputing the skyline pass. Core
+// carries the sharded engine's merged coreset (global indices,
+// ascending), so reload can tell a core-built StoredList apart from an
+// exact one and match it against the current shard configuration. Ext
+// and Core are mutually exclusive: a core-built snapshot skips the
+// full-dataset skyline (recomputing it at scale would defeat the
+// sharding).
 type indexWire struct {
 	Version  int
 	Checksum uint64
@@ -91,7 +118,7 @@ const indexVersion = 3
 // wireManifest pins the gob wire layout of every struct this package
 // persists (checked by the wireguard analyzer): changing a field
 // means rewriting the entry on this line, which is where the version
-// bump and the decoder's compat path get reviewed together.
+// bump and the decoder's version check get reviewed together.
 var wireManifest = map[string]string{
 	"indexWire":   "v3 Version int; Checksum uint64; N int; Dim int; Cand []int; Ext []int; Core []int",
 	"datasetWire": "v1 Version int; Seq uint64; N int; Dim int; Coords []float64",
@@ -114,9 +141,21 @@ func (d *Dataset) checksum() uint64 {
 // Save serializes the index so later processes can skip the expensive
 // StoredList preprocessing. The dataset itself is not stored; load
 // with LoadIndex against an identically-constructed Dataset. The
-// stream is framed with a CRC-32C trailer (format v2) so corruption
-// is detectable on load; use SaveFile for crash-safe writes to disk.
+// stream is framed with a CRC-32C trailer so corruption is detectable
+// on load; use SaveFile for crash-safe writes to disk.
 func (x *Index) Save(w io.Writer, d *Dataset) error {
+	frame, err := x.encode(d)
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("kregret: saving index: %w", err)
+	}
+	return nil
+}
+
+// encode builds the framed index snapshot.
+func (x *Index) encode(d *Dataset) ([]byte, error) {
 	// The skyline is already cached on any dataset that built an index
 	// (happy-point extraction runs it); persisting it lets the loader
 	// seed evaluation pruning for free. A core-built index (sharded
@@ -127,7 +166,7 @@ func (x *Index) Save(w io.Writer, d *Dataset) error {
 		var err error
 		sky, err = d.Skyline()
 		if err != nil {
-			return fmt.Errorf("kregret: saving index: %w", err)
+			return nil, fmt.Errorf("kregret: saving index: %w", err)
 		}
 	}
 	var payload bytes.Buffer
@@ -140,86 +179,44 @@ func (x *Index) Save(w io.Writer, d *Dataset) error {
 		Ext:      sky,
 		Core:     x.core,
 	}); err != nil {
-		return fmt.Errorf("kregret: saving index: %w", err)
+		return nil, fmt.Errorf("kregret: saving index: %w", err)
 	}
 	if err := x.list.Save(&payload); err != nil {
-		return fmt.Errorf("kregret: saving index list: %w", err)
+		return nil, fmt.Errorf("kregret: saving index list: %w", err)
 	}
-
-	frame := make([]byte, snapshotHdrLen, snapshotHdrLen+payload.Len()+4)
-	copy(frame, snapshotMagic)
-	frame[4] = snapshotVersion
-	binary.LittleEndian.PutUint64(frame[5:], uint64(payload.Len()))
-	frame = append(frame, payload.Bytes()...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(frame, snapshotCRC))
-	if _, err := w.Write(frame); err != nil {
-		return fmt.Errorf("kregret: saving index: %w", err)
-	}
-	return nil
+	return frameSnapshot(snapshotMagic, snapshotVersion, payload.Bytes()), nil
 }
 
 // LoadIndex restores an index saved with Index.Save, verifying both
-// the snapshot integrity (CRC trailer; damage comes back as
+// the snapshot integrity (frame and CRC trailer; damage comes back as
 // ErrCorruptIndex) and that it was built from exactly the given
 // dataset (content checksum; mismatch comes back as
-// ErrIndexMismatch). Version-1 snapshots written before the CRC frame
-// existed still load.
+// ErrIndexMismatch). It reads r to EOF, so memory grows only with the
+// bytes actually present, whatever the header claims.
 func LoadIndex(r io.Reader, d *Dataset) (*Index, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(snapshotMagic))
+	data, err := io.ReadAll(r)
 	if err != nil {
-		// Not even a magic's worth of bytes: neither format can be
-		// this short.
-		return nil, fmt.Errorf("%w: truncated header: %v", ErrCorruptIndex, err)
+		return nil, fmt.Errorf("kregret: reading index snapshot: %w", err)
 	}
-	if string(head) == snapshotMagic {
-		return loadFramed(br, d)
-	}
-	// Legacy v1: two bare gob streams, no integrity trailer.
-	return decodeIndexPayload(br, d)
+	return decodeIndex(data, d)
 }
 
-// loadFramed reads a v2 frame, verifies the CRC trailer, and decodes
-// the payload. Any framing or integrity violation is ErrCorruptIndex.
-func loadFramed(br *bufio.Reader, d *Dataset) (*Index, error) {
-	hdr := make([]byte, snapshotHdrLen)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("%w: truncated header: %v", ErrCorruptIndex, err)
+// decodeIndex verifies the frame, decodes the two gob streams and
+// validates them against the dataset. Framing, integrity and decode
+// failures are corruption; a clean decode that names a different
+// dataset is ErrIndexMismatch.
+func decodeIndex(data []byte, d *Dataset) (*Index, error) {
+	payload, err := unframeSnapshot(data, snapshotMagic, snapshotVersion, ErrCorruptIndex)
+	if err != nil {
+		return nil, err
 	}
-	if v := hdr[4]; v != snapshotVersion {
-		return nil, fmt.Errorf("kregret: index snapshot format v%d, want v%d", v, snapshotVersion)
-	}
-	n := binary.LittleEndian.Uint64(hdr[5:])
-	if n > maxSnapshotPayload {
-		return nil, fmt.Errorf("%w: implausible payload length %d", ErrCorruptIndex, n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, fmt.Errorf("%w: truncated payload: %v", ErrCorruptIndex, err)
-	}
-	var trailer [4]byte
-	if _, err := io.ReadFull(br, trailer[:]); err != nil {
-		return nil, fmt.Errorf("%w: missing CRC trailer: %v", ErrCorruptIndex, err)
-	}
-	crc := crc32.Checksum(hdr, snapshotCRC)
-	crc = crc32.Update(crc, snapshotCRC, payload)
-	if got := binary.LittleEndian.Uint32(trailer[:]); got != crc {
-		return nil, fmt.Errorf("%w: CRC mismatch (stored %08x, computed %08x)", ErrCorruptIndex, got, crc)
-	}
-	return decodeIndexPayload(bytes.NewReader(payload), d)
-}
-
-// decodeIndexPayload decodes the two gob streams shared by both
-// formats and validates them against the dataset. Decode failures are
-// corruption; a clean decode that names a different dataset is
-// ErrIndexMismatch.
-func decodeIndexPayload(r io.Reader, d *Dataset) (*Index, error) {
+	r := bytes.NewReader(payload)
 	var wire indexWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("%w: decoding index: %v", ErrCorruptIndex, err)
 	}
-	if wire.Version < 1 || wire.Version > indexVersion {
-		return nil, fmt.Errorf("kregret: index version %d, want 1..%d", wire.Version, indexVersion)
+	if wire.Version != indexVersion {
+		return nil, fmt.Errorf("kregret: index payload v%d, want v%d", wire.Version, indexVersion)
 	}
 	if wire.N != d.Len() || wire.Dim != d.Dim() || wire.Checksum != d.checksum() {
 		return nil, ErrIndexMismatch
@@ -229,9 +226,9 @@ func decodeIndexPayload(r io.Reader, d *Dataset) (*Index, error) {
 			return nil, fmt.Errorf("%w: index candidate %d out of range", ErrCorruptIndex, c)
 		}
 	}
-	// The extreme set rides along since payload v2. Validate before
-	// seeding: a snapshot that passed the CRC can still carry garbage
-	// if it was written by a buggy or hostile producer.
+	// Validate the extreme set before seeding: a snapshot that passed
+	// the CRC can still carry garbage if it was written by a buggy or
+	// hostile producer.
 	for k, e := range wire.Ext {
 		if e < 0 || e >= d.Len() {
 			return nil, fmt.Errorf("%w: extreme index %d out of range", ErrCorruptIndex, e)
@@ -240,8 +237,8 @@ func decodeIndexPayload(r io.Reader, d *Dataset) (*Index, error) {
 			return nil, fmt.Errorf("%w: extreme set not strictly ascending at position %d", ErrCorruptIndex, k)
 		}
 	}
-	// The sharded core (payload v3) gets the same treatment: global
-	// indices, strictly ascending. Ext is never persisted alongside it.
+	// The sharded core gets the same treatment: global indices,
+	// strictly ascending. Ext is never persisted alongside it.
 	for k, c := range wire.Core {
 		if c < 0 || c >= d.Len() {
 			return nil, fmt.Errorf("%w: core index %d out of range", ErrCorruptIndex, c)
@@ -260,32 +257,45 @@ func decodeIndexPayload(r io.Reader, d *Dataset) (*Index, error) {
 	return &Index{list: list, cand: wire.Cand, core: wire.Core}, nil
 }
 
-// SaveFile writes the index snapshot to path crash-safely: the bytes
-// go to a temporary file in the same directory, are fsynced, and the
-// temp file is atomically renamed over path (whose directory is then
-// fsynced). A crash at any point leaves either the old file or the
-// complete new one — never a torn snapshot — and a torn write that
-// slips through anyway (disk lying about sync) is caught by the CRC
-// on load.
+// SaveFile writes the index snapshot to path crash-safely (see
+// writeSnapshotFile); a torn write that slips through anyway (disk
+// lying about sync) is caught by the CRC on load.
 func (x *Index) SaveFile(path string, d *Dataset) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".kregret-index-*")
+	frame, err := x.encode(d)
 	if err != nil {
-		return fmt.Errorf("kregret: saving index snapshot: %w", err)
+		return err
 	}
-	if err := x.Save(tmp, d); err != nil {
+	return writeSnapshotFile(path, "index", frame)
+}
+
+// writeSnapshotFile publishes a framed snapshot at path: the bytes go
+// to a temporary file in the same directory, are fsynced (the
+// persist.sync fault site), and the temp file is atomically renamed
+// over path, whose directory is then fsynced. A crash at any point
+// leaves either the old file or the complete new one — never a torn
+// snapshot — and a failure at any step removes the temp file and
+// leaves a previous snapshot at path untouched. kind names the
+// snapshot in errors and in the temp file name.
+func writeSnapshotFile(path, kind string, frame []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, ".kregret-"+kind+"-*")
+	if err != nil {
+		return fmt.Errorf("kregret: saving %s snapshot: %w", kind, err)
+	}
+	if _, err := tmp.Write(frame); err != nil {
+		err = fmt.Errorf("kregret: saving %s snapshot: %w", kind, err)
 		return errors.Join(err, tmp.Close(), os.Remove(tmp.Name()))
 	}
 	if err := syncTemp(tmp); err != nil {
-		err = fmt.Errorf("kregret: syncing index snapshot: %w", err)
+		err = fmt.Errorf("kregret: syncing %s snapshot: %w", kind, err)
 		return errors.Join(err, tmp.Close(), os.Remove(tmp.Name()))
 	}
 	if err := tmp.Close(); err != nil {
-		err = fmt.Errorf("kregret: closing index snapshot: %w", err)
+		err = fmt.Errorf("kregret: closing %s snapshot: %w", kind, err)
 		return errors.Join(err, os.Remove(tmp.Name()))
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		err = fmt.Errorf("kregret: publishing index snapshot: %w", err)
+		err = fmt.Errorf("kregret: publishing %s snapshot: %w", kind, err)
 		return errors.Join(err, os.Remove(tmp.Name()))
 	}
 	if err := syncDir(dir); err != nil {
@@ -339,15 +349,11 @@ func tearFile(path string) {
 // a different dataset is ErrIndexMismatch, and a missing file is the
 // underlying fs error (check with os.IsNotExist / errors.Is).
 func LoadFile(path string, d *Dataset) (*Index, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("kregret: loading index snapshot: %w", err)
 	}
-	idx, err := LoadIndex(f, d)
-	if cerr := f.Close(); err == nil && cerr != nil {
-		return nil, fmt.Errorf("kregret: closing index snapshot: %w", cerr)
-	}
-	return idx, err
+	return decodeIndex(data, d)
 }
 
 // ErrCorruptSnapshot is returned by Recover (via loadDatasetFile)
@@ -357,20 +363,9 @@ func LoadFile(path string, d *Dataset) (*Index, error) {
 // dataset.
 var ErrCorruptSnapshot = errors.New("kregret: corrupt dataset snapshot")
 
-// Dataset base snapshot format v1 — the durable half of the
-// (snapshot, WAL) pair behind WithWAL/Recover. Same framing as index
-// snapshots, with its own magic:
-//
-//	offset 0  magic "KRGD" (4 bytes)
-//	       4  format version (1 byte, currently 1)
-//	       5  payload length (uint64 little-endian)
-//	      13  payload: gob(datasetWire)
-//	  13+len  CRC-32C over bytes [0, 13+len) (uint32 little-endian)
-const (
-	dsSnapMagic   = "KRGD"
-	dsSnapVersion = 1
-)
-
+// Dataset base snapshots — the durable half of the (snapshot, WAL)
+// pair behind WithWAL/Recover — use the snapshot frame with magic
+// "KRGD" and frame version 1; the payload is gob(datasetWire).
 // datasetWire is the gob envelope of a dataset base snapshot: the
 // (already normalized) points flattened row-major, plus the sequence
 // number of the last mutation folded in — the watermark Recover's
@@ -385,10 +380,7 @@ type datasetWire struct {
 const datasetWireVersion = 1
 
 // saveDatasetFile writes st as a base snapshot to path with the same
-// crash-safe protocol as Index.SaveFile: temp file in the target
-// directory, fsync (the persist.sync fault site), atomic rename, and
-// a directory sync. A failure at any step removes the temp file and
-// leaves a previous snapshot at path untouched.
+// crash-safe protocol as Index.SaveFile (writeSnapshotFile).
 func saveDatasetFile(path string, st *dsState) error {
 	wire := datasetWire{
 		Version: datasetWireVersion,
@@ -404,41 +396,7 @@ func saveDatasetFile(path string, st *dsState) error {
 	if err := gob.NewEncoder(&payload).Encode(wire); err != nil {
 		return fmt.Errorf("kregret: saving dataset snapshot: %w", err)
 	}
-	frame := make([]byte, snapshotHdrLen, snapshotHdrLen+payload.Len()+4)
-	copy(frame, dsSnapMagic)
-	frame[4] = dsSnapVersion
-	binary.LittleEndian.PutUint64(frame[5:], uint64(payload.Len()))
-	frame = append(frame, payload.Bytes()...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(frame, snapshotCRC))
-
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".kregret-dataset-*")
-	if err != nil {
-		return fmt.Errorf("kregret: saving dataset snapshot: %w", err)
-	}
-	if _, err := tmp.Write(frame); err != nil {
-		err = fmt.Errorf("kregret: saving dataset snapshot: %w", err)
-		return errors.Join(err, tmp.Close(), os.Remove(tmp.Name()))
-	}
-	if err := syncTemp(tmp); err != nil {
-		err = fmt.Errorf("kregret: syncing dataset snapshot: %w", err)
-		return errors.Join(err, tmp.Close(), os.Remove(tmp.Name()))
-	}
-	if err := tmp.Close(); err != nil {
-		err = fmt.Errorf("kregret: closing dataset snapshot: %w", err)
-		return errors.Join(err, os.Remove(tmp.Name()))
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		err = fmt.Errorf("kregret: publishing dataset snapshot: %w", err)
-		return errors.Join(err, os.Remove(tmp.Name()))
-	}
-	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("kregret: syncing snapshot directory: %w", err)
-	}
-	if fault.Enabled && fault.Active(fault.SitePersistTornWrite) {
-		tearFile(path)
-	}
-	return nil
+	return writeSnapshotFile(path, "dataset", frameSnapshot(dsSnapMagic, dsSnapVersion, payload.Bytes()))
 }
 
 // loadDatasetFile reads a base snapshot back: the points and the
@@ -449,26 +407,12 @@ func loadDatasetFile(path string) ([]geom.Vector, uint64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("kregret: loading dataset snapshot: %w", err)
 	}
-	if len(data) < snapshotHdrLen+4 {
-		return nil, 0, fmt.Errorf("%w: %d bytes is shorter than the frame", ErrCorruptSnapshot, len(data))
-	}
-	if string(data[:4]) != dsSnapMagic {
-		return nil, 0, fmt.Errorf("%w: bad magic %q", ErrCorruptSnapshot, data[:4])
-	}
-	if v := data[4]; v != dsSnapVersion {
-		return nil, 0, fmt.Errorf("kregret: dataset snapshot format v%d, want v%d", v, dsSnapVersion)
-	}
-	n := binary.LittleEndian.Uint64(data[5:])
-	if n > maxSnapshotPayload || snapshotHdrLen+n+4 != uint64(len(data)) {
-		return nil, 0, fmt.Errorf("%w: payload length %d does not match file size %d", ErrCorruptSnapshot, n, len(data))
-	}
-	body := data[:len(data)-4]
-	stored := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc := crc32.Checksum(body, snapshotCRC); stored != crc {
-		return nil, 0, fmt.Errorf("%w: CRC mismatch (stored %08x, computed %08x)", ErrCorruptSnapshot, stored, crc)
+	payload, err := unframeSnapshot(data, dsSnapMagic, dsSnapVersion, ErrCorruptSnapshot)
+	if err != nil {
+		return nil, 0, err
 	}
 	var wire datasetWire
-	if err := gob.NewDecoder(bytes.NewReader(body[snapshotHdrLen:])).Decode(&wire); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wire); err != nil {
 		return nil, 0, fmt.Errorf("%w: decoding payload: %v", ErrCorruptSnapshot, err)
 	}
 	if wire.Version != datasetWireVersion {

@@ -5,9 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -52,8 +52,8 @@ func TestSnapshotTruncationEveryByte(t *testing.T) {
 }
 
 // Every single-byte corruption must be detected. Byte 4 is the frame
-// version and gets its own error; everywhere else the CRC (or, for
-// the magic, the legacy-path gob decoder) reports corruption.
+// version and gets its own error; everywhere else the magic, length or
+// CRC check reports corruption.
 func TestSnapshotBitFlipEveryByte(t *testing.T) {
 	ds, _, snap := snapshotFixture(t)
 	for i := 0; i < len(snap); i++ {
@@ -75,76 +75,82 @@ func TestSnapshotBitFlipEveryByte(t *testing.T) {
 	}
 }
 
-// Snapshots written by the pre-frame v1 code (two bare gob streams)
-// must still load. The test reconstructs the exact v1 byte layout.
-func TestSnapshotV1ReadCompatibility(t *testing.T) {
+// TestSnapshotRejectsPreviousFormats: only the current frame and
+// payload versions load. A bare gob stream (the pre-frame format) has
+// no magic, so it is ErrCorruptIndex and an engine rebuilds over it;
+// a framed payload of an earlier version is a version error.
+func TestSnapshotRejectsPreviousFormats(t *testing.T) {
 	ds, idx, _ := snapshotFixture(t)
-	var v1 bytes.Buffer
-	if err := gob.NewEncoder(&v1).Encode(indexWire{
-		Version:  indexVersion,
-		Checksum: ds.checksum(),
-		N:        ds.Len(),
-		Dim:      ds.Dim(),
-		Cand:     idx.cand,
-	}); err != nil {
-		t.Fatal(err)
+	payload := func(version int) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(indexWire{
+			Version:  version,
+			Checksum: ds.checksum(),
+			N:        ds.Len(),
+			Dim:      ds.Dim(),
+			Cand:     idx.cand,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := idx.list.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	if err := idx.list.Save(&v1); err != nil {
-		t.Fatal(err)
-	}
-	// Sanity: a legacy stream must not look framed.
-	if bytes.HasPrefix(v1.Bytes(), []byte(snapshotMagic)) {
-		t.Fatal("legacy gob stream collides with the snapshot magic")
-	}
-	loaded, err := LoadIndex(bytes.NewReader(v1.Bytes()), ds)
-	if err != nil {
-		t.Fatalf("v1 snapshot failed to load: %v", err)
-	}
-	want, err := idx.Query(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := loaded.Query(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.MRR != got.MRR {
-		t.Fatalf("v1-loaded index answers differently: %v vs %v", got.MRR, want.MRR)
+	for _, tc := range []struct {
+		name    string
+		data    []byte
+		corrupt bool
+	}{
+		{"bare gob stream", payload(indexVersion), true},
+		{"framed payload v1", frameSnapshot(snapshotMagic, snapshotVersion, payload(1)), false},
+		{"framed payload v2", frameSnapshot(snapshotMagic, snapshotVersion, payload(2)), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			loaded, err := LoadIndex(bytes.NewReader(tc.data), ds)
+			if err == nil || loaded != nil {
+				t.Fatalf("previous format loaded (index=%v)", loaded != nil)
+			}
+			if got := errors.Is(err, ErrCorruptIndex); got != tc.corrupt {
+				t.Fatalf("errors.Is(err, ErrCorruptIndex) = %v, want %v: %v", got, tc.corrupt, err)
+			}
+			if tc.corrupt {
+				path := filepath.Join(t.TempDir(), "idx.snap")
+				if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				eng, err := NewEngine(ds, WithSnapshot(path))
+				if err != nil {
+					t.Fatalf("engine did not rebuild over the old format: %v", err)
+				}
+				defer shutdownEngine(t, eng)
+				if !eng.Stats().SnapshotRebuilt {
+					t.Fatal("engine adopted an old-format snapshot")
+				}
+				return
+			}
+			if !strings.Contains(err.Error(), "payload v") {
+				t.Fatalf("want a payload version error, got %v", err)
+			}
+		})
 	}
 }
 
-// Payload v1 (explicit Version: 1, no Ext field) must still load —
-// that is what every snapshot written before the extreme set rode
-// along looks like after the frame is stripped.
-func TestSnapshotPayloadV1Compatibility(t *testing.T) {
-	ds, idx, _ := snapshotFixture(t)
-	var v1 bytes.Buffer
-	if err := gob.NewEncoder(&v1).Encode(indexWire{
-		Version:  1,
-		Checksum: ds.checksum(),
-		N:        ds.Len(),
-		Dim:      ds.Dim(),
-		Cand:     idx.cand,
-	}); err != nil {
-		t.Fatal(err)
+// TestLoadIndexHugeLengthAllocatesLittle: a 13-byte header claiming a
+// 4 GiB payload must be rejected as corrupt without allocating for
+// the claimed length — memory grows only with the bytes present.
+func TestLoadIndexHugeLengthAllocatesLittle(t *testing.T) {
+	ds, _, _ := snapshotFixture(t)
+	hdr := binary.LittleEndian.AppendUint64([]byte(snapshotMagic+"\x02"), 1<<32)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadIndex(bytes.NewReader(hdr), ds)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorruptIndex) {
+		t.Fatalf("want ErrCorruptIndex, got %v", err)
 	}
-	if err := idx.list.Save(&v1); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadIndex(bytes.NewReader(frameSnapshot(v1.Bytes())), ds)
-	if err != nil {
-		t.Fatalf("payload-v1 snapshot failed to load: %v", err)
-	}
-	want, err := idx.Query(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := loaded.Query(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.MRR != got.MRR {
-		t.Fatalf("payload-v1 index answers differently: %v vs %v", got.MRR, want.MRR)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("a 13-byte input allocated %d bytes", alloc)
 	}
 }
 
@@ -215,22 +221,10 @@ func TestSnapshotRejectsBadExtremeSet(t *testing.T) {
 		if err := idx.list.Save(&payload); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadIndex(bytes.NewReader(frameSnapshot(payload.Bytes())), ds); !errors.Is(err, ErrCorruptIndex) {
+		if _, err := LoadIndex(bytes.NewReader(frameSnapshot(snapshotMagic, snapshotVersion, payload.Bytes())), ds); !errors.Is(err, ErrCorruptIndex) {
 			t.Fatalf("%s extreme set: want ErrCorruptIndex, got %v", name, err)
 		}
 	}
-}
-
-// frameSnapshot wraps a raw payload in a valid v2 frame (magic,
-// version, length, CRC) so tests can exercise the payload decoder
-// with hand-built contents.
-func frameSnapshot(payload []byte) []byte {
-	frame := make([]byte, snapshotHdrLen, snapshotHdrLen+len(payload)+4)
-	copy(frame, snapshotMagic)
-	frame[4] = snapshotVersion
-	binary.LittleEndian.PutUint64(frame[5:], uint64(len(payload)))
-	frame = append(frame, payload...)
-	return binary.LittleEndian.AppendUint32(frame, crc32.Checksum(frame, snapshotCRC))
 }
 
 func TestSaveFileLoadFileRoundTrip(t *testing.T) {

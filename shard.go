@@ -28,7 +28,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -205,34 +204,4 @@ func buildShardedIndex(ctx context.Context, serveDS *Dataset, coreMap []int) (*I
 	idx.cand = cand
 	idx.core = append([]int(nil), coreMap...)
 	return idx, nil
-}
-
-// loadOrRebuildShardedIndex is loadOrRebuildIndex for a sharded
-// engine: a loadable snapshot is adopted only when its persisted core
-// equals the epoch's freshly built core (same points, same shard/eps
-// configuration); anything else — missing, corrupt, mismatched, or an
-// unsharded/stale core — is replaced by a fresh sharded build written
-// back atomically.
-func loadOrRebuildShardedIndex(ctx context.Context, fullDS, serveDS *Dataset, coreMap []int, path string) (*Index, bool, error) {
-	idx, err := LoadFile(path, fullDS)
-	if err == nil && slices.Equal(idx.core, coreMap) {
-		return idx, false, nil
-	}
-	if err == nil {
-		// The snapshot loaded but was built over a different core (an
-		// unsharded engine's, or another shard/eps plan's): serving it
-		// would answer from the wrong candidate set. Rebuild instead.
-		err = fmt.Errorf("%w: snapshot core does not match the sharded core", ErrIndexMismatch)
-	}
-	if !loadFailureRebuildable(err) {
-		return nil, false, fmt.Errorf("kregret: engine snapshot: %w", err)
-	}
-	idx, berr := buildShardedIndex(ctx, serveDS, coreMap)
-	if berr != nil {
-		return nil, false, fmt.Errorf("kregret: engine snapshot unusable (%w) and sharded rebuild failed: %w", err, berr)
-	}
-	if serr := idx.SaveFile(path, fullDS); serr != nil {
-		return nil, false, fmt.Errorf("kregret: rewriting engine snapshot: %w", serr)
-	}
-	return idx, true, nil
 }

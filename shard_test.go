@@ -395,7 +395,7 @@ func TestShardedReloadNamesCoreMismatch(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err = loadOrRebuildShardedIndex(ctx, ds, serveDS, coreMap, path)
+	_, _, err = loadOrRebuildIndex(ctx, &engineEpoch{ds: ds, serveDS: serveDS, coreMap: coreMap}, path)
 	if err == nil {
 		t.Fatal("sharded rebuild under a canceled context succeeded")
 	}
