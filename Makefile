@@ -8,8 +8,13 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# Vet every build: untagged, and with each build tag, so files behind
+# a constraint (the fault-injection sites, the chaos soak, the
+# invariant layer) are checked too.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags kregretfault ./...
+	$(GO) vet -tags kregretdebug ./...
 
 # Fails when gofmt would rewrite any tracked Go file. The analyzer
 # fixtures under testdata/ are excluded: their expected findings are
@@ -26,9 +31,12 @@ bench-module:
 	$(GO) -C cmd/kregret-bench test ./...
 
 # Domain-aware static analysis: floatcmp, slicealias, naninf, errdrop,
-# ctxflow, poolscope, atomicguard, wireguard, sleepctx.
+# ctxflow, poolscope, atomicguard, wireguard, sleepctx — over the same
+# three builds as vet.
 kregret-vet:
 	$(GO) run ./cmd/kregret-vet ./...
+	$(GO) run ./cmd/kregret-vet -tags kregretfault ./...
+	$(GO) run ./cmd/kregret-vet -tags kregretdebug ./...
 
 test:
 	$(GO) test ./...

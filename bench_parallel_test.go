@@ -112,17 +112,21 @@ func BenchmarkPaper(b *testing.B) {
 	b.Run("MRRSampled1k", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := eval.MRRSampledParCtx(ctx, sel, 1000, 1, w); err != nil {
+			if _, _, err := eval.SampledRegretParCtx(ctx, sel, 1000, 1, w); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("MRRSampled1kFull", func(b *testing.B) {
-		// The unpruned free-function path: a transient full-scan
-		// EvalIndex per call, isolating what the extreme set saves.
+		// The unpruned path: a transient full-scan EvalIndex per
+		// call, isolating what the extreme set saves.
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.MRRSampledParCtx(ctx, pts, sel, 1000, 1, w); err != nil {
+			full, err := core.NewEvalIndex(pts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := full.SampledRegretParCtx(ctx, sel, 1000, 1, w); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -11,6 +11,7 @@ package kregret
 // these sizes too.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -339,29 +340,34 @@ func BenchmarkHappyFilter(b *testing.B) {
 	}
 }
 
+// BenchmarkMRREvaluation prices the evaluator on a fresh full-scan
+// EvalIndex per call; its LP oracle counterpart is
+// BenchmarkMRREvaluation/LP in internal/core.
 func BenchmarkMRREvaluation(b *testing.B) {
 	cand := synthCands(b, 10000, 5)
 	res, err := core.GeoGreedy(cand, 10)
 	if err != nil {
 		b.Fatal(err)
 	}
+	ctx := context.Background()
 	b.Run("Geometric", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.MRRGeometric(cand, res.Indices); err != nil {
+			x, err := core.NewEvalIndex(cand)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	b.Run("LP", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.MRRByLP(cand, res.Indices); err != nil {
+			if _, err := x.MRRGeometricParCtx(ctx, res.Indices, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Sampled1k", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.MRRSampled(cand, res.Indices, 1000, 1); err != nil {
+			x, err := core.NewEvalIndex(cand)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := x.SampledRegretParCtx(ctx, res.Indices, 1000, 1, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

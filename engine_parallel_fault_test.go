@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -58,6 +59,97 @@ func TestParallelWorkerPanicTyped(t *testing.T) {
 	}
 	if got := fault.Fired(fault.SiteParallelWorker); got != 1 {
 		t.Fatalf("site fired %d times, want exactly 1", got)
+	}
+}
+
+// TestAverageRegretWorkerPanicTyped: on warm caches the sampled
+// evaluator's fan-out runs under AverageRegret's panic boundary, as
+// EvaluateMRR's and WorstUtility's do: one worker panic surfaces as a
+// *NumericalError whose text carries no solver configuration, since
+// no solver ran.
+func TestAverageRegretWorkerPanicTyped(t *testing.T) {
+	armed(t)
+	ds := parallelFaultDataset(t)
+	sel := []int{0, 1, 2, 3, 4}
+	if _, err := ds.EvaluateMRR(sel); err != nil { // warm the caches
+		t.Fatal(err)
+	}
+	setGOMAXPROCS(t, 4)
+	fault.Arm(fault.SiteParallelWorker, 1)
+	avg, err := ds.AverageRegret(sel, 256, 1)
+	var ne *NumericalError
+	if !errors.As(err, &ne) || ne.PanicValue == nil {
+		t.Fatalf("want a recovered-panic *NumericalError, got avg=%v err=%v", avg, err)
+	}
+	if !strings.Contains(fmt.Sprint(ne.PanicValue), "injected panic in parallel worker") {
+		t.Fatalf("panic value %v is not the injected one", ne.PanicValue)
+	}
+	if msg := err.Error(); !strings.HasPrefix(msg, "kregret: AverageRegret panicked: ") {
+		t.Fatalf("error text %q names solver fields outside a solver run", msg)
+	}
+	if got := fault.Fired(fault.SiteParallelWorker); got != 1 {
+		t.Fatalf("site fired %d times, want exactly 1", got)
+	}
+	fault.Reset()
+	if _, err := ds.AverageRegret(sel, 256, 1); err != nil {
+		t.Fatalf("unfaulted AverageRegret after the panic: %v", err)
+	}
+}
+
+// TestCacheFillPanicLeavesEpochUsable: a worker panic inside a lazy
+// per-epoch cache fill (the skyline pass EvaluateMRR triggers on a
+// cold dataset) returns a *NumericalError and leaves the cache
+// unfilled, so later calls on the same epoch recompute the skyline,
+// happy points and answers a fresh dataset computes.
+func TestCacheFillPanicLeavesEpochUsable(t *testing.T) {
+	armed(t)
+	pts := testPoints(20000, 4, 5)
+	ds, err := NewDataset(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setGOMAXPROCS(t, 4)
+	fault.Arm(fault.SiteParallelWorker, 1)
+	_, err = ds.EvaluateMRR([]int{0})
+	var ne *NumericalError
+	if !errors.As(err, &ne) || ne.PanicValue == nil {
+		t.Fatalf("want a recovered-panic *NumericalError, got %v", err)
+	}
+	if fault.Fired(fault.SiteParallelWorker) != 1 {
+		t.Fatalf("site fired %d times, want exactly 1", fault.Fired(fault.SiteParallelWorker))
+	}
+	fault.Reset()
+
+	fresh, err := NewDataset(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, get := range map[string]func(*Dataset) ([]int, error){
+		"Skyline":     (*Dataset).Skyline,
+		"HappyPoints": (*Dataset).HappyPoints,
+	} {
+		got, err := get(ds)
+		if err != nil {
+			t.Fatalf("%s after the panic: %v", name, err)
+		}
+		want, err := get(fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s after the panic: %d indices, fresh dataset %d", name, len(got), len(want))
+		}
+	}
+	got, err := ds.Query(10)
+	if err != nil {
+		t.Fatalf("Query after the panic: %v", err)
+	}
+	want, err := fresh.Query(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Query after the panic = %+v, fresh dataset %+v", got, want)
 	}
 }
 

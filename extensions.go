@@ -49,7 +49,11 @@ func (d *Dataset) QueryAverage(k, samples int, seed int64) (*Answer, float64, er
 	if err != nil {
 		return nil, 0, fmt.Errorf("kregret: %w", err)
 	}
-	mrr, err := core.MRRGeometric(st.pts, res.Indices)
+	x, err := st.evalIndex()
+	if err != nil {
+		return nil, 0, err
+	}
+	mrr, err := x.MRRGeometric(res.Indices)
 	if err != nil {
 		return nil, 0, fmt.Errorf("kregret: %w", err)
 	}

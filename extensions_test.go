@@ -59,6 +59,14 @@ func TestQueryAverage(t *testing.T) {
 	if avg < 0 || avg > ans.MRR+1e-9 {
 		t.Fatalf("average %v vs max %v", avg, ans.MRR)
 	}
+	// Both regrets come from the epoch's one evaluator.
+	mrr, err := ds.EvaluateMRR(ans.Indices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(ans.MRR) != math.Float64bits(mrr) {
+		t.Fatalf("QueryAverage MRR %v != EvaluateMRR %v", ans.MRR, mrr)
+	}
 	if _, _, err := ds.QueryAverage(0, 100, 1); err != ErrBadK {
 		t.Fatalf("k=0: %v", err)
 	}

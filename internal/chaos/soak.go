@@ -140,6 +140,7 @@ func soakPoints(seed int64, n, d int) []kregret.Point {
 			sum += p[j]
 		}
 		for j := range p {
+			//kregret:allow naninf: sum adds d ≥ 1 finite terms that are each ≥ 0.05
 			p[j] = p[j] / sum * (0.8 + 0.4*rng.Float64())
 		}
 		pts[i] = p

@@ -20,7 +20,7 @@ import (
 //
 // In the returned Result, MRR holds the *sampled average* regret
 // ratio of the selection (not the maximum); evaluate with
-// MRRGeometric for the worst case.
+// EvalIndex.MRRGeometric for the worst case.
 func AverageGreedy(pts []geom.Vector, k, samples int, seed int64) (*Result, error) {
 	d, err := validatePoints(pts)
 	if err != nil {

@@ -6,16 +6,15 @@ import (
 
 	"repro/internal/assert"
 	"repro/internal/geom"
-	"repro/internal/happy"
 	"repro/internal/lp"
 )
 
-// ConvexHullPoints returns the indices of D_conv: the points of pts
-// that are extreme points of Conv(pts) (the orthotope convex hull of
-// the paper). By Lemma 3 D_conv ⊆ D_happy, so the happy filter is
-// applied first and each surviving point p is tested for coverage:
-// p is NOT extreme iff it lies in the downward-closed hull of the
-// other candidates, i.e. iff the covering LP
+// ConvexAmongHappy returns the indices of D_conv among the happy
+// points happyIdx of pts: the points that are extreme points of
+// Conv(pts) (the orthotope convex hull of the paper). By Lemma 3
+// D_conv ⊆ D_happy, so only the happy points are tested, each for
+// coverage: p is NOT extreme iff it lies in the downward-closed hull
+// of the other candidates, i.e. iff the covering LP
 //
 //	minimize  Σ_q y_q
 //	subject to Σ_q y_q·q[j] ≥ p[j]  for every dimension j,  y ≥ 0
@@ -24,19 +23,6 @@ import (
 // constraints, so it stays fast even with thousands of candidate
 // columns. Exact duplicates of p are excluded from the covering set
 // so that repeated extreme points are still reported (each copy once).
-func ConvexHullPoints(pts []geom.Vector) ([]int, error) {
-	if _, err := validatePoints(pts); err != nil {
-		return nil, err
-	}
-	hp, err := happy.Compute(pts)
-	if err != nil {
-		return nil, fmt.Errorf("core: happy filter for hull extraction: %w", err)
-	}
-	return convexAmong(pts, hp)
-}
-
-// ConvexAmongHappy is ConvexHullPoints for callers that already hold
-// the happy index set.
 func ConvexAmongHappy(pts []geom.Vector, happyIdx []int) ([]int, error) {
 	if _, err := validatePoints(pts); err != nil {
 		return nil, err

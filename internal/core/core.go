@@ -1,8 +1,12 @@
 // Package core implements the paper's k-regret query algorithms —
 // GeoGreedy and StoredList (Peng & Wong, ICDE 2014) — together with
 // the best-known baseline they are measured against (Greedy,
-// Nanongkai et al., VLDB 2010), exact and sampled regret evaluation,
-// and extraction of the candidate sets D_conv, D_happy and D_sky.
+// Nanongkai et al., VLDB 2010), extraction of the candidate set D_conv
+// and the one regret evaluator, EvalIndex: exact (Lemma 1), sampled
+// and per-utility regret all come from its methods, and every solver
+// that cannot read its regret off its own search state evaluates
+// through one. Reference implementations — the LP regret oracle, D_conv
+// from scratch — live in the package's tests.
 //
 // All algorithms operate on a candidate slice of strictly positive
 // d-dimensional points and return indices into it. By the paper's

@@ -176,8 +176,8 @@ func TestGeoGreedyMatchesGreedy(t *testing.T) {
 			// common case. Sets differing with equal regret are
 			// tolerated only if a tie exists; detect by comparing
 			// sorted mrr of both selections.
-			m1, err1 := MRRGeometric(pts, geo.Indices)
-			m2, err2 := MRRGeometric(pts, grd.Indices)
+			m1, err1 := evalMRR(pts, geo.Indices)
+			m2, err2 := evalMRR(pts, grd.Indices)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("trial %d: eval errors %v %v", trial, err1, err2)
 			}
@@ -242,7 +242,7 @@ func TestMRREvaluatorsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		geo, err := MRRGeometric(pts, res.Indices)
+		geo, err := evalMRR(pts, res.Indices)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func TestMRREvaluatorsAgree(t *testing.T) {
 			t.Fatalf("trial %d: reported MRR %v vs evaluated %v", trial, res.MRR, geo)
 		}
 		// Sampling lower-bounds and approaches the exact value.
-		sampled, err := MRRSampled(pts, res.Indices, 20000, 1)
+		sampled, _, err := sampledRegret(pts, res.Indices, 20000, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -399,7 +399,7 @@ func TestKLessThanD(t *testing.T) {
 	if len(res.Indices) != 3 {
 		t.Fatalf("selected %d points, want 3", len(res.Indices))
 	}
-	mrr, err := MRRGeometric(pts, res.Indices)
+	mrr, err := evalMRR(pts, res.Indices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,19 +427,19 @@ func TestSelectHelper(t *testing.T) {
 
 func TestEvaluateErrors(t *testing.T) {
 	pts := []geom.Vector{{1, 1}, {0.5, 0.5}}
-	if _, err := MRRGeometric(pts, nil); err != ErrEmptySelection {
+	if _, err := evalMRR(pts, nil); err != ErrEmptySelection {
 		t.Fatalf("empty selection: %v", err)
 	}
-	if _, err := MRRGeometric(pts, []int{5}); err == nil {
+	if _, err := evalMRR(pts, []int{5}); err == nil {
 		t.Fatal("out-of-range selection accepted")
 	}
-	if _, err := MRRSampled(pts, []int{0}, 0, 1); err == nil {
+	if _, _, err := sampledRegret(pts, []int{0}, 0, 1); err == nil {
 		t.Fatal("zero samples accepted")
 	}
-	if _, err := RegretOf(pts, []int{0}, geom.Vector{1}); err == nil {
+	if _, err := evalRegretOf(pts, []int{0}, geom.Vector{1}); err == nil {
 		t.Fatal("mismatched weights accepted")
 	}
-	if _, err := RegretOf(pts, []int{0}, geom.Vector{-1, 1}); err == nil {
+	if _, err := evalRegretOf(pts, []int{0}, geom.Vector{-1, 1}); err == nil {
 		t.Fatal("negative weights accepted")
 	}
 }
@@ -453,7 +453,7 @@ func TestRegretOfKnown(t *testing.T) {
 		{0.67, 1.00},
 		{1.00, 0.72},
 	}
-	r, err := RegretOf(pts, []int{1, 2}, geom.Vector{0.7, 0.3})
+	r, err := evalRegretOf(pts, []int{1, 2}, geom.Vector{0.7, 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func TestRegretOfKnown(t *testing.T) {
 		t.Fatalf("regret = %v, want %v", r, want)
 	}
 	// f = (0.3, 0.7): p3 is the overall best and is selected → 0.
-	r, err = RegretOf(pts, []int{1, 2}, geom.Vector{0.3, 0.7})
+	r, err = evalRegretOf(pts, []int{1, 2}, geom.Vector{0.3, 0.7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +478,7 @@ func TestWorstUtility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, witness, err := WorstUtility(pts, res.Indices)
+	w, witness, err := evalWorstUtility(pts, res.Indices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +487,7 @@ func TestWorstUtility(t *testing.T) {
 			t.Fatalf("no worst utility despite MRR %v", res.MRR)
 		}
 		// The regret of that utility must equal the MRR.
-		r, err := RegretOf(pts, res.Indices, w)
+		r, err := evalRegretOf(pts, res.Indices, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -500,7 +500,7 @@ func TestWorstUtility(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	w, witness, err = WorstUtility(pts, all)
+	w, witness, err = evalWorstUtility(pts, all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,11 +516,11 @@ func TestAverageRegretLeqMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	avg, err := AverageRegretSampled(pts, res.Indices, 5000, 2)
+	_, avg, err := sampledRegret(pts, res.Indices, 5000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxr, err := MRRGeometric(pts, res.Indices)
+	maxr, err := evalMRR(pts, res.Indices)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,14 +6,71 @@ package core
 // critical-ratio picture.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
-	"repro/internal/geom"
 	"repro/internal/happy"
 	"repro/internal/hull2d"
 )
+
+// hull2dCriticalRatio returns cr(q, S) for d = 2 in closed form: the
+// ratio ‖q′‖/‖q‖ where q′ is the intersection of ray 0→q with the
+// boundary of the orthotope hull of pts, walked as segments along
+// hull2d's upper-right chain. It returns +Inf if the ray never leaves
+// the hull (cannot happen for positive q against a bounded hull) and
+// an error for non-positive q.
+func hull2dCriticalRatio(pts []hull2d.Point, q hull2d.Point) (float64, error) {
+	if q.X <= 0 || q.Y <= 0 {
+		return 0, fmt.Errorf("hull2d: query point (%g, %g) must be strictly positive", q.X, q.Y)
+	}
+	chain := hull2d.UpperRightChain(pts)
+	var maxX, maxY float64
+	for _, p := range pts {
+		maxX = math.Max(maxX, p.X)
+		maxY = math.Max(maxY, p.Y)
+	}
+	// Build the full boundary as segments: (0,maxY) → chain… → (maxX,0).
+	bound := make([]hull2d.Point, 0, len(chain)+2)
+	bound = append(bound, hull2d.Point{X: 0, Y: maxY})
+	bound = append(bound, chain...)
+	bound = append(bound, hull2d.Point{X: maxX, Y: 0})
+	best := math.Inf(1)
+	for i := 0; i+1 < len(bound); i++ {
+		if t, ok := raySegment(q, bound[i], bound[i+1]); ok && t < best {
+			best = t
+		}
+	}
+	return best, nil
+}
+
+// raySegment returns t such that t·q lies on segment a–b, if the ray
+// 0→q crosses it with t ≥ 0.
+func raySegment(q, a, b hull2d.Point) (float64, bool) {
+	// Solve t·q = a + s(b−a), 0 ≤ s ≤ 1.
+	dx, dy := b.X-a.X, b.Y-a.Y
+	den := q.X*dy - q.Y*dx
+	if math.Abs(den) < 1e-15 {
+		return 0, false
+	}
+	t := (a.X*dy - a.Y*dx) / den
+	if t < 0 {
+		return 0, false
+	}
+	// Parameter along the segment, computed against the larger delta
+	// (den ≠ 0 guarantees the segment is not a point).
+	var s float64
+	if math.Abs(dx) >= math.Abs(dy) {
+		s = (t*q.X - a.X) / dx
+	} else {
+		s = (t*q.Y - a.Y) / dy
+	}
+	if s < -1e-9 || s > 1+1e-9 {
+		return 0, false
+	}
+	return t, true
+}
 
 // TestDualCriticalRatioMatchesHull2D: cr(q, S) from the dual polytope
 // equals the planar ray/segment computation.
@@ -35,7 +92,7 @@ func TestDualCriticalRatioMatchesHull2D(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			via2D, err := hull2d.CriticalRatio(selPts, hull2d.Point{X: q[0], Y: q[1]})
+			via2D, err := hull2dCriticalRatio(selPts, hull2d.Point{X: q[0], Y: q[1]})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,48 +150,59 @@ func TestHappyAgreesWithCriticalRatioPicture(t *testing.T) {
 	}
 }
 
-// FuzzSubjugates cross-validates the fast O(d²) subjugation test
-// against the explicit facet-enumeration oracle on fuzzer-generated
-// planar and 3-d points.
-func FuzzSubjugates(f *testing.F) {
-	f.Add(0.5, 0.5, 0.5, 0.4, 0.4, 0.4)
-	f.Add(0.1, 1.0, 1.0, 0.2, 0.9, 0.9)
-	f.Add(1.0, 0.05, 0.3, 0.9, 0.1, 0.31)
-	f.Fuzz(func(t *testing.T, a, b, c, x, y, z float64) {
-		clamp := func(v float64) float64 {
-			v = math.Abs(v)
-			v = math.Mod(v, 1)
-			if v < 0.01 {
-				v = 0.01
-			}
-			return v
+func TestCriticalRatioInside(t *testing.T) {
+	pts := []hull2d.Point{{X: 1, Y: 0.1}, {X: 0.1, Y: 1}, {X: 0.7, Y: 0.7}}
+	// A point well inside the hull has critical ratio > 1.
+	cr, err := hull2dCriticalRatio(pts, hull2d.Point{X: 0.3, Y: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cr <= 1 {
+		t.Fatalf("interior cr = %v, want > 1", cr)
+	}
+	// A point on the hull boundary has cr = 1.
+	cr, err = hull2dCriticalRatio(pts, hull2d.Point{X: 0.7, Y: 0.7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(cr-1) > 1e-9 {
+		t.Fatalf("boundary cr = %v, want 1", cr)
+	}
+}
+
+func TestCriticalRatioOutside(t *testing.T) {
+	pts := []hull2d.Point{{X: 1, Y: 0.1}, {X: 0.1, Y: 1}}
+	// (0.9, 0.9) is far outside the hull of these two plus orthotopes.
+	cr, err := hull2dCriticalRatio(pts, hull2d.Point{X: 0.9, Y: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cr >= 1 {
+		t.Fatalf("outside cr = %v, want < 1", cr)
+	}
+}
+
+func TestCriticalRatioRejectsNonPositive(t *testing.T) {
+	if _, err := hull2dCriticalRatio([]hull2d.Point{{X: 1, Y: 1}}, hull2d.Point{X: 0, Y: 1}); err == nil {
+		t.Fatal("non-positive query accepted")
+	}
+}
+
+// TestCriticalRatioAxisAlignedExact: for a single point p = (a, b),
+// the hull is the rectangle [0,a]×[0,b]; the critical ratio of q is
+// min(a/qx, b/qy).
+func TestCriticalRatioRectangleClosedForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 100; trial++ {
+		a, b := 0.2+0.8*rng.Float64(), 0.2+0.8*rng.Float64()
+		qx, qy := 0.05+rng.Float64(), 0.05+rng.Float64()
+		cr, err := hull2dCriticalRatio([]hull2d.Point{{X: a, Y: b}}, hull2d.Point{X: qx, Y: qy})
+		if err != nil {
+			t.Fatal(err)
 		}
-		p := geom.Vector{clamp(a), clamp(b), clamp(c)}
-		q := geom.Vector{clamp(x), clamp(y), clamp(z)}
-		fast, err1 := happy.Subjugates(p, q)
-		oracle, err2 := happy.SubjugatesByPlanes(p, q)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("error mismatch: %v vs %v", err1, err2)
+		want := math.Min(a/qx, b/qy)
+		if math.Abs(cr-want) > 1e-9*(1+want) {
+			t.Fatalf("trial %d: cr = %v, want %v", trial, cr, want)
 		}
-		if err1 != nil {
-			return
-		}
-		if fast != oracle {
-			// Tolerance boundaries can legitimately disagree; accept
-			// only if q is within eps of a facet of Y(p).
-			planes, err := happy.EnumeratePlanes(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, h := range planes {
-				if math.Abs(h.Eval(q)) < 1e-7 {
-					return
-				}
-			}
-			if math.Abs(happy.Membership(p, q)-1) < 1e-7 {
-				return
-			}
-			t.Fatalf("Subjugates(%v, %v) = %v, oracle %v", p, q, fast, oracle)
-		}
-	})
+	}
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/geom"
 )
 
-// Cube is the second algorithm of Nanongkai et al. (VLDB 2010), the
+// CubeCtx is the second algorithm of Nanongkai et al. (VLDB 2010), the
 // paper's reference [12]: a non-adaptive selection with a provable
 // worst-case bound, used in the literature as the cheap baseline
 // against which the greedy family is measured (the regret-minimizing
@@ -20,27 +20,32 @@ import (
 // first d−1 coordinates fall in the cell's lower-left region
 // (coordinates within the cell's upper bounds). The selection has at
 // most k points and maximum regret ratio at most
-// (d−1)/(t + d − 1) — the classic CUBE guarantee.
+// (d−1)/(t + d − 1) — the classic CUBE guarantee (CubeBound).
 //
 // Cube is dominated by Greedy/GeoGreedy in answer quality on real
-// data but is essentially free to compute; it exists here for
-// completeness of the baseline family and as a sanity bound in tests.
-func Cube(pts []geom.Vector, k int) (*Result, error) {
-	return CubeCtx(context.Background(), pts, k)
-}
-
-// CubeCtx is Cube with cooperative cancellation. Cube's own selection
-// pass is linear and essentially free; the context mainly bounds the
-// final exact regret evaluation, which runs on the same dual-hull
-// machinery as GeoGreedy.
+// data but is essentially free to compute; it is the last stage of
+// the degradation chain and a sanity bound in tests. The selection
+// pass is linear; the context bounds the final exact regret
+// evaluation, which runs on the same dual-hull machinery as GeoGreedy.
 func CubeCtx(ctx context.Context, pts []geom.Vector, k int) (*Result, error) {
-	d, err := validatePoints(pts)
+	x, err := NewEvalIndex(pts)
 	if err != nil {
 		return nil, err
 	}
 	if k < 1 {
 		return nil, ErrBadK
 	}
+	sel := cubeSelection(pts, k)
+	mrr, err := x.MRRGeometricParCtx(ctx, sel, 1)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Indices: sel, MRR: mrr, ExhaustedAt: -1}, nil
+}
+
+// cubeSelection picks Cube's at most k indices over validated points.
+func cubeSelection(pts []geom.Vector, k int) []int {
+	d := len(pts[0])
 	if k > len(pts) {
 		k = len(pts)
 	}
@@ -52,11 +57,7 @@ func CubeCtx(ctx context.Context, pts []geom.Vector, k int) (*Result, error) {
 				best = i
 			}
 		}
-		mrr, err := MRRGeometricParCtx(ctx, pts, []int{best}, 1)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Indices: []int{best}, MRR: mrr, ExhaustedAt: -1}, nil
+		return []int{best}
 	}
 	if k < d {
 		// The guarantee needs at least d points (Section VII of the
@@ -66,11 +67,7 @@ func CubeCtx(ctx context.Context, pts []geom.Vector, k int) (*Result, error) {
 		if len(sel) > k {
 			sel = sel[:k]
 		}
-		mrr, err := MRRGeometricParCtx(ctx, pts, sel, 1)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Indices: sel, MRR: mrr, ExhaustedAt: -1}, nil
+		return sel
 	}
 
 	t := int(math.Floor(math.Pow(float64(k-d+1), 1/float64(d-1))))
@@ -127,15 +124,11 @@ func CubeCtx(ctx context.Context, pts []geom.Vector, k int) (*Result, error) {
 	if len(sel) > k {
 		sel = sel[:k]
 	}
-	mrr, err := MRRGeometricParCtx(ctx, pts, sel, 1)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Indices: sel, MRR: mrr, ExhaustedAt: -1}, nil
+	return sel
 }
 
 // CubeBound returns the CUBE guarantee (d−1)/(t+d−1) for the given
-// k and d (t as in Cube). It is an upper bound on the regret of the
+// k and d (t as in CubeCtx). It is an upper bound on the regret of the
 // Cube selection when k ≥ d.
 func CubeBound(k, d int) float64 {
 	if d < 2 || k < d {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,7 +10,7 @@ import (
 func TestCubeBasics(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	pts := antiCorrelated(rng, 200, 3)
-	res, err := Cube(pts, 20)
+	res, err := CubeCtx(context.Background(), pts, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,12 +23,12 @@ func TestCubeBasics(t *testing.T) {
 }
 
 func TestCubeValidation(t *testing.T) {
-	if _, err := Cube(nil, 3); err != ErrNoPoints {
+	if _, err := CubeCtx(context.Background(), nil, 3); err != ErrNoPoints {
 		t.Fatalf("empty: %v", err)
 	}
 	rng := rand.New(rand.NewSource(1))
 	pts := antiCorrelated(rng, 10, 3)
-	if _, err := Cube(pts, 0); err != ErrBadK {
+	if _, err := CubeCtx(context.Background(), pts, 0); err != ErrBadK {
 		t.Fatalf("k=0: %v", err)
 	}
 }
@@ -35,11 +36,11 @@ func TestCubeValidation(t *testing.T) {
 func TestCubeDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	pts := antiCorrelated(rng, 300, 4)
-	a, err := Cube(pts, 25)
+	a, err := CubeCtx(context.Background(), pts, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Cube(pts, 25)
+	b, err := CubeCtx(context.Background(), pts, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestCubeGuarantee(t *testing.T) {
 		d := 2 + rng.Intn(3)
 		pts := antiCorrelated(rng, 150+rng.Intn(300), d)
 		k := 3*d + rng.Intn(40)
-		res, err := Cube(pts, k)
+		res, err := CubeCtx(context.Background(), pts, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +80,7 @@ func TestCubeVsGreedy(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		pts := antiCorrelated(rng, 200, 3)
 		k := 8 + rng.Intn(10)
-		cube, err := Cube(pts, k)
+		cube, err := CubeCtx(context.Background(), pts, k)
 		if err != nil {
 			t.Fatal(err)
 		}

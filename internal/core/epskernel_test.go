@@ -34,7 +34,7 @@ func TestEpsKernelZeroIsExact(t *testing.T) {
 	if res.MRR > geom.Eps {
 		t.Fatalf("eps=0 kernel reports MRR %v", res.MRR)
 	}
-	mrr, err := MRRGeometric(pts, res.Indices)
+	mrr, err := evalMRR(pts, res.Indices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestEpsKernelBoundHolds(t *testing.T) {
 			if res.MRR > eps+geom.Eps {
 				t.Fatalf("d=%d eps=%v: kernel reports MRR %v", d, eps, res.MRR)
 			}
-			mrr, err := MRRGeometric(pts, res.Indices)
+			mrr, err := evalMRR(pts, res.Indices)
 			if err != nil {
 				t.Fatal(err)
 			}

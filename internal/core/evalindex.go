@@ -1,11 +1,11 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-
-	"context"
 
 	"repro/internal/assert"
 	"repro/internal/geom"
@@ -13,8 +13,27 @@ import (
 	"repro/internal/parallel"
 )
 
-// EvalIndex is the reusable evaluation substrate for one dataset: the
-// points flattened into a row-major mat.PointMatrix (built once, so
+// ErrEmptySelection is returned when evaluating an empty selection.
+var ErrEmptySelection = errors.New("core: empty selection")
+
+// checkSelection validates a selection index set against the dataset.
+func checkSelection(pts []geom.Vector, sel []int) error {
+	if len(sel) == 0 {
+		return ErrEmptySelection
+	}
+	for _, i := range sel {
+		if i < 0 || i >= len(pts) {
+			return fmt.Errorf("%w: %d (n=%d)", ErrBadSubset, i, len(pts))
+		}
+	}
+	return nil
+}
+
+// EvalIndex is the one regret evaluator: the exact (Lemma 1), sampled
+// and per-utility regret of a selection are computed by its methods,
+// for callers and for every solver that cannot read its regret off its
+// own search state. It is the reusable evaluation substrate for one
+// dataset: the points flattened into a row-major mat.PointMatrix (built once, so
 // every later scan is a contiguous kernel sweep instead of a
 // pointer-chase over []geom.Vector), plus an optional extreme set —
 // the skyline indices — that the "max over D" side of every evaluator
@@ -29,9 +48,9 @@ import (
 // differential suite asserts pruned and full-scan evaluators agree
 // byte-identically on every distribution, dimension and worker count.
 //
-// The zero extreme set (SetExtreme never called) means full scans:
-// the free-function evaluators and the reference side of the
-// differential tests.
+// The zero extreme set (SetExtreme never called) means full scans: the
+// solvers' one-off evaluations of their own candidates and the
+// reference side of the differential tests.
 type EvalIndex struct {
 	pts  []geom.Vector
 	m    *mat.PointMatrix
@@ -71,9 +90,6 @@ func (x *EvalIndex) SetExtreme(idx []int) error {
 	return nil
 }
 
-// Pruned reports whether an extreme set is installed.
-func (x *EvalIndex) Pruned() bool { return x.extM != nil }
-
 // scanMatrix returns the matrix the max-over-D scans run on: the
 // extreme submatrix when pruning is on, the full matrix otherwise.
 func (x *EvalIndex) scanMatrix() *mat.PointMatrix {
@@ -91,12 +107,13 @@ func (x *EvalIndex) scanIndex(i int) int {
 	return i
 }
 
-// buildHull constructs the dual hull Q(S) of the selection, inserting
-// every selected point under the context.
-func (x *EvalIndex) buildHull(ctx context.Context, sel []int) (*dualHull, error) {
+// buildHull constructs the dual hull Q(S) of the selection sel over
+// pts, inserting every selected point under the context. The
+// selection must already be checked against pts.
+func buildHull(ctx context.Context, pts []geom.Vector, sel []int) (*dualHull, error) {
 	selPts := make([]geom.Vector, len(sel))
 	for i, s := range sel {
-		selPts[i] = x.pts[s]
+		selPts[i] = pts[s]
 	}
 	hull, err := newDualHull(maxPerDim(selPts))
 	if err != nil {
@@ -139,15 +156,32 @@ func (x *EvalIndex) supportScan(ctx context.Context, hull *dualHull, workers int
 	return vals, nil
 }
 
-// MRRGeometricParCtx is the exact maximum regret ratio of sel
-// (Lemma 1), scanned over the extreme set when pruning is on — the
-// result is bit-identical either way, because the maximum support over
-// D is attained at a skyline point with equal bits.
+// MRRGeometric is MRRGeometricParCtx without a context, on the exact
+// sequential path.
+func (x *EvalIndex) MRRGeometric(sel []int) (float64, error) {
+	return x.MRRGeometricParCtx(context.Background(), sel, 1)
+}
+
+// MRRGeometricParCtx is the exact maximum regret ratio of sel over the
+// dataset by the paper's Lemma 1: mrr(S) = 1 − min_q cr(q, S), with
+// critical ratios read off the dual hull of S. It is scanned over the
+// extreme set when pruning is on — the result is bit-identical either
+// way, because the maximum support over D is attained at a skyline
+// point with equal bits.
+//
+// The context is checked inside every dual-hull insertion and once per
+// support-scan batch; the returned error wraps ctx.Err() when
+// canceled. The per-point support scan fans out over up to `workers`
+// goroutines (0 = GOMAXPROCS, 1 = the exact sequential path); the hull
+// is read-only during the scan and the max fold runs in row order, so
+// the result is identical for every worker count. A NaN support
+// poisons the fold and surfaces as ErrDegenerate instead of being
+// silently dropped.
 func (x *EvalIndex) MRRGeometricParCtx(ctx context.Context, sel []int, workers int) (float64, error) {
 	if err := checkSelection(x.pts, sel); err != nil {
 		return 0, err
 	}
-	hull, err := x.buildHull(ctx, sel)
+	hull, err := buildHull(ctx, x.pts, sel)
 	if err != nil {
 		return 0, err
 	}
@@ -202,7 +236,9 @@ func (x *EvalIndex) regretOf(sel []int, w geom.Vector) float64 {
 	return r
 }
 
-// RegretOf is the validated public form of regretOf (Definition 1).
+// RegretOf returns rr(S, f) for the linear utility with weight vector
+// w (Definition 1): 1 − max_{p∈S} w·p / max_{q∈D} w·q. It is the
+// validated form of regretOf.
 func (x *EvalIndex) RegretOf(sel []int, w geom.Vector) (float64, error) {
 	if err := checkSelection(x.pts, sel); err != nil {
 		return 0, err
@@ -216,16 +252,29 @@ func (x *EvalIndex) RegretOf(sel []int, w geom.Vector) (float64, error) {
 	return x.regretOf(sel, w), nil
 }
 
-// sampledRegrets draws `samples` utilities from the seeded generator
-// and fills their regret ratios, fanning the per-utility evaluation
-// out over the workers. The returned slice comes from the scratch
-// pool; the caller must putFloatScratch it.
-func (x *EvalIndex) sampledRegrets(ctx context.Context, sel []int, samples int, seed int64, workers int) ([]float64, error) {
+// sampleCtxBatch is the number of per-utility regret evaluations
+// between cancellation checks; each evaluation already scans the full
+// extreme set, so a small batch keeps cancellation prompt.
+const sampleCtxBatch = 16
+
+// SampledRegretParCtx estimates the regret of sel over `samples`
+// linear utilities with weight vectors drawn from the seeded generator
+// uniformly on the non-negative unit sphere. It returns the worst
+// sampled regret, which lower-bounds the exact maximum regret ratio
+// and converges to it, and the mean, the average regret ratio of the
+// paper's first future direction (Section VIII).
+//
+// The utilities are drawn sequentially, so the sample set is the same
+// for every worker count; their regrets are evaluated in parallel into
+// per-sample slots and both folds run sequentially in sample order
+// (float addition is order-dependent), so both estimates are
+// byte-identical at every width.
+func (x *EvalIndex) SampledRegretParCtx(ctx context.Context, sel []int, samples int, seed int64, workers int) (worst, mean float64, err error) {
 	if err := checkSelection(x.pts, sel); err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	if samples < 1 {
-		return nil, fmt.Errorf("core: samples must be positive, got %d", samples)
+		return 0, 0, fmt.Errorf("core: samples must be positive, got %d", samples)
 	}
 	d := len(x.pts[0])
 	rng := rand.New(rand.NewSource(seed))
@@ -241,7 +290,8 @@ func (x *EvalIndex) sampledRegrets(ctx context.Context, sel []int, samples int, 
 		ws[s] = w
 	}
 	regrets := floatScratch(samples)
-	err := parallel.For(ctx, samples, workers, 1, func(start, end int) error {
+	defer putFloatScratch(regrets)
+	err = parallel.For(ctx, samples, workers, 1, func(start, end int) error {
 		for s := start; s < end; s++ {
 			if (s-start)%sampleCtxBatch == 0 {
 				if err := ctx.Err(); err != nil {
@@ -253,52 +303,55 @@ func (x *EvalIndex) sampledRegrets(ctx context.Context, sel []int, samples int, 
 		return nil
 	})
 	if err != nil {
-		putFloatScratch(regrets)
-		return nil, err
+		return 0, 0, err
 	}
-	return regrets, nil
-}
-
-// MRRSampledParCtx estimates the maximum regret ratio over `samples`
-// seeded random utilities (see the package-level MRRSampled).
-func (x *EvalIndex) MRRSampledParCtx(ctx context.Context, sel []int, samples int, seed int64, workers int) (float64, error) {
-	regrets, err := x.sampledRegrets(ctx, sel, samples, seed, workers)
-	if err != nil {
-		return 0, err
-	}
-	defer putFloatScratch(regrets)
-	worst := 0.0
+	var sum float64
 	for _, r := range regrets {
 		if r > worst {
 			worst = r
 		}
-	}
-	return worst, nil
-}
-
-// AverageRegretSampledParCtx estimates the average regret ratio over
-// `samples` seeded random utilities; the sum folds sequentially in
-// sample order so the estimate is byte-identical at every worker
-// count.
-func (x *EvalIndex) AverageRegretSampledParCtx(ctx context.Context, sel []int, samples int, seed int64, workers int) (float64, error) {
-	regrets, err := x.sampledRegrets(ctx, sel, samples, seed, workers)
-	if err != nil {
-		return 0, err
-	}
-	defer putFloatScratch(regrets)
-	var sum float64
-	for _, r := range regrets {
 		sum += r
 	}
-	// sampledRegrets rejects samples < 1, so the divisor is ≥ 1.
 	//kregret:allow naninf: samples validated positive above
-	return sum / float64(samples), nil
+	return worst, sum / float64(samples), nil
 }
 
-// WorstUtilityParCtx returns a maximum regret ratio utility of the
-// selection (Definition 2) and the witness point attaining it,
-// scanning supports in parallel (see the package-level WorstUtility
-// for the contract). The fold is first-max in row order with the same
+// randomUtility draws a weight vector uniformly from the unit sphere
+// restricted to the non-negative orthant (absolute Gaussian
+// components, normalized).
+func randomUtility(rng *rand.Rand, d int) geom.Vector {
+	w := make(geom.Vector, d)
+	randomUtilityInto(rng, w)
+	return w
+}
+
+// randomUtilityInto is randomUtility writing into caller-provided
+// storage — SampledRegretParCtx draws thousands per call and pools
+// one flat backing instead.
+func randomUtilityInto(rng *rand.Rand, w geom.Vector) {
+	for {
+		var norm float64
+		for j := range w {
+			w[j] = math.Abs(rng.NormFloat64())
+			norm += w[j] * w[j]
+		}
+		if norm > 1e-18 {
+			norm = math.Sqrt(norm)
+			for j := range w {
+				w[j] /= norm
+			}
+			return
+		}
+	}
+}
+
+// WorstUtilityParCtx returns a maximum regret ratio function of the
+// selection (Definition 2): the facet normal of Conv(S) whose critical
+// point realizes the minimum critical ratio, normalized to unit
+// length, together with the index of the witness point that attains
+// the regret. When the regret is zero it returns a nil vector and
+// witness −1. The support scan fans out as in MRRGeometricParCtx, and
+// the fold is first-max in row order with the same
 // 1+eps threshold and NaN-skipping comparison the sequential scan
 // used, so the witness is identical at every worker count. Under
 // pruning the witness maps back through the extreme set; it can differ
@@ -309,7 +362,7 @@ func (x *EvalIndex) WorstUtilityParCtx(ctx context.Context, sel []int, workers i
 	if err := checkSelection(x.pts, sel); err != nil {
 		return nil, -1, err
 	}
-	hull, err := x.buildHull(ctx, sel)
+	hull, err := buildHull(ctx, x.pts, sel)
 	if err != nil {
 		return nil, -1, err
 	}

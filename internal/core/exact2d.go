@@ -28,11 +28,11 @@ var ErrNeed2D = errors.New("core: Exact2D requires 2-dimensional points")
 // exactly on the final selection (Lemma 1), so it is not merely an
 // upper bound from the search tolerance.
 func Exact2D(pts []geom.Vector, k int) (*Result, error) {
-	d, err := validatePoints(pts)
+	x, err := NewEvalIndex(pts)
 	if err != nil {
 		return nil, err
 	}
-	if d != 2 {
+	if len(pts[0]) != 2 {
 		return nil, ErrNeed2D
 	}
 	if k < 1 {
@@ -50,21 +50,16 @@ func Exact2D(pts []geom.Vector, k int) (*Result, error) {
 		return coverWithBudget(pts, cand, r, k)
 	}
 
-	if sel, ok := feasible(0); ok {
-		mrr, err := MRRGeometric(pts, sel)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Indices: sel, MRR: mrr, ExhaustedAt: -1}, nil
-	}
-	lo, hi := 0.0, 1.0
-	var best []int
-	for iter := 0; iter < 64; iter++ {
-		mid := (lo + hi) / 2
-		if sel, ok := feasible(mid); ok {
-			best, hi = sel, mid
-		} else {
-			lo = mid
+	best, ok := feasible(0)
+	if !ok {
+		lo, hi := 0.0, 1.0
+		for iter := 0; iter < 64; iter++ {
+			mid := (lo + hi) / 2
+			if sel, ok := feasible(mid); ok {
+				best, hi = sel, mid
+			} else {
+				lo = mid
+			}
 		}
 	}
 	if best == nil {
@@ -72,7 +67,7 @@ func Exact2D(pts []geom.Vector, k int) (*Result, error) {
 		// everything; reaching here indicates numerical trouble.
 		return nil, errors.New("core: Exact2D search failed to find a feasible selection")
 	}
-	mrr, err := MRRGeometric(pts, best)
+	mrr, err := x.MRRGeometric(best)
 	if err != nil {
 		return nil, err
 	}

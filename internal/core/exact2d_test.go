@@ -43,7 +43,7 @@ func bruteForceOptimal2D(t *testing.T, pts []geom.Vector, k int) float64 {
 			if len(chosen) == 0 {
 				return
 			}
-			mrr, err := MRRGeometric(pts, chosen)
+			mrr, err := evalMRR(pts, chosen)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +153,7 @@ func TestAverageGreedyBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	avgOfGeo, err := AverageRegretSampled(pts, geo.Indices, 3000, 1)
+	_, avgOfGeo, err := sampledRegret(pts, geo.Indices, 3000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,18 +43,9 @@ func FacesOfCtx(ctx context.Context, pts []geom.Vector, sel []int) ([]Face, erro
 	if err := checkSelection(pts, sel); err != nil {
 		return nil, err
 	}
-	selPts := make([]geom.Vector, len(sel))
-	for i, s := range sel {
-		selPts[i] = pts[s]
-	}
-	hull, err := newDualHull(maxPerDim(selPts))
+	hull, err := buildHull(ctx, pts, sel)
 	if err != nil {
 		return nil, err
-	}
-	for _, p := range selPts {
-		if _, err := hull.insert(ctx, p); err != nil {
-			return nil, err
-		}
 	}
 	var faces []Face
 	for _, v := range hull.poly.Vertices() {
@@ -82,6 +73,10 @@ func FacesOfCtx(ctx context.Context, pts []geom.Vector, sel []int) ([]Face, erro
 		offsets := make([]float64, len(faces))
 		for i, f := range faces {
 			normals[i], offsets[i] = f.Normal, f.Offset
+		}
+		selPts := make([]geom.Vector, len(sel))
+		for i, s := range sel {
+			selPts[i] = pts[s]
 		}
 		assert.DownwardClosed(normals, offsets, selPts, geom.LooseEps)
 	}
@@ -111,18 +106,9 @@ func CriticalRatioOfCtx(ctx context.Context, pts []geom.Vector, sel []int, q geo
 	if !q.IsFinite() || !q.AllPositive() {
 		return 0, ErrBadPoint
 	}
-	selPts := make([]geom.Vector, len(sel))
-	for i, s := range sel {
-		selPts[i] = pts[s]
-	}
-	hull, err := newDualHull(maxPerDim(selPts))
+	hull, err := buildHull(ctx, pts, sel)
 	if err != nil {
 		return 0, err
-	}
-	for _, p := range selPts {
-		if _, err := hull.insert(ctx, p); err != nil {
-			return 0, err
-		}
 	}
 	cr := hull.criticalRatio(q)
 	if assert.Enabled {

@@ -26,7 +26,7 @@ import (
 // on the skyline or the raw dataset is allowed and reproduces the
 // paper's D_sky experiments.
 func GeoGreedy(pts []geom.Vector, k int) (*Result, error) {
-	return geoGreedyTrace(context.Background(), pts, k, 1, nil)
+	return GeoGreedyParCtx(context.Background(), pts, k, 1)
 }
 
 // GeoGreedyParCtx is GeoGreedy with cooperative cancellation and
@@ -42,17 +42,7 @@ func GeoGreedy(pts []geom.Vector, k int) (*Result, error) {
 // NaN supports surface as ErrDegenerate with the lowest poisoned
 // candidate, exactly as the sequential scan reports them.
 func GeoGreedyParCtx(ctx context.Context, pts []geom.Vector, k, workers int) (*Result, error) {
-	return geoGreedyTrace(ctx, pts, k, workers, nil)
-}
-
-// GeoGreedyTraceParCtx is GeoGreedyParCtx plus a per-insertion
-// callback: after every selection step the callback receives the
-// selected index and the maximum regret ratio of the selection so far.
-// StoredList uses it to materialize the full insertion order with
-// prefix regrets. The callback itself is always invoked from the
-// calling goroutine, in selection order.
-func GeoGreedyTraceParCtx(ctx context.Context, pts []geom.Vector, k, workers int, onSelect func(index int, mrrSoFar float64)) (*Result, error) {
-	return geoGreedyTrace(ctx, pts, k, workers, onSelect)
+	return greedyHullTrace(ctx, pts, k, workers, 1.0, nil, nil)
 }
 
 // scanBatch is the number of candidate-support computations between
@@ -96,16 +86,21 @@ type candState struct {
 	taken   bool
 }
 
-func geoGreedyTrace(ctx context.Context, pts []geom.Vector, k, workers int, onSelect func(int, float64)) (*Result, error) {
-	return greedyHullTrace(ctx, pts, k, workers, 1.0, nil, onSelect)
-}
-
 // greedyHullTrace is the shared greedy dual-hull loop behind GeoGreedy
 // (stop = 1: select while some candidate is strictly outside the hull)
 // and EpsKernel (stop = 1/(1−ε): select while some candidate's support
 // exceeds the ε-kernel slack). extraSeeds, when non-nil, are inserted
 // after the dimension boundary points and before the assignment scan,
 // so the scan prices every candidate against the fully seeded hull.
+// onSelect, when non-nil, receives every selected index with the
+// maximum regret ratio of the selection so far, on the calling
+// goroutine and in selection order — StoredList materializes its
+// insertion order and prefix regrets through it.
+//
+// The cached supports price only the full boundary seed batch, so a
+// regret they cannot give — a seed prefix reported to onSelect, or
+// the whole selection when k truncates the seeds — is evaluated
+// exactly (Lemma 1) on one full-scan EvalIndex, built on first use.
 func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, stop float64, extraSeeds []int, onSelect func(int, float64)) (*Result, error) {
 	if _, err := validatePoints(pts); err != nil {
 		return nil, err
@@ -135,12 +130,25 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 	states := candStateScratch(len(pts))
 	defer putCandStateScratch(states)
 
+	// exactMRR is the lazily built evaluator of the doc comment.
+	var x *EvalIndex
+	exactMRR := func(sel []int) (float64, error) {
+		if x == nil {
+			var err error
+			if x, err = NewEvalIndex(pts); err != nil {
+				return 0, err
+			}
+		}
+		return x.MRRGeometricParCtx(ctx, sel, workers)
+	}
+
 	// Seed: the per-dimension boundary points (at most d, fewer on
 	// duplicates; truncated if k < d, in which case the regret is
 	// unbounded per the paper's Section VII discussion but the
 	// algorithm still returns its best effort).
 	seeds := BoundaryPoints(pts)
-	truncatedSeeds := len(seeds) > k
+	nBoundary := len(seeds)
+	truncatedSeeds := nBoundary > k
 	if truncatedSeeds {
 		seeds = seeds[:k]
 	}
@@ -210,8 +218,14 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 		if err != nil {
 			return nil, err
 		}
-		for _, i := range selected {
-			onSelect(i, mrr)
+		for j, i := range selected {
+			m := mrr
+			if j+1 < nBoundary {
+				if m, err = exactMRR(selected[:j+1]); err != nil {
+					return nil, err
+				}
+			}
+			onSelect(i, m)
 		}
 	}
 
@@ -320,11 +334,9 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 		// clip Q(S), so cached supports underestimate the regret —
 		// the paper's unbounded k < d regime (Section VII).
 		// Re-evaluate exactly from the selection alone.
-		exact, err := MRRGeometricParCtx(ctx, pts, selected, workers)
-		if err != nil {
+		if mrr, err = exactMRR(selected); err != nil {
 			return nil, err
 		}
-		mrr = exact
 	}
 	if math.IsNaN(mrr) || math.IsInf(mrr, 0) {
 		return nil, fmt.Errorf("%w: GeoGreedy regret ratio is %g", ErrDegenerate, mrr)

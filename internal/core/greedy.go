@@ -26,8 +26,14 @@ import (
 // same selection (ties aside) — property-tested — while their
 // runtime profiles differ exactly as the paper reports.
 func Greedy(pts []geom.Vector, k int) (*Result, error) {
-	return greedyPar(context.Background(), pts, k, 1)
+	return GreedyParCtx(context.Background(), pts, k, 1)
 }
+
+// grainLP is the minimum-work grain for per-candidate LP sweeps:
+// sweeps under 2*grainLP candidates run inline (see the cutoff in
+// parallel.newPlan), because at that size the whole sweep costs less
+// than the goroutine fan-out it would buy.
+const grainLP = 1024
 
 // GreedyParCtx is Greedy with cooperative cancellation and
 // intra-query parallelism. The context is checked before every
@@ -41,16 +47,6 @@ func Greedy(pts []geom.Vector, k int) (*Result, error) {
 // index order, so the selection is byte-identical to the sequential
 // one for every worker count.
 func GreedyParCtx(ctx context.Context, pts []geom.Vector, k, workers int) (*Result, error) {
-	return greedyPar(ctx, pts, k, workers)
-}
-
-// grainLP is the minimum-work grain for per-candidate LP sweeps:
-// sweeps under 2*grainLP candidates run inline (see the cutoff in
-// parallel.newPlan), because at that size the whole sweep costs less
-// than the goroutine fan-out it would buy.
-const grainLP = 1024
-
-func greedyPar(ctx context.Context, pts []geom.Vector, k, workers int) (*Result, error) {
 	_, err := validatePoints(pts)
 	if err != nil {
 		return nil, err
@@ -146,11 +142,13 @@ func greedyPar(ctx context.Context, pts []geom.Vector, k, workers int) (*Result,
 		}
 		z := zs[i]
 		if math.IsInf(z, 1) {
-			exact, err := MRRGeometricParCtx(ctx, pts, selected, workers)
+			x, err := NewEvalIndex(pts)
 			if err != nil {
 				return nil, err
 			}
-			mrr = exact
+			if mrr, err = x.MRRGeometricParCtx(ctx, selected, workers); err != nil {
+				return nil, err
+			}
 			break
 		}
 		if z > 1 {
@@ -173,17 +171,12 @@ func consFor(cons []lp.Constraint, pts []geom.Vector, selected []int) []lp.Const
 	return cons
 }
 
-// supportByLP solves max{ω·q : ω ≥ 0, ω·pts[i] ≤ 1 ∀i ∈ selected}.
+// supportByLPCons solves max{ω·q : ω ≥ 0, ω·p ≤ 1 ∀p ∈ S} over the
+// selection's prebuilt constraint rows (consFor), so the per-iteration
+// fan-out shares one constraint slice across all candidate solves.
 // The optimum is 1/cr(q, S). Unbounded LPs (possible only when the
 // selection does not yet span every dimension, e.g. k < d) are
 // reported as +Inf.
-func supportByLP(ctx context.Context, pts []geom.Vector, selected []int, q geom.Vector) (float64, error) {
-	return supportByLPCons(ctx, consFor(nil, pts, selected), q)
-}
-
-// supportByLPCons is supportByLP over prebuilt constraint rows, so
-// the per-iteration fan-out shares one constraint slice across all
-// candidate solves.
 func supportByLPCons(ctx context.Context, cons []lp.Constraint, q geom.Vector) (float64, error) {
 	sol, err := lp.SolveCtx(ctx, &lp.Problem{Objective: q, Maximize: true, Constraints: cons})
 	if err != nil {

@@ -193,31 +193,32 @@ func TestEvaluatorsParallelMatchSequential(t *testing.T) {
 				t.Fatalf("%s d=%d selection: %v", name, d, err)
 			}
 			sel := res.Indices
+			x, err := NewEvalIndex(pts)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-			refG, err := MRRGeometricParCtx(ctx, pts, sel, 1)
+			refG, err := x.MRRGeometricParCtx(ctx, sel, 1)
 			if err != nil {
 				t.Fatalf("%s d=%d geometric sequential: %v", name, d, err)
 			}
-			refS, err := MRRSampledParCtx(ctx, pts, sel, 300, 5, 1)
+			refS, refA, err := x.SampledRegretParCtx(ctx, sel, 300, 5, 1)
 			if err != nil {
 				t.Fatalf("%s d=%d sampled sequential: %v", name, d, err)
 			}
-			refA, err := AverageRegretSampledParCtx(ctx, pts, sel, 300, 5, 1)
-			if err != nil {
-				t.Fatalf("%s d=%d average sequential: %v", name, d, err)
-			}
 			for _, w := range diffWorkers {
-				if got, err := MRRGeometricParCtx(ctx, pts, sel, w); err != nil || got != refG {
+				if got, err := x.MRRGeometricParCtx(ctx, sel, w); err != nil || got != refG {
 					t.Errorf("%s d=%d workers=%d geometric: (%.17g, %v), want (%.17g, nil)",
 						name, d, w, got, err, refG)
 				}
-				if got, err := MRRSampledParCtx(ctx, pts, sel, 300, 5, w); err != nil || got != refS {
+				gotS, gotA, err := x.SampledRegretParCtx(ctx, sel, 300, 5, w)
+				if err != nil || gotS != refS {
 					t.Errorf("%s d=%d workers=%d sampled: (%.17g, %v), want (%.17g, nil)",
-						name, d, w, got, err, refS)
+						name, d, w, gotS, err, refS)
 				}
-				if got, err := AverageRegretSampledParCtx(ctx, pts, sel, 300, 5, w); err != nil || got != refA {
+				if err != nil || gotA != refA {
 					t.Errorf("%s d=%d workers=%d average: (%.17g, %v), want (%.17g, nil)",
-						name, d, w, got, err, refA)
+						name, d, w, gotA, err, refA)
 				}
 			}
 		}

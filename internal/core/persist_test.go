@@ -27,8 +27,8 @@ func TestStoredListSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Len() != list.Len() || loaded.Dim() != list.Dim() {
-		t.Fatalf("shape mismatch: %d/%d vs %d/%d", loaded.Len(), loaded.Dim(), list.Len(), list.Dim())
+	if loaded.Len() != list.Len() || loaded.dim != list.dim {
+		t.Fatalf("shape mismatch: %d/%d vs %d/%d", loaded.Len(), loaded.dim, list.Len(), list.dim)
 	}
 	for k := 1; k <= list.Len(); k++ {
 		a, err := list.Query(k)

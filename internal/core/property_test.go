@@ -31,7 +31,7 @@ func TestPropertyEvaluatorAgreement(t *testing.T) {
 		rng := rand.New(rand.NewSource(selSeed))
 		selN := 1 + rng.Intn(len(pts))
 		sel := rng.Perm(len(pts))[:selN]
-		geo, err1 := MRRGeometric(pts, sel)
+		geo, err1 := evalMRR(pts, sel)
 		viaLP, err2 := MRRByLP(pts, sel)
 		if err1 != nil || err2 != nil {
 			return false
@@ -55,8 +55,8 @@ func TestPropertySelectionMonotone(t *testing.T) {
 		if len(extended) > len(pts) {
 			return true
 		}
-		m1, err1 := MRRGeometric(pts, base)
-		m2, err2 := MRRGeometric(pts, extended)
+		m1, err1 := evalMRR(pts, base)
+		m2, err2 := evalMRR(pts, extended)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -75,7 +75,7 @@ func TestPropertyFullSelectionZero(t *testing.T) {
 		for i := range all {
 			all[i] = i
 		}
-		mrr, err := MRRGeometric(pts, all)
+		mrr, err := evalMRR(pts, all)
 		return err == nil && mrr <= 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -93,7 +93,7 @@ func TestPropertyReportedRegretConsistent(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		mrr, err := MRRGeometric(pts, res.Indices)
+		mrr, err := evalMRR(pts, res.Indices)
 		if err != nil {
 			return false
 		}
@@ -114,15 +114,11 @@ func TestPropertySamplingBounds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		exact, err := MRRGeometric(pts, res.Indices)
+		exact, err := evalMRR(pts, res.Indices)
 		if err != nil {
 			return false
 		}
-		sampled, err := MRRSampled(pts, res.Indices, 500, seed)
-		if err != nil {
-			return false
-		}
-		avg, err := AverageRegretSampled(pts, res.Indices, 500, seed)
+		sampled, avg, err := sampledRegret(pts, res.Indices, 500, seed)
 		if err != nil {
 			return false
 		}
@@ -149,8 +145,8 @@ func TestPropertyRegretScaleInvariant(t *testing.T) {
 			w[j] = rng.Float64()
 		}
 		scale := 0.001 + float64(scaleRaw)/100
-		r1, err1 := RegretOf(pts, res.Indices, w)
-		r2, err2 := RegretOf(pts, res.Indices, w.Scale(scale))
+		r1, err1 := evalRegretOf(pts, res.Indices, w)
+		r2, err2 := evalRegretOf(pts, res.Indices, w.Scale(scale))
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -190,7 +186,7 @@ func TestPropertyCriticalRatioBounds(t *testing.T) {
 				minCR = cr
 			}
 		}
-		mrr, err := MRRGeometric(pts, res.Indices)
+		mrr, err := evalMRR(pts, res.Indices)
 		if err != nil {
 			return false
 		}

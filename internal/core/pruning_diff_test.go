@@ -37,7 +37,7 @@ func prunedPair(t *testing.T, pts []geom.Vector, k int) (*EvalIndex, *EvalIndex,
 	if err := pruned.SetExtreme(sky); err != nil {
 		t.Fatal(err)
 	}
-	if !pruned.Pruned() || full.Pruned() {
+	if pruned.extM == nil || full.extM != nil {
 		t.Fatal("pruning flags wired backwards")
 	}
 	res, err := GeoGreedyParCtx(context.Background(), pts, k, 1)
@@ -73,11 +73,7 @@ func TestPrunedEvaluatorsBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("d=%d %s seed=%d: %v", d, g.name, seed, err)
 				}
-				refSampled, err := full.MRRSampledParCtx(ctx, sel, 48, seed, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				refAvg, err := full.AverageRegretSampledParCtx(ctx, sel, 48, seed, 1)
+				refSampled, refAvg, err := full.SampledRegretParCtx(ctx, sel, 48, seed, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -99,17 +95,13 @@ func TestPrunedEvaluatorsBitIdentical(t *testing.T) {
 							t.Errorf("d=%d %s seed=%d %s workers=%d: MRRGeometric %v != reference %v",
 								d, g.name, seed, x.name, w, mrr, refMRR)
 						}
-						sampled, err := x.ei.MRRSampledParCtx(ctx, sel, 48, seed, w)
+						sampled, avg, err := x.ei.SampledRegretParCtx(ctx, sel, 48, seed, w)
 						if err != nil {
 							t.Fatal(err)
 						}
 						if math.Float64bits(sampled) != math.Float64bits(refSampled) {
 							t.Errorf("d=%d %s seed=%d %s workers=%d: MRRSampled %v != reference %v",
 								d, g.name, seed, x.name, w, sampled, refSampled)
-						}
-						avg, err := x.ei.AverageRegretSampledParCtx(ctx, sel, 48, seed, w)
-						if err != nil {
-							t.Fatal(err)
 						}
 						if math.Float64bits(avg) != math.Float64bits(refAvg) {
 							t.Errorf("d=%d %s seed=%d %s workers=%d: AverageRegretSampled %v != reference %v",
@@ -136,7 +128,7 @@ func TestPrunedEvaluatorsBitIdentical(t *testing.T) {
 							// when a dominated point ties its dominator's
 							// support to the last bit — verify the tie is
 							// exact, so the regret value is still identical.
-							hull, err := full.buildHull(ctx, sel)
+							hull, err := buildHull(ctx, pts, sel)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -214,7 +206,7 @@ func TestSetExtremeRejectsBadInput(t *testing.T) {
 			t.Errorf("SetExtreme accepted %s extreme set %v", name, idx)
 		}
 	}
-	if x.Pruned() {
+	if x.extM != nil {
 		t.Error("rejected extreme sets must not install pruning")
 	}
 }

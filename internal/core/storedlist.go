@@ -65,10 +65,11 @@ func BuildStoredListUpTo(pts []geom.Vector, maxLen int) (*StoredList, error) {
 
 // BuildStoredListUpToParCtx is BuildStoredListUpTo with cooperative
 // cancellation and intra-query parallelism: the underlying GeoGreedy
-// run and the seed-prefix regret fixups fan out over up to `workers`
-// goroutines (0 = GOMAXPROCS, 1 = the exact sequential
-// path). The materialized order and per-prefix regrets are
-// byte-identical for every worker count.
+// run, including the exact regrets of the seed prefixes (evaluated on
+// at most one EvalIndex), fans out over up to `workers` goroutines
+// (0 = GOMAXPROCS, 1 = the exact sequential path). The materialized
+// order and per-prefix regrets are byte-identical for every worker
+// count.
 func BuildStoredListUpToParCtx(ctx context.Context, pts []geom.Vector, maxLen, workers int) (*StoredList, error) {
 	d, err := validatePoints(pts)
 	if err != nil {
@@ -81,7 +82,7 @@ func BuildStoredListUpToParCtx(ctx context.Context, pts []geom.Vector, maxLen, w
 		maxLen = len(pts)
 	}
 	s := &StoredList{dim: d, nCand: len(pts)}
-	res, err := GeoGreedyTraceParCtx(ctx, pts, maxLen, workers, func(idx int, mrr float64) {
+	res, err := greedyHullTrace(ctx, pts, maxLen, workers, 1.0, nil, func(idx int, mrr float64) {
 		s.order = append(s.order, idx)
 		s.mrrAt = append(s.mrrAt, mrr)
 	})
@@ -92,20 +93,6 @@ func BuildStoredListUpToParCtx(ctx context.Context, pts []geom.Vector, maxLen, w
 	// zero: every possible k is served, so the list is complete even
 	// when maxLen < |candidates|.
 	s.complete = res.ExhaustedAt >= 0 || maxLen >= len(pts)
-	// The trace reports the regret after the whole seed batch (the d
-	// dimension boundary points) for each seed entry; queries with
-	// k below the seed count answer with a shorter prefix, so fix
-	// those entries up by exact evaluation (Lemma 1). This keeps
-	// Query/MRRFor consistent with running GeoGreedy directly at the
-	// same k.
-	seedN := len(BoundaryPoints(pts))
-	for i := 0; i < seedN-1 && i < len(s.order); i++ {
-		mrr, err := MRRGeometricParCtx(ctx, pts, s.order[:i+1], workers)
-		if err != nil {
-			return nil, err
-		}
-		s.mrrAt[i] = mrr
-	}
 	return s, nil
 }
 
@@ -114,10 +101,6 @@ func BuildStoredListUpToParCtx(ctx context.Context, pts []geom.Vector, maxLen, w
 // and every further point would be redundant (the prefix already
 // contains all hull extreme points).
 func (s *StoredList) Len() int { return len(s.order) }
-
-// Dim returns the dimensionality of the candidates the list was
-// built from.
-func (s *StoredList) Dim() int { return s.dim }
 
 // Query answers a k-regret query from the materialized list: the
 // first min(k, Len) indices. Equal to GeoGreedy's answer for the

@@ -130,7 +130,11 @@ func TestBuildKernelBound(t *testing.T) {
 				for i, gi := range out {
 					sel[i] = local[gi]
 				}
-				got, err := core.MRRGeometric(sub, sel)
+				x, err := core.NewEvalIndex(sub)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := x.MRRGeometric(sel)
 				if err != nil {
 					t.Fatal(err)
 				}

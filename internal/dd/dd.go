@@ -289,17 +289,9 @@ func (p *Polytope) Dim() int { return p.dim }
 // NumVertices returns the number of live vertices.
 func (p *Polytope) NumVertices() int { return len(p.verts) }
 
-// NumConstraints returns the number of inserted halfspaces, including
-// the initial box constraints.
-func (p *Polytope) NumConstraints() int { return len(p.cons) }
-
 // Vertices returns the live vertex slice. Callers must not modify it;
 // the slice is invalidated by the next AddHalfspace.
 func (p *Polytope) Vertices() []*Vertex { return p.verts }
-
-// Constraint returns the i-th halfspace as a hyperplane a·x = b with
-// the interior on the a·x < b side.
-func (p *Polytope) Constraint(i int) geom.Hyperplane { return p.cons[i] }
 
 // accPool recycles the per-call accumulator scratch of MaxDot, sized
 // to the largest vertex set seen.
@@ -341,19 +333,6 @@ func (p *Polytope) MaxDot(q geom.Vector) (float64, *Vertex) {
 	return best, p.verts[c]
 }
 
-// maxDotRef is the pre-kernel reference scan, kept for the
-// cross-validation property test.
-func (p *Polytope) maxDotRef(q geom.Vector) (float64, *Vertex) {
-	best := math.Inf(-1)
-	var arg *Vertex
-	for _, v := range p.verts {
-		if d := v.Point.Dot(q); d > best {
-			best, arg = d, v
-		}
-	}
-	return best, arg
-}
-
 // SupportsInto evaluates the support function for rows [start, end)
 // of qm in one batch: vals[i-start] receives max_v v·q_i and, when
 // ids is non-nil, ids[i-start] the argmax vertex ID (−1 if every dot
@@ -377,16 +356,6 @@ func (p *Polytope) SupportsInto(qm *mat.PointMatrix, start, end int, vals []floa
 		}
 	}
 	accPool.Put(acc)
-}
-
-// Contains reports whether x satisfies every constraint within eps.
-func (p *Polytope) Contains(x geom.Vector, eps float64) bool {
-	for _, c := range p.cons {
-		if c.Eval(x) > eps {
-			return false
-		}
-	}
-	return true
 }
 
 // AddHalfspace intersects the polytope with {x : normal·x ≤ offset}

@@ -10,6 +10,41 @@ import (
 	"repro/internal/lp"
 )
 
+// NumConstraints returns the number of inserted halfspaces, including
+// the initial box constraints.
+func (p *Polytope) NumConstraints() int { return len(p.cons) }
+
+// Constraint returns the i-th halfspace as a hyperplane a·x = b with
+// the interior on the a·x < b side.
+func (p *Polytope) Constraint(i int) geom.Hyperplane { return p.cons[i] }
+
+// planeEval returns h.Normal·x − h.Offset (positive above, negative
+// below).
+func planeEval(h geom.Hyperplane, x geom.Vector) float64 { return h.Normal.Dot(x) - h.Offset }
+
+// Contains reports whether x satisfies every constraint within eps.
+func (p *Polytope) Contains(x geom.Vector, eps float64) bool {
+	for _, c := range p.cons {
+		if planeEval(c, x) > eps {
+			return false
+		}
+	}
+	return true
+}
+
+// maxDotRef is the pre-kernel reference scan MaxDot is cross-validated
+// against.
+func (p *Polytope) maxDotRef(q geom.Vector) (float64, *Vertex) {
+	best := math.Inf(-1)
+	var arg *Vertex
+	for _, v := range p.verts {
+		if d := v.Point.Dot(q); d > best {
+			best, arg = d, v
+		}
+	}
+	return best, arg
+}
+
 func newBoxT(t *testing.T, upper ...float64) *Polytope {
 	t.Helper()
 	p, err := NewBox(upper)
@@ -40,7 +75,7 @@ func TestNewBoxShape(t *testing.T) {
 			t.Fatalf("tight set unsorted: %v", v.Tight)
 		}
 		for _, c := range v.Tight {
-			if got := p.Constraint(int(c)).Eval(v.Point); math.Abs(got) > 1e-12 {
+			if got := planeEval(p.Constraint(int(c)), v.Point); math.Abs(got) > 1e-12 {
 				t.Fatalf("vertex %v not on its tight constraint %d (eval %v)", v.Point, c, got)
 			}
 		}
@@ -298,7 +333,7 @@ func checkInvariants(t *testing.T, p *Polytope) {
 		}
 		for _, c := range v.Tight {
 			h := p.Constraint(int(c))
-			if math.Abs(h.Eval(v.Point)) > 1e-6 {
+			if math.Abs(planeEval(h, v.Point)) > 1e-6 {
 				t.Fatalf("vertex %v not on tight constraint %d", v.Point, c)
 			}
 		}

@@ -61,7 +61,7 @@ func TestPropertyVertexConsistency(t *testing.T) {
 				return false
 			}
 			for _, c := range v.Tight {
-				if math.Abs(p.Constraint(int(c)).Eval(v.Point)) > 1e-6 {
+				if math.Abs(planeEval(p.Constraint(int(c)), v.Point)) > 1e-6 {
 					return false
 				}
 			}

@@ -16,12 +16,6 @@ const LooseEps = 1e-6
 // ApproxEqual reports |a − b| ≤ eps.
 func ApproxEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
-// LessEq reports a ≤ b + eps.
-func LessEq(a, b, eps float64) bool { return a <= b+eps }
-
-// Less reports a < b − eps (strictly less beyond tolerance).
-func Less(a, b, eps float64) bool { return a < b-eps }
-
 // Zero reports |a| ≤ eps.
 func Zero(a, eps float64) bool { return math.Abs(a) <= eps }
 

@@ -36,37 +36,6 @@ func TestApproxEqual(t *testing.T) {
 	}
 }
 
-func TestLessEqAndLess(t *testing.T) {
-	eps := 1e-9
-	nan, inf := math.NaN(), math.Inf(1)
-	cases := []struct {
-		name           string
-		a, b           float64
-		lessEq, strict bool
-	}{
-		{"clearly less", 0, 1, true, true},
-		{"equal", 1, 1, true, false},
-		{"a barely above b", 1 + eps/2, 1, true, false},
-		{"exact eps above", 1 + eps, 1, true, false},
-		{"two eps above", 1 + 2*eps, 1, false, false},
-		{"a barely below b", 1 - eps/2, 1, true, false},
-		{"a two eps below b", 1 - 2*eps, 1, true, true},
-		{"nan a", nan, 1, false, false},
-		{"nan b", 1, nan, false, false},
-		{"-inf below everything", -inf, 0, true, true},
-		{"+inf above everything", inf, 0, false, false},
-		{"finite below +inf", 0, inf, true, true},
-	}
-	for _, c := range cases {
-		if got := LessEq(c.a, c.b, eps); got != c.lessEq {
-			t.Errorf("%s: LessEq(%g, %g, %g) = %v, want %v", c.name, c.a, c.b, eps, got, c.lessEq)
-		}
-		if got := Less(c.a, c.b, eps); got != c.strict {
-			t.Errorf("%s: Less(%g, %g, %g) = %v, want %v", c.name, c.a, c.b, eps, got, c.strict)
-		}
-	}
-}
-
 func TestZero(t *testing.T) {
 	eps := 1e-9
 	cases := []struct {

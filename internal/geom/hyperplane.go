@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Hyperplane is the set {x : Normal·x = Offset}. For the hulls in
 // this library normals are non-negative and offsets are positive for
@@ -14,48 +11,7 @@ type Hyperplane struct {
 	Offset float64
 }
 
-// Side classifies a point against the hyperplane with tolerance eps:
-// −1 below (Normal·p < Offset), 0 on, +1 above.
-func (h Hyperplane) Side(p Vector, eps float64) int {
-	v := h.Normal.Dot(p) - h.Offset
-	switch {
-	case v > eps:
-		return 1
-	case v < -eps:
-		return -1
-	}
-	return 0
-}
-
-// Eval returns Normal·p − Offset (positive above, negative below).
-func (h Hyperplane) Eval(p Vector) float64 { return h.Normal.Dot(p) - h.Offset }
-
-// RayIntersection returns the scale t ≥ 0 such that t·q lies on the
-// hyperplane, i.e. the intersection of ray 0→q with h. The second
-// return value is false when the ray is parallel to h (Normal·q ≈ 0)
-// or would hit it at negative t.
-func (h Hyperplane) RayIntersection(q Vector) (float64, bool) {
-	den := h.Normal.Dot(q)
-	if Zero(den, Eps) {
-		return 0, false
-	}
-	t := h.Offset / den
-	if t < 0 {
-		return 0, false
-	}
-	return t, true
-}
-
 // String renders the hyperplane as "n·x = c".
 func (h Hyperplane) String() string {
 	return fmt.Sprintf("%v·x = %g", h.Normal, h.Offset)
-}
-
-// Valid reports whether the hyperplane has a finite, non-zero normal
-// and finite offset.
-func (h Hyperplane) Valid() bool {
-	if !h.Normal.IsFinite() || math.IsNaN(h.Offset) || math.IsInf(h.Offset, 0) {
-		return false
-	}
-	return h.Normal.Norm() > Eps
 }

@@ -24,18 +24,12 @@ type Vector []float64
 // lengths are combined.
 var ErrDimensionMismatch = errors.New("geom: dimension mismatch")
 
-// NewVector returns a zero vector of dimension d.
-func NewVector(d int) Vector { return make(Vector, d) }
-
 // Clone returns an independent copy of v.
 func (v Vector) Clone() Vector {
 	c := make(Vector, len(v))
 	copy(c, v)
 	return c
 }
-
-// Dim returns the dimensionality of v.
-func (v Vector) Dim() int { return len(v) }
 
 // Dot returns the dot product v·w. It panics if the dimensions
 // differ; use CheckSameDim first when the inputs are untrusted.
@@ -58,15 +52,6 @@ func (v Vector) Norm() float64 {
 	}
 	//kregret:allow naninf: s is a sum of squares, never negative
 	return math.Sqrt(s)
-}
-
-// Norm1 returns the L1 norm Σ|v_i|.
-func (v Vector) Norm1() float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
 }
 
 // Sum returns Σ v_i (no absolute values).
@@ -161,18 +146,6 @@ func (v Vector) NonNegative(eps float64) bool {
 	return true
 }
 
-// MaxComponent returns the index and value of the largest component.
-// For the empty vector it returns (-1, -Inf).
-func (v Vector) MaxComponent() (int, float64) {
-	idx, best := -1, math.Inf(-1)
-	for i, x := range v {
-		if x > best {
-			idx, best = i, x
-		}
-	}
-	return idx, best
-}
-
 // String renders v as "(x1, x2, …)" with compact formatting.
 func (v Vector) String() string {
 	var b strings.Builder
@@ -200,17 +173,6 @@ func mustSameDim(v, w Vector) {
 	if len(v) != len(w) {
 		panic(fmt.Sprintf("geom: dimension mismatch %d vs %d", len(v), len(w)))
 	}
-}
-
-// Basis returns the i-th standard basis vector in dimension d — the
-// paper's "virtual corner point" vc_i.
-func Basis(d, i int) Vector {
-	if i < 0 || i >= d {
-		panic(fmt.Sprintf("geom: Basis index %d out of range for dimension %d", i, d))
-	}
-	v := make(Vector, d)
-	v[i] = 1
-	return v
 }
 
 // Dominates reports whether p dominates q in the skyline sense:

@@ -12,7 +12,7 @@ func TestDotBasics(t *testing.T) {
 	if got := v.Dot(w); got != 32 {
 		t.Fatalf("Dot = %v, want 32", got)
 	}
-	if got := v.Dot(NewVector(3)); got != 0 {
+	if got := v.Dot(make(Vector, 3)); got != 0 {
 		t.Fatalf("Dot with zero = %v, want 0", got)
 	}
 }
@@ -30,9 +30,6 @@ func TestNorms(t *testing.T) {
 	v := Vector{3, -4}
 	if got := v.Norm(); got != 5 {
 		t.Fatalf("Norm = %v, want 5", got)
-	}
-	if got := v.Norm1(); got != 7 {
-		t.Fatalf("Norm1 = %v, want 7", got)
 	}
 	if got := v.Sum(); got != -1 {
 		t.Fatalf("Sum = %v, want -1", got)
@@ -108,30 +105,6 @@ func TestPositivity(t *testing.T) {
 	if (Vector{-1e-3, 1}).NonNegative(1e-6) {
 		t.Fatal("negative coordinate accepted")
 	}
-}
-
-func TestMaxComponent(t *testing.T) {
-	i, v := (Vector{1, 7, 3}).MaxComponent()
-	if i != 1 || v != 7 {
-		t.Fatalf("MaxComponent = (%d, %v)", i, v)
-	}
-	i, v = Vector{}.MaxComponent()
-	if i != -1 || !math.IsInf(v, -1) {
-		t.Fatalf("empty MaxComponent = (%d, %v)", i, v)
-	}
-}
-
-func TestBasis(t *testing.T) {
-	b := Basis(3, 1)
-	if !b.Equal(Vector{0, 1, 0}, 0) {
-		t.Fatalf("Basis = %v", b)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on out-of-range basis index")
-		}
-	}()
-	Basis(2, 2)
 }
 
 func TestDominates(t *testing.T) {

@@ -27,8 +27,8 @@
 //
 // over i and T ⊆ [d]\{i}. (Example: p = (0.1, 1, 1) has the four
 // facet normals (0,1,0), (0,0,1), (1,0.9,0), (1,0,0.9).) Enumerating
-// them is exponential, so Subjugates does not enumerate: it decides
-// the equivalent membership condition directly.
+// them is exponential, so the subjugation test does not enumerate: it
+// decides the equivalent membership condition directly.
 //
 // # The O(d²) test actually used
 //
@@ -51,8 +51,8 @@
 // v(q) < 1. When Σ_j p_j < 1 the only facet is the simplex
 // Σ_j x_j = 1 and the test degenerates to Σ_j q_j < 1. Both steps are
 // O(d²)/O(d log d), matching the per-pair cost the paper claims.
-// Tests cross-validate this against explicit facet enumeration
-// (EnumeratePlanes) on small dimensions.
+// Tests cross-validate this against an oracle over explicit facet
+// enumeration (EnumeratePlanes) on small dimensions.
 package happy
 
 import (
@@ -134,21 +134,8 @@ func minFacetDot(p, q geom.Vector) float64 {
 	return val
 }
 
-// Subjugates reports whether p subjugates q per Definition 4. Both
-// points must be finite and strictly positive.
-func Subjugates(p, q geom.Vector) (bool, error) {
-	if err := geom.CheckSameDim(p, q); err != nil {
-		return false, fmt.Errorf("happy: %w", err)
-	}
-	if err := checkPoint(0, p); err != nil {
-		return false, err
-	}
-	if err := checkPoint(1, q); err != nil {
-		return false, err
-	}
-	return subjugates(p, q), nil
-}
-
+// subjugates reports whether p subjugates q per Definition 4. Both
+// points must be finite and strictly positive with equal dimension.
 func subjugates(p, q geom.Vector) bool {
 	m := Membership(p, q)
 	if m > 1+eps {
@@ -220,26 +207,6 @@ func EnumeratePlanes(p geom.Vector) ([]geom.Hyperplane, error) {
 		}
 	}
 	return planes, nil
-}
-
-// SubjugatesByPlanes decides subjugation by explicitly testing q
-// against every enumerated hyperplane of Y(p). Exponential in d;
-// used as the oracle in tests.
-func SubjugatesByPlanes(p, q geom.Vector) (bool, error) {
-	planes, err := EnumeratePlanes(p)
-	if err != nil {
-		return false, err
-	}
-	strict := false
-	for _, h := range planes {
-		switch h.Side(q, eps) {
-		case 1:
-			return false, nil
-		case -1:
-			strict = true
-		}
-	}
-	return strict, nil
 }
 
 // Compute returns the indices of the happy points of pts, sorted

@@ -156,6 +156,52 @@ func TestSubjugatesMatchesPlaneOracle(t *testing.T) {
 	}
 }
 
+// FuzzSubjugates cross-validates the fast O(d²) subjugation test
+// against the explicit facet-enumeration oracle on fuzzer-generated
+// 3-d points.
+func FuzzSubjugates(f *testing.F) {
+	f.Add(0.5, 0.5, 0.5, 0.4, 0.4, 0.4)
+	f.Add(0.1, 1.0, 1.0, 0.2, 0.9, 0.9)
+	f.Add(1.0, 0.05, 0.3, 0.9, 0.1, 0.31)
+	f.Fuzz(func(t *testing.T, a, b, c, x, y, z float64) {
+		clamp := func(v float64) float64 {
+			v = math.Abs(v)
+			v = math.Mod(v, 1)
+			if v < 0.01 {
+				v = 0.01
+			}
+			return v
+		}
+		p := geom.Vector{clamp(a), clamp(b), clamp(c)}
+		q := geom.Vector{clamp(x), clamp(y), clamp(z)}
+		fast, err1 := Subjugates(p, q)
+		oracle, err2 := SubjugatesByPlanes(p, q)
+		if (err1 == nil) != (err2 == nil) {
+			t.Fatalf("error mismatch: %v vs %v", err1, err2)
+		}
+		if err1 != nil {
+			return
+		}
+		if fast != oracle {
+			// Tolerance boundaries can legitimately disagree; accept
+			// only if q is within eps of a facet of Y(p).
+			planes, err := EnumeratePlanes(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, h := range planes {
+				if math.Abs(h.Normal.Dot(q)-h.Offset) < 1e-7 {
+					return
+				}
+			}
+			if math.Abs(Membership(p, q)-1) < 1e-7 {
+				return
+			}
+			t.Fatalf("Subjugates(%v, %v) = %v, oracle %v", p, q, fast, oracle)
+		}
+	})
+}
+
 func TestSubjugatesBasics(t *testing.T) {
 	// Paper's running example logic: a dominated point is subjugated
 	// by its dominator.
@@ -178,6 +224,14 @@ func TestSubjugatesBasics(t *testing.T) {
 	sub, _ = Subjugates(geom.Vector{1, 0.1}, geom.Vector{0.1, 1})
 	if sub {
 		t.Fatal("extreme points must not subjugate each other")
+	}
+	// The paper's running example (Figure 5): p3 subjugates p2.
+	sub, err = Subjugates(geom.Vector{0.75, 0.70}, geom.Vector{0.65, 0.72})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sub {
+		t.Fatal("p3 must subjugate p2")
 	}
 }
 

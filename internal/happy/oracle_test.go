@@ -1,6 +1,7 @@
 package happy
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -9,6 +10,42 @@ import (
 
 	"repro/internal/geom"
 )
+
+// Subjugates reports whether p subjugates q per Definition 4: the
+// validated form of the kernel's subjugates. Both points must be
+// finite and strictly positive.
+func Subjugates(p, q geom.Vector) (bool, error) {
+	if err := geom.CheckSameDim(p, q); err != nil {
+		return false, fmt.Errorf("happy: %w", err)
+	}
+	if err := checkPoint(0, p); err != nil {
+		return false, err
+	}
+	if err := checkPoint(1, q); err != nil {
+		return false, err
+	}
+	return subjugates(p, q), nil
+}
+
+// SubjugatesByPlanes decides subjugation by explicitly testing q
+// against every enumerated hyperplane of Y(p). Exponential in d; the
+// oracle Subjugates is checked against.
+func SubjugatesByPlanes(p, q geom.Vector) (bool, error) {
+	planes, err := EnumeratePlanes(p)
+	if err != nil {
+		return false, err
+	}
+	strict := false
+	for _, h := range planes {
+		switch v := h.Normal.Dot(q) - h.Offset; {
+		case v > eps:
+			return false, nil // q above this plane
+		case v < -eps:
+			strict = true
+		}
+	}
+	return strict, nil
+}
 
 // bruteSkyline is the O(n²) skyline oracle: the points no other point
 // dominates, ascending.

@@ -6,8 +6,8 @@
 // machinery has a closed form: the faces of Conv(S) not through the
 // origin form a staircase-free upper-right chain, critical ratios are
 // segment/ray intersections, and the set D_conv is the chain's vertex
-// set. The package serves both as a fast path and as an independent
-// oracle used in tests to validate the d-dimensional dual
+// set. The 2-D visualizer draws the chain, and internal/core's tests
+// use it as an independent oracle for the d-dimensional dual
 // (package dd) on planar inputs.
 package hull2d
 
@@ -124,60 +124,4 @@ func UpperRightChain(pts []Point) []Point {
 	// Order by increasing X (decreasing Y) for deterministic output.
 	sort.Slice(chain, func(i, j int) bool { return chain[i].X < chain[j].X })
 	return chain
-}
-
-// CriticalRatio returns cr(q, S) for d = 2: the ratio ‖q′‖/‖q‖ where
-// q′ is the intersection of ray 0→q with the boundary of the
-// orthotope hull of chainPts (which must include the chain extremes).
-// It returns +Inf if the ray never leaves the hull (cannot happen for
-// positive q against a bounded hull) and an error for non-positive q.
-func CriticalRatio(pts []Point, q Point) (float64, error) {
-	if q.X <= 0 || q.Y <= 0 {
-		return 0, fmt.Errorf("hull2d: query point (%g, %g) must be strictly positive", q.X, q.Y)
-	}
-	chain := UpperRightChain(pts)
-	var maxX, maxY float64
-	for _, p := range pts {
-		maxX = math.Max(maxX, p.X)
-		maxY = math.Max(maxY, p.Y)
-	}
-	// Build the full boundary as segments: (0,maxY) → chain… → (maxX,0).
-	bound := make([]Point, 0, len(chain)+2)
-	bound = append(bound, Point{0, maxY})
-	bound = append(bound, chain...)
-	bound = append(bound, Point{maxX, 0})
-	best := math.Inf(1)
-	for i := 0; i+1 < len(bound); i++ {
-		if t, ok := raySegment(q, bound[i], bound[i+1]); ok && t < best {
-			best = t
-		}
-	}
-	return best, nil
-}
-
-// raySegment returns t such that t·q lies on segment a–b, if the ray
-// 0→q crosses it with t ≥ 0.
-func raySegment(q, a, b Point) (float64, bool) {
-	// Solve t·q = a + s(b−a), 0 ≤ s ≤ 1.
-	dx, dy := b.X-a.X, b.Y-a.Y
-	den := q.X*dy - q.Y*dx
-	if math.Abs(den) < 1e-15 {
-		return 0, false
-	}
-	t := (a.X*dy - a.Y*dx) / den
-	if t < 0 {
-		return 0, false
-	}
-	// Parameter along the segment, computed against the larger delta
-	// (den ≠ 0 guarantees the segment is not a point).
-	var s float64
-	if math.Abs(dx) >= math.Abs(dy) {
-		s = (t*q.X - a.X) / dx
-	} else {
-		s = (t*q.Y - a.Y) / dy
-	}
-	if s < -1e-9 || s > 1+1e-9 {
-		return 0, false
-	}
-	return t, true
 }

@@ -1,7 +1,6 @@
 package hull2d
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -107,62 +106,5 @@ func TestUpperRightChainDominatedPoint(t *testing.T) {
 	chain := UpperRightChain(pts)
 	if len(chain) != 1 || chain[0] != (Point{0.9, 0.9}) {
 		t.Fatalf("chain = %v", chain)
-	}
-}
-
-func TestCriticalRatioInside(t *testing.T) {
-	pts := []Point{{1, 0.1}, {0.1, 1}, {0.7, 0.7}}
-	// A point well inside the hull has critical ratio > 1.
-	cr, err := CriticalRatio(pts, Point{0.3, 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cr <= 1 {
-		t.Fatalf("interior cr = %v, want > 1", cr)
-	}
-	// A point on the hull boundary has cr = 1.
-	cr, err = CriticalRatio(pts, Point{0.7, 0.7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(cr-1) > 1e-9 {
-		t.Fatalf("boundary cr = %v, want 1", cr)
-	}
-}
-
-func TestCriticalRatioOutside(t *testing.T) {
-	pts := []Point{{1, 0.1}, {0.1, 1}}
-	// (0.9, 0.9) is far outside the hull of these two plus orthotopes.
-	cr, err := CriticalRatio(pts, Point{0.9, 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cr >= 1 {
-		t.Fatalf("outside cr = %v, want < 1", cr)
-	}
-}
-
-func TestCriticalRatioRejectsNonPositive(t *testing.T) {
-	if _, err := CriticalRatio([]Point{{1, 1}}, Point{0, 1}); err == nil {
-		t.Fatal("non-positive query accepted")
-	}
-}
-
-// TestCriticalRatioAxisAlignedExact: for a single point p = (a, b),
-// the hull is the rectangle [0,a]×[0,b]; the critical ratio of q is
-// min(a/qx, b/qy).
-func TestCriticalRatioRectangleClosedForm(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 100; trial++ {
-		a, b := 0.2+0.8*rng.Float64(), 0.2+0.8*rng.Float64()
-		qx, qy := 0.05+rng.Float64(), 0.05+rng.Float64()
-		cr, err := CriticalRatio([]Point{{a, b}}, Point{qx, qy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := math.Min(a/qx, b/qy)
-		if math.Abs(cr-want) > 1e-9*(1+want) {
-			t.Fatalf("trial %d: cr = %v, want %v", trial, cr, want)
-		}
 	}
 }

@@ -41,51 +41,15 @@ var (
 	errInternalOpt = errors.New("interactive: internal optimization failure")
 )
 
-// Strategy selects how Show picks the tuples to display.
-type Strategy int
-
-// Display strategies.
-const (
-	// StrategyIncomparable (default) greedily builds a display of
-	// mutually ranking-uncertain tuples, guaranteeing each answer
-	// cuts the weight region. Fastest convergence.
-	StrategyIncomparable Strategy = iota
-	// StrategySpread shows the tuples whose utilities vary most over
-	// the region, ignoring their mutual comparability. Can stall
-	// when the most uncertain tuples are already mutually ranked.
-	StrategySpread
-	// StrategyRandom shows random candidates — the baseline an
-	// informed strategy must beat.
-	StrategyRandom
-)
-
-func (s Strategy) String() string {
-	switch s {
-	case StrategyIncomparable:
-		return "incomparable"
-	case StrategySpread:
-		return "spread"
-	case StrategyRandom:
-		return "random"
-	}
-	return fmt.Sprintf("Strategy(%d)", int(s))
-}
-
 // Session is one interactive run against a single user. Not safe for
 // concurrent use.
 type Session struct {
-	pts      []geom.Vector
-	cand     []int // happy-point candidate indices into pts
-	region   *dd.Polytope
-	display  []int // current display (indices into pts), nil between rounds
-	rounds   int
-	strategy Strategy
-	rngState uint64 // xorshift state for StrategyRandom (deterministic)
+	pts     []geom.Vector
+	cand    []int // happy-point candidate indices into pts
+	region  *dd.Polytope
+	display []int // current display (indices into pts), nil between rounds
+	rounds  int
 }
-
-// SetStrategy selects the display strategy for subsequent Show calls
-// (default StrategyIncomparable).
-func (s *Session) SetStrategy(st Strategy) { s.strategy = st }
 
 // NewSession prepares an interactive session over the dataset. All
 // points must be strictly positive and share a dimension; the hidden
@@ -125,15 +89,11 @@ func NewSession(pts []geom.Vector) (*Session, error) {
 	if _, err := region.AddHalfspace(ones, 1); err != nil {
 		return nil, fmt.Errorf("interactive: %w", err)
 	}
-	return &Session{pts: pts, cand: cand, region: region, rngState: 0x9e3779b97f4a7c15}, nil
+	return &Session{pts: pts, cand: cand, region: region}, nil
 }
 
 // Rounds returns the number of completed feedback rounds.
 func (s *Session) Rounds() int { return s.rounds }
-
-// Candidates returns the indices the session may ever display (the
-// happy points of the dataset).
-func (s *Session) Candidates() []int { return append([]int(nil), s.cand...) }
 
 // spread measures how much candidate i's utility varies over the
 // current weight region: max_v v·p − min_v v·p over region vertices.
@@ -183,19 +143,6 @@ func (s *Session) Show(size int) ([]int, error) {
 	if size > len(s.cand) {
 		size = len(s.cand)
 	}
-	if s.strategy == StrategyRandom {
-		display := make([]int, 0, size)
-		seen := map[int]bool{}
-		for len(display) < size {
-			i := s.cand[int(s.nextRand()%uint64(len(s.cand)))]
-			if !seen[i] {
-				seen[i] = true
-				display = append(display, i)
-			}
-		}
-		s.display = display
-		return append([]int(nil), display...), nil
-	}
 	// Seed: largest utility spread.
 	type scored struct {
 		idx    int
@@ -215,14 +162,6 @@ func (s *Session) Show(size int) ([]int, error) {
 		}
 		return ranked[a].idx < ranked[b].idx
 	})
-	if s.strategy == StrategySpread {
-		display := make([]int, size)
-		for i := 0; i < size; i++ {
-			display[i] = ranked[i].idx
-		}
-		s.display = display
-		return append([]int(nil), display...), nil
-	}
 	display := []int{ranked[0].idx}
 	chosen := map[int]bool{ranked[0].idx: true}
 	for len(display) < size {
@@ -372,46 +311,4 @@ func (s *Session) Recommend() (int, float64, error) {
 		return -1, 0, errInternalOpt
 	}
 	return bestIdx, bestBound, nil
-}
-
-// SimulateUser is a test helper: it answers Show/Choose rounds on
-// behalf of a user with the given hidden weight vector, running until
-// the recommendation bound drops below target or maxRounds elapse.
-// It returns the final recommendation and bound.
-func SimulateUser(s *Session, hidden geom.Vector, displaySize, maxRounds int, target float64) (int, float64, error) {
-	for round := 0; round < maxRounds; round++ {
-		rec, bound, err := s.Recommend()
-		if err != nil {
-			return -1, 0, err
-		}
-		if bound <= target {
-			return rec, bound, nil
-		}
-		shown, err := s.Show(displaySize)
-		if err != nil {
-			return -1, 0, err
-		}
-		best, bestU := 0, math.Inf(-1)
-		for i, idx := range shown {
-			if u := hidden.Dot(s.pts[idx]); u > bestU {
-				best, bestU = i, u
-			}
-		}
-		if err := s.Choose(best); err != nil {
-			return -1, 0, err
-		}
-	}
-	rec, bound, err := s.Recommend()
-	return rec, bound, err
-}
-
-// nextRand is a tiny deterministic xorshift64* generator for
-// StrategyRandom (keeps the session free of global randomness).
-func (s *Session) nextRand() uint64 {
-	x := s.rngState
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	s.rngState = x
-	return x * 0x2545f4914f6cdd1d
 }

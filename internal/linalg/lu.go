@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -20,22 +19,11 @@ type LU struct {
 // (coordinates in (0,1]), so an absolute threshold works.
 const singularTol = 1e-12
 
-// Factor computes the LU decomposition of the square matrix a.
-// The input is not modified: Factor is FactorInPlace on a clone.
-func Factor(a *Matrix) (*LU, error) {
-	f := new(LU)
-	err := f.FactorInPlace(a.Clone())
-	if err != nil && !errors.Is(err, ErrSingular) {
-		return nil, err
-	}
-	return f, err
-}
-
 // FactorInPlace computes the LU decomposition of the square matrix a
 // into f, overwriting a with the compact factors, which f keeps. The
 // pivot storage of a previous factorization is reused, so a caller
 // that owns one LU and one scratch matrix factors without allocating.
-// On ErrSingular f is left unusable for Solve, as Factor's result is.
+// On ErrSingular f is left unusable for SolveInto.
 func (f *LU) FactorInPlace(a *Matrix) error {
 	if a.Rows != a.Cols {
 		return fmt.Errorf("%w: LU of %dx%d matrix", ErrShape, a.Rows, a.Cols)
@@ -86,28 +74,6 @@ func swapRows(m *Matrix, i, j int) {
 	}
 }
 
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	if f.sign == 0 {
-		return 0
-	}
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
-// Solve solves A·x = b for one right-hand side: SolveInto a fresh
-// slice.
-func (f *LU) Solve(b []float64) ([]float64, error) {
-	x := make([]float64, f.n)
-	if err := f.SolveInto(x, b); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
 // SolveInto solves A·x = b for one right-hand side into x, which must
 // have the system's length and must not overlap b.
 func (f *LU) SolveInto(x, b []float64) error {
@@ -143,59 +109,9 @@ func (f *LU) SolveInto(x, b []float64) error {
 	return nil
 }
 
-// Solve is a convenience wrapper: factor a and solve a·x = b.
-func Solve(a *Matrix, b []float64) ([]float64, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
-}
-
-// Det returns det(a) for a square matrix, 0 when singular.
-func Det(a *Matrix) (float64, error) {
-	f, err := Factor(a)
-	if err == ErrSingular {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	return f.Det(), nil
-}
-
-// Inverse returns a⁻¹.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	for c := 0; c < n; c++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[c] = 1
-		col, err := f.Solve(e)
-		if err != nil {
-			return nil, err
-		}
-		for r := 0; r < n; r++ {
-			inv.Set(r, c, col[r])
-		}
-	}
-	return inv, nil
-}
-
-// Rank estimates the numerical rank of a (possibly rectangular)
-// matrix by Gaussian elimination with full row pivoting and the given
-// tolerance. The input is not modified: Rank is RankInPlace on a
-// clone.
-func Rank(a *Matrix, tol float64) int { return RankInPlace(a.Clone(), tol) }
-
-// RankInPlace is Rank on m itself: the elimination overwrites m.
+// RankInPlace estimates the numerical rank of the (possibly
+// rectangular) matrix m by Gaussian elimination with full row pivoting
+// and the given tolerance. The elimination overwrites m.
 func RankInPlace(m *Matrix, tol float64) int {
 	rank := 0
 	rows, cols := m.Rows, m.Cols

@@ -1,17 +1,13 @@
 // Package linalg implements the small dense linear algebra kernel the
-// geometry layers need: LU decomposition with partial pivoting,
-// linear-system solving, determinants and inverses. Matrices here are
-// tiny (d×d with d ≤ ~10 for hyperplane fitting and dual-vertex
-// computation), so the implementation favours clarity and numerical
-// robustness over blocking or vectorization.
+// geometry layers need: in-place LU decomposition with partial
+// pivoting, linear-system solving and numerical rank. Matrices here
+// are tiny (d×d with d ≤ ~10 for dual-vertex computation), so the
+// implementation favours clarity and numerical robustness over
+// blocking or vectorization; the kernels work in caller-owned storage
+// so the dual hull's insertions do not allocate.
 package linalg
 
-import (
-	"errors"
-	"fmt"
-	"math"
-	"strings"
-)
+import "errors"
 
 // ErrSingular is returned when a matrix is singular to working
 // precision.
@@ -26,40 +22,6 @@ type Matrix struct {
 	Data       []float64 // len == Rows*Cols
 }
 
-// NewMatrix returns a zeroed r×c matrix.
-func NewMatrix(r, c int) *Matrix {
-	if r < 0 || c < 0 {
-		panic(fmt.Sprintf("linalg: negative dimensions %dx%d", r, c))
-	}
-	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
-}
-
-// NewMatrixFromRows builds a matrix from row slices, which must all
-// have equal length.
-func NewMatrixFromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	c := len(rows[0])
-	m := NewMatrix(len(rows), c)
-	for i, row := range rows {
-		if len(row) != c {
-			return nil, fmt.Errorf("%w: row %d has %d cols, want %d", ErrShape, i, len(row), c)
-		}
-		copy(m.Data[i*c:(i+1)*c], row)
-	}
-	return m, nil
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -68,67 +30,3 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Row returns a view (not a copy) of row i.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// Mul returns m·b.
-func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
-	if m.Cols != b.Rows {
-		return nil, fmt.Errorf("%w: %dx%d times %dx%d", ErrShape, m.Rows, m.Cols, b.Rows, b.Cols)
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mi := m.Row(i)
-		oi := out.Row(i)
-		for k, mik := range mi {
-			bk := b.Row(k)
-			for j := range oi {
-				oi[j] += mik * bk[j]
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns m·x as a new slice.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if m.Cols != len(x) {
-		return nil, fmt.Errorf("%w: %dx%d times vector of length %d", ErrShape, m.Rows, m.Cols, len(x))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		var s float64
-		for j, v := range m.Row(i) {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-// String renders the matrix row per line, for debugging and tests.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	for i := 0; i < m.Rows; i++ {
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		fmt.Fprintf(&b, "%v", m.Row(i))
-	}
-	return b.String()
-}
-
-// IsFinite reports whether every entry is finite.
-func (m *Matrix) IsFinite() bool {
-	for _, v := range m.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
-}

@@ -1,7 +1,7 @@
 // Blocked-kernel helpers shared by the preprocessing sweeps in
-// internal/skyline and internal/happy: indexed gathers, exact row
-// sums, componentwise block maxima, dominance on raw rows, and a
-// radix sort keyed by float64.
+// internal/skyline and internal/happy: indexed gathers, componentwise
+// block maxima, dominance on raw rows, and a radix sort keyed by
+// float64.
 //
 // The block-max discipline: a kernel that partitions rows into blocks
 // may summarize each block by its componentwise maximum and test the
@@ -42,27 +42,6 @@ func FromVectorsIndexed(pts []geom.Vector, idx []int) (*PointMatrix, error) {
 		copy(m.data[k*d:(k+1)*d], pts[r])
 	}
 	return m, nil
-}
-
-// RowSums writes the coordinate sum of every row into dst (allocating
-// when dst is too small) and returns it. Each sum accumulates in
-// ascending coordinate order with a single accumulator — bit-identical
-// to geom.Vector.Sum on the same row.
-func (m *PointMatrix) RowSums(dst []float64) []float64 {
-	if cap(dst) < m.n {
-		dst = make([]float64, m.n)
-	}
-	dst = dst[:m.n]
-	d := m.d
-	for i := 0; i < m.n; i++ {
-		row := m.data[i*d : (i+1)*d]
-		var s float64
-		for _, x := range row {
-			s += x
-		}
-		dst[i] = s
-	}
-	return dst
 }
 
 // ComponentMaxInto writes the componentwise maximum of rows [lo, hi)

@@ -46,32 +46,6 @@ func TestFromVectorsIndexed(t *testing.T) {
 	}
 }
 
-// TestRowSumsBitIdentical pins the contract the happy sweep depends
-// on: RowSums equals geom.Vector.Sum bit for bit on every row.
-func TestRowSumsBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 50; trial++ {
-		d := 1 + rng.Intn(7)
-		pts := make([]geom.Vector, 1+rng.Intn(30))
-		for i := range pts {
-			pts[i] = randVec(rng, d)
-		}
-		m := FromVectors(pts)
-		sums := m.RowSums(nil)
-		for i, p := range pts {
-			if math.Float64bits(sums[i]) != math.Float64bits(p.Sum()) {
-				t.Fatalf("trial %d row %d: RowSums %v vs Sum %v", trial, i, sums[i], p.Sum())
-			}
-		}
-		// Reuse path: a big-enough dst must be used in place.
-		scratch := make([]float64, len(pts)+5)
-		out := m.RowSums(scratch)
-		if &out[0] != &scratch[0] {
-			t.Fatal("RowSums reallocated over a sufficient dst")
-		}
-	}
-}
-
 func TestComponentMaxInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pts := make([]geom.Vector, 12)

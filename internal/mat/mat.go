@@ -240,22 +240,6 @@ type Transposed struct {
 	d, m int
 }
 
-// TransposeVectors copies the m column vectors (each of dimension d)
-// into a fresh column-major matrix. cols may be empty; a dimension
-// mismatch panics like geom.Vector.Dot does.
-func TransposeVectors(d int, cols []geom.Vector) *Transposed {
-	t := &Transposed{data: make([]float64, d*len(cols)), d: d, m: len(cols)}
-	for c, v := range cols {
-		if len(v) != d {
-			panic(fmt.Sprintf("mat: TransposeVectors column %d has dimension %d, want %d", c, len(v), d))
-		}
-		for j, x := range v {
-			t.data[j*t.m+c] = x
-		}
-	}
-	return t
-}
-
 // SetCols refills t in place from the m column vectors, reusing the
 // backing array when it has the capacity — the dual hull rebuilds its
 // vertex matrix after every insertion, and incremental callers rebuild
@@ -279,9 +263,6 @@ func (t *Transposed) SetCols(d int, cols []geom.Vector) {
 
 // Cols returns the number of columns (vertices).
 func (t *Transposed) Cols() int { return t.m }
-
-// Dim returns the column dimension.
-func (t *Transposed) Dim() int { return t.d }
 
 // MaxDotCols returns the argmax and maximum of col(c)·q over all
 // columns. acc is caller-provided scratch of capacity ≥ Cols() (so

@@ -3,6 +3,7 @@ package mat
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -116,6 +117,22 @@ func TestMaxDotRowsNaN(t *testing.T) {
 	}
 }
 
+// TransposeVectors copies the m column vectors (each of dimension d)
+// into a fresh column-major matrix. cols may be empty; a dimension
+// mismatch panics like geom.Vector.Dot does.
+func TransposeVectors(d int, cols []geom.Vector) *Transposed {
+	t := &Transposed{data: make([]float64, d*len(cols)), d: d, m: len(cols)}
+	for c, v := range cols {
+		if len(v) != d {
+			panic(fmt.Sprintf("mat: TransposeVectors column %d has dimension %d, want %d", c, len(v), d))
+		}
+		for j, x := range v {
+			t.data[j*t.m+c] = x
+		}
+	}
+	return t
+}
+
 // TestMaxDotColsBitIdentical: the transposed support kernel must
 // reproduce, per column, geom.Vector.Dot(col, q) bit for bit, and its
 // reduction must agree with a first-max sequential scan in column
@@ -129,8 +146,8 @@ func TestMaxDotColsBitIdentical(t *testing.T) {
 				cols[c] = randVec(rng, d)
 			}
 			tm := TransposeVectors(d, cols)
-			if tm.Cols() != nCols || tm.Dim() != d {
-				t.Fatalf("transposed is %dx%d, want %dx%d", tm.Dim(), tm.Cols(), d, nCols)
+			if tm.Cols() != nCols || tm.d != d {
+				t.Fatalf("transposed is %dx%d, want %dx%d", tm.d, tm.Cols(), d, nCols)
 			}
 			acc := make([]float64, nCols)
 			for trial := 0; trial < 20; trial++ {

@@ -278,7 +278,6 @@ type Config struct {
 // a Log is safe for concurrent use, though the dataset layer already
 // serializes mutations.
 type Log struct {
-	path      string
 	syncEvery int
 
 	mu        sync.Mutex
@@ -317,7 +316,7 @@ func Open(path string, cfg Config) (*Log, []Record, error) {
 		if err := initHeader(f); err != nil {
 			return nil, nil, errors.Join(err, f.Close())
 		}
-		return &Log{path: path, syncEvery: syncEvery, f: f, off: headerLen, synced: headerLen}, nil, nil
+		return &Log{syncEvery: syncEvery, f: f, off: headerLen, synced: headerLen}, nil, nil
 	case string(data[:4]) != logMagic:
 		return nil, nil, errors.Join(fmt.Errorf("%w: bad magic %q", ErrCorruptRecord, data[:4]), f.Close())
 	case data[4] != logVersion:
@@ -346,7 +345,7 @@ func Open(path string, cfg Config) (*Log, []Record, error) {
 		last = recs[n-1].Seq
 	}
 	return &Log{
-		path: path, syncEvery: syncEvery, f: f,
+		syncEvery: syncEvery, f: f,
 		off: good, synced: good, lastSeq: last, syncedSeq: last,
 	}, recs, nil
 }
@@ -511,15 +510,6 @@ func (l *Log) Close() error {
 	return errors.Join(serr, l.f.Close())
 }
 
-// LastSeq returns the sequence number of the last written record
-// (zero for an empty log). Callers derive the next mutation's seq
-// from it.
-func (l *Log) LastSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lastSeq
-}
-
 // Size returns the logical end of the log in bytes — the boundary
 // after the last written frame. Crash-point tests use it to learn
 // every record boundary.
@@ -528,6 +518,3 @@ func (l *Log) Size() int64 {
 	defer l.mu.Unlock()
 	return l.off
 }
-
-// Path returns the file path the log was opened at.
-func (l *Log) Path() string { return l.path }

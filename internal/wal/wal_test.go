@@ -9,6 +9,14 @@ import (
 	"testing"
 )
 
+// LastSeq returns the sequence number of the last written record
+// (zero for an empty log).
+func (l *Log) LastSeq() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.lastSeq
+}
+
 // testRecords is a small mutation history covering both ops and
 // awkward float bit patterns (negative zero, subnormal, huge).
 func testRecords() []Record {

@@ -97,14 +97,17 @@ var (
 // errors.
 type NumericalError struct {
 	// Op names the public operation that failed ("Query",
-	// "EvaluateMRR", "BuildIndex", …).
+	// "EvaluateMRR", "BuildIndex", …) or, for a panic while filling a
+	// per-epoch cache, that cache ("skyline", "happy points", "convex
+	// points", "evaluation index").
 	Op string
-	// Algorithm, K and Candidates record the query configuration.
-	Algorithm  Algorithm
-	K          int
-	Candidates CandidateSet
-	// NumCandidates is the size of the candidate set the solver ran
-	// on (0 when the failure happened outside a solver run).
+	// Algorithm, K, Candidates and NumCandidates describe the solver
+	// run that failed: the query configuration and the size of the
+	// candidate set the solver ran on. K is 0, and the other fields
+	// are zero too, when the failure happened outside a solver run.
+	Algorithm     Algorithm
+	K             int
+	Candidates    CandidateSet
 	NumCandidates int
 	// PanicValue holds the recovered panic value when the failure was
 	// a panic in the geometry core, nil otherwise.
@@ -114,8 +117,11 @@ type NumericalError struct {
 }
 
 func (e *NumericalError) Error() string {
-	head := fmt.Sprintf("kregret: %s with %v (k=%d, %d %v candidates)",
-		e.Op, e.Algorithm, e.K, e.NumCandidates, e.Candidates)
+	head := "kregret: " + e.Op
+	if e.K > 0 {
+		head = fmt.Sprintf("%s with %v (k=%d, %d %v candidates)",
+			head, e.Algorithm, e.K, e.NumCandidates, e.Candidates)
+	}
 	switch {
 	case e.PanicValue != nil:
 		return fmt.Sprintf("%s panicked: %v", head, e.PanicValue)
@@ -223,10 +229,10 @@ func WithoutFallback() Option { return func(o *options) { o.fallback = false } }
 
 // Dataset is a collection of tuples prepared for k-regret queries.
 // Reads are served from an immutable epoch: the points plus their
-// lazily computed candidate sets (skyline, happy, hull), each behind
-// its own sync.Once, so a Dataset is safe for concurrent use by
-// multiple goroutines from the moment NewDataset returns — concurrent
-// first calls simply share one computation.
+// lazily computed candidate sets (skyline, happy, hull) and evaluation
+// index, each filled at most once (see fillOnce), so a Dataset is safe
+// for concurrent use by multiple goroutines from the moment NewDataset
+// returns — concurrent first calls simply share one computation.
 //
 // Insert and Delete mutate by copy-on-write: each publishes a fresh
 // epoch atomically, so readers that started earlier keep computing on
@@ -249,35 +255,68 @@ type Dataset struct {
 }
 
 // dsState is one immutable epoch of a Dataset: the points plus every
-// lazily computed candidate-set cache. A published state is never
-// modified again — mutations build a new one — so the caches stay
-// valid for as long as any reader holds the epoch.
+// lazily computed cache. A published state is never modified again —
+// mutations build a new one — and each cache, once filled, stays valid
+// for as long as any reader holds the epoch. Each cache is a mutex, a
+// done flag and its value fields, filled through fillOnce; the done
+// flag also lets the mutation path tell "cache ready" apart from
+// "never asked for" without triggering the computation itself — only
+// ready caches are folded incrementally into the successor epoch.
 type dsState struct {
 	pts []geom.Vector
 	seq uint64 // last mutation folded into this epoch
 
-	evalOnce sync.Once
+	evalMu   sync.Mutex
+	evalDone atomic.Bool
 	eval     *core.EvalIndex
-	evalErr  error
 
-	skyOnce sync.Once
-	sky     []int
-	skyErr  error
-	// skyDone is set (after skyOnce completes without error) so the
-	// mutation path can tell "cache ready" apart from "never asked
-	// for" without triggering the computation itself — only ready
-	// caches are folded incrementally into the successor epoch.
+	skyMu   sync.Mutex
 	skyDone atomic.Bool
+	sky     []int
 
-	happyOnce sync.Once
+	happyMu   sync.Mutex
+	happyDone atomic.Bool
 	happy     []int
 	cert      *happy.Cert // witness certificate backing the happy set
-	happyErr  error
-	happyDone atomic.Bool
 
-	convOnce sync.Once
+	convMu   sync.Mutex
+	convDone atomic.Bool
 	conv     []int
-	convErr  error
+}
+
+// fillOnce fills one per-epoch cache unless it is already filled:
+// done is checked, then fill runs under mu inside the panic boundary
+// (protect), and done is set only when fill succeeds. Concurrent first
+// callers share one successful fill. Unlike sync.Once, a fill that
+// fails leaves the cache unfilled, so the next caller recomputes
+// instead of reading zero fields: an error is returned as is, and a
+// panic comes back as a *NumericalError for op. fill must assign the
+// cache's fields only once it cannot fail any more.
+func fillOnce(mu *sync.Mutex, done *atomic.Bool, op string, fill func() error) error {
+	if done.Load() {
+		return nil
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if done.Load() {
+		return nil
+	}
+	if err := protect(op, fill); err != nil {
+		return err
+	}
+	done.Store(true)
+	return nil
+}
+
+// seedOnce installs a precomputed value into an unfilled cache (set
+// assigns its fields) and marks it filled; a filled cache is kept.
+func seedOnce(mu *sync.Mutex, done *atomic.Bool, set func()) {
+	mu.Lock()
+	defer mu.Unlock()
+	if !done.Load() {
+		set()
+		done.Store(true)
+	}
 }
 
 // snap returns the current epoch. Every public operation loads it
@@ -342,31 +381,33 @@ func NewDataset(points []Point, opts ...Option) (*Dataset, error) {
 	return d, nil
 }
 
-// evalIndex lazily builds the epoch's evaluation index: the points
+// evalIndex lazily builds the epoch's evaluation index, the one
+// evaluator every regret the Dataset reports goes through: the points
 // flattened into one contiguous matrix plus the skyline as the
 // extreme set the evaluators scan (bit-identical to a full scan,
-// DESIGN.md §12). Built once behind a sync.Once; concurrent first
-// callers share the computation, and the skyline itself is reused
-// from — or seeds — the skyline cache.
+// DESIGN.md §12). Built once per epoch; concurrent first callers
+// share the computation, and the skyline itself is reused from — or
+// seeds — the skyline cache.
 func (s *dsState) evalIndex() (*core.EvalIndex, error) {
-	s.evalOnce.Do(func() {
+	err := fillOnce(&s.evalMu, &s.evalDone, "evaluation index", func() error {
 		x, err := core.NewEvalIndex(s.pts)
 		if err != nil {
-			s.evalErr = fmt.Errorf("kregret: %w", err)
-			return
+			return fmt.Errorf("kregret: %w", err)
 		}
 		sky, err := s.skyline()
 		if err != nil {
-			s.evalErr = err
-			return
+			return err
 		}
 		if err := x.SetExtreme(sky); err != nil {
-			s.evalErr = fmt.Errorf("kregret: %w", err)
-			return
+			return fmt.Errorf("kregret: %w", err)
 		}
 		s.eval = x
+		return nil
 	})
-	return s.eval, s.evalErr
+	if err != nil {
+		return nil, err
+	}
+	return s.eval, nil
 }
 
 // seedSkyline installs precomputed skyline indices (from a snapshot)
@@ -375,10 +416,7 @@ func (s *dsState) evalIndex() (*core.EvalIndex, error) {
 // computed.
 func (d *Dataset) seedSkyline(sky []int) {
 	s := d.snap()
-	s.skyOnce.Do(func() {
-		s.sky = append([]int(nil), sky...)
-		s.skyDone.Store(true)
-	})
+	seedOnce(&s.skyMu, &s.skyDone, func() { s.sky = append([]int(nil), sky...) })
 }
 
 // Len returns the number of tuples.
@@ -395,16 +433,16 @@ func (d *Dataset) Point(i int) Point {
 // skyline returns the epoch's cached skyline indices (shared, not
 // copied — callers must not modify the slice).
 func (s *dsState) skyline() ([]int, error) {
-	s.skyOnce.Do(func() {
-		s.sky, s.skyErr = skyline.ComputeParallel(s.pts, 0)
-		if s.skyErr != nil {
-			s.skyErr = fmt.Errorf("kregret: %w", s.skyErr)
-			return
+	err := fillOnce(&s.skyMu, &s.skyDone, "skyline", func() error {
+		sky, err := skyline.ComputeParallel(s.pts, 0)
+		if err != nil {
+			return fmt.Errorf("kregret: %w", err)
 		}
-		s.skyDone.Store(true)
+		s.sky = sky
+		return nil
 	})
-	if s.skyErr != nil {
-		return nil, s.skyErr
+	if err != nil {
+		return nil, err
 	}
 	return s.sky, nil
 }
@@ -423,18 +461,17 @@ func (d *Dataset) Skyline() ([]int, error) {
 // happyPoints returns the epoch's cached happy indices (shared, not
 // copied).
 func (s *dsState) happyPoints() ([]int, error) {
-	s.happyOnce.Do(func() {
+	err := fillOnce(&s.happyMu, &s.happyDone, "happy points", func() error {
 		sky, err := s.skyline()
 		if err != nil {
-			s.happyErr = err
-			return
+			return err
 		}
-		s.cert = happy.ComputeAmongSkylineCertParallel(s.pts, sky, 0)
-		s.happy = s.cert.HappyPoints()
-		s.happyDone.Store(true)
+		cert := happy.ComputeAmongSkylineCertParallel(s.pts, sky, 0)
+		s.cert, s.happy = cert, cert.HappyPoints()
+		return nil
 	})
-	if s.happyErr != nil {
-		return nil, s.happyErr
+	if err != nil {
+		return nil, err
 	}
 	return s.happy, nil
 }
@@ -454,21 +491,20 @@ func (d *Dataset) HappyPoints() ([]int, error) {
 // convexPoints returns the epoch's cached hull-extreme indices
 // (shared, not copied).
 func (s *dsState) convexPoints() ([]int, error) {
-	s.convOnce.Do(func() {
+	err := fillOnce(&s.convMu, &s.convDone, "convex points", func() error {
 		h, err := s.happyPoints()
 		if err != nil {
-			s.convErr = err
-			return
+			return err
 		}
 		conv, err := core.ConvexAmongHappy(s.pts, h)
 		if err != nil {
-			s.convErr = fmt.Errorf("kregret: %w", err)
-			return
+			return fmt.Errorf("kregret: %w", err)
 		}
 		s.conv = conv
+		return nil
 	})
-	if s.convErr != nil {
-		return nil, s.convErr
+	if err != nil {
+		return nil, err
 	}
 	return s.conv, nil
 }
@@ -489,8 +525,15 @@ type Answer struct {
 	// Indices of the selected tuples in the original dataset, in
 	// selection order.
 	Indices []int
-	// MRR is the maximum regret ratio of the selection over the
-	// whole dataset and all linear utility functions.
+	// MRR is the maximum regret ratio of the selection over all
+	// linear utility functions, measured against the candidate set
+	// the solver ran on. Unsharded, that set (happy points, skyline or
+	// every tuple) contains every hull point of the dataset (Lemmas
+	// 2–3), so MRR is the regret over the whole dataset. A sharded
+	// answer (WithShardedServing) measures it over the merged core
+	// instead: the whole-dataset regret exceeds it by at most eps, so
+	// MRR can under-report it. Dataset.EvaluateMRR gives the
+	// whole-dataset value of any selection.
 	MRR float64
 	// Algorithm and Candidates record how the answer was produced.
 	// After a degraded query, Algorithm is the solver that actually
@@ -740,8 +783,9 @@ func perturbed(pts []geom.Vector) []geom.Vector {
 }
 
 // protect runs fn inside the panic boundary, converting a panic in
-// the geometry core into a *NumericalError for the named operation.
-func (d *Dataset) protect(op string, fn func() error) (err error) {
+// the geometry core — including one re-raised from a parallel worker —
+// into a *NumericalError for the named operation.
+func protect(op string, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &NumericalError{Op: op, PanicValue: r}
@@ -767,7 +811,7 @@ func (d *Dataset) EvaluateMRRContext(ctx context.Context, selection []int) (floa
 		return 0, err
 	}
 	var mrr float64
-	err = d.protect("EvaluateMRR", func() error {
+	err = protect("EvaluateMRR", func() error {
 		m, err := x.MRRGeometricParCtx(ctx, selection, 0)
 		if err != nil {
 			return fmt.Errorf("kregret: %w", err)
@@ -792,7 +836,7 @@ func (d *Dataset) RegretOf(selection []int, weights Point) (float64, error) {
 		return 0, err
 	}
 	var ratio float64
-	err = d.protect("RegretOf", func() error {
+	err = protect("RegretOf", func() error {
 		r, err := x.RegretOf(selection, geom.Vector(weights))
 		if err != nil {
 			return fmt.Errorf("kregret: %w", err)
@@ -835,11 +879,19 @@ func (d *Dataset) AverageRegretContext(ctx context.Context, selection []int, sam
 	if err != nil {
 		return 0, err
 	}
-	r, err := x.AverageRegretSampledParCtx(ctx, selection, samples, seed, 0)
+	var avg float64
+	err = protect("AverageRegret", func() error {
+		_, mean, err := x.SampledRegretParCtx(ctx, selection, samples, seed, 0)
+		if err != nil {
+			return fmt.Errorf("kregret: %w", err)
+		}
+		avg = mean
+		return nil
+	})
 	if err != nil {
-		return 0, fmt.Errorf("kregret: %w", err)
+		return 0, err
 	}
-	return r, nil
+	return avg, nil
 }
 
 // WorstUtility returns a linear utility function (unit weight vector)
@@ -860,7 +912,7 @@ func (d *Dataset) WorstUtilityContext(ctx context.Context, selection []int) (wei
 		return nil, -1, err
 	}
 	witness = -1
-	err = d.protect("WorstUtility", func() error {
+	err = protect("WorstUtility", func() error {
 		w, wit, err := x.WorstUtilityParCtx(ctx, selection, 0)
 		if err != nil {
 			return fmt.Errorf("kregret: %w", err)
@@ -934,7 +986,7 @@ func (d *Dataset) buildIndex(ctx context.Context, maxK int) (*Index, error) {
 		return nil, fmt.Errorf("kregret: %w", err)
 	}
 	var list *core.StoredList
-	err = d.protect("BuildIndex", func() error {
+	err = protect("BuildIndex", func() error {
 		var err error
 		if maxK <= 0 {
 			list, err = core.BuildStoredListParCtx(ctx, candPts, 0)

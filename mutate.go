@@ -151,8 +151,8 @@ func (d *Dataset) Insert(p Point) (int, error) {
 // before the successor is published. Cold caches stay cold: delta
 // maintenance never triggers a computation the previous epoch did not
 // already pay for, so purely write-heavy workloads keep O(1)
-// mutations. The successor is unpublished here, so the Once.Do calls
-// cannot race a reader.
+// mutations. The successor is unpublished here, so the seeds cannot
+// race a reader.
 func seedAfterInsert(st, ns *dsState) {
 	if !st.skyDone.Load() {
 		return
@@ -161,17 +161,12 @@ func seedAfterInsert(st, ns *dsState) {
 	if err != nil {
 		return // impossible for a consistent cache; fall back to lazy recompute
 	}
-	ns.skyOnce.Do(func() { ns.sky = skyNew })
-	ns.skyDone.Store(true)
+	seedOnce(&ns.skyMu, &ns.skyDone, func() { ns.sky = skyNew })
 	if !st.happyDone.Load() || st.cert == nil {
 		return
 	}
 	cert := happy.UpdateInsert(ns.pts, st.cert, skyNew, removed, inserted)
-	ns.happyOnce.Do(func() {
-		ns.cert = cert
-		ns.happy = cert.HappyPoints()
-	})
-	ns.happyDone.Store(true)
+	seedOnce(&ns.happyMu, &ns.happyDone, func() { ns.cert, ns.happy = cert, cert.HappyPoints() })
 }
 
 // seedAfterDelete is seedAfterInsert's counterpart for Delete: st is
@@ -185,17 +180,12 @@ func seedAfterDelete(st, ns *dsState, delIdx int) {
 	if err != nil {
 		return
 	}
-	ns.skyOnce.Do(func() { ns.sky = skyNew })
-	ns.skyDone.Store(true)
+	seedOnce(&ns.skyMu, &ns.skyDone, func() { ns.sky = skyNew })
 	if !st.happyDone.Load() || st.cert == nil {
 		return
 	}
 	cert := happy.UpdateDelete(ns.pts, st.cert, delIdx, skyNew, entrants, wasSky)
-	ns.happyOnce.Do(func() {
-		ns.cert = cert
-		ns.happy = cert.HappyPoints()
-	})
-	ns.happyDone.Store(true)
+	seedOnce(&ns.happyMu, &ns.happyDone, func() { ns.cert, ns.happy = cert, cert.HappyPoints() })
 }
 
 // Delete removes the tuple at index i; tuples after it shift down by

@@ -171,12 +171,8 @@ func TestSelectionValidation(t *testing.T) {
 // The panic boundary converts a geometry-core panic into a typed
 // *NumericalError instead of unwinding into the caller.
 func TestPanicBoundary(t *testing.T) {
-	ds, err := NewDataset(testPoints(20, 3, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
 	boom := errors.New("boom")
-	err = ds.protect("TestOp", func() error { panic(boom) })
+	err := protect("TestOp", func() error { panic(boom) })
 	var ne *NumericalError
 	if !errors.As(err, &ne) {
 		t.Fatalf("want *NumericalError, got %T: %v", err, err)
@@ -188,11 +184,11 @@ func TestPanicBoundary(t *testing.T) {
 		t.Fatal("empty error message")
 	}
 	// Non-panicking functions pass through untouched.
-	if err := ds.protect("TestOp", func() error { return nil }); err != nil {
+	if err := protect("TestOp", func() error { return nil }); err != nil {
 		t.Fatalf("clean run reported %v", err)
 	}
 	sentinel := errors.New("sentinel")
-	if err := ds.protect("TestOp", func() error { return sentinel }); !errors.Is(err, sentinel) {
+	if err := protect("TestOp", func() error { return sentinel }); !errors.Is(err, sentinel) {
 		t.Fatalf("error passthrough broken: %v", err)
 	}
 }
