@@ -391,7 +391,7 @@ func (e *Engine) Query(ctx context.Context, k int, opts ...Option) (*Answer, err
 		err error
 	)
 	perr := e.pool.Do(ctx, func(jctx context.Context) {
-		ans, err = e.serve(jctx, k, opts)
+		ans, err = e.serveOnce(jctx, k, opts)
 	})
 	if perr != nil {
 		return nil, fmt.Errorf("kregret: %w", perr)
@@ -399,11 +399,14 @@ func (e *Engine) Query(ctx context.Context, k int, opts ...Option) (*Answer, err
 	return ans, err
 }
 
-// serve runs one admitted query on a worker goroutine under the
-// per-query wall-clock budget. A failure returns at once: the one
+// serveOnce answers one admitted query on a worker goroutine under
+// the per-query wall-clock budget. A failure returns at once: the one
 // re-run worth making, over perturbed candidates, already happened
-// inside the degradation chain.
-func (e *Engine) serve(ctx context.Context, k int, opts []Option) (*Answer, error) {
+// inside the degradation chain. It loads the serving epoch exactly
+// once, up front: every read below — index, breaker key, solver —
+// comes from that one generation, so an epoch swap mid-query cannot
+// hand the query a mixed view.
+func (e *Engine) serveOnce(ctx context.Context, k int, opts []Option) (*Answer, error) {
 	if e.opts.maxQueryTime > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.opts.maxQueryTime)
@@ -413,14 +416,6 @@ func (e *Engine) serve(ctx context.Context, k int, opts []Option) (*Answer, erro
 	for _, f := range opts {
 		f(&o)
 	}
-	return e.serveOnce(ctx, k, &o, opts)
-}
-
-// serveOnce answers an admitted query. It loads the serving epoch
-// exactly once, up front: every read below — index, breaker key,
-// solver — comes from that one generation, so an epoch swap mid-query
-// cannot hand the query a mixed view.
-func (e *Engine) serveOnce(ctx context.Context, k int, o *options, opts []Option) (*Answer, error) {
 	ep := e.epoch.Load()
 	if e.watchdogDone != nil {
 		deadline, _ := ctx.Deadline() // zero when unbounded: never stuck

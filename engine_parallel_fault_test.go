@@ -6,7 +6,8 @@
 // typed *NumericalError, and from there either surfaced (without
 // fallback) or absorbed by the degradation chain — exactly like a
 // panic on the sequential path. The dataset is large enough
-// (n > 2×grain) that the solver scans genuinely split into multiple
+// (n > 2×grain) that the solvers' parallel passes — GeoGreedy's
+// relocation and Greedy's LP sweep — genuinely split into multiple
 // chunks; at GOMAXPROCS 1 the same site must be inert.
 package kregret
 
@@ -22,10 +23,10 @@ import (
 )
 
 // parallelFaultDataset is faultDataset scaled up past every fan-out
-// threshold (`n < 2·grain` runs inline): GeoGreedy's support scan
+// threshold (`n < 2·grain` runs inline): GeoGreedy's relocation pass
 // chunks at a 256-index grain and Greedy's LP sweep at 1024, so 2500
-// points split every solver stage into ≥ 2 chunks and the worker
-// loop — where SiteParallelWorker fires — actually runs in each.
+// points split both into ≥ 2 chunks and the worker loop — where
+// SiteParallelWorker fires — actually runs in each.
 func parallelFaultDataset(t *testing.T) *Dataset {
 	t.Helper()
 	ds, err := NewDataset(testPoints(2500, 3, 5))

@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -145,6 +148,57 @@ func TestGeoGreedyEarlyTermination(t *testing.T) {
 	if res.ExhaustedAt < 0 || len(res.Indices) >= 10 {
 		t.Fatalf("expected early termination, got %d points (exhausted %d)",
 			len(res.Indices), res.ExhaustedAt)
+	}
+}
+
+// TestMaxSupportFold pins the contract of GeoGreedy's one fold over
+// the cached supports: the first maximum wins ties, a NaN on any
+// unselected candidate is ErrDegenerate naming the lowest poisoned
+// one (a taken candidate's NaN is never read), no eligible candidate
+// gives (-1, 0), and −Inf is an ordinary legal value.
+func TestMaxSupportFold(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	free := func(v float64) candState { return candState{bestVal: v} }
+	taken := func(v float64) candState { return candState{bestVal: v, taken: true} }
+	for _, tc := range []struct {
+		name    string
+		states  []candState
+		best    int
+		val     float64
+		nanCand int // lowest poisoned candidate, or -1 for no error
+	}{
+		{"ties go to the lowest index", []candState{free(1), free(3), taken(9), free(3), free(2)}, 1, 3, -1},
+		{"+Inf wins", []candState{free(2), free(inf), free(inf)}, 1, inf, -1},
+		{"NaN names the lowest poisoned candidate",
+			[]candState{free(5), free(nan), free(7), free(nan)}, -1, 0, 1},
+		{"NaN after the maximum still poisons", []candState{free(9), free(1), free(nan)}, -1, 0, 2},
+		{"a taken NaN is not read", []candState{taken(nan), free(2)}, 1, 2, -1},
+		{"no candidate is eligible", []candState{taken(4), taken(nan)}, -1, 0, -1},
+		{"empty", nil, -1, 0, -1},
+		{"-Inf is legal", []candState{taken(3), free(math.Inf(-1))}, 1, math.Inf(-1), -1},
+		{"-Inf loses to any finite value", []candState{free(math.Inf(-1)), free(-5)}, 1, -5, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			best, val, err := maxSupport(tc.states)
+			if tc.nanCand >= 0 {
+				if !errors.Is(err, ErrDegenerate) {
+					t.Fatalf("err = %v, want ErrDegenerate", err)
+				}
+				if want := fmt.Sprintf("candidate %d has NaN", tc.nanCand); !strings.Contains(err.Error(), want) {
+					t.Fatalf("err = %q, want it to name %q", err, want)
+				}
+				if best != -1 {
+					t.Fatalf("best = %d on a poisoned fold, want -1", best)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if best != tc.best || val != tc.val {
+				t.Fatalf("maxSupport = (%d, %v), want (%d, %v)", best, val, tc.best, tc.val)
+			}
+		})
 	}
 }
 

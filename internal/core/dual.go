@@ -71,8 +71,3 @@ func (h *dualHull) criticalRatio(q geom.Vector) float64 {
 	}
 	return 1 / s
 }
-
-// numVertices reports the current dual vertex count (= number of
-// non-origin faces of Conv(S), including those induced by the
-// orthotope closure).
-func (h *dualHull) numVertices() int { return h.poly.NumVertices() }

@@ -127,6 +127,14 @@ func buildHull(ctx context.Context, pts []geom.Vector, sel []int) (*dualHull, er
 	return hull, nil
 }
 
+// grainSupport is the minimum chunk of the support scan below: the
+// kernel is heavy per item (a dot product per hull vertex per row),
+// so chunks amortize scheduling quickly, and 16384 lets a paper-scale
+// n=100k full scan fan out while test-sized scans run inline below two
+// grains. A var, not a const: fault-injection builds shrink it
+// (geogreedy_fault.go).
+var grainSupport = 16384
+
 // supportScan fills (from the scratch pool — caller must
 // putFloatScratch) the support value of every scan row against the
 // hull: parallel.For chunks hand row ranges to the batched
@@ -192,7 +200,7 @@ func (x *EvalIndex) MRRGeometricParCtx(ctx context.Context, sel []int, workers i
 	defer putFloatScratch(vals)
 	// Sequential fold in row order: NaN poisons (lowest index first,
 	// reported as its dataset index), otherwise first-max — the same
-	// semantics parallel.ArgMax guaranteed on the pre-kernel path.
+	// contract as GeoGreedy's maxSupport.
 	idx, maxSupport := -1, 0.0
 	for i, s := range vals {
 		if math.IsNaN(s) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
@@ -31,16 +30,17 @@ func GeoGreedy(pts []geom.Vector, k int) (*Result, error) {
 
 // GeoGreedyParCtx is GeoGreedy with cooperative cancellation and
 // intra-query parallelism. The context is checked once per greedy
-// iteration, once per candidate re-scan batch, and inside every
+// iteration, once per candidate scan batch, and inside every
 // dual-hull insertion, so a deadline or cancel stops the algorithm
 // within one batch even on pathological hulls; the returned error
-// wraps ctx.Err() when canceled. The candidate support scans,
-// re-location passes and argmax reductions fan out over up to
-// `workers` goroutines (0 = GOMAXPROCS, 1 = the exact
-// sequential path). The answer is byte-identical to the sequential one
-// for every worker count — reductions break ties by lowest index and
-// NaN supports surface as ErrDegenerate with the lowest poisoned
-// candidate, exactly as the sequential scan reports them.
+// wraps ctx.Err() when canceled. The relocation pass after each
+// insertion fans out over up to `workers` goroutines (0 = GOMAXPROCS,
+// 1 = the exact sequential path); the assignment scan and the arg-max
+// folds run sequentially in index order, because splitting them does
+// not pay at width 2 (DESIGN.md §11). The answer is byte-identical for
+// every worker count: the fold breaks ties by lowest index and a NaN
+// support surfaces as ErrDegenerate naming the lowest poisoned
+// candidate.
 func GeoGreedyParCtx(ctx context.Context, pts []geom.Vector, k, workers int) (*Result, error) {
 	return greedyHullTrace(ctx, pts, k, workers, 1.0, nil, nil)
 }
@@ -49,33 +49,17 @@ func GeoGreedyParCtx(ctx context.Context, pts []geom.Vector, k, workers int) (*R
 // cancellation checks in the initial assignment pass.
 const scanBatch = 4096
 
-// Per-site parallel grains: the minimum chunk sizes handed to
-// parallel.For/ArgMax, sized so chunk scheduling stays well under the
-// per-item work. Vars, not consts: fault-injection builds shrink them
-// (geogreedy_fault.go) so the worker fan-out path — and the fault
-// sites inside it — is reachable from test-sized datasets.
-var (
-	// grainSupport covers the one-time assignment scan's dual-hull
-	// support evaluations. The kernel is heavy per item (a dot
-	// product per hull vertex per candidate), so chunks amortize
-	// scheduling quickly; 16384 lets the paper-scale n=100k scan fan
-	// out (the previous 65536 kept it inline — one of the two causes
-	// of the sub-1.0x parallel speedups in BENCH_51b6548) while
-	// test-sized sweeps still run inline below two grains.
-	grainSupport = 16384
-	// grainRelocate covers the per-iteration relocation pass. Most
-	// iterations touch only the few candidates whose best face was
-	// capped, so the per-item work is a cheap guard plus an
-	// occasional small MaxDotCols; chunks below this size cost more
-	// in scheduling than they save, and sweeps under two grains run
-	// inline — which is what keeps the k-iteration loop from paying
-	// goroutine latency k times on narrow machines.
-	grainRelocate = 16384
-	// grainReduce covers pure loads/compares over cached candidate
-	// state (the argmax reductions); same inline reasoning as
-	// grainRelocate.
-	grainReduce = 16384
-)
+// grainRelocate is the minimum chunk handed to parallel.For by the
+// per-iteration relocation pass. Most iterations touch only the few
+// candidates whose best face was capped, so the per-item work is a
+// cheap stamp check plus an occasional small MaxDotCols; chunks below
+// this size cost more in scheduling than they save, and sweeps under
+// two grains run inline, which keeps the k-iteration loop from paying
+// goroutine latency k times on narrow machines. A var, not a const:
+// fault-injection builds shrink it (geogreedy_fault.go) so the worker
+// fan-out path, and the fault sites inside it, are reachable from
+// test-sized datasets.
+var grainRelocate = 16384
 
 // candState caches, for one unselected candidate, the dual vertex
 // currently maximizing v·q (the face its critical ray crosses) and
@@ -177,44 +161,33 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 		selected = append(selected, i)
 	}
 
-	// Initial face assignment for every remaining candidate. The hull
-	// is read-only during the scan and each iteration writes only its
-	// own states entry, so the chunks are independent. Each chunk hands
-	// scanBatch-sized row ranges to the batched support kernel, then
-	// distributes the values into the per-candidate state (the taken
-	// few are computed and discarded — cheaper than breaking the batch).
-	err = parallel.For(ctx, len(pts), workers, grainSupport, func(start, end int) error {
-		vals := floatScratch(scanBatch)
-		ids := intScratch(scanBatch)
-		defer putFloatScratch(vals)
-		defer putIntScratch(ids)
-		for bs := start; bs < end; bs += scanBatch {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("core: GeoGreedy canceled during candidate assignment: %w", err)
-			}
-			be := bs + scanBatch
-			if be > end {
-				be = end
-			}
-			hull.poly.SupportsInto(qm, bs, be, vals[:be-bs], ids[:be-bs])
-			for i := bs; i < be; i++ {
-				if states[i].taken {
-					continue
-				}
-				val := vals[i-bs]
-				if fault.Enabled {
-					val = fault.NaN(fault.SiteGeoGreedySupport, val)
-				}
-				states[i].bestVal, states[i].bestID = val, ids[i-bs]
-			}
+	// Initial face assignment for every remaining candidate: scanBatch
+	// row ranges go to the batched support kernel, then the values are
+	// distributed into the per-candidate state (the taken few are
+	// computed and discarded — cheaper than breaking the batch).
+	vals := floatScratch(scanBatch)
+	ids := intScratch(scanBatch)
+	defer putFloatScratch(vals)
+	defer putIntScratch(ids)
+	for bs := 0; bs < len(pts); bs += scanBatch {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("core: GeoGreedy canceled during candidate assignment: %w", err)
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		be := min(bs+scanBatch, len(pts))
+		hull.poly.SupportsInto(qm, bs, be, vals[:be-bs], ids[:be-bs])
+		for i := bs; i < be; i++ {
+			if states[i].taken {
+				continue
+			}
+			val := vals[i-bs]
+			if fault.Enabled {
+				val = fault.NaN(fault.SiteGeoGreedySupport, val)
+			}
+			states[i].bestVal, states[i].bestID = val, ids[i-bs]
+		}
 	}
 	if onSelect != nil {
-		mrr, err := currentMRR(ctx, states, workers)
+		mrr, err := currentMRR(states)
 		if err != nil {
 			return nil, err
 		}
@@ -229,10 +202,13 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 		}
 	}
 
-	// Re-location scratch, reused across insertions: membership set of
-	// the dual vertices each insertion destroyed, the cap vertex list,
-	// and its transposed matrix.
-	removed := make(map[int]bool)
+	// Re-location scratch, reused across insertions: the cap vertex
+	// list and its transposed matrix, and removedAt, which marks the
+	// dual vertices an insertion destroyed by stamping their ID with
+	// that insertion's number. dd numbers vertices from 0 and never
+	// reuses an ID, so a dense slice replaces a per-insertion set and
+	// nothing is ever cleared.
+	var removedAt []int
 	var capPts []geom.Vector
 	var capIDs []int
 	capT := new(mat.Transposed)
@@ -245,15 +221,14 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 		if fault.Enabled && fault.Active(fault.SiteGeoGreedyPanic) {
 			panic("fault: injected geometry panic in GeoGreedy")
 		}
-		// Candidate with the smallest critical ratio = largest
-		// support value. A NaN support means the hull arithmetic broke
-		// down (it would silently lose the candidate: every comparison
-		// against NaN is false) — surface it as a degeneracy instead.
-		best, _, err := bestCandidate(ctx, states, workers, len(selected), stop)
+		// Candidate with the smallest critical ratio = largest support
+		// value, taken only while it exceeds stop (stop = 1: still
+		// outside the hull; stop = 1/(1−ε): EpsKernel's slack).
+		best, bestVal, err := maxSupport(states)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w after %d selections", err, len(selected))
 		}
-		if best < 0 {
+		if best < 0 || bestVal <= stop+geom.Eps {
 			// Every remaining candidate is inside the hull:
 			// cr ≥ 1 ⟹ mrr = 0 (Algorithm 1, line 8).
 			exhausted = len(selected)
@@ -269,12 +244,15 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 		// Incremental re-location: only candidates whose cached face
 		// was removed rescan, and only over the faces of the new cap
 		// (created vertices plus kept vertices on the new plane). The
-		// removed set and the new faces are read-only during the pass;
-		// each iteration writes only its own states entry.
+		// stamps and the new faces are read-only during the pass; each
+		// iteration writes only its own states entry.
 		if len(res.RemovedIDs) > 0 {
-			clear(removed)
+			stamp := len(selected)
 			for _, id := range res.RemovedIDs {
-				removed[id] = true
+				if id >= len(removedAt) {
+					removedAt = append(removedAt, make([]int, id+1-len(removedAt))...)
+				}
+				removedAt[id] = stamp
 			}
 			// The cap — created vertices then kept on-plane vertices, in
 			// the same order the pre-kernel loops scanned them — as a
@@ -296,7 +274,8 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 				defer putFloatScratch(acc)
 				for i := start; i < end; i++ {
 					st := &states[i]
-					if st.taken || !removed[st.bestID] {
+					id := st.bestID
+					if st.taken || id < 0 || id >= len(removedAt) || removedAt[id] != stamp {
 						continue
 					}
 					c, newVal := capT.MaxDotCols(qm.Row(i), acc)
@@ -316,7 +295,7 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 			}
 		}
 		if onSelect != nil {
-			mrr, err := currentMRR(ctx, states, workers)
+			mrr, err := currentMRR(states)
 			if err != nil {
 				return nil, err
 			}
@@ -324,7 +303,7 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 		}
 	}
 
-	mrr, err := currentMRR(ctx, states, workers)
+	mrr, err := currentMRR(states)
 	if err != nil {
 		return nil, err
 	}
@@ -359,47 +338,36 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 	}, nil
 }
 
-// bestCandidate finds the unselected candidate with the largest
-// cached support, provided it exceeds stop + eps (stop = 1 is
-// GeoGreedy's "critical ratio below 1, i.e. still outside the hull";
-// stop = 1/(1−ε) is EpsKernel's slack); otherwise (-1, 0, nil). Ties
-// break to the lowest index and a NaN support anywhere is
-// ErrDegenerate — both independent of the worker count.
-func bestCandidate(ctx context.Context, states []candState, workers, nSel int, stop float64) (int, float64, error) {
-	best, bestVal, err := parallel.ArgMax(ctx, len(states), workers, grainReduce, func(i int) (float64, bool) {
-		return states[i].bestVal, !states[i].taken
-	})
-	if err != nil {
-		var nanErr *parallel.NaNError
-		if errors.As(err, &nanErr) {
-			return -1, 0, fmt.Errorf("%w: candidate %d has NaN critical ratio after %d selections",
-				ErrDegenerate, nanErr.Index, nSel)
+// maxSupport is the one fold over the cached supports, in index order:
+// the first unselected candidate attaining the largest support and
+// that support, or (-1, 0) when every candidate is taken. The greedy
+// step takes its next candidate from it (the smallest critical ratio)
+// and currentMRR the regret. A NaN support is ErrDegenerate naming the
+// lowest poisoned candidate: skipping it would silently lose the
+// candidate, because every ordered comparison against NaN is false.
+func maxSupport(states []candState) (int, float64, error) {
+	best, bestVal := -1, 0.0
+	for i := range states {
+		st := &states[i]
+		if st.taken {
+			continue
 		}
-		return -1, 0, fmt.Errorf("core: GeoGreedy canceled after %d selections: %w", nSel, err)
-	}
-	if best < 0 || bestVal <= stop+geom.Eps {
-		return -1, 0, nil
+		if math.IsNaN(st.bestVal) {
+			return -1, 0, fmt.Errorf("%w: candidate %d has NaN critical ratio", ErrDegenerate, i)
+		}
+		if best < 0 || st.bestVal > bestVal {
+			best, bestVal = i, st.bestVal
+		}
 	}
 	return best, bestVal, nil
 }
 
 // currentMRR computes 1 − min cr over unselected candidates from the
-// cached support values (Lemma 1), clamped at zero. A NaN cached
-// support is ErrDegenerate: the reduction would otherwise silently
-// lose it (every ordered comparison against NaN is false) and report
-// a regret that ignores the poisoned candidate — parallel and
-// sequential paths surface the identical failure instead.
-func currentMRR(ctx context.Context, states []candState, workers int) (float64, error) {
-	_, maxVal, err := parallel.ArgMax(ctx, len(states), workers, grainReduce, func(i int) (float64, bool) {
-		return states[i].bestVal, !states[i].taken
-	})
+// cached support values (Lemma 1), clamped at zero.
+func currentMRR(states []candState) (float64, error) {
+	_, maxVal, err := maxSupport(states)
 	if err != nil {
-		var nanErr *parallel.NaNError
-		if errors.As(err, &nanErr) {
-			return 0, fmt.Errorf("%w: candidate %d has NaN critical ratio in regret evaluation",
-				ErrDegenerate, nanErr.Index)
-		}
-		return 0, fmt.Errorf("core: GeoGreedy canceled during regret evaluation: %w", err)
+		return 0, fmt.Errorf("%w in regret evaluation", err)
 	}
 	if maxVal <= 1 {
 		return 0, nil

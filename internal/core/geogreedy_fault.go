@@ -5,12 +5,11 @@ package core
 // Fault-injection builds exist to exercise the parallel worker path —
 // SiteParallelWorker fires inside spawned workers, and a sweep that
 // runs inline (n < 2·grain) never reaches it. The production grains
-// are sized for six-figure datasets, which would force every fault
-// test to build one; shrinking them here keeps the fan-out threshold
-// at the seed values the fault suites were sized against (a few
-// thousand points split every solver stage into multiple chunks).
+// of the relocation pass and the evaluator's support scan are sized
+// for six-figure datasets, which would force every fault test to
+// build one; shrinking them here lets a few hundred points split
+// those passes into multiple chunks.
 func init() {
 	grainSupport = 256
 	grainRelocate = 256
-	grainReduce = 1024
 }

@@ -24,8 +24,22 @@ func TestGeoGreedyNaNSweepAlwaysDegenerate(t *testing.T) {
 	fault.Reset()
 	t.Cleanup(fault.Reset)
 	ctx := context.Background()
-	pts := antiCorrelated(rand.New(rand.NewSource(17)), 120, 3)
+	// n=600 is above two relocation grains of the fault build (2·256),
+	// so the workers=4 half of the sweep runs the relocation pass on
+	// spawned workers; at n=120 every pass ran inline at both widths.
+	pts := antiCorrelated(rand.New(rand.NewSource(17)), 600, 3)
 	const k = 7
+
+	// Prove that claim on a clean run: the worker site fires only
+	// inside a spawned chunk loop, never on the inline path.
+	fault.Observe(fault.SiteParallelWorker)
+	if _, err := GeoGreedyParCtx(ctx, pts, k, 4); err != nil {
+		t.Fatalf("clean workers=4 run: %v", err)
+	}
+	if fault.Fired(fault.SiteParallelWorker) == 0 {
+		t.Fatalf("workers=4 never left the inline path at n=%d", len(pts))
+	}
+	fault.Reset()
 
 	// Count the support evaluations of a clean run: Observe makes the
 	// site tally fire() calls without corrupting anything.

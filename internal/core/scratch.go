@@ -31,8 +31,8 @@ func putFloatScratch(s []float64) {
 	floatScratchPool.Put(&s)
 }
 
-// intScratchPool recycles the per-chunk int buffers of the batched
-// support scans (GeoGreedy's vertex-ID side channel).
+// intScratchPool recycles the int buffer of GeoGreedy's batched
+// assignment scan (its vertex-ID side channel).
 var intScratchPool sync.Pool
 
 // intScratch returns a length-n int slice with unspecified contents;

@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/fault"
@@ -61,12 +60,6 @@ type Vertex struct {
 	Point geom.Vector
 	// Tight holds sorted indices into Polytope constraints.
 	Tight []int32
-}
-
-// tightOn reports whether constraint c is tight at the vertex.
-func (v *Vertex) tightOn(c int32) bool {
-	i := sort.Search(len(v.Tight), func(i int) bool { return v.Tight[i] >= c })
-	return i < len(v.Tight) && v.Tight[i] == c
 }
 
 // Polytope is a bounded polyhedron maintained as both a constraint

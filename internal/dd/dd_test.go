@@ -18,6 +18,12 @@ func (p *Polytope) NumConstraints() int { return len(p.cons) }
 // the interior on the a·x < b side.
 func (p *Polytope) Constraint(i int) geom.Hyperplane { return p.cons[i] }
 
+// tightOn reports whether constraint c is tight at the vertex.
+func (v *Vertex) tightOn(c int32) bool {
+	i := sort.Search(len(v.Tight), func(i int) bool { return v.Tight[i] >= c })
+	return i < len(v.Tight) && v.Tight[i] == c
+}
+
 // planeEval returns h.Normal·x − h.Offset (positive above, negative
 // below).
 func planeEval(h geom.Hyperplane, x geom.Vector) float64 { return h.Normal.Dot(x) - h.Offset }

@@ -62,9 +62,10 @@ func ComputeAmongSkylineCertParallel(pts []geom.Vector, sky []int, workers int) 
 }
 
 // ComputeAmongSkylineCertParallelCtx is ComputeAmongSkylineCertParallel
-// with cooperative cancellation, checked between work units. The
-// returned error wraps ctx.Err() when canceled; the certificate is
-// identical to the sequential one whenever the error is nil.
+// with cooperative cancellation, checked between work units and every
+// 1,024 candidates. The returned error wraps ctx.Err() when canceled;
+// the certificate is identical to the sequential one whenever the
+// error is nil.
 func ComputeAmongSkylineCertParallelCtx(ctx context.Context, pts []geom.Vector, sky []int, workers int) (*Cert, error) {
 	if len(sky) == 0 {
 		return &Cert{Sky: sky}, nil
@@ -74,18 +75,11 @@ func ComputeAmongSkylineCertParallelCtx(ctx context.Context, pts []geom.Vector, 
 	}
 	s := newSubjSweep(pts, sky)
 	wit := make([]int32, len(sky))
-	workers = parallel.Resolve(workers)
-	if workers == 1 {
-		for i := range sky {
-			if i%1024 == 0 && ctx.Err() != nil {
-				return nil, fmt.Errorf("happy: canceled during happy-point preprocessing: %w", ctx.Err())
-			}
-			wit[i] = s.firstSubjugator(int(s.pos[i]))
-		}
-		return &Cert{Sky: sky, Wit: wit}, nil
-	}
 	err := parallel.For(ctx, len(sky), workers, certGrain, func(start, end int) error {
 		for i := start; i < end; i++ {
+			if i%1024 == 0 && ctx.Err() != nil {
+				return ctx.Err()
+			}
 			wit[i] = s.firstSubjugator(int(s.pos[i]))
 		}
 		return nil

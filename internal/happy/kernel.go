@@ -356,18 +356,6 @@ func (s *subjSweep) firstSubjugator(qpos int) int32 {
 	return -1
 }
 
-// witnessesKernel computes the witness array for candidates == sky
-// via the sweep: wit[i] is a subjugator of pts[sky[i]] (original
-// index) or -1 when sky[i] is happy.
-func witnessesKernel(pts []geom.Vector, sky []int) []int32 {
-	s := newSubjSweep(pts, sky)
-	wit := make([]int32, len(sky))
-	for i := range sky {
-		wit[i] = s.firstSubjugator(int(s.pos[i]))
-	}
-	return wit
-}
-
 // witnessesScalar is the scalar reference: the legacy per-pair scan,
 // witness being the first subjugator in ascending sky order.
 func witnessesScalar(pts []geom.Vector, sky []int) []int32 {

@@ -10,6 +10,18 @@ import (
 	"repro/internal/geom"
 )
 
+// witnessesKernel computes the witness array for candidates == sky
+// via the sweep: wit[i] is a subjugator of pts[sky[i]] (original
+// index) or -1 when sky[i] is happy.
+func witnessesKernel(pts []geom.Vector, sky []int) []int32 {
+	s := newSubjSweep(pts, sky)
+	wit := make([]int32, len(sky))
+	for i := range sky {
+		wit[i] = s.firstSubjugator(int(s.pos[i]))
+	}
+	return wit
+}
+
 var kernelGens = []struct {
 	name string
 	fn   func(n, d int, seed int64) ([]geom.Vector, error)

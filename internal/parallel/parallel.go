@@ -1,21 +1,23 @@
-// Package parallel is the intra-query fan-out substrate of the
-// geometry core: a chunked parallel-for with deterministic reductions,
-// built only on the standard library.
+// Package parallel is the fan-out substrate of the geometry core: a
+// chunked parallel-for built only on the standard library.
 //
-// The paper's hot loops — candidate support scans, happy-point
-// subjugation tests, sampled regret evaluation, the per-candidate LPs
-// of the Greedy baseline — are embarrassingly parallel across
-// candidates: every iteration reads shared immutable state (the dual
-// hull, the point slice) and writes at most its own index. This
-// package exploits exactly that shape while keeping three contracts
+// A loop earns a call here only where splitting it measurably pays at
+// width 2 (DESIGN.md §11 lists each site with its numbers): the
+// skyline stripes, the happy certificate, the coreset direction net,
+// the shard covers, GeoGreedy's relocation pass, the evaluator's
+// support scan and sample loop, and Greedy's per-candidate LPs. Every
+// one reads shared immutable state (the dual hull, the point slice)
+// and writes at most its own index. The package keeps two contracts
 // the rest of the repository depends on:
 //
-//   - Determinism. Parallel results are byte-identical to the
-//     sequential ones. For writes only disjoint indices; ArgMax
-//     reduces with value-then-lowest-index ordering, which is
-//     associative and commutative, so chunk scheduling cannot change
-//     the winner. Differential tests in internal/core assert equality
-//     of full query answers at parallelism 1 vs N.
+//   - Determinism. For writes only disjoint indices, and every
+//     reduction runs after the join, sequentially and in index order
+//     at the call site, so parallel results are byte-identical to the
+//     sequential ones. A NaN is the fold's to report: GeoGreedy's
+//     maxSupport and the evaluator's regret fold return
+//     ErrDegenerate naming the lowest poisoned index. Differential
+//     tests in internal/core assert equality of full query answers at
+//     parallelism 1 vs N.
 //
 //   - Failure transparency. A panic on a worker goroutine is captured
 //     and re-raised on the caller's goroutine, so the public panic
@@ -24,24 +26,16 @@
 //     combined with errors.Join; cancellation is checked between
 //     chunks so a dead context stops the fan-out within one chunk.
 //
-//   - NaN poisoning. ArgMax refuses to reduce across a NaN: the
-//     sequential scans treat NaN supports as degeneracy (every ordered
-//     comparison against NaN is false, which would silently lose the
-//     candidate), and the parallel reduction must surface the same
-//     failure instead of hiding it. The lowest poisoned index is
-//     reported so the error message matches the sequential scan's.
-//
 // The width is the call's workers argument, and 0 means GOMAXPROCS,
-// read at every call. workers == 1 — or any input smaller than the
-// call site's grain — takes the exact sequential code path, so small
-// inputs pay zero synchronization overhead.
+// read at every call. workers == 1 — or any input smaller than two of
+// the call site's grains — takes the exact sequential code path, so
+// small inputs pay zero synchronization overhead.
 package parallel
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -101,14 +95,24 @@ func newPlan(n, workers, grain int) plan {
 	return plan{n: n, workers: w, chunk: chunk, numChunks: numChunks}
 }
 
-// run executes body(c, start, end) for every chunk c covering
-// [start, end) ⊂ [0, n), fanning chunks out over p.workers goroutines
-// (the caller's goroutine participates as one of them). Workers pull
-// chunks from an atomic counter; cancellation is checked before every
-// chunk; the first body error stops further chunk claims and every
-// error is combined with errors.Join. A worker panic is captured and
-// re-raised on the caller's goroutine after all workers have stopped.
-func run(ctx context.Context, p plan, body func(c, start, end int) error) error {
+// For splits [0, n) into chunks of at least grain indices and runs
+// body(start, end) for each, concurrently on up to `workers`
+// goroutines (0 = GOMAXPROCS; the caller's goroutine is one of them).
+// With workers == 1 — or when n is too small to fill two chunks —
+// body runs once, inline, as body(0, n): the exact sequential path.
+//
+// Workers pull chunks from an atomic counter; cancellation is checked
+// before every chunk; the first body error stops further chunk claims
+// and every error is combined with errors.Join. A worker panic is
+// captured and re-raised on the caller's goroutine after all workers
+// have stopped.
+//
+// The body must confine writes to the chunk's own indices; reads of
+// shared state must be free of concurrent writers. cmd/kregret-vet's
+// slicealias analyzer flags chunk bodies that write captured
+// variables outside that discipline.
+func For(ctx context.Context, n, workers, grain int, body func(start, end int) error) error {
+	p := newPlan(n, workers, grain)
 	if p.n < 1 {
 		return nil
 	}
@@ -116,7 +120,7 @@ func run(ctx context.Context, p plan, body func(c, start, end int) error) error 
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("parallel: canceled before sequential run: %w", err)
 		}
-		return body(0, 0, p.n)
+		return body(0, p.n)
 	}
 
 	var (
@@ -160,7 +164,7 @@ func run(ctx context.Context, p plan, body func(c, start, end int) error) error 
 			if end > p.n {
 				end = p.n
 			}
-			if err := body(c, start, end); err != nil {
+			if err := body(start, end); err != nil {
 				errsMu.Lock()
 				errs[c] = err
 				errsMu.Unlock()
@@ -186,118 +190,4 @@ func run(ctx context.Context, p plan, body func(c, start, end int) error) error 
 		panic(panicVal)
 	}
 	return errors.Join(errs...)
-}
-
-// For splits [0, n) into chunks of at least grain indices and runs
-// body(start, end) for each, concurrently on up to `workers`
-// goroutines (0 = GOMAXPROCS). With workers == 1 — or when n is
-// too small to fill two chunks — body runs once, inline, as
-// body(0, n): the exact sequential path.
-//
-// The body must confine writes to the chunk's own indices (or to
-// state owned by the chunk index); reads of shared state must be
-// free of concurrent writers. cmd/kregret-vet's slicealias analyzer
-// flags chunk bodies that write captured variables outside that
-// discipline.
-func For(ctx context.Context, n, workers, grain int, body func(start, end int) error) error {
-	return run(ctx, newPlan(n, workers, grain), func(_, start, end int) error {
-		return body(start, end)
-	})
-}
-
-// NaNError reports that a reduction met a NaN value. Index is the
-// lowest poisoned index, matching what a sequential in-order scan
-// would have reported first.
-type NaNError struct{ Index int }
-
-func (e *NaNError) Error() string {
-	return fmt.Sprintf("parallel: NaN value at index %d poisons the reduction", e.Index)
-}
-
-// seqCtxBatch is how many items the inline sequential reduction scans
-// between cancellation checks, mirroring the scan-batch granularity of
-// the sequential core loops.
-const seqCtxBatch = 4096
-
-// ArgMax returns the index attaining the maximum of value(i) over all
-// i in [0, n) for which value reports ok, together with that maximum.
-// Ties are broken toward the lowest index and NaN values poison the
-// whole reduction (returning *NaNError with the lowest poisoned
-// index), so the result is byte-identical to the sequential scan
-//
-//	best := -1
-//	for i := 0; i < n; i++ { if ok && v > bestVal { best, bestVal = i, v } }
-//
-// regardless of worker count or chunk boundaries. When no index is ok
-// it returns (-1, 0, nil).
-func ArgMax(ctx context.Context, n, workers, grain int, value func(i int) (float64, bool)) (int, float64, error) {
-	p := newPlan(n, workers, grain)
-	if p.numChunks < 2 {
-		return argMaxRange(ctx, 0, n, value)
-	}
-	type local struct {
-		idx    int
-		val    float64
-		nanIdx int
-	}
-	locals := make([]local, p.numChunks)
-	err := run(ctx, p, func(c, start, end int) error {
-		best, bestVal, nanIdx := -1, 0.0, -1
-		for i := start; i < end; i++ {
-			v, ok := value(i)
-			if !ok {
-				continue
-			}
-			if math.IsNaN(v) {
-				nanIdx = i
-				break // lower indices in this chunk are clean; chunks merge by min
-			}
-			if best < 0 || v > bestVal {
-				best, bestVal = i, v
-			}
-		}
-		locals[c] = local{idx: best, val: bestVal, nanIdx: nanIdx}
-		return nil
-	})
-	if err != nil {
-		return -1, 0, err
-	}
-	// Deterministic merge in chunk (= index) order: the lowest NaN
-	// wins the poison check; otherwise strictly-greater keeps the
-	// lowest index on value ties.
-	best, bestVal := -1, 0.0
-	for _, l := range locals {
-		if l.nanIdx >= 0 {
-			return -1, 0, &NaNError{Index: l.nanIdx}
-		}
-		if l.idx >= 0 && (best < 0 || l.val > bestVal) {
-			best, bestVal = l.idx, l.val
-		}
-	}
-	return best, bestVal, nil
-}
-
-// argMaxRange is the sequential reduction over [start, end), with the
-// same NaN poisoning and cancellation granularity as the parallel
-// path.
-func argMaxRange(ctx context.Context, start, end int, value func(i int) (float64, bool)) (int, float64, error) {
-	best, bestVal := -1, 0.0
-	for i := start; i < end; i++ {
-		if (i-start)%seqCtxBatch == 0 {
-			if err := ctx.Err(); err != nil {
-				return -1, 0, fmt.Errorf("parallel: canceled during reduction: %w", err)
-			}
-		}
-		v, ok := value(i)
-		if !ok {
-			continue
-		}
-		if math.IsNaN(v) {
-			return -1, 0, &NaNError{Index: i}
-		}
-		if best < 0 || v > bestVal {
-			best, bestVal = i, v
-		}
-	}
-	return best, bestVal, nil
 }
