@@ -6,9 +6,9 @@
 // typed *NumericalError, and from there either surfaced (without
 // fallback) or absorbed by the degradation chain — exactly like a
 // panic on the sequential path. The dataset is large enough
-// (n > 2×grain) that the solvers' parallel passes — GeoGreedy's
-// relocation and Greedy's LP sweep — genuinely split into multiple
-// chunks; at GOMAXPROCS 1 the same site must be inert.
+// (n > 2×grain) that the one solver pass that fans out, Greedy's LP
+// sweep, genuinely splits into multiple chunks; at GOMAXPROCS 1 the
+// same site must be inert.
 package kregret
 
 import (
@@ -22,11 +22,10 @@ import (
 	"repro/internal/fault"
 )
 
-// parallelFaultDataset is faultDataset scaled up past every fan-out
-// threshold (`n < 2·grain` runs inline): GeoGreedy's relocation pass
-// chunks at a 256-index grain and Greedy's LP sweep at 1024, so 2500
-// points split both into ≥ 2 chunks and the worker loop — where
-// SiteParallelWorker fires — actually runs in each.
+// parallelFaultDataset is faultDataset scaled up past the solver
+// fan-out threshold (`n < 2·grain` runs inline): Greedy's LP sweep
+// chunks at 1024, so 2500 points split it into ≥ 2 chunks and the
+// worker loop — where SiteParallelWorker fires — actually runs.
 func parallelFaultDataset(t *testing.T) *Dataset {
 	t.Helper()
 	ds, err := NewDataset(testPoints(2500, 3, 5))
@@ -36,15 +35,15 @@ func parallelFaultDataset(t *testing.T) *Dataset {
 	return ds
 }
 
-// TestParallelWorkerPanicTyped: one armed shot, no fallback — the
-// worker panic surfaces as a *NumericalError carrying the original
-// panic value.
+// TestParallelWorkerPanicTyped: one armed shot in Greedy's LP sweep,
+// no fallback — the worker panic surfaces as a *NumericalError
+// carrying the original panic value.
 func TestParallelWorkerPanicTyped(t *testing.T) {
 	armed(t)
 	ds := parallelFaultDataset(t)
 	setGOMAXPROCS(t, 4)
 	fault.Arm(fault.SiteParallelWorker, 1)
-	ans, err := ds.Query(5, WithCandidates(CandidatesAll), WithoutFallback())
+	ans, err := ds.Query(5, WithAlgorithm(AlgoGreedy), WithCandidates(CandidatesAll), WithoutFallback())
 	if ans != nil || err == nil {
 		t.Fatalf("want error, got ans=%v err=%v", ans, err)
 	}
@@ -155,12 +154,12 @@ func TestCacheFillPanicLeavesEpochUsable(t *testing.T) {
 }
 
 // TestEngineParallelWorkerPanicDegrades: the site armed forever kills
-// every parallel solver stage — GeoGreedy, its perturbed retry, and
-// Greedy all fan out and panic — and the engine-served query lands on
-// Cube (whose arithmetic never enters a parallel region), degraded
-// but answered. The engine's per-query width (GOMAXPROCS 4 over one
-// pool worker), not a per-call option, is what switches the solvers
-// onto the fan-out path.
+// every parallel solver stage — Greedy and its perturbed retry both
+// fan out their LP sweeps and panic — and the engine-served query
+// lands on Cube (whose arithmetic never enters a parallel region),
+// degraded but answered. The engine's per-query width (GOMAXPROCS 4
+// over one pool worker), not a per-call option, is what switches the
+// solver onto the fan-out path.
 func TestEngineParallelWorkerPanicDegrades(t *testing.T) {
 	armed(t)
 	ds := parallelFaultDataset(t)
@@ -176,19 +175,26 @@ func TestEngineParallelWorkerPanicDegrades(t *testing.T) {
 	}()
 
 	fault.Arm(fault.SiteParallelWorker, -1)
-	ans, err := eng.Query(context.Background(), 5, WithCandidates(CandidatesAll))
+	ans, err := eng.Query(context.Background(), 5, WithAlgorithm(AlgoGreedy), WithCandidates(CandidatesAll))
 	if err != nil {
 		t.Fatalf("query failed outright instead of degrading: %v", err)
 	}
 	if !ans.Degraded || ans.Algorithm != AlgoCube {
 		t.Fatalf("want degraded Cube answer, got %+v", ans)
 	}
-	for _, stage := range []string{"GeoGreedy", "Greedy"} {
+	for _, stage := range []string{"Greedy:", "Greedy (perturbed):"} {
 		if !strings.Contains(ans.FallbackReason, stage) {
 			t.Fatalf("reason %q does not record the %s failure", ans.FallbackReason, stage)
 		}
 	}
-	if fault.Fired(fault.SiteParallelWorker) < 3 {
+	// One injected worker panic per parallel stage of the chain: both
+	// failures above must be the site's, and it must have fired for
+	// each.
+	const parallelStages = 2
+	if n := strings.Count(ans.FallbackReason, "injected panic in parallel worker"); n != parallelStages {
+		t.Fatalf("reason %q records %d worker panics, want %d", ans.FallbackReason, n, parallelStages)
+	}
+	if fault.Fired(fault.SiteParallelWorker) < parallelStages {
 		t.Fatalf("site fired only %d times; chain skipped parallel stages",
 			fault.Fired(fault.SiteParallelWorker))
 	}
@@ -198,7 +204,7 @@ func TestEngineParallelWorkerPanicDegrades(t *testing.T) {
 
 	// Storm over: the same engine answers cleanly again.
 	fault.Reset()
-	ans, err = eng.Query(context.Background(), 5, WithCandidates(CandidatesAll))
+	ans, err = eng.Query(context.Background(), 5, WithAlgorithm(AlgoGreedy), WithCandidates(CandidatesAll))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,15 +214,16 @@ func TestEngineParallelWorkerPanicDegrades(t *testing.T) {
 }
 
 // TestParallelWorkerSiteInertSequential: with the exact sequential
-// path (GOMAXPROCS 1) the armed site must never fire — the
-// fault hook lives only in the concurrent worker loop, so sequential
-// queries cannot pay for it even under the fault build tag.
+// path (GOMAXPROCS 1) the armed site must never fire, not even in the
+// LP sweep that splits at width 4 — the fault hook lives only in the
+// concurrent worker loop, so sequential queries cannot pay for it
+// even under the fault build tag.
 func TestParallelWorkerSiteInertSequential(t *testing.T) {
 	armed(t)
 	ds := parallelFaultDataset(t)
 	setGOMAXPROCS(t, 1)
 	fault.Arm(fault.SiteParallelWorker, -1)
-	ans, err := ds.Query(5, WithCandidates(CandidatesAll))
+	ans, err := ds.Query(5, WithAlgorithm(AlgoGreedy), WithCandidates(CandidatesAll))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,34 +152,42 @@ func TestGeoGreedyEarlyTermination(t *testing.T) {
 }
 
 // TestMaxSupportFold pins the contract of GeoGreedy's one fold over
-// the cached supports: the first maximum wins ties, a NaN on any
-// unselected candidate is ErrDegenerate naming the lowest poisoned
-// one (a taken candidate's NaN is never read), no eligible candidate
-// gives (-1, 0), and −Inf is an ordinary legal value.
+// the cached supports of the active list: the first maximum wins
+// ties, a NaN on any unselected candidate is ErrDegenerate naming the
+// lowest poisoned one (a taken candidate's NaN is never read), no
+// eligible candidate gives (-1, 0), −Inf is an ordinary legal value,
+// and the taken and retired candidates leave the list.
 func TestMaxSupportFold(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	free := func(v float64) candState { return candState{bestVal: v} }
 	taken := func(v float64) candState { return candState{bestVal: v, taken: true} }
+	retired := func(v float64) candState { return candState{bestVal: v, retired: true} }
 	for _, tc := range []struct {
 		name    string
 		states  []candState
 		best    int
 		val     float64
 		nanCand int // lowest poisoned candidate, or -1 for no error
+		kept    []int
 	}{
-		{"ties go to the lowest index", []candState{free(1), free(3), taken(9), free(3), free(2)}, 1, 3, -1},
-		{"+Inf wins", []candState{free(2), free(inf), free(inf)}, 1, inf, -1},
+		{"ties go to the lowest index", []candState{free(1), free(3), taken(9), free(3), free(2)}, 1, 3, -1, []int{0, 1, 3, 4}},
+		{"+Inf wins", []candState{free(2), free(inf), free(inf)}, 1, inf, -1, []int{0, 1, 2}},
 		{"NaN names the lowest poisoned candidate",
-			[]candState{free(5), free(nan), free(7), free(nan)}, -1, 0, 1},
-		{"NaN after the maximum still poisons", []candState{free(9), free(1), free(nan)}, -1, 0, 2},
-		{"a taken NaN is not read", []candState{taken(nan), free(2)}, 1, 2, -1},
-		{"no candidate is eligible", []candState{taken(4), taken(nan)}, -1, 0, -1},
-		{"empty", nil, -1, 0, -1},
-		{"-Inf is legal", []candState{taken(3), free(math.Inf(-1))}, 1, math.Inf(-1), -1},
-		{"-Inf loses to any finite value", []candState{free(math.Inf(-1)), free(-5)}, 1, -5, -1},
+			[]candState{free(5), free(nan), free(7), free(nan)}, -1, 0, 1, nil},
+		{"NaN after the maximum still poisons", []candState{free(9), free(1), free(nan)}, -1, 0, 2, nil},
+		{"a taken NaN is not read", []candState{taken(nan), free(2)}, 1, 2, -1, []int{1}},
+		{"no candidate is eligible", []candState{taken(4), taken(nan)}, -1, 0, -1, []int{}},
+		{"empty", nil, -1, 0, -1, []int{}},
+		{"-Inf is legal", []candState{taken(3), free(math.Inf(-1))}, 1, math.Inf(-1), -1, []int{1}},
+		{"-Inf loses to any finite value", []candState{free(math.Inf(-1)), free(-5)}, 1, -5, -1, []int{0, 1}},
+		{"retired candidates leave the list", []candState{retired(0.5), free(2), retired(0.9), free(3)}, 3, 3, -1, []int{1, 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			best, val, err := maxSupport(tc.states)
+			active := make([]int, len(tc.states))
+			for i := range active {
+				active[i] = i
+			}
+			best, val, err := maxSupport(tc.states, &active)
 			if tc.nanCand >= 0 {
 				if !errors.Is(err, ErrDegenerate) {
 					t.Fatalf("err = %v, want ErrDegenerate", err)
@@ -197,6 +205,9 @@ func TestMaxSupportFold(t *testing.T) {
 			}
 			if best != tc.best || val != tc.val {
 				t.Fatalf("maxSupport = (%d, %v), want (%d, %v)", best, val, tc.best, tc.val)
+			}
+			if !reflect.DeepEqual(active, tc.kept) {
+				t.Fatalf("active after the fold = %v, want %v", active, tc.kept)
 			}
 		})
 	}

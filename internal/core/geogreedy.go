@@ -9,7 +9,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/mat"
-	"repro/internal/parallel"
 )
 
 // GeoGreedy runs Algorithm 1 of the paper on the candidate points:
@@ -28,19 +27,16 @@ func GeoGreedy(pts []geom.Vector, k int) (*Result, error) {
 	return GeoGreedyParCtx(context.Background(), pts, k, 1)
 }
 
-// GeoGreedyParCtx is GeoGreedy with cooperative cancellation and
-// intra-query parallelism. The context is checked once per greedy
-// iteration, once per candidate scan batch, and inside every
-// dual-hull insertion, so a deadline or cancel stops the algorithm
-// within one batch even on pathological hulls; the returned error
-// wraps ctx.Err() when canceled. The relocation pass after each
-// insertion fans out over up to `workers` goroutines (0 = GOMAXPROCS,
-// 1 = the exact sequential path); the assignment scan and the arg-max
-// folds run sequentially in index order, because splitting them does
-// not pay at width 2 (DESIGN.md §11). The answer is byte-identical for
-// every worker count: the fold breaks ties by lowest index and a NaN
-// support surfaces as ErrDegenerate naming the lowest poisoned
-// candidate.
+// GeoGreedyParCtx is GeoGreedy with cooperative cancellation. The
+// context is checked once per greedy iteration, once per candidate
+// scan batch, and inside every dual-hull insertion, so a deadline or
+// cancel stops the algorithm within one batch even on pathological
+// hulls; the returned error wraps ctx.Err() when canceled. The loop
+// is sequential: workers (0 = GOMAXPROCS, 1 = the exact sequential
+// path) only sizes the exact evaluator that prices a selection the
+// cached supports cannot, so the answer is byte-identical for every
+// worker count. A NaN support surfaces as ErrDegenerate naming the
+// lowest poisoned candidate.
 func GeoGreedyParCtx(ctx context.Context, pts []geom.Vector, k, workers int) (*Result, error) {
 	return greedyHullTrace(ctx, pts, k, workers, 1.0, nil, nil)
 }
@@ -49,25 +45,28 @@ func GeoGreedyParCtx(ctx context.Context, pts []geom.Vector, k, workers int) (*R
 // cancellation checks in the initial assignment pass.
 const scanBatch = 4096
 
-// grainRelocate is the minimum chunk handed to parallel.For by the
-// per-iteration relocation pass. Most iterations touch only the few
-// candidates whose best face was capped, so the per-item work is a
-// cheap stamp check plus an occasional small MaxDotCols; chunks below
-// this size cost more in scheduling than they save, and sweeps under
-// two grains run inline, which keeps the k-iteration loop from paying
-// goroutine latency k times on narrow machines. A var, not a const:
-// fault-injection builds shrink it (geogreedy_fault.go) so the worker
-// fan-out path, and the fault sites inside it, are reachable from
-// test-sized datasets.
-var grainRelocate = 16384
+// retireAt is the support at or below which a candidate retires for
+// good: it leaves the active list and is never re-located again.
+// Q(S) only shrinks as S grows, so a candidate's support never rises,
+// and its cached value is that support up to rounding far below
+// geom.Eps. A retired candidate can therefore never exceed
+// stop + geom.Eps ≥ 1 to be picked, and currentMRR reads any support
+// ≤ 1 as zero regret: retiring it changes no answer, and the geom.Eps
+// margin keeps rounding from turning a retired support into a
+// regret.
+const retireAt = 1 - geom.Eps
 
 // candState caches, for one unselected candidate, the dual vertex
 // currently maximizing v·q (the face its critical ray crosses) and
-// the value there.
+// the value there. next links the candidates cached on one vertex
+// into that vertex's list (-1 ends it); with retired it fills what
+// would otherwise be padding, so the struct stays 24 bytes.
 type candState struct {
 	bestVal float64
 	bestID  int
 	taken   bool
+	retired bool
+	next    int32
 }
 
 // greedyHullTrace is the shared greedy dual-hull loop behind GeoGreedy
@@ -161,6 +160,37 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 		selected = append(selected, i)
 	}
 
+	// The candidates still in play, in ascending index order (maxSupport
+	// drops the taken and retired ones as it folds), and per dual vertex
+	// the list of those whose cached support it attains: heads[id] is
+	// the first (-1: none) and candState.next links the rest. dd numbers
+	// vertices from 0 and never reuses an ID, so heads is a slice that
+	// only grows. Both come from the scratch pool.
+	active := intScratch(len(pts))[:0]
+	heads := intScratch(0)
+	defer func() {
+		putIntScratch(heads)
+		putIntScratch(active)
+	}()
+	// link files candidate i under the vertex of its freshly computed
+	// support, or retires it, and reports whether it stays in play. A
+	// candidate whose every dot was NaN has no vertex and is never
+	// re-located; its NaN is maxSupport's to report.
+	link := func(i int) bool {
+		st := &states[i]
+		if st.bestVal <= retireAt {
+			st.retired = true
+			return false
+		}
+		if id := st.bestID; id >= 0 {
+			for id >= len(heads) {
+				heads = append(heads, -1)
+			}
+			st.next, heads[id] = int32(heads[id]), i
+		}
+		return true
+	}
+
 	// Initial face assignment for every remaining candidate: scanBatch
 	// row ranges go to the batched support kernel, then the values are
 	// distributed into the per-candidate state (the taken few are
@@ -184,10 +214,13 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 				val = fault.NaN(fault.SiteGeoGreedySupport, val)
 			}
 			states[i].bestVal, states[i].bestID = val, ids[i-bs]
+			if link(i) {
+				active = append(active, i)
+			}
 		}
 	}
 	if onSelect != nil {
-		mrr, err := currentMRR(states)
+		mrr, err := currentMRR(states, &active)
 		if err != nil {
 			return nil, err
 		}
@@ -202,13 +235,8 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 		}
 	}
 
-	// Re-location scratch, reused across insertions: the cap vertex
-	// list and its transposed matrix, and removedAt, which marks the
-	// dual vertices an insertion destroyed by stamping their ID with
-	// that insertion's number. dd numbers vertices from 0 and never
-	// reuses an ID, so a dense slice replaces a per-insertion set and
-	// nothing is ever cleared.
-	var removedAt []int
+	// The cap of each insertion — its vertex list and transposed
+	// matrix — reused across insertions.
 	var capPts []geom.Vector
 	var capIDs []int
 	capT := new(mat.Transposed)
@@ -224,7 +252,7 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 		// Candidate with the smallest critical ratio = largest support
 		// value, taken only while it exceeds stop (stop = 1: still
 		// outside the hull; stop = 1/(1−ε): EpsKernel's slack).
-		best, bestVal, err := maxSupport(states)
+		best, bestVal, err := maxSupport(states, &active)
 		if err != nil {
 			return nil, fmt.Errorf("%w after %d selections", err, len(selected))
 		}
@@ -241,24 +269,14 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 		states[best].taken = true
 		selected = append(selected, best)
 
-		// Incremental re-location: only candidates whose cached face
-		// was removed rescan, and only over the faces of the new cap
-		// (created vertices plus kept vertices on the new plane). The
-		// stamps and the new faces are read-only during the pass; each
-		// iteration writes only its own states entry.
+		// Incremental re-location: only the candidates cached on a
+		// destroyed vertex move — the lists of RemovedIDs hold exactly
+		// those — and each rescans only the faces of the new cap
+		// (created vertices plus kept vertices on the new plane), then
+		// is filed under its new vertex or retired. The cap's column
+		// order, created then on-plane, with the first-max fold of
+		// MaxDotCols, fixes which vertex wins a tie.
 		if len(res.RemovedIDs) > 0 {
-			stamp := len(selected)
-			for _, id := range res.RemovedIDs {
-				if id >= len(removedAt) {
-					removedAt = append(removedAt, make([]int, id+1-len(removedAt))...)
-				}
-				removedAt[id] = stamp
-			}
-			// The cap — created vertices then kept on-plane vertices, in
-			// the same order the pre-kernel loops scanned them — as a
-			// transposed matrix, so each re-located candidate is one
-			// batched max-dot. The column-order first-max fold matches
-			// the old Added-then-OnPlane sequential scan bit for bit.
 			capPts, capIDs = capPts[:0], capIDs[:0]
 			for _, v := range res.Added {
 				capPts = append(capPts, v.Point)
@@ -269,33 +287,31 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 				capIDs = append(capIDs, v.ID)
 			}
 			capT.SetCols(qm.Dim(), capPts)
-			err := parallel.For(ctx, len(states), workers, grainRelocate, func(start, end int) error {
-				acc := floatScratch(len(capPts))
-				defer putFloatScratch(acc)
-				for i := start; i < end; i++ {
-					st := &states[i]
-					id := st.bestID
-					if st.taken || id < 0 || id >= len(removedAt) || removedAt[id] != stamp {
-						continue
-					}
-					c, newVal := capT.MaxDotCols(qm.Row(i), acc)
-					newID := -1
-					if c >= 0 {
-						newID = capIDs[c]
-					}
-					if fault.Enabled {
-						newVal = fault.NaN(fault.SiteGeoGreedySupport, newVal)
-					}
-					st.bestVal, st.bestID = newVal, newID
+			for _, id := range res.RemovedIDs {
+				if id >= len(heads) {
+					continue
 				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
+				for i := heads[id]; i >= 0; {
+					st := &states[i]
+					next := int(st.next)
+					if !st.taken {
+						c, val := capT.MaxDotCols(qm.Row(i))
+						st.bestID = -1
+						if c >= 0 {
+							st.bestID = capIDs[c]
+						}
+						if fault.Enabled {
+							val = fault.NaN(fault.SiteGeoGreedySupport, val)
+						}
+						st.bestVal = val
+						link(i)
+					}
+					i = next
+				}
 			}
 		}
 		if onSelect != nil {
-			mrr, err := currentMRR(states)
+			mrr, err := currentMRR(states, &active)
 			if err != nil {
 				return nil, err
 			}
@@ -303,7 +319,7 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 		}
 	}
 
-	mrr, err := currentMRR(states)
+	mrr, err := currentMRR(states, &active)
 	if err != nil {
 		return nil, err
 	}
@@ -338,34 +354,39 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 	}, nil
 }
 
-// maxSupport is the one fold over the cached supports, in index order:
-// the first unselected candidate attaining the largest support and
-// that support, or (-1, 0) when every candidate is taken. The greedy
-// step takes its next candidate from it (the smallest critical ratio)
-// and currentMRR the regret. A NaN support is ErrDegenerate naming the
-// lowest poisoned candidate: skipping it would silently lose the
-// candidate, because every ordered comparison against NaN is false.
-func maxSupport(states []candState) (int, float64, error) {
+// maxSupport is the one fold over the cached supports: the first
+// candidate of the ascending active list attaining the largest
+// support and that support, or (-1, 0) when none is in play. It drops
+// the taken and retired candidates from active as it goes (on error
+// active is left unspecified). The greedy step takes its next
+// candidate from it (the smallest critical ratio) and currentMRR the
+// regret. A NaN support is ErrDegenerate naming the lowest poisoned
+// candidate: skipping it would silently lose the candidate, because
+// every ordered comparison against NaN is false.
+func maxSupport(states []candState, active *[]int) (int, float64, error) {
 	best, bestVal := -1, 0.0
-	for i := range states {
+	kept := (*active)[:0]
+	for _, i := range *active {
 		st := &states[i]
-		if st.taken {
+		if st.taken || st.retired {
 			continue
 		}
 		if math.IsNaN(st.bestVal) {
 			return -1, 0, fmt.Errorf("%w: candidate %d has NaN critical ratio", ErrDegenerate, i)
 		}
+		kept = append(kept, i)
 		if best < 0 || st.bestVal > bestVal {
 			best, bestVal = i, st.bestVal
 		}
 	}
+	*active = kept
 	return best, bestVal, nil
 }
 
 // currentMRR computes 1 − min cr over unselected candidates from the
 // cached support values (Lemma 1), clamped at zero.
-func currentMRR(states []candState) (float64, error) {
-	_, maxVal, err := maxSupport(states)
+func currentMRR(states []candState, active *[]int) (float64, error) {
+	_, maxVal, err := maxSupport(states, active)
 	if err != nil {
 		return 0, fmt.Errorf("%w in regret evaluation", err)
 	}

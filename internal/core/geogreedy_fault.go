@@ -4,12 +4,10 @@ package core
 
 // Fault-injection builds exist to exercise the parallel worker path —
 // SiteParallelWorker fires inside spawned workers, and a sweep that
-// runs inline (n < 2·grain) never reaches it. The production grains
-// of the relocation pass and the evaluator's support scan are sized
-// for six-figure datasets, which would force every fault test to
-// build one; shrinking them here lets a few hundred points split
-// those passes into multiple chunks.
+// runs inline (n < 2·grain) never reaches it. The production grain of
+// the evaluator's support scan is sized for six-figure datasets,
+// which would force every fault test to build one; shrinking it here
+// lets a few hundred points split that scan into multiple chunks.
 func init() {
 	grainSupport = 256
-	grainRelocate = 256
 }

@@ -31,8 +31,9 @@ func putFloatScratch(s []float64) {
 	floatScratchPool.Put(&s)
 }
 
-// intScratchPool recycles the int buffer of GeoGreedy's batched
-// assignment scan (its vertex-ID side channel).
+// intScratchPool recycles GeoGreedy's int buffers: the vertex-ID side
+// channel of its batched assignment scan, its active candidate list
+// and its per-vertex list heads.
 var intScratchPool sync.Pool
 
 // intScratch returns a length-n int slice with unspecified contents;

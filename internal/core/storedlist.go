@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 )
@@ -65,11 +66,11 @@ func BuildStoredListUpTo(pts []geom.Vector, maxLen int) (*StoredList, error) {
 
 // BuildStoredListUpToParCtx is BuildStoredListUpTo with cooperative
 // cancellation and intra-query parallelism: the underlying GeoGreedy
-// run, including the exact regrets of the seed prefixes (evaluated on
-// at most one EvalIndex), fans out over up to `workers` goroutines
-// (0 = GOMAXPROCS, 1 = the exact sequential path). The materialized
-// order and per-prefix regrets are byte-identical for every worker
-// count.
+// run is sequential, and the exact regrets of its seed prefixes
+// (evaluated on at most one EvalIndex) fan out over up to `workers`
+// goroutines (0 = GOMAXPROCS, 1 = the exact sequential path). The
+// materialized order and per-prefix regrets are byte-identical for
+// every worker count.
 func BuildStoredListUpToParCtx(ctx context.Context, pts []geom.Vector, maxLen, workers int) (*StoredList, error) {
 	d, err := validatePoints(pts)
 	if err != nil {
@@ -147,9 +148,9 @@ func (s *StoredList) MRRFor(k int) (float64, error) {
 // The per-prefix regrets are non-increasing, so a binary search over
 // the materialized list answers in O(log n). If even the full list
 // exceeds eps (possible only for partially materialized lists, or
-// eps < 0), MinK returns 0 and false.
+// eps < 0), or eps is NaN, MinK returns 0 and false.
 func (s *StoredList) MinK(eps float64) (int, bool) {
-	if len(s.mrrAt) == 0 {
+	if len(s.mrrAt) == 0 || math.IsNaN(eps) {
 		return 0, false
 	}
 	lo, hi := 0, len(s.mrrAt)-1

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -157,6 +158,10 @@ func TestMinK(t *testing.T) {
 	// Negative budget: unanswerable.
 	if _, ok := list.MinK(-0.1); ok {
 		t.Fatal("negative eps answered")
+	}
+	// NaN budget: unanswerable, not the end of the list.
+	if k, ok := list.MinK(math.NaN()); k != 0 || ok {
+		t.Fatalf("MinK(NaN) = (%d, %v), want (0, false)", k, ok)
 	}
 	// A partial list that never reaches a tiny budget.
 	partial, err := BuildStoredListUpTo(pts, 4)

@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/geom"
@@ -286,19 +285,6 @@ func (p *Polytope) NumVertices() int { return len(p.verts) }
 // the slice is invalidated by the next AddHalfspace.
 func (p *Polytope) Vertices() []*Vertex { return p.verts }
 
-// accPool recycles the per-call accumulator scratch of MaxDot, sized
-// to the largest vertex set seen.
-var accPool = sync.Pool{New: func() any { s := make([]float64, 0, 64); return &s }}
-
-func getAcc(n int) *[]float64 {
-	p := accPool.Get().(*[]float64)
-	if cap(*p) < n {
-		*p = make([]float64, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
 // MaxDot returns the maximum of q·v over all vertices and the argmax
 // vertex. For a bounded polytope this is the support function of Q in
 // direction q. Returns (−Inf, nil) when the polytope has no vertices.
@@ -315,9 +301,7 @@ func (p *Polytope) MaxDot(q geom.Vector) (float64, *Vertex) {
 	if p.tv == nil || p.tv.Cols() != len(p.verts) {
 		p.rebuildTV()
 	}
-	acc := getAcc(len(p.verts))
-	c, best := p.tv.MaxDotCols(q, *acc)
-	accPool.Put(acc)
+	c, best := p.tv.MaxDotCols(q)
 	if c < 0 {
 		// Every dot was NaN: the reference loop would have kept its
 		// initial (−Inf, nil) state.
@@ -336,9 +320,8 @@ func (p *Polytope) SupportsInto(qm *mat.PointMatrix, start, end int, vals []floa
 	if p.tv == nil || p.tv.Cols() != len(p.verts) {
 		p.rebuildTV()
 	}
-	acc := getAcc(len(p.verts))
 	for i := start; i < end; i++ {
-		c, best := p.tv.MaxDotCols(qm.Row(i), *acc)
+		c, best := p.tv.MaxDotCols(qm.Row(i))
 		vals[i-start] = best
 		if ids != nil {
 			if c < 0 {
@@ -348,7 +331,6 @@ func (p *Polytope) SupportsInto(qm *mat.PointMatrix, start, end int, vals []floa
 			}
 		}
 	}
-	accPool.Put(acc)
 }
 
 // AddHalfspace intersects the polytope with {x : normal·x ≤ offset}

@@ -10,9 +10,10 @@
 // PointMatrix backs n×d points with ONE contiguous []float64, so a
 // row range handed to a kernel streams through the cache line by
 // line; Transposed stores an m-column vertex matrix column-major so a
-// support evaluation accumulates all m dot products per coordinate
-// with independent accumulator chains (instruction-level parallelism
-// the serial dot cannot have, since Go does not auto-vectorize).
+// support evaluation sums four columns' dot products at a time in
+// registers, four independent addition chains (instruction-level
+// parallelism the serial dot cannot have, since Go does not
+// auto-vectorize), with no accumulator slice to allocate or clear.
 //
 // Bit-exactness contract: every kernel reproduces geom.Vector.Dot to
 // the last bit.
@@ -21,11 +22,12 @@
 //     accumulator updated in ascending index order — the identical
 //     sequence of fused-nothing float64 operations as Vector.Dot's
 //     `s += x * w[i]` loop, so the result is the same bits.
-//   - MaxDotCols accumulates acc[c] += q[j]·col[c] with j ascending;
-//     per column that is the same addition order as Vector.Dot, and
-//     float64 multiplication commutes exactly (rounding is applied to
-//     the same real product), so each column's support matches
-//     v.Dot(q) bit for bit.
+//   - MaxDotCols sums s += q[j]·col[c] from +0 with j ascending, in
+//     one register per column of a four-column block; per column that
+//     is the same addition order as Vector.Dot, and float64
+//     multiplication commutes exactly (rounding is applied to the same
+//     real product), so each column's support matches v.Dot(q) bit
+//     for bit.
 //   - Both argmax kernels reduce with strict `>` in ascending index
 //     order: ties break to the lowest index and NaN never wins a
 //     comparison — the same semantics as the sequential scans they
@@ -233,8 +235,8 @@ func (m *PointMatrix) GobDecode(p []byte) error {
 // Transposed is a d×m column-major matrix: column c is a d-vector
 // and coordinate j of every column is contiguous in
 // data[j*m : (j+1)*m]. It stores the dual-hull vertex set so a
-// support evaluation max_c col(c)·q streams each coordinate across
-// all columns with independent accumulators.
+// support evaluation max_c col(c)·q reads four adjacent columns per
+// coordinate into four independent register sums.
 type Transposed struct {
 	data []float64
 	d, m int
@@ -246,10 +248,14 @@ type Transposed struct {
 // a cap matrix per greedy iteration, so the refill is on the per-query
 // allocation path.
 func (t *Transposed) SetCols(d int, cols []geom.Vector) {
-	if cap(t.data) < d*len(cols) {
-		t.data = make([]float64, d*len(cols))
+	n := d * len(cols)
+	if cap(t.data) < n {
+		// Grow geometrically: a hull's vertex count creeps up a few
+		// vertices per insertion, and an exact-size refill would
+		// reallocate on nearly every one.
+		t.data = make([]float64, n, max(n, 2*cap(t.data)))
 	}
-	t.data = t.data[:d*len(cols)]
+	t.data = t.data[:n]
 	t.d, t.m = d, len(cols)
 	for c, v := range cols {
 		if len(v) != d {
@@ -265,43 +271,49 @@ func (t *Transposed) SetCols(d int, cols []geom.Vector) {
 func (t *Transposed) Cols() int { return t.m }
 
 // MaxDotCols returns the argmax and maximum of col(c)·q over all
-// columns. acc is caller-provided scratch of capacity ≥ Cols() (so
-// batch callers pay one allocation per chunk, not per point); its
-// prior contents are ignored. Per column the accumulation runs in
-// ascending coordinate order with commuted multiplications, which is
-// bit-identical to geom.Vector.Dot(col, q); the reduction is strict
-// `>` in ascending column order (lowest-index ties, NaN never wins).
-// Returns (-1, -Inf) when there are no columns or every dot is NaN.
-func (t *Transposed) MaxDotCols(q []float64, acc []float64) (int, float64) {
+// columns. It is register-blocked: each block of four columns sums
+// its four dots in locals, from +0 in ascending coordinate order with
+// commuted multiplications, which is bit-identical to
+// geom.Vector.Dot(col, q), and folds them before the next block, so
+// it needs no scratch. The reduction is strict `>` in ascending column
+// order (lowest-index ties, NaN never wins). Returns (-1, -Inf) when
+// there are no columns or every dot is NaN.
+func (t *Transposed) MaxDotCols(q []float64) (int, float64) {
 	if len(q) != t.d {
 		panic(fmt.Sprintf("mat: MaxDotCols dimension mismatch %d vs %d", len(q), t.d))
 	}
-	m := t.m
-	if m == 0 {
-		return -1, math.Inf(-1)
-	}
-	acc = acc[:m]
-	for c := range acc {
-		acc[c] = 0
-	}
-	for j := 0; j < t.d; j++ {
-		qj := q[j]
-		col := t.data[j*m : (j+1)*m]
-		c := 0
-		for ; c+4 <= m; c += 4 {
-			acc[c] += qj * col[c]
-			acc[c+1] += qj * col[c+1]
-			acc[c+2] += qj * col[c+2]
-			acc[c+3] += qj * col[c+3]
-		}
-		for ; c < m; c++ {
-			acc[c] += qj * col[c]
-		}
-	}
+	m, data := t.m, t.data
 	best, arg := math.Inf(-1), -1
-	for c := 0; c < m; c++ {
-		if acc[c] > best {
-			best, arg = acc[c], c
+	c := 0
+	for ; c+4 <= m; c += 4 {
+		var s0, s1, s2, s3 float64
+		for j, qj := range q {
+			col := data[j*m+c : j*m+c+4]
+			s0 += qj * col[0]
+			s1 += qj * col[1]
+			s2 += qj * col[2]
+			s3 += qj * col[3]
+		}
+		if s0 > best {
+			best, arg = s0, c
+		}
+		if s1 > best {
+			best, arg = s1, c+1
+		}
+		if s2 > best {
+			best, arg = s2, c+2
+		}
+		if s3 > best {
+			best, arg = s3, c+3
+		}
+	}
+	for ; c < m; c++ {
+		var s float64
+		for j, qj := range q {
+			s += qj * data[j*m+c]
+		}
+		if s > best {
+			best, arg = s, c
 		}
 	}
 	return arg, best

@@ -149,7 +149,6 @@ func TestMaxDotColsBitIdentical(t *testing.T) {
 			if tm.Cols() != nCols || tm.d != d {
 				t.Fatalf("transposed is %dx%d, want %dx%d", tm.d, tm.Cols(), d, nCols)
 			}
-			acc := make([]float64, nCols)
 			for trial := 0; trial < 20; trial++ {
 				q := randVec(rng, d)
 				wantArg, wantBest := -1, math.Inf(-1)
@@ -158,7 +157,7 @@ func TestMaxDotColsBitIdentical(t *testing.T) {
 						wantBest, wantArg = u, c
 					}
 				}
-				arg, best := tm.MaxDotCols(q, acc)
+				arg, best := tm.MaxDotCols(q)
 				if arg != wantArg || math.Float64bits(best) != math.Float64bits(wantBest) {
 					t.Fatalf("d=%d m=%d: kernel = (%d, %x), reference = (%d, %x)",
 						d, nCols, arg, math.Float64bits(best), wantArg, math.Float64bits(wantBest))
@@ -283,7 +282,7 @@ func TestDimensionMismatchPanics(t *testing.T) {
 			TransposeVectors(2, []geom.Vector{{1, 2, 3}})
 		},
 		"MaxDotCols": func() {
-			TransposeVectors(2, []geom.Vector{{1, 2}}).MaxDotCols([]float64{1}, make([]float64, 1))
+			TransposeVectors(2, []geom.Vector{{1, 2}}).MaxDotCols([]float64{1})
 		},
 	} {
 		func() {
@@ -341,8 +340,7 @@ func FuzzKernels(f *testing.F) {
 		}
 
 		tm := TransposeVectors(d, pts)
-		acc := make([]float64, len(pts))
-		cArg, cBest := tm.MaxDotCols(w, acc)
+		cArg, cBest := tm.MaxDotCols(w)
 		if cArg != wantArg || math.Float64bits(cBest) != math.Float64bits(wantBest) {
 			t.Fatalf("MaxDotCols = (%d, %x), reference = (%d, %x)", cArg, math.Float64bits(cBest), wantArg, math.Float64bits(wantBest))
 		}

@@ -170,8 +170,8 @@ func TestForPanicReraisedOnCaller(t *testing.T) {
 }
 
 // argMaxAfterFor is the arg-max pattern the package prescribes in
-// place of a parallel reduction, as GeoGreedy's relocation pass and
-// the evaluator's support scan use it: For writes each index's value
+// place of a parallel reduction, as the evaluator's support scan uses
+// it: For writes each index's value
 // and eligibility into its own slot, and after the join one
 // sequential fold in index order keeps the first maximum. A NaN on an
 // eligible index poisons the fold: best is -1 and nanAt is the lowest

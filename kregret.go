@@ -1037,7 +1037,8 @@ func (x *Index) Len() int { return x.list.Len() }
 // MinSize answers the min-size dual query: the smallest k such that
 // Query(k) has maximum regret ratio at most eps. The second return
 // value is false when even the full index exceeds eps (only possible
-// for partially materialized indexes built with BuildIndexUpTo).
+// for partially materialized indexes built with BuildIndexUpTo) or
+// eps is NaN.
 func (x *Index) MinSize(eps float64) (int, bool) {
 	return x.list.MinK(eps)
 }
