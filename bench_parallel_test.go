@@ -2,9 +2,9 @@ package kregret
 
 // BenchmarkPaper is the baseline suite behind `make bench`: the
 // paper-scale hot paths (GeoGreedy at n=100k d=4, the exact and
-// sampled evaluators, the candidate preprocessing) with the worker
-// count taken from the -kregret.parallelism flag, so one binary
-// measures both the sequential path and any fan-out width. The
+// sampled evaluators, ingestion, the candidate preprocessing) with
+// the worker count taken from the -kregret.parallelism flag, so one
+// binary measures both the sequential path and any fan-out width. The
 // entries that go through Dataset or Engine run at GOMAXPROCS, so
 // cmd/benchbaseline pairs each pass's flag with the same -cpu width.
 // It runs the suite at parallelism 1 and N, diffs ns/op and
@@ -183,14 +183,28 @@ func BenchmarkPaper(b *testing.B) {
 			}
 		}
 	})
+	b.Run("Ingest", func(b *testing.B) {
+		// The copy-in every cold start pays before any preprocessing:
+		// validation, normalization and the one flat point array
+		// (DESIGN.md §12). The cold-query pair below leaves it untimed.
+		ps := vecsToPoints(pts)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := NewDataset(ps); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("ColdQuery", func(b *testing.B) {
 		// End-to-end unsharded baseline for the sharded variant below:
 		// build (the full global skyline → happy preprocess from cold
 		// caches) plus one k=20 happy-point query. Dataset ingestion is
-		// identical on both sides of the pair and untimed — the pair
-		// compares the preprocessing strategies, not the shared copy-in
-		// (the explicit collection drains the untimed allocation debt so
-		// neither side pays the other's garbage inside the timed window).
+		// identical on both sides of the pair and untimed (Paper/Ingest
+		// times it) — the pair compares the preprocessing strategies,
+		// not the shared copy-in (the explicit collection drains the
+		// untimed allocation debt so neither side pays the other's
+		// garbage inside the timed window).
 		ps := vecsToPoints(pts)
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -72,33 +72,46 @@ func seedCorpus(f *testing.F) {
 
 // FuzzNewDataset asserts the constructor either rejects its input
 // with an error or produces a dataset whose every accessor works — it
-// must never panic and never accept non-finite coordinates.
+// must never panic and never accept non-finite coordinates or points
+// with no dimensions. Each input goes through both option paths, and a
+// mode byte of 0xfe or 0xff cuts every point to zero dimensions.
 func FuzzNewDataset(f *testing.F) {
 	seedCorpus(f)
+	f.Add([]byte{0, 0xfe, 1, 2, 3, 4}) // two 1-d points, cut to zero dimensions
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pts := decodePoints(data)
-		ds, err := NewDataset(pts)
-		if err != nil {
-			return
-		}
-		for i := 0; i < ds.Len(); i++ {
-			p := ds.Point(i)
-			for j, x := range p {
-				if math.IsNaN(x) || math.IsInf(x, 0) || x <= 0 {
-					t.Fatalf("accepted point %d has invalid coordinate %d: %v", i, j, x)
-				}
+		if len(data) > 1 && data[1] >= 0xfe {
+			for i := range pts {
+				pts[i] = pts[i][:0]
 			}
 		}
-		sky, err := ds.Skyline()
-		if err != nil {
-			t.Fatalf("Skyline on valid dataset: %v", err)
-		}
-		happy, err := ds.HappyPoints()
-		if err != nil {
-			t.Fatalf("HappyPoints on valid dataset: %v", err)
-		}
-		if len(happy) > len(sky) {
-			t.Fatalf("%d happy points but only %d skyline points", len(happy), len(sky))
+		for _, opts := range [][]Option{nil, {WithoutNormalization()}} {
+			ds, err := NewDataset(pts, opts...)
+			if err != nil {
+				continue
+			}
+			if ds.Dim() < 1 {
+				t.Fatalf("accepted %d points of dimension %d", ds.Len(), ds.Dim())
+			}
+			for i := 0; i < ds.Len(); i++ {
+				p := ds.Point(i)
+				for j, x := range p {
+					if math.IsNaN(x) || math.IsInf(x, 0) || x <= 0 {
+						t.Fatalf("accepted point %d has invalid coordinate %d: %v", i, j, x)
+					}
+				}
+			}
+			sky, err := ds.Skyline()
+			if err != nil {
+				t.Fatalf("Skyline on valid dataset: %v", err)
+			}
+			happy, err := ds.HappyPoints()
+			if err != nil {
+				t.Fatalf("HappyPoints on valid dataset: %v", err)
+			}
+			if len(happy) > len(sky) {
+				t.Fatalf("%d happy points but only %d skyline points", len(happy), len(sky))
+			}
 		}
 	})
 }

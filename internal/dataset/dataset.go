@@ -170,11 +170,24 @@ func Clustered(n, d, c int, seed int64) ([]geom.Vector, error) {
 // exactly 1 and every coordinate stays strictly positive — the
 // paper's standing normalization (zero coordinates are floored to a
 // tiny positive value, the paper's "add a very small positive value"
-// convention). The input is not modified. It returns an error for
-// empty input, mixed dimensionality, non-finite or negative
-// coordinates, or a dimension whose maximum is not positive; negate
-// or shift smaller-is-better attributes before normalizing.
-func Normalize(pts []geom.Vector) ([]geom.Vector, error) {
+// convention). The input is not modified: the result is Ingest's
+// layout, capacity-capped row views of one fresh backing array. It
+// returns an error for empty input, mixed dimensionality, non-finite
+// or negative coordinates, or a dimension whose maximum is not
+// positive; negate or shift smaller-is-better attributes before
+// normalizing.
+func Normalize(pts []geom.Vector) ([]geom.Vector, error) { return Ingest(pts, true) }
+
+// Ingest copies pts into one backing array and returns its
+// capacity-capped row views (Rows). With normalize the rows are
+// Normalize's output, clampCoord(x / max_j); without it they are the
+// coordinates verbatim, which must already be finite and strictly
+// positive. A read pass validates every point, and takes the
+// per-dimension maxima, before anything is written, and the first
+// invalid point in input order is the one reported. Normalized-path
+// errors wrap ErrBadParams, as do empty and zero-dimensional input on
+// both paths.
+func Ingest[P ~[]float64](pts []P, normalize bool) ([]geom.Vector, error) {
 	if len(pts) == 0 {
 		return nil, fmt.Errorf("%w: no points", ErrBadParams)
 	}
@@ -182,15 +195,28 @@ func Normalize(pts []geom.Vector) ([]geom.Vector, error) {
 	if d == 0 {
 		return nil, fmt.Errorf("%w: zero-dimensional points", ErrBadParams)
 	}
-	maxs := make([]float64, d)
+	var maxs []float64
+	if normalize {
+		maxs = make([]float64, d)
+	}
 	for i, p := range pts {
-		if len(p) != d {
-			return nil, fmt.Errorf("%w: point %d has dimension %d, want %d", ErrBadParams, i, len(p), d)
+		v := geom.Vector(p)
+		if !normalize {
+			if len(v) != d {
+				return nil, fmt.Errorf("point %d has dimension %d, want %d", i, len(v), d)
+			}
+			if !v.IsFinite() || !v.AllPositive() {
+				return nil, fmt.Errorf("point %d (%v) must be finite and strictly positive (use normalization or shift your data)", i, v)
+			}
+			continue
 		}
-		if !p.IsFinite() {
+		if len(v) != d {
+			return nil, fmt.Errorf("%w: point %d has dimension %d, want %d", ErrBadParams, i, len(v), d)
+		}
+		if !v.IsFinite() {
 			return nil, fmt.Errorf("%w: point %d has non-finite coordinates", ErrBadParams, i)
 		}
-		for j, x := range p {
+		for j, x := range v {
 			if x < 0 {
 				return nil, fmt.Errorf("%w: point %d has negative coordinate %g on dimension %d (negate or shift smaller-is-better attributes first)",
 					ErrBadParams, i, x, j)
@@ -205,13 +231,26 @@ func Normalize(pts []geom.Vector) ([]geom.Vector, error) {
 			return nil, fmt.Errorf("%w: dimension %d has maximum %g, need positive", ErrBadParams, j, m)
 		}
 	}
-	out := make([]geom.Vector, len(pts))
+	flat := make([]float64, len(pts)*d)
 	for i, p := range pts {
-		q := make(geom.Vector, d)
-		for j, x := range p {
-			q[j] = clampCoord(x / maxs[j])
+		row := flat[i*d : (i+1)*d]
+		if !normalize {
+			copy(row, p)
+			continue
 		}
-		out[i] = q
+		for j, x := range p {
+			row[j] = clampCoord(x / maxs[j])
+		}
 	}
-	return out, nil
+	return Rows(flat, d), nil
+}
+
+// Rows returns the capacity-capped row views of flat, a row-major
+// n×d array with len(flat) = n·d and d ≥ 1. The views share flat.
+func Rows(flat []float64, d int) []geom.Vector {
+	rows := make([]geom.Vector, len(flat)/d)
+	for i := range rows {
+		rows[i] = flat[i*d : (i+1)*d : (i+1)*d]
+	}
+	return rows
 }

@@ -332,24 +332,13 @@ func newDatasetFromVectors(pts []geom.Vector, seq uint64) *Dataset {
 	return d
 }
 
-// validateVectors checks the dataset invariants every epoch must hold:
-// uniform dimension, finite and strictly positive coordinates.
-func validateVectors(pts []geom.Vector) error {
-	d := len(pts[0])
-	for i, p := range pts {
-		if len(p) != d {
-			return fmt.Errorf("kregret: point %d has dimension %d, want %d", i, len(p), d)
-		}
-		if !p.IsFinite() || !p.AllPositive() {
-			return fmt.Errorf("kregret: point %d (%v) must be finite and strictly positive (use normalization or shift your data)", i, p)
-		}
-	}
-	return nil
-}
-
 // NewDataset validates and (by default) normalizes the tuples so
 // every attribute maximum is 1 and every coordinate is strictly
-// positive, per the paper's conventions. The input is copied.
+// positive, per the paper's conventions. One read pass validates the
+// input, then it is copied into a single backing array whose rows
+// become the dataset's points (DESIGN.md §12). Without normalization
+// the points must already be finite and strictly positive; either
+// way they need at least one dimension.
 func NewDataset(points []Point, opts ...Option) (*Dataset, error) {
 	o := defaultOptions()
 	for _, f := range opts {
@@ -358,19 +347,9 @@ func NewDataset(points []Point, opts ...Option) (*Dataset, error) {
 	if len(points) == 0 {
 		return nil, ErrNoPoints
 	}
-	pts := make([]geom.Vector, len(points))
-	for i, p := range points {
-		pts[i] = geom.Vector(p).Clone()
-	}
-	if o.normalize {
-		norm, err := dataset.Normalize(pts)
-		if err != nil {
-			return nil, fmt.Errorf("kregret: %w", err)
-		}
-		pts = norm
-	}
-	if err := validateVectors(pts); err != nil {
-		return nil, err
+	pts, err := dataset.Ingest(points, o.normalize)
+	if err != nil {
+		return nil, fmt.Errorf("kregret: %w", err)
 	}
 	d := newDatasetFromVectors(pts, 0)
 	if o.walPath != "" {

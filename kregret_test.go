@@ -1,11 +1,14 @@
 package kregret
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 func testPoints(n, d int, seed int64) []Point {
@@ -44,6 +47,12 @@ func TestNewDatasetValidation(t *testing.T) {
 	// Without normalization, zero coordinates are rejected.
 	if _, err := NewDataset([]Point{{0, 1}}, WithoutNormalization()); err == nil {
 		t.Fatal("zero without normalization accepted")
+	}
+	// Points with no attributes are rejected on both paths.
+	for _, opts := range [][]Option{nil, {WithoutNormalization()}} {
+		if _, err := NewDataset([]Point{{}, {}}, opts...); !errors.Is(err, dataset.ErrBadParams) {
+			t.Fatalf("zero-dimensional points with %d options: error %v, want dataset.ErrBadParams", len(opts), err)
+		}
 	}
 }
 

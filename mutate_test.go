@@ -1,10 +1,13 @@
 package kregret
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"repro/internal/wal"
@@ -341,6 +344,20 @@ func TestRecoverCorruptSnapshot(t *testing.T) {
 		if _, err := Recover(snapPath, walPath); !errors.Is(err, ErrCorruptSnapshot) {
 			t.Fatalf("Recover with snapshot cut to %d = %v, want ErrCorruptSnapshot", cut, err)
 		}
+	}
+	// A CRC-valid frame whose N×Dim wraps around to the number of
+	// coordinates it carries (zero): the shape is structurally
+	// impossible, not a huge allocation.
+	var payload bytes.Buffer
+	wire := datasetWire{Version: datasetWireVersion, N: 1 << (strconv.IntSize - 2), Dim: 4}
+	if err := gob.NewEncoder(&payload).Encode(wire); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snapPath, frameSnapshot(dsSnapMagic, dsSnapVersion, payload.Bytes()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Recover(snapPath, walPath); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("Recover with a %d×%d snapshot of no coordinates = %v, want ErrCorruptSnapshot", wire.N, wire.Dim, err)
 	}
 }
 

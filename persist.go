@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/fault"
 	"repro/internal/geom"
 )
@@ -418,15 +419,14 @@ func loadDatasetFile(path string) ([]geom.Vector, uint64, error) {
 	if wire.Version != datasetWireVersion {
 		return nil, 0, fmt.Errorf("kregret: dataset snapshot payload v%d, want v%d", wire.Version, datasetWireVersion)
 	}
-	if wire.N < 1 || wire.Dim < 1 || len(wire.Coords) != wire.N*wire.Dim {
+	// The shape is checked by division: N·Dim can wrap around.
+	if wire.N < 1 || wire.Dim < 1 || len(wire.Coords)%wire.Dim != 0 || len(wire.Coords)/wire.Dim != wire.N {
 		return nil, 0, fmt.Errorf("%w: %d coordinates for %d×%d points", ErrCorruptSnapshot, len(wire.Coords), wire.N, wire.Dim)
 	}
-	pts := make([]geom.Vector, wire.N)
-	for i := range pts {
-		pts[i] = geom.Vector(wire.Coords[i*wire.Dim : (i+1)*wire.Dim : (i+1)*wire.Dim])
+	for i, x := range wire.Coords {
+		if !(x > 0 && x <= math.MaxFloat64) {
+			return nil, 0, fmt.Errorf("%w: point %d has coordinate %g, want finite and strictly positive", ErrCorruptSnapshot, i/wire.Dim, x)
+		}
 	}
-	if err := validateVectors(pts); err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
-	}
-	return pts, wire.Seq, nil
+	return dataset.Rows(wire.Coords, wire.Dim), wire.Seq, nil
 }
