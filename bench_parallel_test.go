@@ -2,9 +2,10 @@ package kregret
 
 // BenchmarkPaper is the baseline suite behind `make bench`: the
 // paper-scale hot paths (GeoGreedy at n=100k d=4, the exact and
-// sampled evaluators, ingestion, the candidate preprocessing) with
-// the worker count taken from the -kregret.parallelism flag, so one
-// binary measures both the sequential path and any fan-out width. The
+// sampled evaluators, ingestion, the candidate preprocessing, the
+// durable write path and recovery) with the worker count taken from
+// the -kregret.parallelism flag, so one binary measures both the
+// sequential path and any fan-out width. The
 // entries that go through Dataset or Engine run at GOMAXPROCS, so
 // cmd/benchbaseline pairs each pass's flag with the same -cpu width.
 // It runs the suite at parallelism 1 and N, diffs ns/op and
@@ -12,7 +13,9 @@ package kregret
 
 import (
 	"context"
+	"errors"
 	"flag"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -22,6 +25,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/happy"
 	"repro/internal/skyline"
+	"repro/internal/wal"
 )
 
 var (
@@ -90,6 +94,17 @@ func paperInstance(b *testing.B) ([]geom.Vector, []geom.Vector, []int, *core.Eva
 		b.Fatal(paperErr)
 	}
 	return paperPts, paperHappy, paperSel, paperEval
+}
+
+// benchInserts returns fresh points from the instance's distribution
+// for the write-path entries to insert, at most 5,000 of them.
+func benchInserts(b *testing.B, n int) []geom.Vector {
+	b.Helper()
+	fresh, err := dataset.AntiCorrelated(min(n, 5000), benchPaperD, 20140401)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return fresh
 }
 
 func BenchmarkPaper(b *testing.B) {
@@ -255,6 +270,96 @@ func BenchmarkPaper(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StartTimer()
+		}
+	})
+	b.Run("Apply", func(b *testing.B) {
+		// The write path end to end: alternating inserts of fresh points
+		// and mid-array deletes through Engine.Apply, each fsynced to the
+		// WAL and folded into a serving epoch whose candidate caches a
+		// first query warmed. The fold compacts only once the log
+		// outgrows the base snapshot (DESIGN.md §15). An untimed first
+		// insert makes the dataset's owned point array, so the timed
+		// inserts write in place at any b.N and the row measures the
+		// steady state: an in-place insert and a copying delete.
+		dir := b.TempDir()
+		ds, err := NewDataset(vecsToPoints(pts), WithoutNormalization(), WithSyncEvery(1),
+			WithWAL(filepath.Join(dir, "apply.wal"), filepath.Join(dir, "apply.snap")))
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng, err := NewEngine(ds)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer func() {
+			if err := errors.Join(eng.Shutdown(ctx), ds.Close()); err != nil {
+				b.Fatal(err)
+			}
+		}()
+		if _, err := eng.Query(ctx, 20); err != nil {
+			b.Fatal(err)
+		}
+		fresh := benchInserts(b, len(pts))
+		if err := eng.Apply(ctx, InsertMutation(Point(fresh[len(fresh)-1]))); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m := DeleteMutation(ds.Len() / 2)
+			if i%2 == 0 {
+				m = InsertMutation(Point(fresh[i/2%len(fresh)]))
+			}
+			if err := eng.Apply(ctx, m); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Recover", func(b *testing.B) {
+		// Restart of a durable dataset: the base snapshot of the
+		// instance plus a log of 10,000 alternating inserts and
+		// mid-array deletes, replayed in one pass.
+		const records = 10_000
+		dir := b.TempDir()
+		snapPath, walPath := filepath.Join(dir, "recover.snap"), filepath.Join(dir, "recover.wal")
+		ds, err := NewDataset(vecsToPoints(pts), WithoutNormalization(), WithWAL(walPath, snapPath))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ds.Close(); err != nil {
+			b.Fatal(err)
+		}
+		log, _, err := wal.Open(walPath, wal.Config{SyncEvery: records})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fresh := benchInserts(b, len(pts))
+		n := len(pts)
+		for i := 0; i < records; i++ {
+			rec := wal.Record{Seq: uint64(i + 1), Op: wal.OpDelete, Index: n / 2}
+			if i%2 == 0 {
+				rec = wal.Record{Seq: uint64(i + 1), Op: wal.OpInsert, Point: fresh[i/2%len(fresh)]}
+				n++
+			} else {
+				n--
+			}
+			if err := log.Append(rec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := log.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rec, err := Recover(snapPath, walPath)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := rec.Close(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("Greedy", func(b *testing.B) {

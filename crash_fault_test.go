@@ -92,7 +92,7 @@ func TestCrashFaultSiteSweep(t *testing.T) {
 					// The injection hit the base-snapshot write inside
 					// NewDataset: nothing was ever acknowledged, and
 					// the failed save must have left no snapshot.
-					if _, _, err := loadDatasetFile(filepath.Join(dir, "crash.snap")); err == nil {
+					if _, _, _, err := loadDatasetFile(filepath.Join(dir, "crash.snap")); err == nil {
 						t.Fatalf("shot %d: failed construction left a loadable snapshot", shot)
 					}
 					continue

@@ -664,7 +664,10 @@ func DeleteMutation(i int) Mutation { return Mutation{index: i} }
 // the epoch pointer is swapped atomically — queries already running
 // finish on the old epoch, new queries see the fold. After the swap
 // the engine persists best-effort: the rebuilt index is written back
-// to the snapshot path and a WAL-backed dataset is compacted.
+// to the snapshot path, and a WAL-backed dataset is compacted once its
+// log has grown larger than the base snapshot it extends, so an
+// acknowledged mutation costs its log record, not a snapshot rewrite
+// (DESIGN.md §15).
 //
 // Mutations are applied in order and each is durable (WAL-appended
 // and fsynced per the dataset's WithSyncEvery) before the next is
@@ -736,17 +739,17 @@ func (e *Engine) foldLocked(ctx context.Context) error {
 	// Persistence rides behind the swap: serving switches to the new
 	// epoch immediately, disk writes only bound restart/recovery
 	// time. Both failures are reported but change nothing in memory —
-	// the WAL already holds every mutation durably.
+	// the WAL already holds every mutation durably, and a compaction
+	// that failed is retried by the next fold, since the log is still
+	// larger than the snapshot.
 	var errs []error
 	if ep.idx != nil {
 		if err := ep.idx.SaveFile(e.opts.snapshotPath, ep.ds); err != nil {
 			errs = append(errs, fmt.Errorf("kregret: persisting epoch %d index: %w", ep.num, err))
 		}
 	}
-	if e.base.WALBacked() {
-		if err := e.base.Compact(); err != nil {
-			errs = append(errs, fmt.Errorf("kregret: post-fold compaction: %w", err))
-		}
+	if err := e.base.compactIfOutgrown(); err != nil {
+		errs = append(errs, fmt.Errorf("kregret: post-fold compaction: %w", err))
 	}
 	return errors.Join(errs...)
 }

@@ -3,6 +3,7 @@ package kregret
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -152,10 +153,12 @@ func TestEngineApplyRebuildsIndex(t *testing.T) {
 	}
 }
 
-// TestEngineApplyDurableAndCompacted: over a WAL-backed dataset every
-// fold compacts the log, and killing the process right here (modeled
-// by recovering from the on-disk pair without Close) yields a dataset
-// answering bit-identically to the engine's serving epoch.
+// TestEngineApplyDurableAndCompacted: over a WAL-backed dataset a fold
+// leaves the log alone while the log is no larger than the base
+// snapshot, and the fold whose record carries it past the snapshot
+// compacts it back to its bare header. Killing the process on either
+// side (modeled by recovering from the on-disk pair without Close)
+// yields a dataset answering bit-identically to the serving epoch.
 func TestEngineApplyDurableAndCompacted(t *testing.T) {
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "mut.wal")
@@ -170,38 +173,76 @@ func TestEngineApplyDurableAndCompacted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	if err := eng.Apply(context.Background(),
-		InsertMutation(Point{1.0, 1.0}),
-		DeleteMutation(3),
-		InsertMutation(Point{0.7, 0.2}),
-	); err != nil {
-		t.Fatal(err)
+	fileSize := func(path string) int64 {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
 	}
-	// The fold compacted: the log is back to its bare header.
-	fi, err := os.Stat(walPath)
-	if err != nil {
-		t.Fatal(err)
+	recoversServingEpoch := func(label string) {
+		t.Helper()
+		want, err := eng.Query(context.Background(), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := Recover(snapPath, walPath)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		defer rec.Close()
+		if rec.Len() != ds.Len() || rec.Seq() != ds.Seq() {
+			t.Fatalf("%s: recovered len/seq %d/%d, want %d/%d", label, rec.Len(), rec.Seq(), ds.Len(), ds.Seq())
+		}
+		got, err := rec.Query(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAnswerBits(t, got, want)
 	}
-	if fi.Size() > 16 {
-		t.Fatalf("log not compacted after fold: %d bytes", fi.Size())
+
+	// WAL frames (length prefix, op, seq, then the coordinates or the
+	// index, CRC) and the log header are fixed-size.
+	const header, insertFrame, deleteFrame = 5, 4 + 1 + 8 + 4 + 2*8 + 4, 4 + 1 + 8 + 4 + 4
+	snapSize := fileSize(snapPath)
+	logSize := int64(header)
+	// Insert a point and delete it again, so the dataset stays small
+	// while the log grows one record per fold.
+	for i := 0; ; i++ {
+		m, frame := InsertMutation(Point{0.7, 0.2}), int64(insertFrame)
+		if i%2 == 1 {
+			m, frame = DeleteMutation(6), deleteFrame
+		}
+		if err := eng.Apply(context.Background(), m); err != nil {
+			t.Fatal(err)
+		}
+		_, watermark, _, err := loadDatasetFile(snapPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if logSize+frame <= snapSize {
+			// Below the trigger: the record was appended, nothing compacted.
+			if got := fileSize(walPath); got != logSize+frame || watermark != 0 {
+				t.Fatalf("fold %d below the trigger: log %d bytes (want %d), snapshot watermark %d (want 0)",
+					i, got, logSize+frame, watermark)
+			}
+			logSize += frame
+			recoversServingEpoch(fmt.Sprintf("fold %d, log of %d bytes", i, logSize))
+			continue
+		}
+		// This fold's record carried the log past the snapshot: it
+		// compacted the epoch into the snapshot and reset the log.
+		if got := fileSize(walPath); got != header || watermark != ds.Seq() {
+			t.Fatalf("fold %d crossed the %d-byte snapshot: log %d bytes (want %d), watermark %d (want %d)",
+				i, snapSize, got, header, watermark, ds.Seq())
+		}
+		if i < 2 {
+			t.Fatalf("the first compaction came at fold %d: the test never saw a fold below the trigger", i)
+		}
+		recoversServingEpoch("after the compaction")
+		return
 	}
-	want, err := eng.Query(context.Background(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Recover(snapPath, walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	if rec.Len() != ds.Len() || rec.Seq() != ds.Seq() {
-		t.Fatalf("recovered len/seq %d/%d, want %d/%d", rec.Len(), rec.Seq(), ds.Len(), ds.Seq())
-	}
-	got, err := rec.Query(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameAnswerBits(t, got, want)
 }
 
 // TestEngineApplyPartialFailureFolds: a failing mutation mid-batch

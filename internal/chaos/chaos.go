@@ -23,8 +23,8 @@
 //     mutation traffic swaps serving epochs underneath the readers;
 //  6. durable recovery — after the drain, Recover over the on-disk
 //     (snapshot, WAL) pair reproduces the final acknowledged
-//     in-memory dataset bit-for-bit, injected fsync and compaction
-//     failures included.
+//     in-memory dataset bit-for-bit, torn appends and injected fsync
+//     and compaction failures included.
 //
 // Everything is a pure function of the seed, so any failing soak run
 // is replayed exactly with
@@ -74,7 +74,9 @@ const (
 	// byte-identical across the folds — mutation traffic is free to
 	// interleave with the answer-fidelity invariant. Deletes are
 	// excluded for the same reason: shifting indices would invalidate
-	// the controls.
+	// the controls. Every fourth mutation also compacts the dataset:
+	// the soak's log never outgrows its small base snapshot, so no
+	// fold would compact, and the compaction faults would never fire.
 	ClassMutation
 
 	numClasses = 7
@@ -107,6 +109,10 @@ type Schedule struct {
 	Faults   []FaultArm
 	Requests [][]Request // one script per client
 }
+
+// durabilitySites is the storm's durability catalog: the injection
+// points of the write path behind ClassMutation.
+var durabilitySites = []string{fault.SiteWALAppend, fault.SiteWALSync, fault.SiteWALRotate, fault.SitePersistSync}
 
 // siteSeed derives the per-site RNG seed: the schedule seed folded
 // with an FNV-1a hash of the site name, so two sites armed by the
@@ -157,14 +163,13 @@ func Generate(seed int64, clients, perClient int) *Schedule {
 			Seed: siteSeed(seed, site),
 		})
 	}
-	// Durability sites fire rarely too: an injected WAL fsync,
-	// compaction or snapshot-fsync failure must surface as a clean
-	// mutation error (the soak's recovery invariant proves no torn
-	// acknowledged state), and mutation traffic is itself a small
-	// slice of the mix. wal.append is deliberately absent — it models
-	// a mid-write process death and bricks the log until compaction,
-	// which the crash-point sweep covers exhaustively instead.
-	for _, site := range []string{fault.SiteWALSync, fault.SiteWALRotate, fault.SitePersistSync} {
+	// Durability sites fire rarely too: a torn WAL append, an injected
+	// WAL fsync, compaction or snapshot-fsync failure must surface as a
+	// clean mutation error (the soak's recovery invariant proves no
+	// torn acknowledged state), and mutation traffic is itself a small
+	// slice of the mix. A torn append leaves the log unusable until
+	// the next mutation's compaction heals it.
+	for _, site := range durabilitySites {
 		if rng.Intn(2) == 0 {
 			continue
 		}

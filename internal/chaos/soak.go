@@ -45,18 +45,23 @@ type Report struct {
 	Canceled  uint64 // context errors surfaced to the client
 	Numerical uint64 // fallback-disabled numerical failures
 	Mutations uint64 // durable inserts applied through Engine.Apply
-	// MutationsFailed counts Apply errors other than shutdown — an
-	// injected WAL fsync or compaction failure. Each is individually
-	// harmless (the mutation was cleanly rejected or applied with its
-	// persistence deferred); invariant 6 proves so collectively.
+	// MutationsFailed counts Apply errors other than shutdown — a torn
+	// append or an injected WAL fsync or compaction failure. Each is
+	// individually harmless (the mutation was cleanly rejected or
+	// applied with its persistence deferred); invariant 6 proves so
+	// collectively.
 	MutationsFailed uint64
-	Stats           kregret.EngineStats
+	// Fired counts, per armed fault site, the executions it failed
+	// during the storm.
+	Fired map[string]int
+	Stats kregret.EngineStats
 }
 
 // outcome counters shared by the soak clients.
 type tally struct {
 	issued, ok, degraded, shed, canceled, numerical atomic.Uint64
 	mutations, mutationsFailed                      atomic.Uint64
+	mutationReqs                                    atomic.Uint64
 }
 
 // violation collection: the soak never fails fast — it records every
@@ -253,12 +258,16 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			defer wg.Done()
 			for pass := 0; pass == 0 || time.Since(start) < cfg.Duration; pass++ {
 				for _, req := range script {
-					issueOne(ctx, eng, req, control[ckey{req.Class, req.K}], mutPt, &tl, v)
+					issueOne(ctx, eng, ds, req, control[ckey{req.Class, req.K}], mutPt, &tl, v)
 				}
 			}
 		}(sched.Requests[c])
 	}
 	wg.Wait()
+	fired := make(map[string]int, len(sched.Faults))
+	for _, f := range sched.Faults {
+		fired[f.Site] = fault.Fired(f.Site)
+	}
 
 	// Disarm and converge: invariant 2 says every breaker the storm
 	// tripped recloses once probes succeed again. Probe each live
@@ -370,6 +379,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		Numerical:       tl.numerical.Load(),
 		Mutations:       tl.mutations.Load(),
 		MutationsFailed: tl.mutationsFailed.Load(),
+		Fired:           fired,
 		Stats:           stats,
 	}
 	return rep, v.join()
@@ -377,13 +387,14 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 // issueOne sends one scripted request and classifies its outcome
 // against the invariants.
-func issueOne(ctx context.Context, eng *kregret.Engine, req Request, want *kregret.Answer, mutPt kregret.Point, tl *tally, v *violations) {
+func issueOne(ctx context.Context, eng *kregret.Engine, ds *kregret.Dataset, req Request, want *kregret.Answer, mutPt kregret.Point, tl *tally, v *violations) {
 	tl.issued.Add(1)
 	if req.Class == ClassMutation {
 		// A durable write: the dominated insert folds a new epoch
 		// (every other one, per the rebuild threshold) under the
-		// readers' feet. Failures beyond shutdown are injected
-		// durability faults — tolerated here, settled by invariant 6.
+		// readers' feet, and every fourth also compacts the base
+		// dataset. Failures beyond shutdown are injected durability
+		// faults — tolerated here, settled by invariant 6.
 		switch err := eng.Apply(ctx, kregret.InsertMutation(mutPt)); {
 		case err == nil:
 			tl.mutations.Add(1)
@@ -391,6 +402,10 @@ func issueOne(ctx context.Context, eng *kregret.Engine, req Request, want *kregr
 			tl.shed.Add(1)
 		default:
 			tl.mutationsFailed.Add(1)
+		}
+		if tl.mutationReqs.Add(1)%4 == 0 {
+			//kregret:allow errdrop: a failed compaction leaves the previous (snapshot, log) pair intact; invariant 6 settles it
+			ds.Compact()
 		}
 		return
 	}

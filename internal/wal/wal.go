@@ -31,8 +31,11 @@
 // so an acknowledged mutation survives any crash; larger batches trade
 // that for throughput, losing at most the unsynced suffix. A failed
 // write or sync rewinds the file to the last synced offset so a failed
-// Append leaves no trace — the caller's in-memory state and the log
-// never disagree about which mutations happened.
+// Append leaves no trace. With SyncEvery > 1 the rewind also drops the
+// unsynced records of earlier appends that were acknowledged, so the
+// caller must persist its state another way (the dataset compacts)
+// before it appends again: the next record would follow a sequence
+// gap.
 package wal
 
 import (

@@ -234,9 +234,11 @@ func WithoutFallback() Option { return func(o *options) { o.fallback = false } }
 // for concurrent use by multiple goroutines from the moment NewDataset
 // returns — concurrent first calls simply share one computation.
 //
-// Insert and Delete mutate by copy-on-write: each publishes a fresh
-// epoch atomically, so readers that started earlier keep computing on
-// the epoch they loaded and never observe a half-applied mutation.
+// Insert and Delete never change a published epoch: each publishes a
+// fresh epoch atomically, so readers that started earlier keep
+// computing on the epoch they loaded and never observe a half-applied
+// mutation. Insert writes only an array slot no published epoch can
+// reach (DESIGN.md §12).
 // With WithWAL, every mutation is appended to a write-ahead log (and
 // fsynced) before it is applied, and Recover rebuilds the exact
 // pre-crash state from the last snapshot plus the log.
@@ -251,7 +253,18 @@ type Dataset struct {
 	muMut     sync.Mutex
 	wal       *wal.Log // nil without WithWAL
 	walSnap   string   // dataset snapshot path for Compact
+	snapSize  int64    // bytes of the base snapshot the log extends
 	walClosed bool     // Close was called; mutations return ErrClosed
+	// walStale is set when a WAL append, sync or reset failed: the log
+	// may lack acknowledged mutations or refuse appends, so the next
+	// mutation compacts before it appends (logLocked).
+	walStale bool
+	// owned is the point array the mutations publish capacity-capped
+	// views of, with headroom so Insert can write its slot in place;
+	// nil until the first mutation copies the epoch's points into it.
+	// Its length is the high-water mark: no epoch ever published a
+	// longer view of it, so every slot from len(owned) on is unseen.
+	owned []geom.Vector
 }
 
 // dsState is one immutable epoch of a Dataset: the points plus every

@@ -7,6 +7,7 @@ package kregret
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/geom"
 	"repro/internal/happy"
@@ -59,21 +60,14 @@ func (d *Dataset) attachWAL(o options) error {
 			fmt.Errorf("kregret: WAL %s already holds %d records; use Recover to resume it", o.walPath, len(recs)),
 			log.Close())
 	}
-	if err := saveDatasetFile(o.walSnap, d.snap()); err != nil {
+	size, err := saveDatasetFile(o.walSnap, d.snap())
+	if err != nil {
 		return errors.Join(err, log.Close())
 	}
 	d.muMut.Lock()
-	d.wal, d.walSnap = log, o.walSnap
+	d.wal, d.walSnap, d.snapSize = log, o.walSnap, size
 	d.muMut.Unlock()
 	return nil
-}
-
-// WALBacked reports whether the dataset currently has a write-ahead
-// log attached (false after Close).
-func (d *Dataset) WALBacked() bool {
-	d.muMut.Lock()
-	defer d.muMut.Unlock()
-	return d.wal != nil
 }
 
 // Seq returns the sequence number of the last mutation folded into
@@ -85,7 +79,9 @@ func (d *Dataset) Seq() uint64 { return d.snap().seq }
 // Snapshot returns a Dataset pinned to the current epoch: a cheap
 // read view sharing the epoch's points and candidate caches, immune
 // to later mutations of the parent. The snapshot has no WAL — it is
-// a view, not a fork of the durable history.
+// a view, not a fork of the durable history — and owns no point
+// array, so its own first mutation copies the points instead of
+// writing into the parent's.
 func (d *Dataset) Snapshot() *Dataset {
 	nd := &Dataset{}
 	nd.state.Store(d.snap())
@@ -131,18 +127,57 @@ func (d *Dataset) Insert(p Point) (int, error) {
 		return 0, err
 	}
 	seq := st.seq + 1
-	if d.wal != nil {
-		if err := d.wal.Append(wal.Record{Seq: seq, Op: wal.OpInsert, Point: v}); err != nil {
-			return 0, fmt.Errorf("kregret: insert not durable: %w", err)
-		}
+	if err := d.logLocked(wal.Record{Seq: seq, Op: wal.OpInsert, Point: v}); err != nil {
+		return 0, fmt.Errorf("kregret: insert not durable: %w", err)
 	}
-	pts := make([]geom.Vector, len(st.pts)+1)
-	copy(pts, st.pts)
-	pts[len(st.pts)] = v
-	ns := &dsState{pts: pts, seq: seq}
+	// Slot n of the owned array is unseen when the epoch is a view of
+	// that array and no epoch was ever published longer than n (a tail
+	// Delete leaves its predecessor reading slot n). Otherwise the
+	// points move to a fresh array; append also moves them when the
+	// headroom is used up.
+	n := len(st.pts)
+	if n != len(d.owned) || &d.owned[0] != &st.pts[0] {
+		d.owned = append(withHeadroom(n+1), st.pts...)
+	}
+	d.owned = append(d.owned, v)
+	ns := &dsState{pts: d.owned[: n+1 : n+1], seq: seq}
 	seedAfterInsert(st, ns)
 	d.state.Store(ns)
-	return len(pts) - 1, nil
+	return n, nil
+}
+
+// withHeadroom returns an empty point array with room for n points
+// and 64 more, so the inserts that follow a copy write in place. A
+// longer burst of inserts grows the array through append, which grows
+// it geometrically; a mid-array Delete, the copy the mutate workloads
+// make most, leaves the headroom unused but for one slot.
+func withHeadroom(n int) []geom.Vector { return make([]geom.Vector, 0, n+64) }
+
+// logLocked appends rec to the WAL, if one is attached, before its
+// mutation is applied. After a failed WAL operation the log may no
+// longer hold every acknowledged mutation: a torn append leaves it
+// unusable, and a failed write or fsync rewinds it to its last synced
+// frame, which with WithSyncEvery > 1 drops records of mutations
+// already acknowledged and applied. An append after that would leave
+// a sequence gap that Recover replays over the wrong points, so the
+// log is healed first: the compaction writes the current epoch, which
+// holds every acknowledged mutation, to the base snapshot, and its
+// Reset drops the log's tail. A failed compaction returns its error
+// and appends nothing. Callers hold muMut.
+func (d *Dataset) logLocked(rec wal.Record) error {
+	if d.wal == nil {
+		return nil
+	}
+	if d.walStale {
+		if err := d.compactLocked(); err != nil {
+			return err
+		}
+	}
+	if err := d.wal.Append(rec); err != nil {
+		d.walStale = true
+		return err
+	}
+	return nil
 }
 
 // seedAfterInsert folds the previous epoch's READY candidate caches
@@ -207,24 +242,22 @@ func (d *Dataset) Delete(i int) error {
 		return fmt.Errorf("kregret: delete would leave the dataset empty: %w", ErrNoPoints)
 	}
 	seq := st.seq + 1
-	if d.wal != nil {
-		if err := d.wal.Append(wal.Record{Seq: seq, Op: wal.OpDelete, Index: i}); err != nil {
-			return fmt.Errorf("kregret: delete not durable: %w", err)
-		}
+	if err := d.logLocked(wal.Record{Seq: seq, Op: wal.OpDelete, Index: i}); err != nil {
+		return fmt.Errorf("kregret: delete not durable: %w", err)
 	}
 	var pts []geom.Vector
 	if i == len(st.pts)-1 {
-		// Deleting the tail needs no clone: epochs are immutable, so the
-		// predecessor keeps reading its longer view of the same backing
-		// array, and the capacity cap forces any future growth to
-		// reallocate instead of writing into the shared tail. This turns
-		// the insert-then-undo round trip (the Engine fold's probe
-		// pattern) from two O(n) copies into one.
+		// Deleting the tail needs no copy: the predecessor keeps reading
+		// its longer view of the same array, and since the owned
+		// array's length (the high-water mark) stays above the new
+		// length, the next Insert copies instead of overwriting slot i.
 		pts = st.pts[:i:i]
 	} else {
-		pts = make([]geom.Vector, 0, len(st.pts)-1)
-		pts = append(pts, st.pts[:i]...)
-		pts = append(pts, st.pts[i+1:]...)
+		// Indices after i shift down by contract, so a mid-array delete
+		// copies — into a fresh owned array with headroom, so the
+		// inserts that follow it write in place.
+		d.owned = append(append(withHeadroom(len(st.pts)-1), st.pts[:i]...), st.pts[i+1:]...)
+		pts = d.owned[:len(d.owned):len(d.owned)]
 	}
 	ns := &dsState{pts: pts, seq: seq}
 	seedAfterDelete(st, ns, i)
@@ -249,24 +282,57 @@ func (d *Dataset) Compact() error {
 	if d.wal == nil {
 		return ErrWALRequired
 	}
-	if err := saveDatasetFile(d.walSnap, d.snap()); err != nil {
+	return d.compactLocked()
+}
+
+// compactLocked is Compact with muMut held and a WAL attached. It
+// records the new snapshot's size as soon as the snapshot is on disk:
+// a failed Reset leaves that snapshot in place, and the log, which
+// may now refuse appends, is healed by the next mutation.
+func (d *Dataset) compactLocked() error {
+	size, err := saveDatasetFile(d.walSnap, d.snap())
+	if err != nil {
 		return err
 	}
+	d.snapSize = size
 	if err := d.wal.Reset(); err != nil {
+		d.walStale = true
 		return fmt.Errorf("kregret: compacting WAL: %w", err)
 	}
+	d.walStale = false
 	return nil
 }
 
+// compactIfOutgrown compacts once the log is larger than the base
+// snapshot it extends, which is the Engine fold's compaction trigger.
+// Each mutation then writes its log record plus, amortized, about as
+// many snapshot bytes, and the two files stay within about twice the
+// snapshot, which also bounds the log Recover replays (DESIGN.md
+// §15). A dataset without a WAL (or after Close) never compacts.
+func (d *Dataset) compactIfOutgrown() error {
+	d.muMut.Lock()
+	defer d.muMut.Unlock()
+	if d.wal == nil || d.wal.Size() <= d.snapSize {
+		return nil
+	}
+	return d.compactLocked()
+}
+
 // SyncWAL forces any fsync-batched mutations (WithSyncEvery > 1) to
-// disk, bounding the acknowledgment lag explicitly.
+// disk, bounding the acknowledgment lag explicitly. A failed sync
+// rewinds the log past those mutations, so the next mutation first
+// compacts them into the base snapshot.
 func (d *Dataset) SyncWAL() error {
 	d.muMut.Lock()
 	defer d.muMut.Unlock()
 	if d.wal == nil {
 		return ErrWALRequired
 	}
-	return d.wal.Sync()
+	if err := d.wal.Sync(); err != nil {
+		d.walStale = true
+		return err
+	}
+	return nil
 }
 
 // ErrClosed is returned by mutations on a dataset whose WAL was
@@ -274,50 +340,139 @@ func (d *Dataset) SyncWAL() error {
 var ErrClosed = errors.New("kregret: dataset closed")
 
 // Close syncs and closes the WAL (a no-op on a dataset that never had
-// one). The dataset remains queryable after Close; further mutations
-// return ErrClosed.
+// one). If a failed append or sync left the log without acknowledged
+// mutations, Close first compacts them into the base snapshot. The
+// dataset remains queryable after Close; further mutations return
+// ErrClosed.
 func (d *Dataset) Close() error {
 	d.muMut.Lock()
 	defer d.muMut.Unlock()
 	if d.wal == nil {
 		return nil
 	}
-	err := d.wal.Close()
+	var err error
+	if d.walStale {
+		err = d.compactLocked()
+	}
+	err = errors.Join(err, d.wal.Close())
 	d.wal = nil
 	d.walClosed = true
 	return err
 }
 
-// replayRecord applies one WAL record to the point slice. Records
-// were validated when appended, so any violation here means the log
-// does not belong to this snapshot (or was corrupted in a way the
-// CRC cannot see): it surfaces as wal.ErrCorruptRecord, never as a
-// silently-wrong dataset.
-func replayRecord(pts []geom.Vector, rec wal.Record) ([]geom.Vector, error) {
-	switch rec.Op {
-	case wal.OpInsert:
-		v := geom.Vector(rec.Point)
-		if len(pts) > 0 && len(v) != len(pts[0]) {
-			return nil, fmt.Errorf("%w: replayed insert (seq %d) has dimension %d, want %d",
-				wal.ErrCorruptRecord, rec.Seq, len(v), len(pts[0]))
+// replayLog applies the log records past the snapshot's watermark
+// seq to its points in one pass, returning the surviving points and
+// the last applied sequence number. Each insert takes a fresh slot at
+// the end, each delete kills the i-th live slot, found through a
+// Fenwick tree over the live flags, and the survivors are gathered
+// once in slot order: O((n+r)·log(n+r)) for r records instead of an
+// O(n) memmove per mid-array delete. pts must be non-empty, as every
+// loaded snapshot is. Records were validated when appended, so any
+// violation here means the log does not belong to this snapshot (or
+// was corrupted in a way the CRC cannot see): it surfaces as
+// wal.ErrCorruptRecord, never as a silently-wrong dataset. The tests
+// hold it to a record-at-a-time oracle, error text included.
+func replayLog(pts []geom.Vector, seq uint64, recs []wal.Record) ([]geom.Vector, uint64, error) {
+	// Records at or below the running watermark were already folded
+	// into the snapshot by a compaction.
+	inserts, s := 0, seq
+	for _, rec := range recs {
+		if rec.Seq > s {
+			if rec.Op == wal.OpInsert {
+				inserts++
+			}
+			s = rec.Seq
 		}
-		if !v.IsFinite() || !v.AllPositive() {
-			return nil, fmt.Errorf("%w: replayed insert (seq %d) is not finite and strictly positive",
-				wal.ErrCorruptRecord, rec.Seq)
-		}
-		return append(pts, v), nil
-	case wal.OpDelete:
-		if rec.Index < 0 || rec.Index >= len(pts) {
-			return nil, fmt.Errorf("%w: replayed delete (seq %d) index %d out of range (n=%d)",
-				wal.ErrCorruptRecord, rec.Seq, rec.Index, len(pts))
-		}
-		if len(pts) == 1 {
-			return nil, fmt.Errorf("%w: replayed delete (seq %d) would empty the dataset",
-				wal.ErrCorruptRecord, rec.Seq)
-		}
-		return append(pts[:rec.Index], pts[rec.Index+1:]...), nil
 	}
-	return nil, fmt.Errorf("%w: replayed record (seq %d) has unknown op %d", wal.ErrCorruptRecord, rec.Seq, rec.Op)
+	if s == seq {
+		return pts, seq, nil
+	}
+	slots := append(make([]geom.Vector, 0, len(pts)+inserts), pts...)
+	live := newLiveSlots(len(pts), cap(slots))
+	n, dim := len(pts), len(pts[0])
+	for _, rec := range recs {
+		if rec.Seq <= seq {
+			continue
+		}
+		switch rec.Op {
+		case wal.OpInsert:
+			v := geom.Vector(rec.Point)
+			if len(v) != dim {
+				return nil, 0, fmt.Errorf("%w: replayed insert (seq %d) has dimension %d, want %d",
+					wal.ErrCorruptRecord, rec.Seq, len(v), dim)
+			}
+			if !v.IsFinite() || !v.AllPositive() {
+				return nil, 0, fmt.Errorf("%w: replayed insert (seq %d) is not finite and strictly positive",
+					wal.ErrCorruptRecord, rec.Seq)
+			}
+			live.add(len(slots), 1)
+			slots = append(slots, v)
+			n++
+		case wal.OpDelete:
+			if rec.Index < 0 || rec.Index >= n {
+				return nil, 0, fmt.Errorf("%w: replayed delete (seq %d) index %d out of range (n=%d)",
+					wal.ErrCorruptRecord, rec.Seq, rec.Index, n)
+			}
+			if n == 1 {
+				return nil, 0, fmt.Errorf("%w: replayed delete (seq %d) would empty the dataset",
+					wal.ErrCorruptRecord, rec.Seq)
+			}
+			slots[live.kill(rec.Index)] = nil
+			n--
+		default:
+			return nil, 0, fmt.Errorf("%w: replayed record (seq %d) has unknown op %d", wal.ErrCorruptRecord, rec.Seq, rec.Op)
+		}
+		seq = rec.Seq
+	}
+	// Live slots are never nil: every point has dim ≥ 1 coordinates.
+	out := slots[:0]
+	for _, p := range slots {
+		if p != nil {
+			out = append(out, p)
+		}
+	}
+	return out[:n:n], seq, nil
+}
+
+// liveSlots is a Fenwick tree over replay's 0/1 live flags, 1-based:
+// it finds and clears the i-th live slot in O(log m).
+type liveSlots []int32
+
+// newLiveSlots returns the tree over m slots whose first n are live,
+// built in O(m).
+func newLiveSlots(n, m int) liveSlots {
+	t := make(liveSlots, m+1)
+	for i := 1; i <= m; i++ {
+		if i <= n {
+			t[i]++
+		}
+		if j := i + i&-i; j <= m {
+			t[j] += t[i]
+		}
+	}
+	return t
+}
+
+// add adds delta to slot i's flag (i is 0-based).
+func (t liveSlots) add(i int, delta int32) {
+	for i++; i < len(t); i += i & -i {
+		t[i] += delta
+	}
+}
+
+// kill clears the k-th live slot (0-based) and returns its index: the
+// descent finds the longest prefix holding at most k live slots, and
+// the slot just past it is the k-th.
+func (t liveSlots) kill(k int) int {
+	pos, rem := 0, int32(k+1)
+	for step := 1 << (bits.Len(uint(len(t)-1)) - 1); step > 0; step >>= 1 {
+		if next := pos + step; next < len(t) && t[next] < rem {
+			pos = next
+			rem -= t[next]
+		}
+	}
+	t.add(pos, -1)
+	return pos
 }
 
 // Recover rebuilds a WAL-backed dataset after a crash: the base
@@ -338,7 +493,7 @@ func Recover(snapshotPath, walPath string, opts ...Option) (*Dataset, error) {
 	for _, f := range opts {
 		f(&o)
 	}
-	pts, seq, err := loadDatasetFile(snapshotPath)
+	pts, seq, size, err := loadDatasetFile(snapshotPath)
 	if err != nil {
 		return nil, err
 	}
@@ -346,21 +501,12 @@ func Recover(snapshotPath, walPath string, opts ...Option) (*Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kregret: recovering WAL: %w", err)
 	}
-	for _, rec := range recs {
-		if rec.Seq <= seq {
-			continue // already folded into the snapshot by a compaction
-		}
-		if pts, err = replayRecord(pts, rec); err != nil {
-			return nil, errors.Join(err, log.Close())
-		}
-		seq = rec.Seq
-	}
-	if len(pts) == 0 {
-		return nil, errors.Join(ErrNoPoints, log.Close())
+	if pts, seq, err = replayLog(pts, seq, recs); err != nil {
+		return nil, errors.Join(err, log.Close())
 	}
 	d := newDatasetFromVectors(pts, seq)
 	d.muMut.Lock()
-	d.wal, d.walSnap = log, snapshotPath
+	d.wal, d.walSnap, d.snapSize = log, snapshotPath, size
 	d.muMut.Unlock()
 	return d, nil
 }

@@ -381,8 +381,9 @@ type datasetWire struct {
 const datasetWireVersion = 1
 
 // saveDatasetFile writes st as a base snapshot to path with the same
-// crash-safe protocol as Index.SaveFile (writeSnapshotFile).
-func saveDatasetFile(path string, st *dsState) error {
+// crash-safe protocol as Index.SaveFile (writeSnapshotFile) and
+// returns the snapshot's size in bytes.
+func saveDatasetFile(path string, st *dsState) (int64, error) {
 	wire := datasetWire{
 		Version: datasetWireVersion,
 		Seq:     st.seq,
@@ -395,38 +396,43 @@ func saveDatasetFile(path string, st *dsState) error {
 	}
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(wire); err != nil {
-		return fmt.Errorf("kregret: saving dataset snapshot: %w", err)
+		return 0, fmt.Errorf("kregret: saving dataset snapshot: %w", err)
 	}
-	return writeSnapshotFile(path, "dataset", frameSnapshot(dsSnapMagic, dsSnapVersion, payload.Bytes()))
+	frame := frameSnapshot(dsSnapMagic, dsSnapVersion, payload.Bytes())
+	if err := writeSnapshotFile(path, "dataset", frame); err != nil {
+		return 0, err
+	}
+	return int64(len(frame)), nil
 }
 
-// loadDatasetFile reads a base snapshot back: the points and the
-// sequence watermark. Any framing, integrity or structural violation
-// is ErrCorruptSnapshot; a missing file is the underlying fs error.
-func loadDatasetFile(path string) ([]geom.Vector, uint64, error) {
+// loadDatasetFile reads a base snapshot back: the points, the
+// sequence watermark and the snapshot's size in bytes. Any framing,
+// integrity or structural violation is ErrCorruptSnapshot; a missing
+// file is the underlying fs error.
+func loadDatasetFile(path string) ([]geom.Vector, uint64, int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, 0, fmt.Errorf("kregret: loading dataset snapshot: %w", err)
+		return nil, 0, 0, fmt.Errorf("kregret: loading dataset snapshot: %w", err)
 	}
 	payload, err := unframeSnapshot(data, dsSnapMagic, dsSnapVersion, ErrCorruptSnapshot)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	var wire datasetWire
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wire); err != nil {
-		return nil, 0, fmt.Errorf("%w: decoding payload: %v", ErrCorruptSnapshot, err)
+		return nil, 0, 0, fmt.Errorf("%w: decoding payload: %v", ErrCorruptSnapshot, err)
 	}
 	if wire.Version != datasetWireVersion {
-		return nil, 0, fmt.Errorf("kregret: dataset snapshot payload v%d, want v%d", wire.Version, datasetWireVersion)
+		return nil, 0, 0, fmt.Errorf("kregret: dataset snapshot payload v%d, want v%d", wire.Version, datasetWireVersion)
 	}
 	// The shape is checked by division: N·Dim can wrap around.
 	if wire.N < 1 || wire.Dim < 1 || len(wire.Coords)%wire.Dim != 0 || len(wire.Coords)/wire.Dim != wire.N {
-		return nil, 0, fmt.Errorf("%w: %d coordinates for %d×%d points", ErrCorruptSnapshot, len(wire.Coords), wire.N, wire.Dim)
+		return nil, 0, 0, fmt.Errorf("%w: %d coordinates for %d×%d points", ErrCorruptSnapshot, len(wire.Coords), wire.N, wire.Dim)
 	}
 	for i, x := range wire.Coords {
 		if !(x > 0 && x <= math.MaxFloat64) {
-			return nil, 0, fmt.Errorf("%w: point %d has coordinate %g, want finite and strictly positive", ErrCorruptSnapshot, i/wire.Dim, x)
+			return nil, 0, 0, fmt.Errorf("%w: point %d has coordinate %g, want finite and strictly positive", ErrCorruptSnapshot, i/wire.Dim, x)
 		}
 	}
-	return dataset.Rows(wire.Coords, wire.Dim), wire.Seq, nil
+	return dataset.Rows(wire.Coords, wire.Dim), wire.Seq, int64(len(data)), nil
 }
