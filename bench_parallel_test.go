@@ -1,15 +1,16 @@
 package kregret
 
 // BenchmarkPaper is the baseline suite behind `make bench`: the
-// paper-scale hot paths (GeoGreedy at n=100k d=4, the exact and
-// sampled evaluators, ingestion, the candidate preprocessing, the
-// durable write path and recovery) with the worker count taken from
-// the -kregret.parallelism flag, so one binary measures both the
-// sequential path and any fan-out width. The
+// paper-scale hot paths (GeoGreedy at n=100k d=4 and over the happy
+// points, the prefix-list build and the engine's list-served query,
+// the exact and sampled evaluators, ingestion, the candidate
+// preprocessing, the durable write path and recovery) with the
+// worker count taken from the -kregret.parallelism flag, so one binary
+// measures both the sequential path and any fan-out width. The
 // entries that go through Dataset or Engine run at GOMAXPROCS, so
 // cmd/benchbaseline pairs each pass's flag with the same -cpu width.
-// It runs the suite at parallelism 1 and N, diffs ns/op and
-// allocs/op, and writes BENCH_<rev>.json.
+// It runs the suite at parallelism 1 and N, records each row's median
+// and IQR over its passes, and writes BENCH_<rev>.json.
 
 import (
 	"context"
@@ -116,6 +117,55 @@ func BenchmarkPaper(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := core.GeoGreedyParCtx(ctx, pts, 50, w); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("GeoGreedyHappy", func(b *testing.B) {
+		// The per-query solve a default query paid before the prefix
+		// list: GeoGreedy at k = 20 over the happy points. The pair
+		// with ListBuild shows that growing the list costs a solve.
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.GeoGreedyParCtx(ctx, cand, 20, w); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("ListBuild", func(b *testing.B) {
+		// The prefix-list build an engine epoch runs for its first
+		// default query at k = 20 (DESIGN.md §10).
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.BuildStoredListUpToParCtx(ctx, cand, 20, w); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("EngineQuery", func(b *testing.B) {
+		// The default serve path: Engine.Query on a live engine whose
+		// prefix list already covers every k asked (10–50, cycling),
+		// so each query is admission plus an O(k) prefix copy.
+		ds, err := NewDataset(vecsToPoints(pts), WithoutNormalization())
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng, err := NewEngine(ds)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer func() {
+			if err := eng.Shutdown(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}()
+		if _, err := eng.Query(ctx, 50); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := eng.Query(ctx, 10+i%41); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -3,9 +3,10 @@
 // parallelism 1 (the exact sequential path) and at the requested
 // width — alternating the two so host drift cancels out of the
 // speedup ratio — parses the `go test -bench` output, and writes a
-// BENCH_<rev>.json with ns/op, B/op, allocs/op and the per-benchmark
-// speedup. Each pass sets both the suite's -kregret.parallelism flag
-// and go test's -cpu to its width: the entries that build a Dataset
+// BENCH_<rev>.json with each row's median ns/op and its IQR, B/op,
+// allocs/op and the per-benchmark speedup. Each pass sets both the
+// suite's -kregret.parallelism flag and go test's -cpu to its width:
+// the entries that build a Dataset
 // or Engine run at GOMAXPROCS. CI and `make bench` both go through
 // this binary so every revision's numbers land in the same
 // machine-readable shape.
@@ -13,24 +14,32 @@
 // Usage:
 //
 //	go run ./cmd/benchbaseline [-parallelism N] [-n 100000] \
-//	    [-benchtime 2x] [-bench Paper] [-count 1] \
+//	    [-benchtime 2x] [-bench Paper] [-count 5] \
 //	    [-out BENCH_<rev>.json] [-diff latest|path]
 //
 // The -n flag feeds the suite's -kregret.benchn dataset size; smoke
 // runs (make bench-smoke) lower it so the suite finishes in seconds
 // and merely proves the harness end to end.
 //
-// -count repeats the alternating pass pairs and keeps the
-// per-benchmark minimum of every measurement — the noise floor,
-// which is what a baseline should record on a shared machine.
+// -count repeats the alternating pass pairs; each pass is one sample
+// of every row at each width. A row records the median of its
+// samples for ns/op, B/op and allocs/op, the interquartile range of
+// its ns/op samples and the samples themselves; the speedup is the
+// ratio of the two widths' medians. The minimum of a few 2-iteration
+// samples cannot resolve a 20% move on a shared machine (one row read
+// 32.5 ms and then 44.7 ms with no change to its code), so a baseline
+// takes at least five, and a row's IQR says which moves its median
+// can resolve.
 //
 // -diff compares the freshly-recorded report against an earlier
 // BENCH_*.json ("latest" picks the most recent one by recorded date,
 // excluding the file just written) and prints per-benchmark
-// sequential ns/op and allocs/op deltas. When the baseline was taken
-// with the same -n and -benchtime, a sequential ns/op regression
-// above 10% or an allocs/op growth above 25% on any benchmark exits
-// nonzero so CI can gate on both time and allocation behavior; for
+// sequential ns/op and allocs/op deltas of the medians (a report
+// written before medians were recorded holds its minima there). When
+// the baseline was taken with the same -n and -benchtime, a
+// sequential ns/op regression above 10% or an allocs/op growth above
+// 25% on any benchmark exits nonzero so CI can gate on both time and
+// allocation behavior; for
 // benchmarks whose name contains "Sharded" the parallel ns/op is
 // gated at 10% as well (the partition–merge path exists to win at
 // width, so its parallel time is the one that must not rot). With
@@ -42,27 +51,34 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 )
 
+// measurement is one row at one width: the medians over its samples,
+// the IQR of its ns/op samples, and those samples in pass order.
 type measurement struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
+	NsPerOp     float64   `json:"ns_per_op"`
+	NsIQR       float64   `json:"ns_per_op_iqr"`
+	NsSamples   []float64 `json:"ns_per_op_samples,omitempty"`
+	BytesPerOp  int64     `json:"bytes_per_op"`
+	AllocsPerOp int64     `json:"allocs_per_op"`
 }
 
 type entry struct {
 	Name string      `json:"name"`
 	Seq  measurement `json:"sequential"`
 	Par  measurement `json:"parallel"`
-	// Speedup is seq ns/op over par ns/op (>1 means the fan-out won).
+	// Speedup is the seq median ns/op over the par median ns/op (>1
+	// means the fan-out won).
 	Speedup float64 `json:"speedup"`
 	// AllocRatio is par allocs/op over seq allocs/op (the scratch
 	// pools should keep this near 1).
@@ -78,6 +94,7 @@ type report struct {
 	N           int     `json:"n"`
 	Parallelism int     `json:"parallelism"`
 	Benchtime   string  `json:"benchtime"`
+	Samples     int     `json:"samples"`
 	Benchmarks  []entry `json:"benchmarks"`
 }
 
@@ -93,7 +110,7 @@ func main() {
 		n         = flag.Int("n", 100000, "BenchmarkPaper dataset size")
 		benchtime = flag.String("benchtime", "2x", "go test -benchtime value")
 		bench     = flag.String("bench", "Paper", "go test -bench regexp")
-		count     = flag.Int("count", 1, "passes per width; the minimum of each measurement is kept")
+		count     = flag.Int("count", 5, "passes per width, each one sample of every row; the median and IQR are kept")
 		out       = flag.String("out", "", "output path (default BENCH_<rev>.json)")
 		diff      = flag.String("diff", "", "compare against a BENCH_*.json (\"latest\" = newest by date)")
 	)
@@ -106,6 +123,9 @@ func main() {
 
 	if *count < 1 {
 		fatal(fmt.Errorf("-count must be at least 1, got %d", *count))
+	}
+	if *count < 5 {
+		fmt.Fprintf(os.Stderr, "benchbaseline: %d samples per row — too few to resolve a 20%% move\n", *count)
 	}
 
 	rev := gitRev()
@@ -123,6 +143,7 @@ func main() {
 		N:           *n,
 		Parallelism: *parallelism,
 		Benchtime:   *benchtime,
+		Samples:     *count,
 	}
 	for _, name := range sortedKeys(seq) {
 		s := seq[name]
@@ -155,11 +176,11 @@ func main() {
 		fatal(err)
 	}
 
-	fmt.Printf("wrote %s (rev %s, n=%d, parallelism 1 vs %d, count %d)\n", path, rev, *n, *parallelism, *count)
-	fmt.Printf("%-40s %14s %14s %8s %7s\n", "benchmark", "seq ns/op", "par ns/op", "speedup", "allocΔ")
+	fmt.Printf("wrote %s (rev %s, n=%d, parallelism 1 vs %d, %d samples)\n", path, rev, *n, *parallelism, *count)
+	fmt.Printf("%-40s %14s %8s %14s %8s %8s %7s\n", "benchmark", "seq ns/op", "IQR", "par ns/op", "IQR", "speedup", "allocΔ")
 	for _, e := range rep.Benchmarks {
-		fmt.Printf("%-40s %14.0f %14.0f %7.2fx %6.2fx\n",
-			e.Name, e.Seq.NsPerOp, e.Par.NsPerOp, e.Speedup, e.AllocRatio)
+		fmt.Printf("%-40s %14.0f %7.1f%% %14.0f %7.1f%% %7.2fx %6.2fx\n",
+			e.Name, e.Seq.NsPerOp, 100*relIQR(e.Seq), e.Par.NsPerOp, 100*relIQR(e.Par), e.Speedup, e.AllocRatio)
 	}
 
 	if *diff != "" {
@@ -306,57 +327,94 @@ func ratioDelta(cur, base float64) float64 {
 }
 
 // runInterleaved alternates sequential and parallel passes —
-// 1, N, 1, N, … for `count` rounds — and folds each side's
-// per-benchmark minimum of every measurement field (the noise floor).
-// Interleaving matters on shared machines: host throughput drifts
-// over the minutes a full run takes, and running all sequential
-// passes first would hand whichever width runs last a systematic
-// handicap that the min fold cannot remove. Alternating exposes both
-// widths to the same drift so it cancels out of the speedup ratio.
-// Benchmarks must appear in every pass to survive the fold.
+// 1, N, 1, N, … for `count` rounds — and summarizes each side's
+// samples per benchmark. Interleaving matters on shared machines:
+// host throughput drifts over the minutes a full run takes, and
+// running all sequential passes first would hand whichever width runs
+// last a systematic handicap. Alternating exposes both widths to the
+// same drift so it cancels out of the speedup ratio. Benchmarks must
+// appear in every pass to be reported.
 func runInterleaved(seqWorkers, parWorkers, n, count int, benchtime, bench string) (seq, par map[string]measurement, cpu string, err error) {
+	seqSamples, parSamples := map[string][]measurement{}, map[string][]measurement{}
 	for pass := 0; pass < count; pass++ {
-		if seq, cpu, err = foldPass(seq, cpu, seqWorkers, n, benchtime, bench); err != nil {
-			return nil, nil, "", err
-		}
-		if par, cpu, err = foldPass(par, cpu, parWorkers, n, benchtime, bench); err != nil {
-			return nil, nil, "", err
+		for _, side := range []struct {
+			workers int
+			samples map[string][]measurement
+		}{{seqWorkers, seqSamples}, {parWorkers, parSamples}} {
+			res, c, err := runPass(side.workers, n, benchtime, bench)
+			if err != nil {
+				return nil, nil, "", err
+			}
+			if c != "" {
+				cpu = c
+			}
+			for name, m := range res {
+				side.samples[name] = append(side.samples[name], m)
+			}
 		}
 	}
-	return seq, par, cpu, nil
+	return summarize(seqSamples, count), summarize(parSamples, count), cpu, nil
 }
 
-// foldPass runs one pass at the given width and folds it into acc by
-// per-benchmark minimum.
-func foldPass(acc map[string]measurement, cpu string, workers, n int, benchtime, bench string) (map[string]measurement, string, error) {
-	res, c, err := runPass(workers, n, benchtime, bench)
-	if err != nil {
-		return nil, "", err
-	}
-	if c != "" {
-		cpu = c
-	}
-	if acc == nil {
-		return res, cpu, nil
-	}
-	for name, m := range res {
-		b, ok := acc[name]
-		if !ok {
-			acc[name] = m
+// summarize reduces each benchmark's samples to their medians and the
+// IQR of ns/op, dropping benchmarks missing from some pass.
+func summarize(samples map[string][]measurement, count int) map[string]measurement {
+	out := make(map[string]measurement, len(samples))
+	for name, ms := range samples {
+		if len(ms) != count {
 			continue
 		}
-		if m.NsPerOp < b.NsPerOp {
-			b.NsPerOp = m.NsPerOp
+		ns, bytes, allocs := make([]float64, len(ms)), make([]float64, len(ms)), make([]float64, len(ms))
+		for i, m := range ms {
+			ns[i], bytes[i], allocs[i] = m.NsPerOp, float64(m.BytesPerOp), float64(m.AllocsPerOp)
 		}
-		if m.BytesPerOp < b.BytesPerOp {
-			b.BytesPerOp = m.BytesPerOp
+		q1, q3 := quartiles(ns)
+		out[name] = measurement{
+			NsPerOp:     median(ns),
+			NsIQR:       q3 - q1,
+			NsSamples:   ns,
+			BytesPerOp:  int64(math.Round(median(bytes))),
+			AllocsPerOp: int64(math.Round(median(allocs))),
 		}
-		if m.AllocsPerOp < b.AllocsPerOp {
-			b.AllocsPerOp = m.AllocsPerOp
-		}
-		acc[name] = b
 	}
-	return acc, cpu, nil
+	return out
+}
+
+// relIQR is a measurement's ns/op IQR relative to its median.
+func relIQR(m measurement) float64 {
+	if m.NsPerOp <= 0 {
+		return 0
+	}
+	return m.NsIQR / m.NsPerOp
+}
+
+// median of values (not modified).
+func median(values []float64) float64 {
+	s := slices.Clone(values)
+	slices.Sort(s)
+	if len(s)%2 == 1 {
+		return s[len(s)/2]
+	}
+	return (s[len(s)/2-1] + s[len(s)/2]) / 2
+}
+
+// quartiles returns the first and third quartile of values by the
+// "exclusive" method of Python's statistics.quantiles(values, n=4),
+// the rule cmd/kregret-bench's -compare applies to its runs. With
+// fewer than two values both quartiles are the single value.
+func quartiles(values []float64) (q1, q3 float64) {
+	s := slices.Clone(values)
+	slices.Sort(s)
+	if len(s) < 2 {
+		return s[0], s[0]
+	}
+	q := func(i int) float64 {
+		m := len(s) + 1
+		j := min(max(i*m/4, 1), len(s)-1)
+		delta := float64(i*m - j*4)
+		return (s[j-1]*(4-delta) + s[j]*delta) / 4
+	}
+	return q(1), q(3)
 }
 
 // runPass executes one `go test -bench` invocation at the given

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/serve"
 )
@@ -76,12 +77,18 @@ func WithBreaker(threshold int, cooldown time.Duration) EngineOption {
 	}
 }
 
-// WithSnapshot makes the engine serve index-backed queries from a
-// snapshot file: at startup the engine loads path, and when the file
-// is missing, corrupt (ErrCorruptIndex) or built from a different
-// dataset (ErrIndexMismatch) it rebuilds the StoredList from scratch
-// and atomically rewrites the snapshot instead of failing. The
-// rebuild is recorded in Stats().SnapshotRebuilt.
+// WithSnapshot persists the engine's default prefix list (the
+// StoredList every default query is served from, see NewEngine) in a
+// snapshot file. At startup the engine loads path and serves from the
+// loaded list, growing it on demand if it is partial (BuildIndexUpTo).
+// When the file is missing, corrupt (ErrCorruptIndex) or built from a
+// different dataset (ErrIndexMismatch), it builds the list to the end
+// and atomically rewrites the snapshot instead of failing; the
+// rebuild is recorded in Stats().SnapshotRebuilt. Each fold builds
+// the new epoch's list to the end (a fold that keeps the happy points
+// reuses its predecessor's) and writes it back. Answers are the same
+// with or without it; it trades list builds at startup and on every
+// fold for restarts that start with the whole list.
 func WithSnapshot(path string) EngineOption {
 	return func(o *engineOptions) { o.snapshotPath = path }
 }
@@ -227,14 +234,17 @@ type Engine struct {
 }
 
 // engineEpoch is one immutable generation of serving state: a
-// read-only view of the dataset (pinned by Dataset.Snapshot) and the
-// index built over it. Queries load the pointer once and use only the
-// epoch for the rest of the attempt, so a concurrent Apply can swap
-// in a successor without ever making a reader mix generations.
+// read-only view of the dataset (pinned by Dataset.Snapshot), whose
+// state (or, sharded, the core's) holds the default prefix list.
+// Queries load the pointer once and use only the epoch for the rest of
+// the attempt, so a concurrent Apply can swap in a successor without
+// ever making a reader mix generations.
 type engineEpoch struct {
 	num uint64
 	ds  *Dataset
-	idx *Index // non-nil only with WithSnapshot
+	// idx wraps the complete (or loaded) prefix list in global
+	// indices for persistence; non-nil only with WithSnapshot.
+	idx *Index
 
 	// Sharded serving view (WithShardedServing), nil/zero when the
 	// engine is unsharded or the shard build for this epoch fell back:
@@ -256,9 +266,13 @@ type inflightEntry struct {
 	flagged  bool
 }
 
-// NewEngine builds a serving engine over ds. With WithSnapshot it
-// also loads (or rebuilds) the StoredList index and serves default
-// queries from it in O(k).
+// NewEngine builds a serving engine over ds. Default queries
+// (GeoGreedy over happy points) are answered in O(k) from a prefix of
+// the paper's StoredList, which each epoch grows on demand: a k the
+// list does not cover rebuilds it once to max(k, 2·length). The
+// answers are bit-identical to Dataset.Query's. With WithSnapshot the
+// list is loaded from (or built to the end and written to) a snapshot
+// file at startup. Other configurations run their solver per query.
 func NewEngine(ds *Dataset, opts ...EngineOption) (*Engine, error) {
 	return NewEngineContext(context.Background(), ds, opts...)
 }
@@ -329,21 +343,16 @@ func derivePerQueryWorkers(budget, poolWorkers int) int {
 
 // loadOrRebuildIndex implements the crash-safe startup path: a
 // snapshot that loads and carries exactly the epoch's core (nil for an
-// unsharded epoch) wins; a missing, corrupt or mismatched one is
-// replaced by a fresh build under ctx, written back atomically. Only
-// unexpected failures (I/O errors, a canceled or numerically failing
-// build) propagate.
+// unsharded epoch) wins and its list becomes the epoch's prefix list;
+// a missing, corrupt or mismatched one is replaced by a fresh build to
+// the end under ctx, written back atomically. Only unexpected failures
+// (I/O errors, a canceled or numerically failing build) propagate.
 func loadOrRebuildIndex(ctx context.Context, ep *engineEpoch, path string) (*Index, bool, error) {
 	idx, err := LoadFile(path, ep.ds)
-	if err == nil && slices.Equal(idx.core, ep.coreMap) {
-		return idx, false, nil
-	}
 	if err == nil {
-		// The snapshot was built over a different candidate set: a
-		// sharded core on an exact engine (silently approximate
-		// answers), an exact list on a sharded one, or another
-		// shard/eps plan's core. Rebuild instead.
-		err = fmt.Errorf("%w: snapshot core does not match the serving core", ErrIndexMismatch)
+		if err = ep.adopt(idx); err == nil {
+			return idx, false, nil
+		}
 	}
 	if !loadFailureRebuildable(err) {
 		return nil, false, fmt.Errorf("kregret: engine snapshot: %w", err)
@@ -358,14 +367,70 @@ func loadOrRebuildIndex(ctx context.Context, ep *engineEpoch, path string) (*Ind
 	return idx, true, nil
 }
 
-// buildIndex materializes the StoredList the epoch serves: over the
-// sharded core when the epoch has one, over the full dataset's happy
-// points otherwise.
-func (ep *engineEpoch) buildIndex(ctx context.Context) (*Index, error) {
+// serving is the state default queries run on: the sharded core's
+// when the epoch has one, the dataset's otherwise.
+func (ep *engineEpoch) serving() *dsState {
 	if ep.serveDS != nil {
-		return buildShardedIndex(ctx, ep.serveDS, ep.coreMap)
+		return ep.serveDS.snap()
 	}
-	return ep.ds.BuildIndexContext(ctx)
+	return ep.ds.snap()
+}
+
+// adopt makes a loaded snapshot's list the epoch's prefix list. The
+// snapshot must carry exactly the epoch's core (nil when unsharded):
+// a sharded core on an exact engine would serve silently approximate
+// answers, an exact list on a sharded one would not match the core,
+// and so would another shard/eps plan's core. A sharded snapshot's
+// candidates, stored in global indices, are mapped back into the core.
+func (ep *engineEpoch) adopt(idx *Index) error {
+	if !slices.Equal(idx.core, ep.coreMap) {
+		return fmt.Errorf("%w: snapshot core does not match the serving core", ErrIndexMismatch)
+	}
+	cand := idx.cand
+	if ep.coreMap != nil {
+		cand = make([]int, len(idx.cand))
+		for i, g := range idx.cand {
+			j, ok := slices.BinarySearch(ep.coreMap, g)
+			if !ok {
+				return fmt.Errorf("%w: snapshot candidate %d is not in the serving core", ErrIndexMismatch, g)
+			}
+			cand[i] = j
+		}
+	}
+	cell := new(prefixCell)
+	cell.list.Store(idx.list)
+	ep.serving().prefix.Store(&prefixView{cell: cell, cand: cand})
+	return nil
+}
+
+// buildIndex builds the epoch's prefix list to the end, through the
+// cell's single flight, and wraps it as the epoch's snapshot Index in
+// global indices (a sharded one records its core). A cell the epoch
+// shares with its predecessor that already holds the whole list costs
+// nothing.
+func (ep *engineEpoch) buildIndex(ctx context.Context) (*Index, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("kregret: index build canceled: %w", err)
+	}
+	st := ep.serving()
+	v, err := st.listView()
+	if err != nil {
+		return nil, err
+	}
+	l, err := v.cell.grow(ctx, len(v.cand), func(n int) (*core.StoredList, error) {
+		return st.buildList(ctx, v.cand, n)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if ep.coreMap == nil {
+		return &Index{list: l, cand: v.cand}, nil
+	}
+	cand := make([]int, len(v.cand))
+	for i, c := range v.cand {
+		cand[i] = ep.coreMap[c]
+	}
+	return &Index{list: l, cand: cand, core: slices.Clone(ep.coreMap)}, nil
 }
 
 // loadFailureRebuildable reports whether a snapshot load failure is
@@ -377,11 +442,17 @@ func loadFailureRebuildable(err error) bool {
 
 // Query answers a k-regret query through the serving pipeline:
 // admission (shed on overload or a dead deadline), a per-query
-// wall-clock budget, then either the snapshot index (default-config
-// queries on an engine built WithSnapshot) or the full solver behind
-// its circuit breaker. While a breaker is open the query is routed
-// straight to the Cube fallback and the answer is marked Degraded
-// with the breaker named in FallbackReason.
+// wall-clock budget, then the epoch's solver path. A default query
+// (GeoGreedy over happy points) whose k the epoch's prefix list
+// covers is answered from it in O(k), the prefix copied into the
+// answer. Any other query runs behind the circuit breaker of its
+// configuration: an uncovered default query grows the list (one build
+// serves every caller waiting on it), other configurations run their
+// solver, and a numerical failure of either walks the degradation
+// chain. While a breaker is open such a query is routed straight to
+// the Cube fallback and the answer is marked Degraded with the breaker
+// named in FallbackReason. Default answers are bit-identical to
+// Dataset.Query's on the same epoch.
 func (e *Engine) Query(ctx context.Context, k int, opts ...Option) (*Answer, error) {
 	if k < 1 {
 		return nil, ErrBadK
@@ -403,8 +474,8 @@ func (e *Engine) Query(ctx context.Context, k int, opts ...Option) (*Answer, err
 // the per-query wall-clock budget. A failure returns at once: the one
 // re-run worth making, over perturbed candidates, already happened
 // inside the degradation chain. It loads the serving epoch exactly
-// once, up front: every read below — index, breaker key, solver —
-// comes from that one generation, so an epoch swap mid-query cannot
+// once, up front: every read below — prefix list, breaker key,
+// solver — comes from that one generation, so an epoch swap mid-query cannot
 // hand the query a mixed view.
 func (e *Engine) serveOnce(ctx context.Context, k int, opts []Option) (*Answer, error) {
 	if e.opts.maxQueryTime > 0 {
@@ -423,39 +494,59 @@ func (e *Engine) serveOnce(ctx context.Context, k int, opts []Option) (*Answer, 
 		defer e.unregisterInflight(id)
 	}
 
-	// Default-config queries on a snapshot-backed engine are served
-	// from the materialized list in O(k) — no breaker needed, the
-	// index cannot fail numerically. (A sharded index already answers
-	// in global indices: buildShardedIndex composed the maps.)
-	if ep.idx != nil && o.algorithm == AlgoGeoGreedy && o.candidates == CandidatesHappy {
-		if ans, err := ep.idx.Query(k); err == nil {
-			return ans, nil
-		}
-		// Partial index (BuildIndexUpTo) or k beyond it: fall through
-		// to the live solver.
-	}
-
-	// Live solvers run against the serving view: the sharded merged
-	// core for happy-candidate queries (answers remapped to global
-	// indices below), the full dataset otherwise.
+	// Queries run against the serving view: the sharded merged core
+	// for happy-candidate queries (answers remapped to global indices
+	// below), the full dataset otherwise.
 	serveDS, coreMap := ep.ds, []int(nil)
 	if ep.serveDS != nil && o.candidates == CandidatesHappy {
 		serveDS, coreMap = ep.serveDS, ep.coreMap
 	}
+	remap := func(ans *Answer) {
+		if coreMap != nil {
+			for i, ci := range ans.Indices {
+				ans.Indices[i] = coreMap[ci]
+			}
+		}
+	}
+
+	// Default queries go through the prefix list. One it covers is
+	// answered from it, with no breaker: reading a list cannot fail
+	// numerically. (A happy-point fill that fails leaves view nil; the
+	// solve below fails on it too and reports it.)
+	var view *prefixView
+	st := serveDS.snap()
+	if o.algorithm == AlgoGeoGreedy && o.candidates == CandidatesHappy {
+		if v, err := st.listView(); err == nil {
+			if l := v.cell.list.Load(); l.Covers(k) {
+				if ans, err := listAnswer(l, v.cand, k); err == nil {
+					remap(ans)
+					return ans, nil
+				}
+			}
+			view = v
+		}
+	}
 	serveQuery := func(extra ...Option) (*Answer, error) {
-		// Capping opts makes append copy instead of writing into the
-		// caller's variadic slice.
-		ans, deg, err := serveDS.queryContext(ctx, k, e.perQueryWorkers, append(opts[:len(opts):len(opts)], extra...)...)
+		var (
+			ans *Answer
+			deg degradation
+			err error
+		)
+		if view != nil && len(extra) == 0 {
+			ans, deg, err = view.query(ctx, st, k, e.perQueryWorkers, &o)
+		} else {
+			// Capping opts makes append copy instead of writing into
+			// the caller's variadic slice.
+			ans, deg, err = serveDS.queryContext(ctx, k, e.perQueryWorkers, append(opts[:len(opts):len(opts)], extra...)...)
+		}
 		if deg.retried {
 			e.retries.Add(1)
 		}
 		if deg.rescued {
 			e.retrySuccesses.Add(1)
 		}
-		if err == nil && coreMap != nil {
-			for i, ci := range ans.Indices {
-				ans.Indices[i] = coreMap[ci]
-			}
+		if err == nil {
+			remap(ans)
 		}
 		return ans, err
 	}
@@ -630,7 +721,11 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 }
 
 // Index returns the current epoch's snapshot-backed index, or nil
-// when the engine was built without WithSnapshot.
+// when the engine was built without WithSnapshot: the list loaded at
+// startup, or the one built to the end at startup or by the last fold,
+// in global indices. Queries beyond a partial loaded index still
+// answer, from the epoch's grown prefix list; Index keeps returning
+// the list the snapshot holds.
 func (e *Engine) Index() *Index { return e.epoch.Load().idx }
 
 // Dataset returns the current serving epoch's read-only dataset view.

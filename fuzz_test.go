@@ -120,6 +120,8 @@ func FuzzNewDataset(f *testing.F) {
 // fuzzer-chosen k and algorithm: the only acceptable outcomes are an
 // error or a valid Answer (indices in range and unique, MRR in
 // [0, 1]); any panic escapes the boundary and fails the fuzz run.
+// Then an Engine over the same dataset answers default queries from
+// its prefix list (see fuzzEnginePath), which must match the solver.
 func FuzzQuery(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -158,7 +160,53 @@ func FuzzQuery(f *testing.F) {
 		if math.IsNaN(mrr) || mrr < 0 || mrr > 1+1e-9 {
 			t.Fatalf("re-evaluated MRR %v outside [0, 1]", mrr)
 		}
+		fuzzEnginePath(t, ds, data, k)
 	})
+}
+
+// fuzzEnginePath drives an Engine's default path over ds: the
+// fuzzer's k, then a larger k′ that grows the list, then k again after
+// one fuzzer-chosen Apply (an insert of a point built from the input,
+// or a delete). Each answer must equal Dataset.Query on the epoch
+// that served it — indices, MRR bits, Algorithm and Degraded — and an
+// error on one side must be an error on the other.
+func fuzzEnginePath(t *testing.T, ds *Dataset, data []byte, k int) {
+	eng, err := NewEngine(ds, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := eng.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	check := func(k int) {
+		ep := eng.Dataset()
+		got, gerr := eng.Query(context.Background(), k)
+		want, werr := ep.Query(k)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("k=%d: engine error %v, Dataset.Query error %v", k, gerr, werr)
+		}
+		if gerr == nil {
+			if err := diffAnswer(got, want); err != nil {
+				t.Fatalf("k=%d: engine answer differs from Dataset.Query: %v", k, err)
+			}
+		}
+	}
+	check(k)
+	check(k + 1 + int(data[len(data)-1])%8)
+	m := DeleteMutation(int(data[len(data)/2]) % ds.Len())
+	if data[len(data)-1]%2 == 0 || ds.Len() == 1 {
+		p := make(Point, ds.Dim())
+		for j := range p {
+			p[j] = float64(1+int(data[(j+3)%len(data)])) / 256
+		}
+		m = InsertMutation(p)
+	}
+	if err := eng.Apply(context.Background(), m); err != nil {
+		t.Fatalf("apply: %v", err)
+	}
+	check(k)
 }
 
 // FuzzLoadIndex feeds the snapshot decoder valid snapshots, mutated

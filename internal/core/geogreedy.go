@@ -41,6 +41,11 @@ func GeoGreedyParCtx(ctx context.Context, pts []geom.Vector, k, workers int) (*R
 	return greedyHullTrace(ctx, pts, k, workers, 1.0, nil, nil)
 }
 
+// unpriced is the regret greedyHullTrace reports to onSelect for a
+// seed prefix shorter than the boundary seed batch: no regret ratio
+// is negative, so it cannot be mistaken for one.
+const unpriced = -1.0
+
 // scanBatch is the number of candidate-support computations between
 // cancellation checks in the initial assignment pass.
 const scanBatch = 4096
@@ -80,10 +85,11 @@ type candState struct {
 // goroutine and in selection order — StoredList materializes its
 // insertion order and prefix regrets through it.
 //
-// The cached supports price only the full boundary seed batch, so a
-// regret they cannot give — a seed prefix reported to onSelect, or
-// the whole selection when k truncates the seeds — is evaluated
-// exactly (Lemma 1) on one full-scan EvalIndex, built on first use.
+// The cached supports price only the full boundary seed batch. A seed
+// prefix shorter than it is reported to onSelect as unpriced, for the
+// caller to evaluate exactly only if it needs that regret; the whole
+// selection, when k truncates the seeds, is evaluated exactly
+// (Lemma 1) on one full-scan EvalIndex, built on first use.
 func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, stop float64, extraSeeds []int, onSelect func(int, float64)) (*Result, error) {
 	if _, err := validatePoints(pts); err != nil {
 		return nil, err
@@ -219,17 +225,18 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 			}
 		}
 	}
+	// One fold per hull state: best is the next candidate to take and
+	// bestVal, the largest support, prices the selection's regret.
+	best, bestVal, err := maxSupport(states, &active)
+	if err != nil {
+		return nil, fmt.Errorf("%w after %d selections", err, len(selected))
+	}
 	if onSelect != nil {
-		mrr, err := currentMRR(states, &active)
-		if err != nil {
-			return nil, err
-		}
+		mrr := regretOf(bestVal)
 		for j, i := range selected {
 			m := mrr
 			if j+1 < nBoundary {
-				if m, err = exactMRR(selected[:j+1]); err != nil {
-					return nil, err
-				}
+				m = unpriced
 			}
 			onSelect(i, m)
 		}
@@ -252,10 +259,6 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 		// Candidate with the smallest critical ratio = largest support
 		// value, taken only while it exceeds stop (stop = 1: still
 		// outside the hull; stop = 1/(1−ε): EpsKernel's slack).
-		best, bestVal, err := maxSupport(states, &active)
-		if err != nil {
-			return nil, fmt.Errorf("%w after %d selections", err, len(selected))
-		}
 		if best < 0 || bestVal <= stop+geom.Eps {
 			// Every remaining candidate is inside the hull:
 			// cr ≥ 1 ⟹ mrr = 0 (Algorithm 1, line 8).
@@ -310,19 +313,15 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 				}
 			}
 		}
+		if best, bestVal, err = maxSupport(states, &active); err != nil {
+			return nil, fmt.Errorf("%w after %d selections", err, len(selected))
+		}
 		if onSelect != nil {
-			mrr, err := currentMRR(states, &active)
-			if err != nil {
-				return nil, err
-			}
-			onSelect(best, mrr)
+			onSelect(selected[len(selected)-1], regretOf(bestVal))
 		}
 	}
 
-	mrr, err := currentMRR(states, &active)
-	if err != nil {
-		return nil, err
-	}
+	mrr := regretOf(bestVal)
 	if truncatedSeeds {
 		// With k below the number of dimension boundary points, the
 		// dual hull's box bounds (implied only by the full seed set)
@@ -358,11 +357,11 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 // candidate of the ascending active list attaining the largest
 // support and that support, or (-1, 0) when none is in play. It drops
 // the taken and retired candidates from active as it goes (on error
-// active is left unspecified). The greedy step takes its next
-// candidate from it (the smallest critical ratio) and currentMRR the
-// regret. A NaN support is ErrDegenerate naming the lowest poisoned
-// candidate: skipping it would silently lose the candidate, because
-// every ordered comparison against NaN is false.
+// active is left unspecified). One fold per hull state gives the
+// greedy step its next candidate (the smallest critical ratio) and
+// regretOf the regret. A NaN support is ErrDegenerate naming the
+// lowest poisoned candidate: skipping it would silently lose the
+// candidate, because every ordered comparison against NaN is false.
 func maxSupport(states []candState, active *[]int) (int, float64, error) {
 	best, bestVal := -1, 0.0
 	kept := (*active)[:0]
@@ -383,15 +382,12 @@ func maxSupport(states []candState, active *[]int) (int, float64, error) {
 	return best, bestVal, nil
 }
 
-// currentMRR computes 1 − min cr over unselected candidates from the
-// cached support values (Lemma 1), clamped at zero.
-func currentMRR(states []candState, active *[]int) (float64, error) {
-	_, maxVal, err := maxSupport(states, active)
-	if err != nil {
-		return 0, fmt.Errorf("%w in regret evaluation", err)
-	}
+// regretOf is the maximum regret ratio 1 − min cr over the unselected
+// candidates (Lemma 1), clamped at zero, from the largest of their
+// cached supports (0 when none is in play).
+func regretOf(maxVal float64) float64 {
 	if maxVal <= 1 {
-		return 0, nil
+		return 0
 	}
-	return 1 - 1/maxVal, nil
+	return 1 - 1/maxVal
 }

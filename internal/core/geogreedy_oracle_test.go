@@ -234,10 +234,38 @@ func runTrace(run func(onSelect func(int, float64)) (*Result, error)) traceRun {
 	return tr
 }
 
+// priceUnpriced evaluates the seed-prefix regrets the production loop
+// reports as unpriced the way StoredList prices them on first read,
+// so the comparison below pins those bits against the oracle's too.
+func priceUnpriced(t *testing.T, pts []geom.Vector, tr *traceRun) {
+	t.Helper()
+	var x *EvalIndex
+	for j, sel := range tr.selects {
+		if math.Float64frombits(sel[1]) >= 0 {
+			continue
+		}
+		if x == nil {
+			var err error
+			if x, err = NewEvalIndex(pts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		prefix := make([]int, j+1)
+		for i := range prefix {
+			prefix[i] = int(tr.selects[i][0])
+		}
+		m, err := x.MRRGeometric(prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.selects[j][1] = math.Float64bits(m)
+	}
+}
+
 // checkAgainstSweep runs greedyHullTrace and the sweep oracle on one
 // input, once with and once without onSelect (the production loop
-// prices the regret only when asked), and reports the first
-// difference.
+// prices the regret only when asked, and a seed prefix's not even
+// then), and reports the first difference.
 func checkAgainstSweep(t *testing.T, name string, pts []geom.Vector, k int, stop float64, extraSeeds []int) {
 	t.Helper()
 	ctx := context.Background()
@@ -248,6 +276,7 @@ func checkAgainstSweep(t *testing.T, name string, pts []geom.Vector, k int, stop
 			}
 			return greedyHullTrace(ctx, pts, k, 1, stop, extraSeeds, onSelect)
 		})
+		priceUnpriced(t, pts, &got)
 		want := runTrace(func(onSelect func(int, float64)) (*Result, error) {
 			if !traced {
 				onSelect = nil

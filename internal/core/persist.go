@@ -37,6 +37,10 @@ var wireManifest = map[string]string{
 // candidates it was built from (package kregret's Index.Save stores a
 // dataset checksum for that purpose).
 func (s *StoredList) Save(w io.Writer) error {
+	// A persisted list carries every prefix regret.
+	if err := s.price(); err != nil {
+		return err
+	}
 	enc := gob.NewEncoder(w)
 	return enc.Encode(storedListWire{
 		Version:  storedListVersion,

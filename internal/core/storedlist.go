@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/geom"
 )
@@ -19,7 +21,9 @@ import (
 type StoredList struct {
 	order []int
 	// mrrAt[i] is the maximum regret ratio of the prefix of length
-	// i+1 (measured against the candidate set).
+	// i+1 (measured against the candidate set). Its first lazy
+	// entries, the prefixes shorter than the boundary seed batch, are
+	// only evaluated when first read (see price).
 	mrrAt []float64
 	dim   int
 	nCand int
@@ -28,6 +32,14 @@ type StoredList struct {
 	// (BuildStoredListUpTo); queries beyond an incomplete list are
 	// rejected rather than silently under-answered.
 	complete bool
+
+	// lazy counts the leading prefixes whose regret the build left
+	// unpriced; pts holds the candidates they are priced against until
+	// priced is set. priceMu serializes the one pricing pass.
+	lazy    int
+	pts     []geom.Vector
+	priceMu sync.Mutex
+	priced  atomic.Bool
 }
 
 // ErrBeyondList is returned by Query when k exceeds the materialized
@@ -65,12 +77,14 @@ func BuildStoredListUpTo(pts []geom.Vector, maxLen int) (*StoredList, error) {
 }
 
 // BuildStoredListUpToParCtx is BuildStoredListUpTo with cooperative
-// cancellation and intra-query parallelism: the underlying GeoGreedy
-// run is sequential, and the exact regrets of its seed prefixes
-// (evaluated on at most one EvalIndex) fan out over up to `workers`
-// goroutines (0 = GOMAXPROCS, 1 = the exact sequential path). The
-// materialized order and per-prefix regrets are byte-identical for
-// every worker count.
+// cancellation. The underlying GeoGreedy run is sequential; workers
+// (0 = GOMAXPROCS, 1 = the exact sequential path) only sizes the
+// exact evaluation of the whole selection when maxLen truncates the
+// boundary seeds. The build costs what GeoGreedyParCtx at k = maxLen
+// costs: the regrets of the prefixes shorter than the seed batch,
+// which the hull cannot price, are evaluated exactly only when a
+// query, MinK or Save first reads them. The materialized order and
+// per-prefix regrets are byte-identical for every worker count.
 func BuildStoredListUpToParCtx(ctx context.Context, pts []geom.Vector, maxLen, workers int) (*StoredList, error) {
 	d, err := validatePoints(pts)
 	if err != nil {
@@ -84,6 +98,9 @@ func BuildStoredListUpToParCtx(ctx context.Context, pts []geom.Vector, maxLen, w
 	}
 	s := &StoredList{dim: d, nCand: len(pts)}
 	res, err := greedyHullTrace(ctx, pts, maxLen, workers, 1.0, nil, func(idx int, mrr float64) {
+		if mrr < 0 { // unpriced: always a leading prefix
+			s.lazy++
+		}
 		s.order = append(s.order, idx)
 		s.mrrAt = append(s.mrrAt, mrr)
 	})
@@ -94,7 +111,54 @@ func BuildStoredListUpToParCtx(ctx context.Context, pts []geom.Vector, maxLen, w
 	// zero: every possible k is served, so the list is complete even
 	// when maxLen < |candidates|.
 	s.complete = res.ExhaustedAt >= 0 || maxLen >= len(pts)
+	if s.lazy > 0 {
+		s.pts = pts
+	}
 	return s, nil
+}
+
+// price evaluates the lazy prefix regrets exactly (Lemma 1) on one
+// full-scan EvalIndex over the candidates: the evaluator, and so every
+// bit, that GeoGreedy uses for a selection that truncates the seeds.
+// It runs once; concurrent readers wait for it, and a failure leaves
+// the prefixes unpriced for the next reader. The entries it writes
+// are read only after it returns, so readers of the other entries
+// never wait.
+func (s *StoredList) price() (err error) {
+	if s.lazy == 0 || s.priced.Load() {
+		return nil
+	}
+	s.priceMu.Lock()
+	defer s.priceMu.Unlock()
+	if s.priced.Load() {
+		return nil
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%w: pricing the seed prefixes panicked: %v", ErrDegenerate, r)
+		}
+	}()
+	x, err := NewEvalIndex(s.pts)
+	if err != nil {
+		return err
+	}
+	for j := 0; j < s.lazy; j++ {
+		m, err := x.MRRGeometric(s.order[:j+1])
+		if err != nil {
+			return err
+		}
+		s.mrrAt[j] = m
+	}
+	s.pts = nil
+	s.priced.Store(true)
+	return nil
+}
+
+// Covers reports whether Query(k) answers without ErrBeyondList: k is
+// within the materialized prefix, or the list is complete. A nil or
+// empty list covers nothing.
+func (s *StoredList) Covers(k int) bool {
+	return s != nil && len(s.order) > 0 && (k <= len(s.order) || s.complete)
 }
 
 // Len returns the materialized list length. It can be shorter than
@@ -139,6 +203,11 @@ func (s *StoredList) MRRFor(k int) (float64, error) {
 		}
 		k = len(s.mrrAt)
 	}
+	if k <= s.lazy {
+		if err := s.price(); err != nil {
+			return 0, err
+		}
+	}
 	return s.mrrAt[k-1], nil
 }
 
@@ -148,9 +217,10 @@ func (s *StoredList) MRRFor(k int) (float64, error) {
 // The per-prefix regrets are non-increasing, so a binary search over
 // the materialized list answers in O(log n). If even the full list
 // exceeds eps (possible only for partially materialized lists, or
-// eps < 0), or eps is NaN, MinK returns 0 and false.
+// eps < 0), or eps is NaN, MinK returns 0 and false; so it does when
+// the lazy prefix regrets fail to evaluate.
 func (s *StoredList) MinK(eps float64) (int, bool) {
-	if len(s.mrrAt) == 0 || math.IsNaN(eps) {
+	if len(s.mrrAt) == 0 || math.IsNaN(eps) || s.price() != nil {
 		return 0, false
 	}
 	lo, hi := 0, len(s.mrrAt)-1

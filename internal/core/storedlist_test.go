@@ -174,3 +174,76 @@ func TestMinK(t *testing.T) {
 		}
 	}
 }
+
+// TestStoredListLazySeedPrices: the prefixes shorter than the boundary
+// seed batch are priced on first read, and then every prefix — seed or
+// not, in a full or a truncated list, read concurrently or after a
+// save and load — reports GeoGreedy's answer and MRR bits at that k.
+func TestStoredListLazySeedPrices(t *testing.T) {
+	pts := antiCorrelated(rand.New(rand.NewSource(23)), 80, 4)
+	full, err := BuildStoredList(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.lazy != len(BoundaryPoints(pts))-1 || full.priced.Load() {
+		t.Fatalf("full list: %d lazy prefixes (priced %v), want the %d short seed prefixes unpriced",
+			full.lazy, full.priced.Load(), len(BoundaryPoints(pts))-1)
+	}
+	short, err := BuildStoredListUpTo(pts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if short.lazy != 2 {
+		t.Fatalf("truncated list: %d lazy prefixes, want 2", short.lazy)
+	}
+
+	// Concurrent first reads share one pricing pass.
+	done := make(chan float64, 8)
+	for g := 0; g < 8; g++ {
+		go func() {
+			m, err := full.MRRFor(1)
+			if err != nil {
+				t.Error(err)
+			}
+			done <- m
+		}()
+	}
+	first := <-done
+	for g := 1; g < 8; g++ {
+		if m := <-done; math.Float64bits(m) != math.Float64bits(first) {
+			t.Fatalf("concurrent reads priced k=1 as %v and %v", m, first)
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := short.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadStoredList(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, list := range map[string]*StoredList{"full": full, "truncated": short, "loaded": loaded} {
+		for k := 1; k <= list.Len(); k++ {
+			want, err := GeoGreedy(pts, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := list.Query(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mrr, err := list.MRRFor(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want.Indices) || math.Float64bits(mrr) != math.Float64bits(want.MRR) {
+				t.Fatalf("%s k=%d: %v mrr=%x, GeoGreedy %v mrr=%x",
+					name, k, got, math.Float64bits(mrr), want.Indices, math.Float64bits(want.MRR))
+			}
+		}
+	}
+	if !full.Covers(full.Len()+1) || short.Covers(3) || !short.Covers(2) || (*StoredList)(nil).Covers(1) {
+		t.Fatal("Covers disagrees with completeness and length")
+	}
+}

@@ -45,11 +45,14 @@
 // (ErrShed) before any geometry runs, per-query wall-clock budgets
 // ride the context plumbing, and per-(algorithm, dimension) circuit
 // breakers route repeated numerical degradations straight to the Cube
-// fallback until a cooldown probe succeeds. Index snapshots persist
+// fallback until a cooldown probe succeeds. Default queries are
+// answered in O(k) from a StoredList prefix each epoch grows on
+// demand, bit-identical to Dataset.Query. Index snapshots persist
 // crash-safely (SaveFile/LoadFile: atomic rename + fsync + CRC-32C
 // trailer, damage surfacing as ErrCorruptIndex), and an Engine built
-// with WithSnapshot falls back from a corrupt snapshot to a rebuild.
-// See DESIGN.md §10 for the serving model.
+// with WithSnapshot loads its list from one, falling back from a
+// corrupt snapshot to a rebuild. See DESIGN.md §10 for the serving
+// model.
 //
 // # Parallelism
 //
@@ -295,6 +298,11 @@ type dsState struct {
 	convMu   sync.Mutex
 	convDone atomic.Bool
 	conv     []int
+
+	// prefix is the epoch's view of the default prefix list (see
+	// prefix.go): nil until a default Engine query, a snapshot load or
+	// a fold that kept D_happy installs one.
+	prefix atomic.Pointer[prefixView]
 }
 
 // fillOnce fills one per-epoch cache unless it is already filled:
@@ -606,18 +614,24 @@ func (d *Dataset) queryContext(ctx context.Context, k, workers int, opts ...Opti
 	if err != nil {
 		return nil, deg, err
 	}
+	return newAnswer(res, deg, cand, o.candidates), deg, nil
+}
+
+// newAnswer maps a solver result over candidates cand back to epoch
+// indices.
+func newAnswer(res *core.Result, deg degradation, cand []int, cs CandidateSet) *Answer {
 	ans := &Answer{
 		Indices:        make([]int, len(res.Indices)),
 		MRR:            res.MRR,
 		Algorithm:      deg.algorithm,
-		Candidates:     o.candidates,
+		Candidates:     cs,
 		Degraded:       deg.degraded,
 		FallbackReason: deg.reason,
 	}
 	for i, ci := range res.Indices {
 		ans.Indices[i] = cand[ci]
 	}
-	return ans, deg, nil
+	return ans
 }
 
 // degradation records which solver finally answered and why earlier
@@ -644,6 +658,13 @@ func solveWithFallback(ctx context.Context, o *options, candPts []geom.Vector, k
 	if !o.fallback || !retriable(err) {
 		return nil, degradation{}, err
 	}
+	return fallBack(ctx, o, candPts, k, workers, err)
+}
+
+// fallBack walks the degradation chain after the configured solver's
+// first attempt failed with the retriable error err: a solve, or the
+// Engine's prefix-list build that stands in for one.
+func fallBack(ctx context.Context, o *options, candPts []geom.Vector, k, workers int, err error) (*core.Result, degradation, error) {
 	failures := []error{fmt.Errorf("%v: %w", o.algorithm, err)}
 	// Every return below has made the perturbed re-run.
 	ranStage1 := degradation{retried: true}
@@ -727,15 +748,7 @@ func retriable(err error) bool {
 func runSolver(ctx context.Context, alg Algorithm, candPts []geom.Vector, k int, cs CandidateSet, workers int) (res *core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res = nil
-			err = &NumericalError{
-				Op:            "Query",
-				Algorithm:     alg,
-				K:             k,
-				Candidates:    cs,
-				NumCandidates: len(candPts),
-				PanicValue:    r,
-			}
+			res, err = nil, solverPanic(r, alg, k, cs, len(candPts))
 		}
 	}()
 	switch alg {
@@ -752,6 +765,19 @@ func runSolver(ctx context.Context, alg Algorithm, candPts []geom.Vector, k int,
 		return nil, fmt.Errorf("kregret: %w", err)
 	}
 	return res, nil
+}
+
+// solverPanic is the *NumericalError of a solver run over n
+// candidates that panicked with r.
+func solverPanic(r any, alg Algorithm, k int, cs CandidateSet, n int) error {
+	return &NumericalError{
+		Op:            "Query",
+		Algorithm:     alg,
+		K:             k,
+		Candidates:    cs,
+		NumCandidates: n,
+		PanicValue:    r,
+	}
 }
 
 // perturbed returns a copy of pts with every coordinate scaled by
@@ -973,19 +999,28 @@ func (d *Dataset) buildIndex(ctx context.Context, maxK int) (*Index, error) {
 		return nil, err
 	}
 	cand := append([]int(nil), hp...)
-	candPts, err := core.Select(st.pts, cand)
+	if maxK <= 0 {
+		maxK = len(cand)
+	}
+	list, err := st.buildList(ctx, cand, maxK)
+	if err != nil {
+		return nil, err
+	}
+	return &Index{list: list, cand: cand}, nil
+}
+
+// buildList materializes the first n entries of GeoGreedy's order over
+// the epoch's points cand (all of them, and the list is complete, when
+// n ≥ len(cand)) inside the BuildIndex panic boundary.
+func (s *dsState) buildList(ctx context.Context, cand []int, n int) (*core.StoredList, error) {
+	candPts, err := core.Select(s.pts, cand)
 	if err != nil {
 		return nil, fmt.Errorf("kregret: %w", err)
 	}
 	var list *core.StoredList
 	err = protect("BuildIndex", func() error {
 		var err error
-		if maxK <= 0 {
-			list, err = core.BuildStoredListParCtx(ctx, candPts, 0)
-		} else {
-			list, err = core.BuildStoredListUpToParCtx(ctx, candPts, maxK, 0)
-		}
-		if err != nil {
+		if list, err = core.BuildStoredListUpToParCtx(ctx, candPts, n, 0); err != nil {
 			return fmt.Errorf("kregret: %w", err)
 		}
 		return nil
@@ -993,7 +1028,7 @@ func (d *Dataset) buildIndex(ctx context.Context, maxK int) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{list: list, cand: cand}, nil
+	return list, nil
 }
 
 // Query answers a k-regret query from the materialized list. The
@@ -1002,24 +1037,7 @@ func (x *Index) Query(k int) (*Answer, error) {
 	if k < 1 {
 		return nil, ErrBadK
 	}
-	sel, err := x.list.Query(k)
-	if err != nil {
-		return nil, fmt.Errorf("kregret: %w", err)
-	}
-	mrr, err := x.list.MRRFor(k)
-	if err != nil {
-		return nil, fmt.Errorf("kregret: %w", err)
-	}
-	ans := &Answer{
-		Indices:    make([]int, len(sel)),
-		MRR:        mrr,
-		Algorithm:  AlgoGeoGreedy,
-		Candidates: CandidatesHappy,
-	}
-	for i, ci := range sel {
-		ans.Indices[i] = x.cand[ci]
-	}
-	return ans, nil
+	return listAnswer(x.list, x.cand, k)
 }
 
 // Len returns the materialized list length (the k beyond which every

@@ -186,8 +186,9 @@ func (d *Dataset) logLocked(rec wal.Record) error {
 // before the successor is published. Cold caches stay cold: delta
 // maintenance never triggers a computation the previous epoch did not
 // already pay for, so purely write-heavy workloads keep O(1)
-// mutations. The successor is unpublished here, so the seeds cannot
-// race a reader.
+// mutations. When the happy points survive the insert unchanged, the
+// successor also shares st's prefix-list cell (shareList). The
+// successor is unpublished here, so the seeds cannot race a reader.
 func seedAfterInsert(st, ns *dsState) {
 	if !st.skyDone.Load() {
 		return
@@ -202,6 +203,7 @@ func seedAfterInsert(st, ns *dsState) {
 	}
 	cert := happy.UpdateInsert(ns.pts, st.cert, skyNew, removed, inserted)
 	seedOnce(&ns.happyMu, &ns.happyDone, func() { ns.cert, ns.happy = cert, cert.HappyPoints() })
+	shareList(st, ns, -1)
 }
 
 // seedAfterDelete is seedAfterInsert's counterpart for Delete: st is
@@ -221,6 +223,7 @@ func seedAfterDelete(st, ns *dsState, delIdx int) {
 	}
 	cert := happy.UpdateDelete(ns.pts, st.cert, delIdx, skyNew, entrants, wasSky)
 	seedOnce(&ns.happyMu, &ns.happyDone, func() { ns.cert, ns.happy = cert, cert.HappyPoints() })
+	shareList(st, ns, delIdx)
 }
 
 // Delete removes the tuple at index i; tuples after it shift down by

@@ -186,22 +186,3 @@ func mergeShardCores(outs [][]int) []int {
 	}
 	return merged
 }
-
-// buildShardedIndex materializes the StoredList over the sharded
-// serving view and rewrites it in global coordinates: the candidate
-// mapping is composed with the core→global map, and the core itself is
-// recorded on the index so a persisted snapshot (payload v3) can be
-// matched against the sharded configuration on reload.
-func buildShardedIndex(ctx context.Context, serveDS *Dataset, coreMap []int) (*Index, error) {
-	idx, err := serveDS.buildIndex(ctx, 0)
-	if err != nil {
-		return nil, err
-	}
-	cand := make([]int, len(idx.cand))
-	for i, c := range idx.cand {
-		cand[i] = coreMap[c]
-	}
-	idx.cand = cand
-	idx.core = append([]int(nil), coreMap...)
-	return idx, nil
-}
