@@ -111,21 +111,23 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal
 
 # Performance baseline: runs BenchmarkPaper at parallelism 1 and at
-# the machine width (GOMAXPROCS), alternating five passes each, and
-# writes BENCH_<rev>.json: each row's median ns/op and its IQR over
-# the five samples, B/op, allocs/op and the speedup of the medians.
+# the machine width (GOMAXPROCS), alternating five passes each of
+# 300ms per row, so microsecond rows time their steady state rather
+# than their first call, and writes BENCH_<rev>.json: each row's
+# median ns/op and its IQR over the five samples, B/op, allocs/op and
+# the speedup of the medians.
 # Compare the json against the previous revision's before merging
 # perf work; the interesting regressions are allocs/op (the scratch
 # pools) and the sequential ns/op (parallelism must not tax
 # workers=1).
 bench:
-	$(GO) run ./cmd/benchbaseline -count 5
+	$(GO) run ./cmd/benchbaseline -count 5 -benchtime 300ms
 
 # Baseline plus comparison: records the same report, then diffs it
 # against the most recent earlier BENCH_*.json and fails on a >10%
 # sequential median ns/op regression (when n and benchtime match).
 bench-diff:
-	$(GO) run ./cmd/benchbaseline -count 5 -diff latest
+	$(GO) run ./cmd/benchbaseline -count 5 -benchtime 300ms -diff latest
 
 # Same harness at toy size: proves the flag plumbing, the bench run
 # and the json writer end to end in seconds, then asserts sequential

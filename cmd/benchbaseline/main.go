@@ -14,12 +14,18 @@
 // Usage:
 //
 //	go run ./cmd/benchbaseline [-parallelism N] [-n 100000] \
-//	    [-benchtime 2x] [-bench Paper] [-count 5] \
+//	    [-benchtime 300ms] [-bench Paper] [-count 5] \
 //	    [-out BENCH_<rev>.json] [-diff latest|path]
 //
 // The -n flag feeds the suite's -kregret.benchn dataset size; smoke
-// runs (make bench-smoke) lower it so the suite finishes in seconds
-// and merely proves the harness end to end.
+// runs (make bench-smoke) lower it, and pass -benchtime 1x, so the
+// suite finishes in seconds and merely proves the harness end to end.
+//
+// -benchtime defaults to a duration, so a row that takes microseconds
+// runs thousands of iterations and its ns/op is the steady state. At
+// 2 iterations such a row times mostly its first call: the
+// list-served Paper/EngineQuery read 15.7 µs where its steady state
+// was 1.8 µs.
 //
 // -count repeats the alternating pass pairs; each pass is one sample
 // of every row at each width. A row records the median of its
@@ -108,7 +114,7 @@ func main() {
 		parallelism = flag.Int("parallelism", runtime.GOMAXPROCS(0),
 			"worker count for the parallel pass (the sequential pass is always 1)")
 		n         = flag.Int("n", 100000, "BenchmarkPaper dataset size")
-		benchtime = flag.String("benchtime", "2x", "go test -benchtime value")
+		benchtime = flag.String("benchtime", "300ms", "go test -benchtime value: a duration per row, or Nx iterations")
 		bench     = flag.String("bench", "Paper", "go test -bench regexp")
 		count     = flag.Int("count", 5, "passes per width, each one sample of every row; the median and IQR are kept")
 		out       = flag.String("out", "", "output path (default BENCH_<rev>.json)")

@@ -122,41 +122,3 @@ func (s *InteractiveSession) EstimatedUtility() (Point, error) {
 
 // Rounds reports how many feedback rounds have completed.
 func (s *InteractiveSession) Rounds() int { return s.s.Rounds() }
-
-// Face is a non-origin face of the convex hull of a selection's
-// orthotope closure: the hyperplane Normal·x = Offset (non-negative
-// normal). Faces drive the critical-ratio geometry of the paper's
-// Lemma 1 and are exposed for inspection and visualization.
-type Face struct {
-	Normal Point
-	Offset float64
-}
-
-// Faces returns the non-origin faces of Conv(S) for a selection of
-// dataset indices, deterministically ordered.
-func (d *Dataset) Faces(selection []int) ([]Face, error) {
-	faces, err := core.FacesOf(d.snap().pts, selection)
-	if err != nil {
-		return nil, fmt.Errorf("kregret: %w", err)
-	}
-	out := make([]Face, len(faces))
-	for i, f := range faces {
-		out[i] = Face{Normal: Point(f.Normal), Offset: f.Offset}
-	}
-	return out, nil
-}
-
-// CriticalRatio computes the paper's cr(q, S) for a dataset tuple
-// against a selection: < 1 outside the selection's hull (the tuple
-// contributes regret), 1 on its boundary, > 1 strictly inside.
-func (d *Dataset) CriticalRatio(selection []int, tuple int) (float64, error) {
-	st := d.snap()
-	if tuple < 0 || tuple >= len(st.pts) {
-		return 0, fmt.Errorf("kregret: tuple index %d out of range (n=%d)", tuple, len(st.pts))
-	}
-	cr, err := core.CriticalRatioOf(st.pts, selection, st.pts[tuple])
-	if err != nil {
-		return 0, fmt.Errorf("kregret: %w", err)
-	}
-	return cr, nil
-}

@@ -165,50 +165,3 @@ func TestIndexSaveLoad(t *testing.T) {
 		t.Fatal("garbage accepted")
 	}
 }
-
-func TestFacesAndCriticalRatio(t *testing.T) {
-	ds, err := NewDataset(testPoints(60, 3, 31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ans, err := ds.Query(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faces, err := ds.Faces(ans.Indices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(faces) == 0 {
-		t.Fatal("no faces")
-	}
-	// Selected tuples have critical ratio 1; the regret witness < 1.
-	for _, i := range ans.Indices {
-		cr, err := ds.CriticalRatio(ans.Indices, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(cr-1) > 1e-7 {
-			t.Fatalf("selected tuple cr %v", cr)
-		}
-	}
-	if ans.MRR > 1e-6 {
-		_, witness, err := ds.WorstUtility(ans.Indices)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cr, err := ds.CriticalRatio(ans.Indices, witness)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs((1-cr)-ans.MRR) > 1e-6 {
-			t.Fatalf("witness cr %v inconsistent with MRR %v", cr, ans.MRR)
-		}
-	}
-	if _, err := ds.CriticalRatio(ans.Indices, -1); err == nil {
-		t.Fatal("negative tuple accepted")
-	}
-	if _, err := ds.Faces(nil); err == nil {
-		t.Fatal("empty selection accepted")
-	}
-}

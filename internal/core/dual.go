@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/dd"
 	"repro/internal/geom"
@@ -58,16 +57,4 @@ func (h *dualHull) insert(ctx context.Context, p geom.Vector) (dd.AddResult, err
 // vertex; cr(q, S) = 1/support.
 func (h *dualHull) supportOf(q geom.Vector) (float64, *dd.Vertex) {
 	return h.poly.MaxDot(q)
-}
-
-// criticalRatio returns cr(q, S) per Definition 3 of the paper.
-func (h *dualHull) criticalRatio(q geom.Vector) float64 {
-	s, _ := h.poly.MaxDot(q)
-	if s <= geom.Eps {
-		// Q(S) contains a full-dimensional box, so the support of any
-		// strictly positive q is strictly positive; a vanishing value
-		// means q ≈ 0 and the ratio diverges (infinitely deep inside).
-		return math.Inf(1)
-	}
-	return 1 / s
 }
