@@ -18,7 +18,7 @@ import (
 // Admission errors returned by Engine.Query. They alias the
 // internal/serve sentinels, so errors.Is works with either name; the
 // concrete error in the chain is a *serve.OverloadError carrying the
-// queue depth, capacity and run-slot count at the moment of the
+// queue depth, capacity and worker count at the moment of the
 // decision.
 var (
 	// ErrOverloaded: the bounded wait queue was full; the request was
@@ -48,14 +48,12 @@ type engineOptions struct {
 }
 
 // WithWorkers bounds how many queries execute concurrently (default
-// GOMAXPROCS): the number of run slots, each query running on its
-// caller's goroutine while it holds one. This is the hard cap on
-// simultaneous solver work. Each live query's solver runs
-// max(1, GOMAXPROCS / n) wide.
+// GOMAXPROCS). This is the hard cap on simultaneous solver work. Each
+// live query's solver runs max(1, GOMAXPROCS / n) wide.
 func WithWorkers(n int) EngineOption { return func(o *engineOptions) { o.workers = n } }
 
-// WithQueueDepth bounds how many admitted queries may wait for a run
-// slot (default twice the worker count). Requests beyond it are
+// WithQueueDepth bounds how many admitted queries may wait for a
+// worker (default twice the worker count). Requests beyond it are
 // shed with ErrOverloaded.
 func WithQueueDepth(n int) EngineOption { return func(o *engineOptions) { o.queueDepth = n } }
 
@@ -63,7 +61,7 @@ func WithQueueDepth(n int) EngineOption { return func(o *engineOptions) { o.queu
 // none). The effective budget is the smaller of this cap and the
 // request's own deadline; it threads into the geometric hot loops via
 // the context-aware core entry points, so one pathological instance
-// cannot hold a run slot past its budget.
+// cannot monopolize a worker past its budget.
 func WithQueryTimeout(d time.Duration) EngineOption {
 	return func(o *engineOptions) { o.maxQueryTime = d }
 }
@@ -115,7 +113,7 @@ func WithRebuildThreshold(n int) EngineOption {
 // Stats().WatchdogStuck and its breaker key (algorithm/dim bucket) is
 // quarantined: the breaker trips open immediately, so follow-up
 // traffic for the pathological regime short-circuits to Cube instead
-// of piling onto stuck solvers. The watchdog goroutine is joined by
+// of piling onto stuck workers. The watchdog goroutine is joined by
 // Shutdown. Default: disabled.
 func WithWatchdog(interval time.Duration) EngineOption {
 	return func(o *engineOptions) { o.watchdogInterval = interval }
@@ -123,12 +121,12 @@ func WithWatchdog(interval time.Duration) EngineOption {
 
 // EngineStats is a point-in-time snapshot of the serving counters.
 type EngineStats struct {
-	// Admission counters, from the admission gate: Admitted took a
-	// run slot or entered the wait queue; Completed ran; ShedOverload
-	// and ShedDeadline were dropped before any solver work (queue
-	// full / deadline already dead); Canceled were abandoned by their
-	// caller while queued; RejectedShutdown arrived after Shutdown.
-	// Queued and InFlight are current gauges.
+	// Admission counters, from the worker pool: Admitted entered the
+	// queue; Completed ran; ShedOverload and ShedDeadline were
+	// dropped before any solver work (queue full / deadline already
+	// dead); Canceled were abandoned by their caller while queued;
+	// RejectedShutdown arrived after Shutdown. Queued and InFlight
+	// are current gauges.
 	Admitted, Completed        uint64
 	ShedOverload, ShedDeadline uint64
 	Canceled, RejectedShutdown uint64
@@ -179,8 +177,8 @@ type EngineStats struct {
 	ShardFallbacks   uint64
 }
 
-// Engine is the production serving layer around a Dataset: an
-// admission gate of run slots with load shedding, per-query
+// Engine is the production serving layer around a Dataset: a bounded
+// worker pool with admission control and load shedding, per-query
 // wall-clock budgets, circuit breakers around the numerical fallback
 // chain, and optional crash-safe index snapshots. One Engine is meant
 // to serve many concurrent callers; all methods are safe for
@@ -203,7 +201,7 @@ type Engine struct {
 	breakers *serve.BreakerSet
 	opts     engineOptions
 	// perQueryWorkers is the width every live solver runs at:
-	// GOMAXPROCS divided by the number of run slots, at least 1.
+	// GOMAXPROCS divided by the pool's worker count, at least 1.
 	perQueryWorkers int
 
 	degraded        atomic.Uint64
@@ -275,8 +273,6 @@ type inflightEntry struct {
 // answers are bit-identical to Dataset.Query's. With WithSnapshot the
 // list is loaded from (or built to the end and written to) a snapshot
 // file at startup. Other configurations run their solver per query.
-// Every query runs on its caller's goroutine once one of the engine's
-// run slots (WithWorkers) is free.
 func NewEngine(ds *Dataset, opts ...EngineOption) (*Engine, error) {
 	return NewEngineContext(context.Background(), ds, opts...)
 }
@@ -332,7 +328,7 @@ func NewEngineContext(ctx context.Context, ds *Dataset, opts ...EngineOption) (*
 }
 
 // derivePerQueryWorkers splits a width budget (the engine passes
-// GOMAXPROCS) evenly over the run slots, so inter-query and
+// GOMAXPROCS) evenly over the pool workers, so inter-query and
 // intra-query concurrency compose to about the budget instead of
 // multiplying; every query gets at least the sequential path.
 func derivePerQueryWorkers(budget, poolWorkers int) int {
@@ -474,14 +470,13 @@ func (e *Engine) Query(ctx context.Context, k int, opts ...Option) (*Answer, err
 	return ans, err
 }
 
-// serveOnce answers one admitted query on its caller's goroutine,
-// while the query holds a run slot, under the per-query wall-clock
-// budget. A failure returns at once: the one re-run worth making,
-// over perturbed candidates, already happened inside the degradation
-// chain. It loads the serving epoch exactly once, up front: every
-// read below — prefix list, breaker key, solver — comes from that one
-// generation, so an epoch swap mid-query cannot hand the query a mixed
-// view.
+// serveOnce answers one admitted query on a worker goroutine under
+// the per-query wall-clock budget. A failure returns at once: the one
+// re-run worth making, over perturbed candidates, already happened
+// inside the degradation chain. It loads the serving epoch exactly
+// once, up front: every read below — prefix list, breaker key,
+// solver — comes from that one generation, so an epoch swap mid-query cannot
+// hand the query a mixed view.
 func (e *Engine) serveOnce(ctx context.Context, k int, opts []Option) (*Answer, error) {
 	if e.opts.maxQueryTime > 0 {
 		var cancel context.CancelFunc

@@ -358,9 +358,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		v.addf("invariant 1: gauges non-zero after drain: queued=%d inflight=%d", stats.Queued, stats.InFlight)
 	}
 
-	// Invariant 4: every engine goroutine (watchdog, drain recorder)
-	// is gone; queries ran on the clients' goroutines. The runtime
-	// count is noisy, so poll briefly.
+	// Invariant 4: every engine goroutine (workers, watchdog, drain
+	// recorder) is gone. The runtime count is noisy, so poll briefly.
 	leakCtx, cancelLeak := context.WithTimeout(ctx, 5*time.Second)
 	defer cancelLeak()
 	for runtime.NumGoroutine() > baseline {

@@ -1,22 +1,20 @@
 // Package serve is the admission-control layer of the serving engine:
-// a gate of run slots with a bounded wait queue, deadline-aware load
+// a bounded worker pool with a bounded wait queue, deadline-aware load
 // shedding, and a graceful drain on shutdown. It is deliberately
-// generic — jobs are plain closures, run on their caller's goroutine —
-// so the geometry layer above it (kregret.Engine) decides what a query
-// is while this package decides only whether and when it may run.
+// generic — jobs are plain closures — so the geometry layer above it
+// (kregret.Engine) decides what a query is while this package decides
+// only whether and when it may run.
 //
 // Admission is strict and happens before any expensive work:
 //
 //   - a request whose context is already dead is shed (ErrShed);
-//   - a request arriving after Shutdown is rejected (ErrShuttingDown);
-//   - a request that finds every run slot taken and the wait queue
-//     full is shed (ErrOverloaded).
+//   - a request that finds the wait queue full is shed (ErrOverloaded);
+//   - a request arriving after Shutdown is rejected (ErrShuttingDown).
 //
-// A request that finds a free slot runs at once. Otherwise it waits,
-// and waiters take freed slots in arrival order; a waiter re-checks
-// its context when it gets a slot and sheds deadline-doomed work
-// before it touches the job, so queue delay never converts into
-// wasted solver time. Every outcome is counted in Stats.
+// Admitted requests wait in the queue; a worker re-checks the request
+// context at dequeue time and sheds deadline-doomed work before it
+// touches the job, so queue delay never converts into wasted solver
+// time. Every outcome is counted in Stats.
 package serve
 
 import (
@@ -52,7 +50,7 @@ type OverloadError struct {
 	// Sentinel is ErrOverloaded, ErrShed or ErrShuttingDown.
 	Sentinel error
 	// Queued and Capacity are the wait-queue depth and limit at the
-	// time of the decision; Workers is the number of run slots.
+	// time of the decision; Workers is the pool size.
 	Queued, Capacity, Workers int
 }
 
@@ -66,10 +64,10 @@ func (e *OverloadError) Unwrap() error { return e.Sentinel }
 // Config sizes a Pool. The zero value is usable: Workers defaults to
 // GOMAXPROCS and QueueDepth to twice the worker count.
 type Config struct {
-	// Workers is the number of run slots: how many jobs may run at
-	// once, the hard bound on concurrent solver work.
+	// Workers is the number of goroutines executing jobs — the hard
+	// bound on concurrent solver work.
 	Workers int
-	// QueueDepth bounds how many admitted jobs may wait for a slot.
+	// QueueDepth bounds how many admitted jobs may wait for a worker.
 	QueueDepth int
 }
 
@@ -85,21 +83,20 @@ func (c Config) withDefaults() Config {
 
 // Stats is a point-in-time snapshot of the pool counters.
 type Stats struct {
-	// Admitted counts requests that took a run slot or entered the
-	// wait queue.
+	// Admitted counts requests that entered the wait queue.
 	Admitted uint64
-	// Completed counts jobs that ran and returned or panicked (job
-	// outcomes belong to the caller).
+	// Completed counts jobs that a worker ran to completion
+	// (successfully or not — job outcomes belong to the caller).
 	Completed uint64
-	// ShedOverload counts requests dropped at admission because every
-	// slot was taken and the queue was full.
+	// ShedOverload counts requests dropped at admission because the
+	// queue was full.
 	ShedOverload uint64
 	// ShedDeadline counts requests dropped because their deadline had
 	// expired — at admission or at dequeue, before the job ran.
 	ShedDeadline uint64
-	// ShedAtDequeue is the subset of ShedDeadline dropped when a
-	// waiter got its slot, i.e. after the request was Admitted. It
-	// makes the conservation identity exact at any drain point:
+	// ShedAtDequeue is the subset of ShedDeadline dropped by a worker
+	// at dequeue time, i.e. after the request was Admitted. It makes
+	// the conservation identity exact at any drain point:
 	//
 	//	Admitted = Completed + Canceled + ShedAtDequeue + Queued
 	ShedAtDequeue uint64
@@ -114,28 +111,47 @@ type Stats struct {
 	Workers          int
 	QueueDepth       int
 	// DrainDuration is how long the shutdown drain took — from the
-	// first Shutdown call to the last admitted call returning. Zero
-	// until the drain has completed.
+	// first Shutdown call to the last worker exiting. Zero until the
+	// drain has completed.
 	DrainDuration time.Duration
 }
 
-// Pool is an admission gate: at most Workers calls run at once, each
-// on its caller's goroutine, and at most QueueDepth more wait for a
-// run slot. Create with NewPool; safe for concurrent use.
-type Pool struct {
-	cfg Config
-	// slots holds one token per running call; a caller runs fn only
-	// while its token is in the channel.
-	slots chan struct{}
-	// wg counts admitted calls until they return, so Shutdown can
-	// drain them; drained closes once it has.
-	wg      sync.WaitGroup
-	drained chan struct{}
+// task states: a task is claimed exactly once, by CAS, by whichever
+// side (worker or waiting caller) acts first. This is what makes
+// "every request is answered, shed or canceled — none lost" hold
+// under the race between cancellation and dequeue.
+const (
+	taskPending int32 = iota
+	taskRunning
+	taskAbandoned
+	taskShed
+)
 
-	// mu orders admissions against Shutdown: every admission's wg.Add
-	// happens under the read lock while shutdown is false, so none
-	// can follow the drain's wg.Wait. No blocking operation runs
-	// under it.
+type task struct {
+	// The request context rides in the task because the worker must
+	// re-check the deadline at dequeue time; the task never outlives
+	// the Do call that created it, so this is a request-scoped
+	// carrier, not a stored context.
+	//kregret:allow ctxflow: request-scoped carrier, dies with the Do call that made it
+	ctx   context.Context
+	fn    func(context.Context)
+	state atomic.Int32
+	// result is written by the claim winner before done is closed;
+	// the channel close publishes it to the waiter.
+	result error
+	done   chan struct{}
+}
+
+// Pool is a bounded worker pool. Create with NewPool; safe for
+// concurrent use.
+type Pool struct {
+	cfg   Config
+	queue chan *task
+	wg    sync.WaitGroup
+
+	// mu guards state and serializes admissions against the queue
+	// close in Shutdown (sends are non-blocking, so the read lock is
+	// held only briefly).
 	mu       sync.RWMutex
 	shutdown bool
 
@@ -147,26 +163,36 @@ type Pool struct {
 	drainNanos                 atomic.Int64
 }
 
-// NewPool returns a pool ready to admit calls. It starts no
-// goroutine.
+// NewPool starts the workers and returns a running pool. The worker
+// goroutines are bound to the pool's lifetime, not to any request:
+// they exit when Shutdown closes the queue, which is the context-free
+// lifecycle contract of a server-side pool.
+//
+//kregret:allow ctxflow: worker lifetime is governed by Shutdown, not a request context
 func NewPool(cfg Config) *Pool {
 	cfg = cfg.withDefaults()
-	return &Pool{cfg: cfg, slots: make(chan struct{}, cfg.Workers), drained: make(chan struct{})}
+	p := &Pool{cfg: cfg, queue: make(chan *task, cfg.QueueDepth)}
+	p.wg.Add(cfg.Workers)
+	for i := 0; i < cfg.Workers; i++ {
+		go p.worker()
+	}
+	return p
 }
 
-// Do admits fn and runs it on the calling goroutine once a run slot
-// is free, returning nil after fn has returned. fn receives ctx and
-// must honor its cancellation. Do returns a non-nil error only when
-// fn never ran: an *OverloadError (ErrOverloaded, ErrShed or
-// ErrShuttingDown) or a wrapped ctx error if the caller's context
-// ended while it waited for a slot. A panic in fn propagates to the
-// caller after the slot is released.
+// Do admits fn, waits for a worker to run it, and returns nil once fn
+// has returned. fn receives ctx and must honor its cancellation. Do
+// returns a non-nil error only when fn never ran: an *OverloadError
+// (ErrOverloaded, ErrShed or ErrShuttingDown) or a wrapped ctx error
+// if the caller's context ended while the job was still queued. If
+// fn has started, Do always waits for it to finish, so values written
+// by fn are safe to read whenever Do returns nil.
 func (p *Pool) Do(ctx context.Context, fn func(context.Context)) error {
 	// Deadline-doomed work is shed before it costs anything.
 	if ctx.Err() != nil {
 		p.shedDeadline.Add(1)
 		return p.overload(ErrShed)
 	}
+	t := &task{ctx: ctx, fn: fn, done: make(chan struct{})}
 
 	p.mu.RLock()
 	if p.shutdown {
@@ -180,78 +206,56 @@ func (p *Pool) Do(ctx context.Context, fn func(context.Context)) error {
 		return p.overload(ErrOverloaded)
 	}
 	select {
-	case p.slots <- struct{}{}:
-		p.wg.Add(1)
+	case p.queue <- t:
 		p.mu.RUnlock()
 		p.admitted.Add(1)
+		p.queuedGauge.Add(1)
 	default:
-		if !p.joinQueue() {
-			p.mu.RUnlock()
-			p.shedOverload.Add(1)
-			return p.overload(ErrOverloaded)
-		}
-		p.wg.Add(1)
 		p.mu.RUnlock()
-		p.admitted.Add(1)
-		if err := p.await(ctx); err != nil {
-			p.wg.Done()
-			return err
-		}
+		p.shedOverload.Add(1)
+		return p.overload(ErrOverloaded)
 	}
 
-	defer p.release()
-	p.inFlightGauge.Add(1)
-	fn(ctx)
-	return nil
-}
-
-// joinQueue counts the caller into the wait queue if it has room.
-// The compare-and-swap never over-counts, so a caller is shed only
-// when QueueDepth others really are waiting.
-func (p *Pool) joinQueue() bool {
-	for {
-		q := p.queuedGauge.Load()
-		if q >= int64(p.cfg.QueueDepth) {
-			return false
-		}
-		if p.queuedGauge.CompareAndSwap(q, q+1) {
-			return true
-		}
-	}
-}
-
-// await blocks a queued caller until it holds a run slot. A freed slot
-// goes to the longest-blocked sender, so waiters run in arrival order.
-// A caller whose context ends while it waits is canceled; one whose
-// context is dead by the time it gets a slot gives the slot back and
-// is shed before its job runs, so queue delay never turns into wasted
-// solver time.
-func (p *Pool) await(ctx context.Context) error {
 	select {
-	case p.slots <- struct{}{}:
-		p.queuedGauge.Add(-1)
+	case <-t.done:
+		return t.result
 	case <-ctx.Done():
-		p.queuedGauge.Add(-1)
-		p.canceled.Add(1)
-		return fmt.Errorf("serve: canceled while queued: %w", ctx.Err())
+		if t.state.CompareAndSwap(taskPending, taskAbandoned) {
+			// Still queued: the worker will skip it.
+			p.canceled.Add(1)
+			return fmt.Errorf("serve: canceled while queued: %w", ctx.Err())
+		}
+		// A worker claimed it first — the job is running (or was
+		// shed); wait for the authoritative outcome. fn sees the same
+		// ctx and returns promptly on cancellation.
+		<-t.done
+		return t.result
 	}
-	if ctx.Err() != nil {
-		<-p.slots
-		p.shedDeadline.Add(1)
-		p.shedAtDequeue.Add(1)
-		return p.overload(ErrShed)
-	}
-	return nil
 }
 
-// release ends a running call, also when its job panicked: the call
-// counts as completed, its slot frees and the drain stops waiting for
-// it.
-func (p *Pool) release() {
-	p.inFlightGauge.Add(-1)
-	p.completed.Add(1)
-	<-p.slots
-	p.wg.Done()
+func (p *Pool) worker() {
+	defer p.wg.Done()
+	for t := range p.queue {
+		p.queuedGauge.Add(-1)
+		if t.ctx.Err() != nil {
+			// Deadline died in the queue: shed before the job runs.
+			if t.state.CompareAndSwap(taskPending, taskShed) {
+				p.shedDeadline.Add(1)
+				p.shedAtDequeue.Add(1)
+				t.result = p.overload(ErrShed)
+				close(t.done)
+			}
+			continue
+		}
+		if !t.state.CompareAndSwap(taskPending, taskRunning) {
+			continue // abandoned by its caller
+		}
+		p.inFlightGauge.Add(1)
+		t.fn(t.ctx)
+		p.inFlightGauge.Add(-1)
+		p.completed.Add(1)
+		close(t.done)
+	}
 }
 
 // overload builds the typed error with current pressure context.
@@ -265,8 +269,8 @@ func (p *Pool) overload(sentinel error) error {
 }
 
 // Shutdown stops admissions immediately (subsequent Do calls return
-// ErrShuttingDown) and waits until every admitted call, running or
-// still waiting for a slot, has returned. It returns nil once the
+// ErrShuttingDown), lets the workers drain every already-queued job,
+// and waits for in-flight jobs to finish. It returns nil once the
 // pool is fully drained, or ctx.Err() if ctx ends first — in that
 // case the drain continues in the background; Shutdown may be called
 // again to keep waiting. Safe to call multiple times.
@@ -274,21 +278,25 @@ func (p *Pool) Shutdown(ctx context.Context) error {
 	p.mu.Lock()
 	if !p.shutdown {
 		p.shutdown = true
+		close(p.queue)
 		// Record the drain metric exactly once, from the moment
-		// admissions stopped to the moment the last admitted call
-		// returns — even when this Shutdown call gives up on its
-		// context first.
+		// admissions stopped to the moment the last worker exits —
+		// even when this Shutdown call gives up on its context first.
 		start := time.Now()
 		go func() {
 			p.wg.Wait()
 			p.drainNanos.Store(time.Since(start).Nanoseconds())
-			close(p.drained)
 		}()
 	}
 	p.mu.Unlock()
 
+	done := make(chan struct{})
+	go func() {
+		p.wg.Wait()
+		close(done)
+	}()
 	select {
-	case <-p.drained:
+	case <-done:
 		return nil
 	case <-ctx.Done():
 		return fmt.Errorf("serve: shutdown drain interrupted: %w", ctx.Err())

@@ -40,7 +40,7 @@
 // # Serving
 //
 // For many concurrent callers, NewEngine wraps a Dataset in a serving
-// layer: an admission gate of run slots with a bounded wait queue sheds
+// layer: a bounded worker pool with a bounded wait queue sheds
 // over-capacity work (ErrOverloaded) and deadline-doomed work
 // (ErrShed) before any geometry runs, per-query wall-clock budgets
 // ride the context plumbing, and per-(algorithm, dimension) circuit
