@@ -97,9 +97,10 @@ test-crash:
 # error or a valid Answer, corrupt snapshots a typed error — never a
 # panic — the one-pass replay must match the record-at-a-time oracle
 # (points, sequence number and error text), the kernels must match the
-# scalar reference bit-for-bit on arbitrary float bit patterns, and
+# scalar reference bit-for-bit on arbitrary float bit patterns,
 # GeoGreedy must match its full-sweep oracle bit-for-bit on
-# fuzzer-built grids.
+# fuzzer-built grids, and every exact skyline entry must match the
+# brute-force oracle on grids with duplicates, zeros and sum ties.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzNewDataset -fuzztime=10s .
 	$(GO) test -run=^$$ -fuzz=FuzzQuery -fuzztime=10s .
@@ -108,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzRecoverReplay -fuzztime=10s .
 	$(GO) test -run=^$$ -fuzz=FuzzKernels -fuzztime=10s ./internal/mat
 	$(GO) test -run=^$$ -fuzz=FuzzGeoGreedyOracle -fuzztime=10s ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzSkyline -fuzztime=10s ./internal/skyline
 	$(GO) test -run=^$$ -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal
 
 # Performance baseline: runs BenchmarkPaper at parallelism 1 and at

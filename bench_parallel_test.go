@@ -200,6 +200,17 @@ func BenchmarkPaper(b *testing.B) {
 			}
 		}
 	})
+	b.Run("Skyline", func(b *testing.B) {
+		// The exact skyline pass every cold start runs first
+		// (DESIGN.md §11), alone: Preprocess adds the happy
+		// certificate to it.
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := skyline.ComputeParallel(pts, w); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("Preprocess", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -97,10 +97,11 @@ func TestAverageRegretWorkerPanicTyped(t *testing.T) {
 }
 
 // TestCacheFillPanicLeavesEpochUsable: a worker panic inside a lazy
-// per-epoch cache fill (the skyline pass EvaluateMRR triggers on a
-// cold dataset) returns a *NumericalError and leaves the cache
-// unfilled, so later calls on the same epoch recompute the skyline,
-// happy points and answers a fresh dataset computes.
+// per-epoch cache fill (the happy certificate's fan-out, which a cold
+// HappyPoints runs after the sequential skyline pass) returns a
+// *NumericalError and leaves the cache unfilled, so later calls on the
+// same epoch recompute the skyline, happy points and answers a fresh
+// dataset computes.
 func TestCacheFillPanicLeavesEpochUsable(t *testing.T) {
 	armed(t)
 	pts := testPoints(20000, 4, 5)
@@ -110,7 +111,7 @@ func TestCacheFillPanicLeavesEpochUsable(t *testing.T) {
 	}
 	setGOMAXPROCS(t, 4)
 	fault.Arm(fault.SiteParallelWorker, 1)
-	_, err = ds.EvaluateMRR([]int{0})
+	_, err = ds.HappyPoints()
 	var ne *NumericalError
 	if !errors.As(err, &ne) || ne.PanicValue == nil {
 		t.Fatalf("want a recovered-panic *NumericalError, got %v", err)

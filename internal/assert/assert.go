@@ -19,9 +19,9 @@
 // step that produced it.
 //
 // The checked invariants come straight from Peng & Wong (ICDE 2014):
-// Conv(S) stays downward-closed, facet normals stay non-negative,
-// critical ratios and regret ratios stay in [0,1] (up to tolerance),
-// and the simplex tableau stays primal-feasible after each phase.
+// facet normals stay non-negative, regret ratios stay in [0,1] (up
+// to tolerance), and the simplex tableau stays primal-feasible after
+// each phase.
 package assert
 
 import (
@@ -56,38 +56,12 @@ func UnitRange(name string, x, eps float64) {
 	}
 }
 
-// CriticalRatio panics unless cr is a valid critical ratio: not NaN
-// and ≥ −eps. Values above 1 (interior points) and +Inf (the origin
-// limit) are legal.
-func CriticalRatio(cr, eps float64) {
-	if math.IsNaN(cr) || cr < -eps {
-		fail("critical ratio %g is negative or NaN", cr)
-	}
-}
-
 // NonNegVector panics unless every component of v is ≥ −eps. Facet
 // normals of the downward-closed hull must satisfy this.
 func NonNegVector(name string, v geom.Vector, eps float64) {
 	for i, x := range v {
 		if math.IsNaN(x) || x < -eps {
 			fail("%s has negative or NaN component %d: %g (vector %v)", name, i, x, v)
-		}
-	}
-}
-
-// DownwardClosed panics unless the faces (normals[i]·x = offsets[i])
-// describe a downward-closed hull containing every selected point:
-// all normals non-negative and n·p ≤ offset + tolerance for each
-// point p. This is the geometric precondition of the paper's Lemma 1.
-func DownwardClosed(normals []geom.Vector, offsets []float64, pts []geom.Vector, eps float64) {
-	for i, n := range normals {
-		NonNegVector(fmt.Sprintf("facet normal %d", i), n, eps)
-		Finite(fmt.Sprintf("facet offset %d", i), offsets[i])
-		for j, p := range pts {
-			if d := n.Dot(p); d > offsets[i]+geom.RelEps(d, offsets[i], eps) {
-				fail("hull not downward-closed: point %d (%v) violates face %v·x = %g by %g",
-					j, p, n, offsets[i], d-offsets[i])
-			}
 		}
 	}
 }

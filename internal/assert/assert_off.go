@@ -21,14 +21,8 @@ func Finite(string, float64) {}
 // UnitRange is a no-op without the kregretdebug build tag.
 func UnitRange(string, float64, float64) {}
 
-// CriticalRatio is a no-op without the kregretdebug build tag.
-func CriticalRatio(float64, float64) {}
-
 // NonNegVector is a no-op without the kregretdebug build tag.
 func NonNegVector(string, geom.Vector, float64) {}
-
-// DownwardClosed is a no-op without the kregretdebug build tag.
-func DownwardClosed([]geom.Vector, []float64, []geom.Vector, float64) {}
 
 // Feasible is a no-op without the kregretdebug build tag.
 func Feasible(string, []float64, float64) {}

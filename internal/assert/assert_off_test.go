@@ -24,8 +24,6 @@ func TestDisabledStubsAreNoOps(t *testing.T) {
 	That(false, "would panic under kregretdebug")
 	Finite("x", math.NaN())
 	UnitRange("r", math.Inf(1), 1e-9)
-	CriticalRatio(math.NaN(), 1e-9)
 	NonNegVector("n", geom.Vector{-1, math.NaN()}, 1e-9)
-	DownwardClosed([]geom.Vector{{-1}}, []float64{math.Inf(-1)}, []geom.Vector{{5}}, 1e-9)
 	Feasible("b", []float64{-1}, 1e-9)
 }

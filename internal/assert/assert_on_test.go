@@ -68,40 +68,12 @@ func TestUnitRange(t *testing.T) {
 	mustPanic(t, "+inf", func() { UnitRange("r", math.Inf(1), eps) })
 }
 
-func TestCriticalRatio(t *testing.T) {
-	eps := 1e-9
-	mustNotPanic(t, "boundary", func() { CriticalRatio(1, eps) })
-	mustNotPanic(t, "interior >1", func() { CriticalRatio(3.5, eps) })
-	mustNotPanic(t, "+inf legal", func() { CriticalRatio(math.Inf(1), eps) })
-	mustNotPanic(t, "small negative within eps", func() { CriticalRatio(-eps/2, eps) })
-	mustPanic(t, "negative", func() { CriticalRatio(-0.1, eps) })
-	mustPanic(t, "nan", func() { CriticalRatio(math.NaN(), eps) })
-}
-
 func TestNonNegVector(t *testing.T) {
 	eps := 1e-9
 	mustNotPanic(t, "non-negative", func() { NonNegVector("n", geom.Vector{0, 0.3, 1}, eps) })
 	mustNotPanic(t, "within tolerance", func() { NonNegVector("n", geom.Vector{-eps / 2, 1}, eps) })
 	mustPanic(t, "negative component", func() { NonNegVector("n", geom.Vector{0.5, -0.5}, eps) })
 	mustPanic(t, "nan component", func() { NonNegVector("n", geom.Vector{math.NaN()}, eps) })
-}
-
-func TestDownwardClosed(t *testing.T) {
-	eps := 1e-9
-	// Unit square hull: faces x ≤ 1 and y ≤ 1 contain (1, 0.5).
-	normals := []geom.Vector{{1, 0}, {0, 1}}
-	offsets := []float64{1, 1}
-	inside := []geom.Vector{{1, 0.5}, {0.2, 0.2}}
-	mustNotPanic(t, "contained", func() { DownwardClosed(normals, offsets, inside, eps) })
-	mustPanic(t, "point outside face", func() {
-		DownwardClosed(normals, offsets, []geom.Vector{{1.5, 0}}, eps)
-	})
-	mustPanic(t, "negative normal", func() {
-		DownwardClosed([]geom.Vector{{-1, 0}}, []float64{1}, inside, eps)
-	})
-	mustPanic(t, "infinite offset", func() {
-		DownwardClosed([]geom.Vector{{1, 0}}, []float64{math.Inf(1)}, inside, eps)
-	})
 }
 
 func TestFeasible(t *testing.T) {

@@ -2,12 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
-	"repro/internal/assert"
 	"repro/internal/geom"
 	"repro/internal/hull2d"
 )
@@ -64,19 +64,45 @@ func FacesOf(pts []geom.Vector, sel []int) ([]Face, error) {
 		}
 		return false
 	})
-	if assert.Enabled {
-		normals := make([]geom.Vector, len(faces))
-		offsets := make([]float64, len(faces))
-		for i, f := range faces {
-			normals[i], offsets[i] = f.Normal, f.Offset
-		}
-		selPts := make([]geom.Vector, len(sel))
-		for i, s := range sel {
-			selPts[i] = pts[s]
-		}
-		assert.DownwardClosed(normals, offsets, selPts, geom.LooseEps)
+	if err := downwardClosed(faces, pts, sel, geom.LooseEps); err != nil {
+		return nil, err
 	}
 	return faces, nil
+}
+
+// downwardClosed reports an error unless the faces describe a
+// downward-closed hull containing every selected point: all normals
+// non-negative, offsets finite, and n·p ≤ offset + tolerance for each
+// selected point p. This is the geometric precondition of the paper's
+// Lemma 1.
+func downwardClosed(faces []Face, pts []geom.Vector, sel []int, eps float64) error {
+	for i, f := range faces {
+		for j, x := range f.Normal {
+			if math.IsNaN(x) || x < -eps {
+				return fmt.Errorf("facet normal %d has negative or NaN component %d: %g (normal %v)", i, j, x, f.Normal)
+			}
+		}
+		if math.IsNaN(f.Offset) || math.IsInf(f.Offset, 0) {
+			return fmt.Errorf("facet offset %d is not finite: %g", i, f.Offset)
+		}
+		for _, s := range sel {
+			if d := f.Normal.Dot(pts[s]); d > f.Offset+geom.RelEps(d, f.Offset, eps) {
+				return fmt.Errorf("hull not downward-closed: point %d (%v) violates face %v·x = %g by %g",
+					s, pts[s], f.Normal, f.Offset, d-f.Offset)
+			}
+		}
+	}
+	return nil
+}
+
+// validCriticalRatio reports an error unless cr is a valid critical
+// ratio: not NaN and ≥ −eps. Values above 1 (interior points) and +Inf
+// (the origin limit) are legal.
+func validCriticalRatio(cr, eps float64) error {
+	if math.IsNaN(cr) || cr < -eps {
+		return fmt.Errorf("critical ratio %g is negative or NaN", cr)
+	}
+	return nil
 }
 
 // CriticalRatioOf computes cr(q, S) (Definition 3) for an arbitrary
@@ -101,8 +127,8 @@ func CriticalRatioOf(pts []geom.Vector, sel []int, q geom.Vector) (float64, erro
 		return 0, err
 	}
 	cr := hull.criticalRatio(q)
-	if assert.Enabled {
-		assert.CriticalRatio(cr, geom.Eps)
+	if err := validCriticalRatio(cr, geom.Eps); err != nil {
+		return 0, err
 	}
 	return cr, nil
 }
@@ -293,5 +319,47 @@ func TestFacesAndCriticalRatio(t *testing.T) {
 	}
 	if _, err := FacesOf(pts, nil); err == nil {
 		t.Fatal("empty selection accepted")
+	}
+}
+
+// TestDownwardClosedCheck: the face oracle's hull check accepts a
+// hull that contains the selection and rejects a point outside a
+// face, a negative normal and an infinite offset.
+func TestDownwardClosedCheck(t *testing.T) {
+	eps := 1e-9
+	// Unit square hull: faces x ≤ 1 and y ≤ 1 contain (1, 0.5).
+	square := []Face{{Normal: geom.Vector{1, 0}, Offset: 1}, {Normal: geom.Vector{0, 1}, Offset: 1}}
+	pts := []geom.Vector{{1, 0.5}, {0.2, 0.2}, {1.5, 0}}
+	if err := downwardClosed(square, pts, []int{0, 1}, eps); err != nil {
+		t.Fatalf("contained: %v", err)
+	}
+	for name, c := range map[string]struct {
+		faces []Face
+		sel   []int
+	}{
+		"point outside face": {square, []int{2}},
+		"negative normal":    {[]Face{{Normal: geom.Vector{-1, 0}, Offset: 1}}, []int{0, 1}},
+		"infinite offset":    {[]Face{{Normal: geom.Vector{1, 0}, Offset: math.Inf(1)}}, []int{0, 1}},
+	} {
+		if err := downwardClosed(c.faces, pts, c.sel, eps); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestValidCriticalRatio: boundary, interior, +Inf and a negative
+// value within tolerance are critical ratios; a negative value and
+// NaN are not.
+func TestValidCriticalRatio(t *testing.T) {
+	eps := 1e-9
+	for _, cr := range []float64{1, 3.5, math.Inf(1), -eps / 2} {
+		if err := validCriticalRatio(cr, eps); err != nil {
+			t.Errorf("%g: %v", cr, err)
+		}
+	}
+	for _, cr := range []float64{-0.1, math.NaN()} {
+		if err := validCriticalRatio(cr, eps); err == nil {
+			t.Errorf("%g accepted", cr)
+		}
 	}
 }

@@ -2,10 +2,10 @@
 // chunked parallel-for built only on the standard library.
 //
 // A loop earns a call here only where splitting it measurably pays at
-// width 2 (DESIGN.md §11 lists each site with its numbers): the
-// skyline stripes, the happy certificate, the coreset direction net,
-// the shard covers, the evaluator's support scan and sample loop, and
-// Greedy's per-candidate LPs. Every
+// width 2 (DESIGN.md §11 lists each site with its numbers): the happy
+// certificate, the coreset direction net, the shard covers, the
+// evaluator's support scan and sample loop, and Greedy's
+// per-candidate LPs. Every
 // one reads shared immutable state (the dual hull, the point slice)
 // and writes at most its own index. The package keeps two contracts
 // the rest of the repository depends on:

@@ -1,8 +1,8 @@
-// The ε-dominance cover: the approximation-aware counterpart of the
-// blocked skyline kernel. EpsCover relaxes the dominance test by a
+// The ε-dominance cover: the approximation-aware use of the skyline
+// pass (kernel.go). EpsCover relaxes the dominance test by a
 // multiplicative slack — an arrival q dies when some window entry r
 // has r ≥ (1−eps)·q componentwise — which kills arrivals far earlier
-// and keeps the window far smaller than the exact kernel, while still
+// and keeps the window far smaller than the exact pass, while still
 // guaranteeing that every dropped point is (1−eps)-covered by a
 // survivor. That is exactly the ε-kernel precondition the sharded
 // partition–merge path needs: MRR(survivors over range) ≤ eps.
@@ -14,18 +14,17 @@
 //     entries are only ever tombstoned by a later arrival that
 //     dominates them exactly, so coverage chains terminate at a
 //     survivor by transitivity.
-//   - With eps = 0 the pass is the exact skyline kernel, bit for bit
-//     (same radix sort, same window) — the property the S=1
-//     differential suite pins.
+//   - With eps = 0 the pass is the exact skyline pass, bit for bit —
+//     the property the S=1 differential suite pins.
 //
 // The eps > 0 pass trades the exact descending-sum radix sort for a
 // counting-sort over ~1k sum buckets: cover validity never depended
 // on the order (the window is append-only, so a kill always names a
 // covering entry), the near-descending order just keeps the strongest
 // killers early so the window stays small. The whole pass is three
-// sequential sweeps — sum, scatter, probe — with a direction-cell
-// killer cache in front of the window, which is what lets one shard
-// pass run at a small fraction of the exact kernel's cost at the
+// sequential sweeps — sum, scatter, probe — and the probe's killer
+// cache runs at the fixed coverGrid resolution, which is what lets one
+// shard pass run at a small fraction of the exact pass's cost at the
 // same n.
 package skyline
 
@@ -41,15 +40,9 @@ import (
 // few enough that the histogram stays cache-resident.
 const coverBuckets = 1024
 
-// coverGrid is the per-dimension resolution of the killer cache: the
-// probe pass quantizes each arrival's direction (its coordinates over
-// their sum) on the first min(d−1, 3) dimensions and remembers, per
-// cell, the coordinates of the window entry that last killed there.
-// Arrivals from the same cell share killers, so the cached entry
-// usually kills in a single componentwise compare and the window scan
-// becomes the slow path. The cache is advisory only — every kill it
-// reports is the window's own r ≥ (1−eps)·q test evaluated against a
-// known window entry, so correctness never depends on cell geometry.
+// coverGrid is the killer cache's per-dimension resolution (see
+// kernel.go) for the eps > 0 pass, and the cap of the resolution the
+// exact pass derives from n.
 const coverGrid = 48
 
 // EpsCover returns ascending indices S ⊆ [lo, hi) such that every
@@ -69,11 +62,10 @@ func EpsCover(pts []geom.Vector, lo, hi int, eps float64) ([]int, error) {
 		return nil, nil
 	}
 	if eps == 0 { //kregret:allow floatcmp: exact-skyline sentinel, a configured value, not arithmetic
-		subset := make([]int, n)
-		for k := range subset {
-			subset[k] = lo + k
+		if err := validate(pts[lo:hi]); err != nil {
+			return nil, err
 		}
-		return OfSubset(pts, subset)
+		return exactPass(nil, pts, nil, lo, n)
 	}
 	d := len(pts[lo])
 
@@ -88,14 +80,7 @@ func EpsCover(pts []geom.Vector, lo, hi int, eps float64) ([]int, error) {
 		if len(p) != d {
 			return nil, fmt.Errorf("%w: point %d has dimension %d, want %d", ErrBadInput, lo+k, len(p), d)
 		}
-		var s float64
-		if d == 4 {
-			s = p[0] + p[1] + p[2] + p[3]
-		} else {
-			for j := 0; j < d; j++ {
-				s += p[j]
-			}
-		}
+		s := rowSum(p)
 		if math.IsNaN(s) || math.IsInf(s, 0) {
 			if !p.IsFinite() {
 				return nil, fmt.Errorf("%w: point %d has non-finite coordinates", ErrBadInput, lo+k)
@@ -147,160 +132,13 @@ func EpsCover(pts []geom.Vector, lo, hi int, eps float64) ([]int, error) {
 		} else {
 			copy(rows[pos*d:(pos+1)*d], pts[lo+k])
 		}
-		orig[pos] = int32(k)
+		orig[pos] = int32(lo + k)
 	}
 
-	// Pass 3: linear probe over the packed rows. The probe is the
-	// arrival scaled by (1−eps); a kill means some window entry
-	// (1−eps)-covers the original, a miss admits the original so the
-	// window stays an eps-antichain. Strict-dominance conservatism
-	// (an entry exactly equal to the probe does not kill) only ever
-	// keeps extra survivors. The tie key is the recomputed row sum —
-	// admissions are rare enough that recomputing beats carrying the
-	// scattered sums through the pass. The killer cache is consulted
-	// only for arrivals with strictly positive coordinates, which is
-	// what lets the zero value mark an empty slot: a zero row can never
-	// cover a positive scaled probe, so the cache needs no
-	// initialization sweep.
-	w := newDomWindow(d)
-	kd := d - 1
-	if kd > 3 {
-		kd = 3
-	}
-	slots := 1
-	for j := 0; j < kd; j++ {
-		slots *= coverGrid
-	}
-	cache := make([]float64, slots*d)
-	if d == 4 {
-		coverProbe4(w, rows, orig, cache, lo, n, eps)
-	} else {
-		coverProbe(w, rows, orig, cache, lo, n, d, kd, eps)
-	}
-	return w.result(), nil
-}
-
-// coverProbe4 is the d=4 specialization of the probe pass: the sum,
-// the scaled probe, the cell key and the cached-killer compare all
-// scalarize into registers, so a cache hit retires in a handful of
-// instructions and only cache misses reach the dominance window.
-func coverProbe4(w *domWindow, rows []float64, orig []int32, cache []float64, lo, n int, eps float64) {
-	scale := 1 - eps
-	probe := make([]float64, 4)
-	for pos := 0; pos < n; pos++ {
-		q := rows[pos*4 : pos*4+4 : pos*4+4]
-		q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
-		p0, p1, p2, p3 := scale*q0, scale*q1, scale*q2, scale*q3
-		s := q0 + q1 + q2 + q3
-		key := -1
-		if q0 > 0 && q1 > 0 && q2 > 0 && q3 > 0 {
-			inv := coverGrid / s //kregret:allow naninf: all coordinates strictly positive, so s > 0
-			c0, c1, c2 := int(q0*inv), int(q1*inv), int(q2*inv)
-			if c0 < 0 {
-				c0 = 0
-			} else if c0 >= coverGrid {
-				c0 = coverGrid - 1
-			}
-			if c1 < 0 {
-				c1 = 0
-			} else if c1 >= coverGrid {
-				c1 = coverGrid - 1
-			}
-			if c2 < 0 {
-				c2 = 0
-			} else if c2 >= coverGrid {
-				c2 = coverGrid - 1
-			}
-			key = (c0*coverGrid+c1)*coverGrid + c2
-			kc := cache[key*4 : key*4+4 : key*4+4]
-			if kc[0] >= p0 && kc[1] >= p1 && kc[2] >= p2 && kc[3] >= p3 {
-				continue
-			}
-		}
-		probe[0], probe[1], probe[2], probe[3] = p0, p1, p2, p3
-		if w.dominated(probe) {
-			if key >= 0 {
-				copy(cache[key*4:key*4+4], w.win[w.lastKill*4:w.lastKill*4+4])
-			}
-			continue
-		}
-		w.add(q, int32(lo)+orig[pos], math.Float64bits(s))
-		if key >= 0 {
-			copy(cache[key*4:key*4+4], q)
-		}
-	}
-}
-
-// coverProbe is the general-dimension probe pass; structure mirrors
-// coverProbe4.
-func coverProbe(w *domWindow, rows []float64, orig []int32, cache []float64, lo, n, d, kd int, eps float64) {
-	scale := 1 - eps
-	probe := make([]float64, d)
-	for pos := 0; pos < n; pos++ {
-		q := rows[pos*d : (pos+1)*d]
-		s := 0.0
-		positive := true
-		for j := 0; j < d; j++ {
-			probe[j] = scale * q[j]
-			s += q[j]
-			if q[j] <= 0 {
-				positive = false
-			}
-		}
-		key := -1
-		if positive {
-			inv := coverGrid / s //kregret:allow naninf: all coordinates strictly positive, so s > 0
-			key = 0
-			for j := 0; j < kd; j++ {
-				c := int(q[j] * inv)
-				if c < 0 {
-					c = 0
-				} else if c >= coverGrid {
-					c = coverGrid - 1
-				}
-				key = key*coverGrid + c
-			}
-			kc := cache[key*d : (key+1)*d : (key+1)*d]
-			covered := true
-			for j := 0; j < d; j++ {
-				if kc[j] < probe[j] {
-					covered = false
-					break
-				}
-			}
-			if covered {
-				continue
-			}
-		}
-		if w.dominated(probe) {
-			if key >= 0 {
-				copy(cache[key*d:(key+1)*d], w.win[w.lastKill*d:(w.lastKill+1)*d])
-			}
-			continue
-		}
-		w.add(q, int32(lo)+orig[pos], math.Float64bits(s))
-		if key >= 0 {
-			copy(cache[key*d:(key+1)*d], q)
-		}
-	}
-}
-
-// OfSubset computes the exact skyline of pts restricted to the given
-// index subset with the blocked kernel, returning original indices
-// ascending.
-func OfSubset(pts []geom.Vector, subset []int) ([]int, error) {
-	if len(subset) == 0 {
-		return nil, nil
-	}
-	sub := make([]geom.Vector, len(subset))
-	for k, i := range subset {
-		if i < 0 || i >= len(pts) {
-			return nil, fmt.Errorf("%w: subset index %d outside [0, %d)", ErrBadInput, i, len(pts))
-		}
-		sub[k] = pts[i]
-	}
-	if err := validate(sub); err != nil {
-		return nil, err
-	}
-	return computeKernelIndexed(pts, subset)
+	// Pass 3: the probe. A kill means some window entry (1−eps)-covers
+	// the arrival; a miss admits it, so the window stays an
+	// eps-antichain. Strict-dominance conservatism in the window (an
+	// entry exactly equal to the probe does not kill) only ever keeps
+	// extra survivors.
+	return probePass(nil, rows, orig, d, coverGrid, eps)
 }

@@ -434,7 +434,7 @@ func (d *Dataset) Point(i int) Point {
 // copied — callers must not modify the slice).
 func (s *dsState) skyline() ([]int, error) {
 	err := fillOnce(&s.skyMu, &s.skyDone, "skyline", func() error {
-		sky, err := skyline.ComputeParallel(s.pts, 0)
+		sky, err := skyline.Of(s.pts)
 		if err != nil {
 			return fmt.Errorf("kregret: %w", err)
 		}

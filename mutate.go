@@ -187,8 +187,9 @@ func (d *Dataset) logLocked(rec wal.Record) error {
 // maintenance never triggers a computation the previous epoch did not
 // already pay for, so purely write-heavy workloads keep O(1)
 // mutations. When the happy points survive the insert unchanged, the
-// successor also shares st's prefix-list cell (shareList). The
-// successor is unpublished here, so the seeds cannot race a reader.
+// successor also shares st's prefix-list cell, and otherwise gets a
+// fresh one sized from st's list (shareList). The successor is
+// unpublished here, so the seeds cannot race a reader.
 func seedAfterInsert(st, ns *dsState) {
 	if !st.skyDone.Load() {
 		return
