@@ -126,7 +126,8 @@ bench:
 	$(GO) run ./cmd/benchbaseline -count 5 -benchtime 300ms
 
 # Baseline plus comparison: records the same report, then diffs it
-# against the most recent earlier BENCH_*.json and fails on a >10%
+# against the BENCH_*.json of the nearest ancestor commit (the first
+# revision in `git rev-list HEAD` that has one) and fails on a >10%
 # sequential median ns/op regression (when n and benchtime match).
 bench-diff:
 	$(GO) run ./cmd/benchbaseline -count 5 -benchtime 300ms -diff latest

@@ -38,8 +38,10 @@
 // can resolve.
 //
 // -diff compares the freshly-recorded report against an earlier
-// BENCH_*.json ("latest" picks the most recent one by recorded date,
-// excluding the file just written) and prints per-benchmark
+// BENCH_*.json ("latest" picks the one recorded at the nearest
+// ancestor: the report, other than the file just written, whose
+// revision comes first in `git rev-list HEAD`, whenever it was
+// written) and prints per-benchmark
 // sequential ns/op and allocs/op deltas of the medians (a report
 // written before medians were recorded holds its minima there). When
 // the baseline was taken with the same -n and -benchtime, a
@@ -118,7 +120,7 @@ func main() {
 		bench     = flag.String("bench", "Paper", "go test -bench regexp")
 		count     = flag.Int("count", 5, "passes per width, each one sample of every row; the median and IQR are kept")
 		out       = flag.String("out", "", "output path (default BENCH_<rev>.json)")
-		diff      = flag.String("diff", "", "compare against a BENCH_*.json (\"latest\" = newest by date)")
+		diff      = flag.String("diff", "", "compare against a BENCH_*.json (\"latest\" = the nearest ancestor revision's)")
 	)
 	flag.Parse()
 	if *parallelism < 2 {
@@ -192,7 +194,7 @@ func main() {
 	if *diff != "" {
 		basePath := *diff
 		if basePath == "latest" {
-			basePath, err = latestBaseline(path)
+			basePath, err = ancestorBaseline(path)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "benchbaseline: no baseline to diff against: %v\n", err)
 				return
@@ -208,15 +210,15 @@ func main() {
 	}
 }
 
-// latestBaseline picks the most recent BENCH_*.json in the working
-// directory by its recorded date (RFC3339 strings order lexically),
-// skipping the report just written.
-func latestBaseline(exclude string) (string, error) {
+// ancestorBaseline picks the BENCH_*.json in the working directory
+// recorded at the nearest ancestor of HEAD, skipping the report just
+// written.
+func ancestorBaseline(exclude string) (string, error) {
 	matches, err := filepath.Glob("BENCH_*.json")
 	if err != nil {
 		return "", err
 	}
-	best, bestDate := "", ""
+	reports := map[string]report{}
 	for _, m := range matches {
 		if filepath.Clean(m) == filepath.Clean(exclude) {
 			continue
@@ -226,14 +228,35 @@ func latestBaseline(exclude string) (string, error) {
 			fmt.Fprintf(os.Stderr, "benchbaseline: skipping %s: %v\n", m, err)
 			continue
 		}
-		if r.Date > bestDate {
-			best, bestDate = m, r.Date
-		}
+		reports[m] = r
 	}
-	if best == "" {
-		return "", fmt.Errorf("no other BENCH_*.json found")
+	out, err := exec.Command("git", "rev-list", "HEAD").Output()
+	if err != nil {
+		return "", fmt.Errorf("git rev-list HEAD: %w", err)
+	}
+	best, ok := nearestAncestor(reports, strings.Fields(string(out)))
+	if !ok {
+		return "", fmt.Errorf("no other BENCH_*.json records an ancestor of HEAD")
 	}
 	return best, nil
+}
+
+// nearestAncestor returns the path of the report whose revision (an
+// abbreviated hash) comes first in history, the full hashes newest
+// first as `git rev-list HEAD` prints them. Recorded dates play no
+// part, so re-recording an older revision cannot make it the base.
+// Reports whose revision is not in history are ignored; ties between
+// reports of one revision go to the smallest path.
+func nearestAncestor(reports map[string]report, history []string) (string, bool) {
+	paths := sortedKeys(reports)
+	for _, commit := range history {
+		for _, p := range paths {
+			if rev := reports[p].Revision; rev != "" && strings.HasPrefix(commit, rev) {
+				return p, true
+			}
+		}
+	}
+	return "", false
 }
 
 func readReport(path string) (report, error) {
@@ -471,16 +494,12 @@ func runPass(workers, n int, benchtime, bench string) (map[string]measurement, s
 	return res, cpu, nil
 }
 
-func sortedKeys(m map[string]measurement) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	slices.Sort(keys)
 	return keys
 }
 

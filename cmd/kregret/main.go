@@ -30,9 +30,9 @@
 // The -save-index/-load-index/-concurrency flags route the query
 // through kregret.Engine: admission control, per-query budgets,
 // circuit breaking, and crash-safe snapshot files (a corrupt or
-// mismatched snapshot is rebuilt, not fatal). -watchdog scans
-// in-flight queries at the given interval and quarantines the breaker
-// key of any found running past its deadline. Engine counters are
+// mismatched snapshot is rebuilt, not fatal). -watchdog flags a query
+// still running the given interval past its deadline and quarantines
+// its breaker key. Engine counters are
 // reported on exit, among them the degradation chain's perturbed
 // re-runs after a numerical failure ("retries") and how many of them
 // answered ("rescued").
@@ -87,7 +87,7 @@ func main() {
 	flag.IntVar(&cfg.concurrency, "concurrency", 0, "serve through the engine with this many workers (0 = direct query)")
 	flag.StringVar(&cfg.saveIndex, "save-index", "", "build the StoredList index and save it to this file (atomic write)")
 	flag.StringVar(&cfg.loadIndex, "load-index", "", "serve from this index snapshot (rebuilt if missing or corrupt)")
-	flag.DurationVar(&cfg.watchdog, "watchdog", 0, "engine mode: scan interval for stuck in-flight queries (0 = no watchdog)")
+	flag.DurationVar(&cfg.watchdog, "watchdog", 0, "engine mode: flag a query still running this long past its deadline as stuck (0 = no watchdog)")
 	flag.StringVar(&cfg.wal, "wal", "", "write-ahead log path: makes the dataset durably mutable (recovered from <wal>+snapshot when they exist)")
 	flag.StringVar(&cfg.walSnap, "wal-snap", "", "base snapshot path for -wal (default <wal>.snap)")
 	flag.StringVar(&cfg.insert, "insert", "", "durably insert this point (comma-separated normalized coordinates; requires -wal)")

@@ -106,15 +106,16 @@ func WithRebuildThreshold(n int) EngineOption {
 	return func(o *engineOptions) { o.rebuildEvery = n }
 }
 
-// WithWatchdog starts a background scanner that every interval checks
-// the in-flight queries for work running past its deadline by more
-// than one interval — evidence that a solver is stuck in a loop the
-// cancellation checks cannot reach. Each stuck query is counted in
-// Stats().WatchdogStuck and its breaker key (algorithm/dim bucket) is
-// quarantined: the breaker trips open immediately, so follow-up
-// traffic for the pathological regime short-circuits to Cube instead
-// of piling onto stuck workers. The watchdog goroutine is joined by
-// Shutdown. Default: disabled.
+// WithWatchdog flags a query still running one full interval past its
+// deadline — evidence that a solver is stuck in a loop the
+// cancellation checks cannot reach. Each query with a deadline arms
+// its own timer for deadline + interval, disarmed when it returns; a
+// query without a deadline is never flagged. A flagged query is
+// counted once in Stats().WatchdogStuck and its breaker key
+// (algorithm/dim bucket) is quarantined: the breaker trips open
+// immediately, so follow-up traffic for the pathological regime
+// short-circuits to Cube instead of piling onto stuck workers.
+// Default: disabled.
 func WithWatchdog(interval time.Duration) EngineOption {
 	return func(o *engineOptions) { o.watchdogInterval = interval }
 }
@@ -145,7 +146,7 @@ type EngineStats struct {
 	// counts the ε-perturbed re-runs the degradation chain made after
 	// a numerical failure (the first fallback stage, DESIGN.md §9) and
 	// RetrySuccesses the ones that answered; WatchdogStuck counts
-	// in-flight queries the watchdog found running past their
+	// queries the watchdog found running one interval past their
 	// deadline (each quarantines its breaker key). DrainDuration is
 	// how long the shutdown drain took, zero until it has completed.
 	ShedAtDequeue  uint64
@@ -219,18 +220,6 @@ type Engine struct {
 	// pending counts applied-but-not-yet-folded mutations.
 	muApply sync.Mutex
 	pending int
-
-	// Watchdog lifecycle: nil channels when disabled. Shutdown closes
-	// watchdogStop (once) and joins watchdogDone.
-	watchdogStop chan struct{}
-	watchdogDone chan struct{}
-	watchdogOnce sync.Once
-
-	// muInflight guards the in-flight query registry the watchdog
-	// scans.
-	muInflight sync.Mutex
-	inflight   map[uint64]*inflightEntry
-	inflightID uint64
 }
 
 // engineEpoch is one immutable generation of serving state: a
@@ -257,15 +246,6 @@ type engineEpoch struct {
 	coresetBuild time.Duration
 }
 
-// inflightEntry is one running query as the watchdog sees it: the
-// breaker key it would quarantine and the deadline it must respect
-// (zero when the request is unbounded — such work is never "stuck").
-type inflightEntry struct {
-	key      string
-	deadline time.Time
-	flagged  bool
-}
-
 // NewEngine builds a serving engine over ds. Default queries
 // (GeoGreedy over happy points) are answered in O(k) from a prefix of
 // the paper's StoredList, which each epoch grows on demand: a k the
@@ -281,10 +261,7 @@ func NewEngine(ds *Dataset, opts ...EngineOption) (*Engine, error) {
 // context: the sharded partition–merge build and the snapshot index
 // load/rebuild can be expensive at scale, and cancellation stops them
 // at the same granularity as queries. The context bounds construction
-// only — the engine itself (and its watchdog goroutine, which Shutdown
-// stops and joins) lives until Shutdown, not until ctx ends.
-//
-//kregret:allow ctxflow: the watchdog goroutine is engine-lifetime, stopped and joined by Shutdown, not request-scoped
+// only — the engine itself lives until Shutdown, not until ctx ends.
 func NewEngineContext(ctx context.Context, ds *Dataset, opts ...EngineOption) (*Engine, error) {
 	if ds == nil {
 		return nil, errors.New("kregret: engine needs a dataset")
@@ -316,14 +293,6 @@ func NewEngineContext(ctx context.Context, ds *Dataset, opts ...EngineOption) (*
 	e.epoch.Store(ep)
 	e.pool = serve.NewPool(serve.Config{Workers: o.workers, QueueDepth: o.queueDepth})
 	e.perQueryWorkers = derivePerQueryWorkers(parallel.Resolve(0), e.pool.Stats().Workers)
-	if o.watchdogInterval > 0 {
-		e.muInflight.Lock()
-		e.inflight = map[uint64]*inflightEntry{}
-		e.muInflight.Unlock()
-		e.watchdogStop = make(chan struct{})
-		e.watchdogDone = make(chan struct{})
-		go e.watchdog(o.watchdogInterval)
-	}
 	return e, nil
 }
 
@@ -488,10 +457,10 @@ func (e *Engine) serveOnce(ctx context.Context, k int, opts []Option) (*Answer, 
 		f(&o)
 	}
 	ep := e.epoch.Load()
-	if e.watchdogDone != nil {
-		deadline, _ := ctx.Deadline() // zero when unbounded: never stuck
-		id := e.registerInflight(breakerKey(o.algorithm, ep.ds.Dim()), deadline)
-		defer e.unregisterInflight(id)
+	if e.opts.watchdogInterval > 0 {
+		if deadline, ok := ctx.Deadline(); ok { // unbounded work is never stuck
+			defer e.armWatchdog(breakerKey(o.algorithm, ep.ds.Dim()), deadline)()
+		}
 	}
 
 	// Queries run against the serving view: the sharded merged core
@@ -643,81 +612,39 @@ func (e *Engine) Stats() EngineStats {
 	}
 }
 
-// watchdog periodically scans the in-flight registry for stuck work.
-// It runs for the engine's lifetime and is joined by Shutdown.
-func (e *Engine) watchdog(interval time.Duration) {
-	defer close(e.watchdogDone)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-e.watchdogStop:
-			return
-		case now := <-t.C:
-			e.scanInflight(now, interval)
-		}
-	}
-}
-
-// scanInflight flags every in-flight query running more than grace
-// past its deadline — once per query — and quarantines its breaker
-// key so follow-up traffic for the same regime short-circuits instead
-// of piling onto a stuck solver.
-func (e *Engine) scanInflight(now time.Time, grace time.Duration) {
-	var stuck []string
-	e.muInflight.Lock()
-	for _, entry := range e.inflight {
-		if entry.flagged || entry.deadline.IsZero() || now.Sub(entry.deadline) <= grace {
-			continue
-		}
-		entry.flagged = true
-		stuck = append(stuck, entry.key)
-	}
-	e.muInflight.Unlock()
-	for _, key := range stuck {
+// armWatchdog schedules the stuck-query check of one query: if it is
+// still running one interval past deadline, the timer counts it in
+// WatchdogStuck and quarantines its breaker key. The returned disarm
+// stops the timer when the query returns, or waits out a check that
+// already fired, so the flag is visible by the time Query returns.
+func (e *Engine) armWatchdog(key string, deadline time.Time) (disarm func()) {
+	fired := make(chan struct{})
+	t := time.AfterFunc(time.Until(deadline)+e.opts.watchdogInterval, func() {
 		e.watchdogStuck.Add(1)
 		e.breakers.For(key).Trip()
+		close(fired)
+	})
+	return func() {
+		if !t.Stop() {
+			<-fired
+		}
 	}
-}
-
-// registerInflight records a starting attempt for the watchdog.
-func (e *Engine) registerInflight(key string, deadline time.Time) uint64 {
-	e.muInflight.Lock()
-	defer e.muInflight.Unlock()
-	e.inflightID++
-	id := e.inflightID
-	e.inflight[id] = &inflightEntry{key: key, deadline: deadline}
-	return id
-}
-
-// unregisterInflight removes a finished attempt from the registry.
-func (e *Engine) unregisterInflight(id uint64) {
-	e.muInflight.Lock()
-	defer e.muInflight.Unlock()
-	delete(e.inflight, id)
 }
 
 // Shutdown stops admissions (new queries return ErrShuttingDown),
 // drains the queued and in-flight queries, and returns once the
 // engine is idle — or ctx.Err() if ctx ends first, in which case the
-// drain continues in the background and Shutdown may be called again.
-// Once the drain completes the watchdog goroutine is stopped and
-// joined, so a fully shut-down engine leaves no goroutine behind.
-// Safe to call multiple times; a post-shutdown Query never blocks.
+// drain continues in the pool's workers and Shutdown may be called
+// again. The workers are the engine's only goroutines, so a fully
+// shut-down engine leaves none behind. Safe to call multiple times; a
+// post-shutdown Query never blocks.
 func (e *Engine) Shutdown(ctx context.Context) error {
 	// Stop accepting mutations before the query drain: an Apply
 	// admitted after this point could swap an epoch no query will
 	// ever see. One already inside Apply finishes its fold — the
 	// drain below does not race it, epoch swaps are atomic.
 	e.stopping.Store(true)
-	if err := e.pool.Shutdown(ctx); err != nil {
-		return err
-	}
-	if e.watchdogDone != nil {
-		e.watchdogOnce.Do(func() { close(e.watchdogStop) })
-		<-e.watchdogDone
-	}
-	return nil
+	return e.pool.Shutdown(ctx)
 }
 
 // Index returns the current epoch's snapshot-backed index, or nil

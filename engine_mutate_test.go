@@ -362,7 +362,7 @@ func TestEngineShutdownRacingApply(t *testing.T) {
 		t.Fatalf("serving epoch len=%d, want %d", got, want)
 	}
 
-	// The drain left no goroutine behind (watchdog included).
+	// The drain left no goroutine behind.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > base {
 		if time.Now().After(deadline) {

@@ -3,8 +3,8 @@
 // Fault-injection tests for the engine's self-healing layer: the
 // degradation chain's perturbed re-run rescuing a transiently failing
 // solver (counted in Stats), and the stuck-query watchdog quarantining
-// a pathological breaker key. They compile only under the kregretfault
-// tag (`make test-serve`).
+// a pathological breaker key while sparing a brief overrun. They
+// compile only under the kregretfault tag (`make test-serve`).
 package kregret
 
 import (
@@ -96,5 +96,50 @@ func TestEngineWatchdogQuarantinesStuckQuery(t *testing.T) {
 	}
 	if s := eng.Stats(); s.BreakerShortCircuits == 0 {
 		t.Fatalf("short-circuit not counted: %+v", s)
+	}
+}
+
+// TestEngineWatchdogSparesBriefOverrun pins the watchdog's grace: a
+// query that overruns its deadline by less than one interval returns
+// before its timer fires, so it is not counted and its breaker key
+// stays closed.
+func TestEngineWatchdogSparesBriefOverrun(t *testing.T) {
+	defer fault.Reset()
+	const interval = 400 * time.Millisecond
+	eng, _ := testEngine(t,
+		WithWorkers(1),
+		WithWatchdog(interval),
+		WithBreaker(5, time.Second))
+	defer func() {
+		if err := eng.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}()
+
+	// Fill the epoch's candidate caches first, as above.
+	if _, err := eng.Query(context.Background(), 2, WithAlgorithm(AlgoGreedy)); err != nil {
+		t.Fatal(err)
+	}
+
+	// One simplex pivot batch stalls 40ms against a 10ms budget: the
+	// query overruns its deadline by about 30ms, far inside the grace.
+	fault.ArmSleep(fault.SiteLPSlowPivot, 1, 40*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, _ = eng.Query(ctx, 2, WithAlgorithm(AlgoGreedy))
+	elapsed := time.Since(start)
+	fault.Reset()
+	if elapsed < 40*time.Millisecond {
+		t.Fatalf("query took %v: the armed stall never ran", elapsed)
+	}
+
+	s := eng.Stats()
+	if s.WatchdogStuck != 0 {
+		t.Fatalf("watchdog flagged a query that overran by %v, under its %v grace: %+v", elapsed-10*time.Millisecond, interval, s)
+	}
+	key := breakerKey(AlgoGreedy, 3)
+	if state := s.Breakers[key]; state != "closed" {
+		t.Fatalf("breaker %s = %q, want closed: %v", key, state, s.Breakers)
 	}
 }

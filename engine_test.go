@@ -331,12 +331,13 @@ func TestEngineShutdownIdempotent(t *testing.T) {
 		t.Fatalf("second Shutdown: %v", err)
 	}
 	s2 := eng.Stats()
-	// Counter stability across the idempotent call (DrainDuration is
-	// recorded asynchronously and may land between the snapshots, so
-	// it is deliberately not compared).
+	// Counter stability across the idempotent call. The drain is
+	// recorded before the first Shutdown returns, so its duration is
+	// set and stable too.
 	if s1.Admitted != s2.Admitted || s1.Completed != s2.Completed ||
 		s1.Canceled != s2.Canceled || s1.ShedOverload != s2.ShedOverload ||
-		s1.ShedDeadline != s2.ShedDeadline || s1.RejectedShutdown != s2.RejectedShutdown {
+		s1.ShedDeadline != s2.ShedDeadline || s1.RejectedShutdown != s2.RejectedShutdown ||
+		s1.DrainDuration <= 0 || s1.DrainDuration != s2.DrainDuration {
 		t.Fatalf("counters moved across an idempotent Shutdown:\n%+v\n%+v", s1, s2)
 	}
 
@@ -356,8 +357,8 @@ func TestEngineShutdownIdempotent(t *testing.T) {
 	}
 }
 
-// TestEngineWatchdogShutdownNoLeak proves the watchdog goroutine is
-// joined by Shutdown: after a full drain the process goroutine count
+// TestEngineWatchdogShutdownNoLeak proves a watchdog engine leaves no
+// goroutine behind: after a full drain the process goroutine count
 // returns to its pre-engine baseline.
 func TestEngineWatchdogShutdownNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()

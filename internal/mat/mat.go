@@ -46,9 +46,6 @@
 package mat
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 
@@ -181,55 +178,6 @@ func (m *PointMatrix) Gather(rows []int) (*PointMatrix, error) {
 		copy(out.data[k*m.d:(k+1)*m.d], m.data[r*m.d:(r+1)*m.d])
 	}
 	return out, nil
-}
-
-// GobEncode serializes the matrix (dimensions + raw coordinates), so
-// a PointMatrix can ride inside the gob-based snapshot format of the
-// persistence layer.
-func (m *PointMatrix) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(m.n); err != nil {
-		return nil, err
-	}
-	if err := enc.Encode(m.d); err != nil {
-		return nil, err
-	}
-	raw := make([]byte, 8*len(m.data))
-	for i, x := range m.data {
-		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(x))
-	}
-	if err := enc.Encode(raw); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode restores a matrix written by GobEncode, validating the
-// dimensions against the payload length (a corrupt stream surfaces as
-// an error, never an inconsistent matrix).
-func (m *PointMatrix) GobDecode(p []byte) error {
-	dec := gob.NewDecoder(bytes.NewReader(p))
-	var n, d int
-	if err := dec.Decode(&n); err != nil {
-		return err
-	}
-	if err := dec.Decode(&d); err != nil {
-		return err
-	}
-	var raw []byte
-	if err := dec.Decode(&raw); err != nil {
-		return err
-	}
-	if n < 0 || d < 0 || (d != 0 && n > math.MaxInt/d/8) || len(raw) != 8*n*d {
-		return fmt.Errorf("mat: gob payload is %d bytes, want %d for a %d×%d matrix", len(raw), 8*n*d, n, d)
-	}
-	m.n, m.d = n, d
-	m.data = make([]float64, n*d)
-	for i := range m.data {
-		m.data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-	return nil
 }
 
 // Transposed is a d×m column-major matrix: column c is a d-vector

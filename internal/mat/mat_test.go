@@ -1,8 +1,6 @@
 package mat
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
@@ -190,84 +188,6 @@ func TestGather(t *testing.T) {
 	if _, err := m.Gather([]int{-1}); err == nil {
 		t.Fatal("Gather with negative row must error")
 	}
-}
-
-// TestGobRoundTrip: the matrix must survive gob encode/decode exactly,
-// including non-finite and signed-zero payloads (raw bit transport).
-func TestGobRoundTrip(t *testing.T) {
-	pts := []geom.Vector{
-		{1.5, math.Inf(1), 0},
-		{math.Copysign(0, -1), -2.25, math.NaN()},
-	}
-	m := FromVectors(pts)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		t.Fatal(err)
-	}
-	var back PointMatrix
-	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Rows() != m.Rows() || back.Dim() != m.Dim() {
-		t.Fatalf("round trip is %dx%d, want %dx%d", back.Rows(), back.Dim(), m.Rows(), m.Dim())
-	}
-	for i := range m.data {
-		if math.Float64bits(back.data[i]) != math.Float64bits(m.data[i]) {
-			t.Fatalf("element %d: %x != %x after round trip", i, math.Float64bits(back.data[i]), math.Float64bits(m.data[i]))
-		}
-	}
-	// Empty matrix round-trips too.
-	var ebuf bytes.Buffer
-	if err := gob.NewEncoder(&ebuf).Encode(&PointMatrix{}); err != nil {
-		t.Fatal(err)
-	}
-	var empty PointMatrix
-	if err := gob.NewDecoder(&ebuf).Decode(&empty); err != nil {
-		t.Fatal(err)
-	}
-	if empty.Rows() != 0 || empty.Dim() != 0 {
-		t.Fatalf("empty round trip is %dx%d", empty.Rows(), empty.Dim())
-	}
-}
-
-func TestGobDecodeRejectsInconsistentPayload(t *testing.T) {
-	m := FromVectors([]geom.Vector{{1, 2}, {3, 4}})
-	good, err := m.GobEncode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Re-encode with a lying row count: decode must reject it.
-	var bad PointMatrix
-	forged := forgeHeader(t, good, 3, 2)
-	if err := bad.GobDecode(forged); err == nil {
-		t.Fatal("decode accepted a payload whose length contradicts its dimensions")
-	}
-}
-
-// forgeHeader rebuilds a GobEncode payload with altered n/d but the
-// original raw coordinate bytes.
-func forgeHeader(t *testing.T, payload []byte, n, d int) []byte {
-	t.Helper()
-	dec := gob.NewDecoder(bytes.NewReader(payload))
-	var on, od int
-	var raw []byte
-	if err := dec.Decode(&on); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Decode(&od); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Decode(&raw); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	for _, v := range []any{n, d, raw} {
-		if err := enc.Encode(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf.Bytes()
 }
 
 func TestDimensionMismatchPanics(t *testing.T) {

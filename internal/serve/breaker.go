@@ -155,9 +155,9 @@ func (b *Breaker) Record(success bool) {
 // Trip forces the breaker open now, as if a failure storm had just
 // crossed the threshold: requests short-circuit for a full cooldown
 // before half-open probing resumes. The engine's stuck-query watchdog
-// uses it to quarantine a key whose in-flight work has run past its
-// deadline — evidence of pathology that must not wait for Record
-// calls that may never come.
+// calls it from a query's deadline timer to quarantine the key of a
+// query still running one interval past its deadline — evidence of
+// pathology that must not wait for Record calls that may never come.
 func (b *Breaker) Trip() {
 	b.mu.Lock()
 	defer b.mu.Unlock()

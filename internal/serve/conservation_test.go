@@ -107,13 +107,8 @@ func TestPoolStatsConservationUnderLoad(t *testing.T) {
 	if okCount.Load() == 0 {
 		t.Fatal("no request completed under load")
 	}
-	// The drain metric is recorded by a background goroutine the
-	// moment the last worker exits; give the scheduler a beat.
-	deadline := time.Now().Add(time.Second)
-	for p.Stats().DrainDuration <= 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("drain duration never recorded")
-		}
-		time.Sleep(time.Millisecond)
+	// The last worker out records the drain before Shutdown returns.
+	if s.DrainDuration <= 0 {
+		t.Fatalf("DrainDuration = %v after Shutdown returned nil", s.DrainDuration)
 	}
 }

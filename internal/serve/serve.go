@@ -147,13 +147,19 @@ type task struct {
 type Pool struct {
 	cfg   Config
 	queue chan *task
-	wg    sync.WaitGroup
 
 	// mu guards state and serializes admissions against the queue
 	// close in Shutdown (sends are non-blocking, so the read lock is
 	// held only briefly).
 	mu       sync.RWMutex
 	shutdown bool
+
+	// live counts running workers; the last one out closes drained.
+	// Shutdown writes drainStart before it closes the queue, and the
+	// close publishes it to the workers.
+	live       atomic.Int32
+	drainStart time.Time
+	drained    chan struct{}
 
 	admitted, completed        atomic.Uint64
 	shedOverload, shedDeadline atomic.Uint64
@@ -171,8 +177,8 @@ type Pool struct {
 //kregret:allow ctxflow: worker lifetime is governed by Shutdown, not a request context
 func NewPool(cfg Config) *Pool {
 	cfg = cfg.withDefaults()
-	p := &Pool{cfg: cfg, queue: make(chan *task, cfg.QueueDepth)}
-	p.wg.Add(cfg.Workers)
+	p := &Pool{cfg: cfg, queue: make(chan *task, cfg.QueueDepth), drained: make(chan struct{})}
+	p.live.Store(int32(cfg.Workers))
 	for i := 0; i < cfg.Workers; i++ {
 		go p.worker()
 	}
@@ -234,7 +240,6 @@ func (p *Pool) Do(ctx context.Context, fn func(context.Context)) error {
 }
 
 func (p *Pool) worker() {
-	defer p.wg.Done()
 	for t := range p.queue {
 		p.queuedGauge.Add(-1)
 		if t.ctx.Err() != nil {
@@ -256,6 +261,14 @@ func (p *Pool) worker() {
 		p.completed.Add(1)
 		close(t.done)
 	}
+	// Shutdown closed the queue and it is empty. The last worker out
+	// ends the drain: it records how long the drain took (at least
+	// 1ns, so a finished drain never reads as zero) and releases every
+	// Shutdown call waiting on drained.
+	if p.live.Add(-1) == 0 {
+		p.drainNanos.Store(max(time.Since(p.drainStart).Nanoseconds(), 1))
+		close(p.drained)
+	}
 }
 
 // overload builds the typed error with current pressure context.
@@ -271,36 +284,28 @@ func (p *Pool) overload(sentinel error) error {
 // Shutdown stops admissions immediately (subsequent Do calls return
 // ErrShuttingDown), lets the workers drain every already-queued job,
 // and waits for in-flight jobs to finish. It returns nil once the
-// pool is fully drained, or ctx.Err() if ctx ends first — in that
-// case the drain continues in the background; Shutdown may be called
-// again to keep waiting. Safe to call multiple times.
+// pool is fully drained, with Stats().DrainDuration set, or ctx.Err()
+// if ctx ends first — then the workers keep draining and Shutdown may
+// be called again to keep waiting. Safe to call multiple times.
 func (p *Pool) Shutdown(ctx context.Context) error {
 	p.mu.Lock()
 	if !p.shutdown {
 		p.shutdown = true
+		p.drainStart = time.Now()
 		close(p.queue)
-		// Record the drain metric exactly once, from the moment
-		// admissions stopped to the moment the last worker exits —
-		// even when this Shutdown call gives up on its context first.
-		start := time.Now()
-		go func() {
-			p.wg.Wait()
-			p.drainNanos.Store(time.Since(start).Nanoseconds())
-		}()
 	}
 	p.mu.Unlock()
 
-	done := make(chan struct{})
-	go func() {
-		p.wg.Wait()
-		close(done)
-	}()
 	select {
-	case <-done:
-		return nil
+	case <-p.drained:
 	case <-ctx.Done():
-		return fmt.Errorf("serve: shutdown drain interrupted: %w", ctx.Err())
+		select {
+		case <-p.drained: // a finished drain wins over a done ctx
+		default:
+			return fmt.Errorf("serve: shutdown drain interrupted: %w", ctx.Err())
+		}
 	}
+	return nil
 }
 
 // Stats returns a consistent-enough snapshot of the counters (each

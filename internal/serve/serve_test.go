@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -258,6 +260,63 @@ func TestPoolShutdownHonorsContext(t *testing.T) {
 	// A second Shutdown finishes the drain.
 	if err := p.Shutdown(context.Background()); err != nil {
 		t.Fatalf("resumed shutdown: %v", err)
+	}
+	wg.Wait()
+}
+
+// poolSpawned counts the live goroutines started by a Pool method,
+// which leaves out the workers: NewPool starts those.
+func poolSpawned() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "created by repro/internal/serve.(*Pool).")
+}
+
+// TestPoolShutdownRunsOnWorkers pins that the drain runs on the
+// workers alone: a Shutdown its context interrupts starts no goroutine
+// beside them, and the Shutdown that sees the drain finish returns
+// with DrainDuration already recorded.
+func TestPoolShutdownRunsOnWorkers(t *testing.T) {
+	p := NewPool(Config{Workers: 2, QueueDepth: 1})
+	release := make(chan struct{})
+	started := make(chan struct{})
+	var ran atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if err := p.Do(context.Background(), func(ctx context.Context) {
+			close(started)
+			gatedJob(release, &ran)(ctx)
+		}); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-started
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := p.Shutdown(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want Canceled from interrupted drain, got %v", err)
+	}
+	if n := poolSpawned(); n != 0 {
+		t.Fatalf("interrupted Shutdown left %d goroutines beside the workers", n)
+	}
+	if d := p.Stats().DrainDuration; d != 0 {
+		t.Fatalf("DrainDuration = %v while a job still runs", d)
+	}
+	close(release)
+	if err := p.Shutdown(context.Background()); err != nil {
+		t.Fatalf("resumed shutdown: %v", err)
+	}
+	if d := p.Stats().DrainDuration; d <= 0 {
+		t.Fatalf("DrainDuration = %v after Shutdown returned nil", d)
+	}
+	// Once drained, even a Shutdown whose context is done reports the
+	// finished drain.
+	for range 100 {
+		if err := p.Shutdown(ctx); err != nil {
+			t.Fatalf("Shutdown of a drained pool: %v", err)
+		}
 	}
 	wg.Wait()
 }

@@ -23,9 +23,9 @@
 // covering entry), the near-descending order just keeps the strongest
 // killers early so the window stays small. The whole pass is three
 // sequential sweeps — sum, scatter, probe — and the probe's killer
-// cache runs at the fixed coverGrid resolution, which is what lets one
-// shard pass run at a small fraction of the exact pass's cost at the
-// same n.
+// cache is sized from n by the exact pass's rule (cacheGrid, capped at
+// coverGrid), so a 500k shard gets the full 48³-cell grid while a
+// 1,000-point range allocates a few hundred cells, not megabytes.
 package skyline
 
 import (
@@ -40,9 +40,8 @@ import (
 // few enough that the histogram stays cache-resident.
 const coverBuckets = 1024
 
-// coverGrid is the killer cache's per-dimension resolution (see
-// kernel.go) for the eps > 0 pass, and the cap of the resolution the
-// exact pass derives from n.
+// coverGrid caps the killer cache's per-dimension resolution, which
+// both passes derive from n (cacheGrid in kernel.go).
 const coverGrid = 48
 
 // EpsCover returns ascending indices S ⊆ [lo, hi) such that every
@@ -140,5 +139,5 @@ func EpsCover(pts []geom.Vector, lo, hi int, eps float64) ([]int, error) {
 	// eps-antichain. Strict-dominance conservatism in the window (an
 	// entry exactly equal to the probe does not kill) only ever keeps
 	// extra survivors.
-	return probePass(nil, rows, orig, d, coverGrid, eps)
+	return probePass(nil, rows, orig, d, cacheGrid(n, min(d-1, 3)), eps)
 }

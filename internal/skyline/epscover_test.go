@@ -127,6 +127,28 @@ func TestEpsCoverShrinks(t *testing.T) {
 	}
 }
 
+// TestEpsCoverSmallRangeAllocs pins the killer cache's sizing from n:
+// a 1,000-point range, the size of a small shard, allocates a cache of
+// a few hundred cells, so the whole call stays under 1 MB where the
+// full 48³-cell grid alone is 3.5 MB at d = 4.
+func TestEpsCoverSmallRangeAllocs(t *testing.T) {
+	pts, err := dataset.AntiCorrelated(3000, 4, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			if _, err := EpsCover(pts, 1000, 2000, 0.05); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 1<<20 {
+		t.Fatalf("EpsCover of a 1,000-point range allocated %d bytes per call, want under 1 MB", got)
+	}
+}
+
 // TestEpsCoverBadInput exercises every rejection edge: eps outside
 // [0, 1) or NaN, ranges outside the slice, inverted ranges,
 // dimension mismatches and non-finite coordinates inside the range —

@@ -16,9 +16,9 @@
 //     die on one componentwise compare (85% of them on the 100k
 //     anti-correlated paper instance). Every cached row is a window
 //     entry, so a kill the cache reports is one the window would
-//     report too; correctness never depends on cell geometry. The
-//     exact pass sizes the grid from n and demands strict dominance of
-//     the cached row, so duplicates survive.
+//     report too; correctness never depends on cell geometry. Both
+//     passes size the grid from n; the exact pass demands strict
+//     dominance of the cached row, so duplicates survive.
 //   - Dominance window, in two tiers. Hot tier: the entries with the
 //     highest kill counts, scanned linearly first, since a few dozen
 //     killers reject most arrivals. Cold tier: the remaining entries,
@@ -335,7 +335,7 @@ func exactPass(canceled func() error, pts []geom.Vector, subset []int, lo, n int
 		}
 		ord[pos] = int32(i)
 	}
-	return probePass(canceled, rows, ord, d, exactGrid(n, min(d-1, 3)), 0)
+	return probePass(canceled, rows, ord, d, cacheGrid(n, min(d-1, 3)), 0)
 }
 
 // rowSum is the coordinate sum both sort orders key on. The probe
@@ -352,11 +352,12 @@ func rowSum(p []float64) float64 {
 	return s
 }
 
-// exactGrid sizes the exact pass's killer cache from n: the largest
+// cacheGrid sizes a pass's killer cache from n: the largest
 // per-dimension resolution g ≤ coverGrid with g^kd ≤ n/3 cells (32 at
-// n = 100k, d = 4), so a small input such as the sharded path's
-// ~50-point merged core allocates a few cells, not a megabyte.
-func exactGrid(n, kd int) int {
+// n = 100k, d = 4; 48 from n ≈ 332k), so a small input such as the
+// sharded path's ~50-point merged core allocates a few cells, not a
+// megabyte.
+func cacheGrid(n, kd int) int {
 	g := 1
 	for g < coverGrid {
 		cells := 1
