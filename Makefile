@@ -62,7 +62,7 @@ test-fault:
 # torn snapshot writes.
 test-serve:
 	$(GO) test -race -tags kregretfault -count=1 \
-		-run 'Engine|Pool|Breaker|Snapshot|SaveFile|LoadFile|Fault' \
+		-run 'Engine|Pool|Breaker|Snapshot|SaveFile|LoadFile|Fault|Prefix|Fold' \
 		./internal/serve .
 
 # Seeded chaos soak: 20 consecutive fault schedules, each arming a

@@ -3,9 +3,10 @@ package kregret
 // BenchmarkPaper is the baseline suite behind `make bench`: the
 // paper-scale hot paths (GeoGreedy at n=100k d=4 and over the happy
 // points, the prefix-list build and the engine's list-served query,
-// the exact and sampled evaluators, ingestion, the candidate
-// preprocessing, the durable write path and recovery) with the
-// worker count taken from the -kregret.parallelism flag, so one binary
+// the cold starts of Dataset.Query and of the engine, the exact and
+// sampled evaluators, ingestion, the candidate preprocessing, the
+// durable write path and recovery) with the worker count taken from
+// the -kregret.parallelism flag, so one binary
 // measures both the sequential path and any fan-out width. The
 // entries that go through Dataset or Engine run at GOMAXPROCS, so
 // cmd/benchbaseline pairs each pass's flag with the same -cpu width.
@@ -295,6 +296,38 @@ func BenchmarkPaper(b *testing.B) {
 			if _, err := ds.Query(20); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+	b.Run("EngineColdQuery", func(b *testing.B) {
+		// The engine's cold start beside ColdQuery's Dataset.Query:
+		// NewEngine plus its first default query at k = 20, which
+		// builds the epoch's prefix list over the skyline and checks
+		// each point the list relies on instead of filling D_happy
+		// (DESIGN.md §10). Ingestion and engine teardown are untimed,
+		// as in ColdQuery and ShardedColdQuery.
+		ps := vecsToPoints(pts)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			ds, err := NewDataset(ps, WithoutNormalization())
+			if err != nil {
+				b.Fatal(err)
+			}
+			runtime.GC()
+			b.StartTimer()
+			eng, err := NewEngine(ds)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := eng.Query(ctx, 20); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if err := eng.Shutdown(ctx); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
 		}
 	})
 	b.Run("ShardedColdQuery", func(b *testing.B) {

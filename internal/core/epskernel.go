@@ -38,5 +38,5 @@ func EpsKernelParCtx(ctx context.Context, pts []geom.Vector, eps float64, extraS
 	if math.IsNaN(eps) || eps < 0 || eps >= 1 {
 		return nil, fmt.Errorf("%w: got %v", ErrBadEps, eps)
 	}
-	return greedyHullTrace(ctx, pts, len(pts), workers, 1/(1-eps), extraSeeds, nil)
+	return greedyHullTrace(ctx, pts, len(pts), workers, 1/(1-eps), extraSeeds, nil, nil)
 }

@@ -186,16 +186,24 @@ func (x *EvalIndex) MRRGeometric(sel []int) (float64, error) {
 // poisons the fold and surfaces as ErrDegenerate instead of being
 // silently dropped.
 func (x *EvalIndex) MRRGeometricParCtx(ctx context.Context, sel []int, workers int) (float64, error) {
+	mrr, _, err := x.mrrArgMax(ctx, sel, workers)
+	return mrr, err
+}
+
+// mrrArgMax is MRRGeometricParCtx that also returns the dataset index
+// of the point whose support prices the regret: the first maximum of
+// the fold, or -1 when the regret is zero.
+func (x *EvalIndex) mrrArgMax(ctx context.Context, sel []int, workers int) (float64, int, error) {
 	if err := checkSelection(x.pts, sel); err != nil {
-		return 0, err
+		return 0, -1, err
 	}
 	hull, err := buildHull(ctx, x.pts, sel)
 	if err != nil {
-		return 0, err
+		return 0, -1, err
 	}
 	vals, err := x.supportScan(ctx, hull, workers)
 	if err != nil {
-		return 0, fmt.Errorf("core: regret evaluation canceled: %w", err)
+		return 0, -1, fmt.Errorf("core: regret evaluation canceled: %w", err)
 	}
 	defer putFloatScratch(vals)
 	// Sequential fold in row order: NaN poisons (lowest index first,
@@ -204,7 +212,7 @@ func (x *EvalIndex) MRRGeometricParCtx(ctx context.Context, sel []int, workers i
 	idx, maxSupport := -1, 0.0
 	for i, s := range vals {
 		if math.IsNaN(s) {
-			return 0, fmt.Errorf("%w: point %d has NaN support in regret evaluation",
+			return 0, -1, fmt.Errorf("%w: point %d has NaN support in regret evaluation",
 				ErrDegenerate, x.scanIndex(i))
 		}
 		if idx < 0 || s > maxSupport {
@@ -212,13 +220,13 @@ func (x *EvalIndex) MRRGeometricParCtx(ctx context.Context, sel []int, workers i
 		}
 	}
 	if idx < 0 || maxSupport <= 1 {
-		return 0, nil
+		return 0, -1, nil
 	}
 	mrr := 1 - 1/maxSupport
 	if assert.Enabled {
 		assert.UnitRange("MRRGeometric", mrr, geom.Eps)
 	}
-	return mrr, nil
+	return mrr, x.scanIndex(idx), nil
 }
 
 // regretOf is rr(S, f) for weight vector w: both maxima run as flat

@@ -274,7 +274,7 @@ func checkAgainstSweep(t *testing.T, name string, pts []geom.Vector, k int, stop
 			if !traced {
 				onSelect = nil
 			}
-			return greedyHullTrace(ctx, pts, k, 1, stop, extraSeeds, onSelect)
+			return greedyHullTrace(ctx, pts, k, 1, stop, extraSeeds, onSelect, nil)
 		})
 		priceUnpriced(t, pts, &got)
 		want := runTrace(func(onSelect func(int, float64)) (*Result, error) {

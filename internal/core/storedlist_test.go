@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -245,5 +247,82 @@ func TestStoredListLazySeedPrices(t *testing.T) {
 	}
 	if !full.Covers(full.Len()+1) || short.Covers(3) || !short.Covers(2) || (*StoredList)(nil).Covers(1) {
 		t.Fatal("Covers disagrees with completeness and length")
+	}
+}
+
+// TestBuildStoredListRelied: rely is told every pick and every point
+// pricing a regret, and the relied build is the plain one, lazy seed
+// prefixes priced at once. Over any subset that keeps every relied-on
+// candidate, in the same order, the plain build gives the same list,
+// index for index and bit for bit. An error from rely ends the build.
+func TestBuildStoredListRelied(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(31))
+	pts := antiCorrelated(rng, 300, 4)
+	for _, maxLen := range []int{1, 3, 4, 20, len(pts)} {
+		relied := map[int]bool{}
+		got, err := BuildStoredListReliedParCtx(ctx, pts, maxLen, 2, func(i int) error {
+			relied[i] = true
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.lazy > 0 && !got.priced.Load() {
+			t.Fatalf("maxLen=%d: %d seed prefixes left unpriced", maxLen, got.lazy)
+		}
+		want, err := BuildStoredListUpTo(pts, maxLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Keep the relied-on candidates and about half the others.
+		var sub []int
+		for i := range pts {
+			if relied[i] || rng.Intn(2) == 0 {
+				sub = append(sub, i)
+			}
+		}
+		subPts, err := Select(pts, sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		over, err := BuildStoredListUpTo(subPts, maxLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != want.Len() || got.Len() != over.Len() {
+			t.Fatalf("maxLen=%d: lengths %d, plain %d, over the subset %d", maxLen, got.Len(), want.Len(), over.Len())
+		}
+		for k := 1; k <= got.Len(); k++ {
+			g, _ := got.Query(k)
+			w, _ := want.Query(k)
+			o, _ := over.Query(k)
+			for i := range o {
+				o[i] = sub[o[i]]
+			}
+			gm, _ := got.MRRFor(k)
+			wm, _ := want.MRRFor(k)
+			om, _ := over.MRRFor(k)
+			if !relied[g[k-1]] {
+				t.Fatalf("maxLen=%d: pick %d was never relied on", maxLen, g[k-1])
+			}
+			if !reflect.DeepEqual(g, w) || !reflect.DeepEqual(g, o) ||
+				math.Float64bits(gm) != math.Float64bits(wm) || math.Float64bits(gm) != math.Float64bits(om) {
+				t.Fatalf("maxLen=%d k=%d: relied %v (%x), plain %v (%x), over the subset %v (%x)",
+					maxLen, k, g, math.Float64bits(gm), w, math.Float64bits(wm), o, math.Float64bits(om))
+			}
+		}
+	}
+
+	errStop := errors.New("stop")
+	calls := 0
+	_, err := BuildStoredListReliedParCtx(ctx, pts, 20, 1, func(int) error {
+		if calls++; calls == 6 {
+			return errStop
+		}
+		return nil
+	})
+	if !errors.Is(err, errStop) || calls != 6 {
+		t.Fatalf("a rejecting rely: err %v after %d calls", err, calls)
 	}
 }

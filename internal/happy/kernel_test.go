@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -288,4 +289,37 @@ func FuzzDecideContract(f *testing.F) {
 			t.Fatalf("decideRow=%d subjugates=%v: p=%v q=%v", v, want, p, q)
 		}
 	})
+}
+
+// TestCheckerMatchesPass: a Checker asked about skyline points one at
+// a time, in shuffled order, gives the verdict the pass gives, on both
+// sides of kernelMinSky; and its Cert after those asks is the fresh
+// pass's certificate, witness for witness.
+func TestCheckerMatchesPass(t *testing.T) {
+	for _, g := range kernelGens {
+		for _, n := range []int{30, 800} {
+			for d := 2; d <= 5; d++ {
+				pts, err := g.fn(n, d, int64(7*d+n))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sky := bruteSkyline(pts)
+				want := ComputeAmongSkylineCertParallel(pts, sky, 1)
+				c := NewChecker(pts, sky)
+				rng := rand.New(rand.NewSource(int64(d)))
+				for _, i := range rng.Perm(len(sky))[:len(sky)/2] {
+					if got := c.Happy(i); got != (want.Wit[i] == -1) {
+						t.Fatalf("%s n=%d d=%d: Happy(%d) = %v, the pass says witness %d", g.name, n, d, i, got, want.Wit[i])
+					}
+				}
+				got, err := c.Cert(context.Background(), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got.Wit, want.Wit) {
+					t.Fatalf("%s n=%d d=%d: the Checker's certificate differs from the pass's", g.name, n, d)
+				}
+			}
+		}
+	}
 }

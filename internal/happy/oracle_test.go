@@ -133,3 +133,13 @@ func TestComputeMatchesCertOnBruteSkyline(t *testing.T) {
 		check("sum-tie", pts)
 	}
 }
+
+// witnessesScalar is the scalar reference: the per-pair scan, witness
+// being the first subjugator in ascending sky order.
+func witnessesScalar(pts []geom.Vector, sky []int) []int32 {
+	wit := make([]int32, len(sky))
+	for i, qi := range sky {
+		wit[i] = scanWitness(pts, sky, qi)
+	}
+	return wit
+}

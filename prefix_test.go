@@ -246,7 +246,7 @@ func dominated(t *testing.T, ds *Dataset) int {
 // engine does, whether or not its list covers k.
 func stateQuery(t *testing.T, st *dsState, k int) *Answer {
 	t.Helper()
-	v, err := st.listView()
+	v, err := st.listView(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
