@@ -91,14 +91,16 @@ func unframeSnapshot(data []byte, magic string, version byte, corrupt error) ([]
 	return body[snapshotHdrLen:], nil
 }
 
-// indexWire is the gob envelope around a stored list: the happy
-// candidate mapping plus a checksum binding the index to the dataset
-// it was built from. Its Version field versions the payload schema,
+// indexWire is the gob envelope around a stored list: the candidate
+// mapping (the happy points, or for an engine's checked list the
+// skyline) plus a checksum binding the index to the dataset it was
+// built from. Its Version field versions the payload schema,
 // independent of the outer frame version; only the current one loads.
 //
 // Ext carries the skyline (extreme set) indices computed during
 // preprocessing, so loading a snapshot also seeds the dataset's
-// evaluation pruning without recomputing the skyline pass. Core
+// evaluation pruning, and tells a checked list apart, without
+// recomputing the skyline pass. Core
 // carries the sharded engine's merged coreset (global indices,
 // ascending), so reload can tell a core-built StoredList apart from an
 // exact one and match it against the current shard configuration. Ext
@@ -158,8 +160,9 @@ func (x *Index) Save(w io.Writer, d *Dataset) error {
 // encode builds the framed index snapshot.
 func (x *Index) encode(d *Dataset) ([]byte, error) {
 	// The skyline is already cached on any dataset that built an index
-	// (happy-point extraction runs it); persisting it lets the loader
-	// seed evaluation pruning for free. A core-built index (sharded
+	// (the engine's list build and the happy-point pass both run it);
+	// persisting it lets the loader seed evaluation pruning for free.
+	// A core-built index (sharded
 	// engine) persists the core instead: its dataset never ran a
 	// full-dataset skyline and must not start now.
 	var sky []int
