@@ -92,10 +92,12 @@ test-crash:
 	$(GO) test -race -tags kregretfault -count=1 ./internal/chaos -chaos.runs 20
 
 # Short native-fuzzing pass over the public constructors, the query
-# path, the snapshot decoder, Recover's log replay, the flat-matrix
-# kernels and GeoGreedy's loop: degenerate datasets must produce an
-# error or a valid Answer, corrupt snapshots a typed error — never a
-# panic — the one-pass replay must match the record-at-a-time oracle
+# path, the index and dataset snapshot decoders, Recover's log replay,
+# the flat-matrix kernels and GeoGreedy's loop: degenerate datasets
+# must produce an error or a valid Answer, corrupt snapshots a typed
+# error — never a panic, never an allocation sized by a header's
+# claim — a loaded dataset snapshot must re-encode to its own bytes,
+# the one-pass replay must match the record-at-a-time oracle
 # (points, sequence number and error text), the kernels must match the
 # scalar reference bit-for-bit on arbitrary float bit patterns,
 # GeoGreedy must match its full-sweep oracle bit-for-bit on
@@ -106,6 +108,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzQuery -fuzztime=10s .
 	$(GO) test -run=^$$ -fuzz=FuzzCoresetBound -fuzztime=10s .
 	$(GO) test -run=^$$ -fuzz=FuzzLoadIndex -fuzztime=10s .
+	$(GO) test -run=^$$ -fuzz=FuzzDatasetSnapshot -fuzztime=10s .
 	$(GO) test -run=^$$ -fuzz=FuzzRecoverReplay -fuzztime=10s .
 	$(GO) test -run=^$$ -fuzz=FuzzKernels -fuzztime=10s ./internal/mat
 	$(GO) test -run=^$$ -fuzz=FuzzGeoGreedyOracle -fuzztime=10s ./internal/core

@@ -4,8 +4,8 @@ package kregret
 // paper-scale hot paths (GeoGreedy at n=100k d=4 and over the happy
 // points, the prefix-list build and the engine's list-served query,
 // the cold starts of Dataset.Query and of the engine, the exact and
-// sampled evaluators, ingestion, the candidate preprocessing, the
-// durable write path and recovery) with the worker count taken from
+// sampled evaluators, ingestion with and without a WAL, the candidate
+// preprocessing, the durable write path and recovery) with the worker count taken from
 // the -kregret.parallelism flag, so one binary
 // measures both the sequential path and any fan-out width. The
 // entries that go through Dataset or Engine run at GOMAXPROCS, so
@@ -271,6 +271,29 @@ func BenchmarkPaper(b *testing.B) {
 			if _, err := NewDataset(ps); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+	b.Run("IngestWAL", func(b *testing.B) {
+		// Ingest plus what WithWAL adds to a cold start: opening the
+		// empty log and writing the seq-0 base snapshot (temp file,
+		// fsync, rename, directory fsync; DESIGN.md §15). Every pass
+		// reuses the pair, which attachWAL accepts because the log
+		// holds no records; Close is untimed.
+		dir := b.TempDir()
+		walPath, snapPath := filepath.Join(dir, "ingest.wal"), filepath.Join(dir, "ingest.snap")
+		ps := vecsToPoints(pts)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ds, err := NewDataset(ps, WithWAL(walPath, snapPath), WithSyncEvery(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if err := ds.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
 		}
 	})
 	b.Run("ColdQuery", func(b *testing.B) {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -268,6 +270,64 @@ func FuzzLoadIndex(f *testing.F) {
 		}
 		if math.IsNaN(ans.MRR) || ans.MRR < 0 || ans.MRR > 1+1e-9 {
 			t.Fatalf("loaded index MRR %v outside [0, 1]", ans.MRR)
+		}
+	})
+}
+
+// FuzzDatasetSnapshot feeds the base snapshot decoder arbitrary
+// payloads inside a frame with a valid CRC-32C, so every input reaches
+// the shape and coordinate checks (flips and cuts of a whole file stop
+// at the CRC, which TestRecoverCorruptSnapshot covers). An input loads
+// or fails: a load has n, d ≥ 1 and n·d finite, strictly positive
+// coordinates and re-encodes to the same payload, and a failure is
+// ErrCorruptSnapshot. Memory grows with the bytes present, never with
+// the header's claim.
+func FuzzDatasetSnapshot(f *testing.F) {
+	payload := func(seq, n, dim uint64, coords ...float64) []byte {
+		b := binary.LittleEndian.AppendUint64(nil, seq)
+		b = binary.LittleEndian.AppendUint64(b, n)
+		b = binary.LittleEndian.AppendUint64(b, dim)
+		for _, x := range coords {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	f.Add(payload(3, 3, 2, 0.5, 1, 1, 0.5, 0.75, 0.75)) // valid 3×2
+	f.Add(payload(0, 1<<62, 4))                         // n·d wraps to the zero coordinates present
+	f.Add(payload(0, 1<<20, 4, 0.5, 0.5))               // promises 4 Mi coordinates, holds 2
+	f.Add(payload(1, 1, 2, 0.5, 0))                     // a zero coordinate
+	f.Add(payload(1, 1, 2, math.NaN(), 0.5))            // a NaN
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		frame := frameSnapshot(dsSnapMagic, dsSnapVersion, payload)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w, err := decodeDataset(frame)
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*uint64(len(payload))+1<<20 {
+			t.Fatalf("decoding a %d-byte payload allocated %d bytes", len(payload), alloc)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorruptSnapshot) {
+				t.Fatalf("decode error is not ErrCorruptSnapshot: %v", err)
+			}
+			return
+		}
+		if len(w.Pts) < 1 || len(w.Pts[0]) < 1 {
+			t.Fatalf("loaded %d points, want n, d ≥ 1", len(w.Pts))
+		}
+		for i, p := range w.Pts {
+			if len(p) != len(w.Pts[0]) {
+				t.Fatalf("point %d has %d coordinates, point 0 has %d", i, len(p), len(w.Pts[0]))
+			}
+			for _, x := range p {
+				if !(x > 0 && x <= math.MaxFloat64) {
+					t.Fatalf("point %d loaded coordinate %g", i, x)
+				}
+			}
+		}
+		if again := w.appendWire(nil); !bytes.Equal(again, payload) {
+			t.Fatalf("re-encoded payload differs:\n%x\nwant\n%x", again, payload)
 		}
 	})
 }

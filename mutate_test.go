@@ -1,13 +1,12 @@
 package kregret
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
-	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/wal"
@@ -345,19 +344,26 @@ func TestRecoverCorruptSnapshot(t *testing.T) {
 			t.Fatalf("Recover with snapshot cut to %d = %v, want ErrCorruptSnapshot", cut, err)
 		}
 	}
-	// A CRC-valid frame whose N×Dim wraps around to the number of
+	// A CRC-valid frame whose n·d wraps around to the number of
 	// coordinates it carries (zero): the shape is structurally
 	// impossible, not a huge allocation.
-	var payload bytes.Buffer
-	wire := datasetWire{Version: datasetWireVersion, N: 1 << (strconv.IntSize - 2), Dim: 4}
-	if err := gob.NewEncoder(&payload).Encode(wire); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(snapPath, frameSnapshot(dsSnapMagic, dsSnapVersion, payload.Bytes()), 0o644); err != nil {
+	const wrapN, wrapDim = 1 << 62, 4
+	wrapped := binary.LittleEndian.AppendUint64(make([]byte, 8), wrapN) // seq 0
+	wrapped = binary.LittleEndian.AppendUint64(wrapped, wrapDim)
+	if err := os.WriteFile(snapPath, frameSnapshot(dsSnapMagic, dsSnapVersion, wrapped), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Recover(snapPath, walPath); !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("Recover with a %d×%d snapshot of no coordinates = %v, want ErrCorruptSnapshot", wire.N, wire.Dim, err)
+		t.Fatalf("Recover with a %d×%d snapshot of no coordinates = %v, want ErrCorruptSnapshot", uint64(wrapN), wrapDim, err)
+	}
+	// A frame of version 1, whose payload was a gob stream, is a file
+	// of another format, not damage: the version error names both.
+	v1 := frameSnapshot(dsSnapMagic, 1, data[snapshotHdrLen:len(data)-4])
+	if err := os.WriteFile(snapPath, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Recover(snapPath, walPath); err == nil || errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), "v1, want v2") {
+		t.Fatalf("Recover of a v1 snapshot = %v, want the version error naming v1 and v2", err)
 	}
 }
 

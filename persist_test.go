@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/geom"
 )
 
 func snapshotFixture(t *testing.T) (*Dataset, *Index, []byte) {
@@ -298,5 +302,47 @@ func TestLoadFileErrors(t *testing.T) {
 	}
 	if _, err := LoadFile(garbage, ds); !errors.Is(err, ErrCorruptIndex) {
 		t.Fatalf("want ErrCorruptIndex for garbage, got %v", err)
+	}
+}
+
+// TestDatasetSnapshotLayout pins a dataset base snapshot byte for
+// byte: the "KRGD" frame at version 2 around seq, n and d as uint64
+// little-endian and the rows as float64 little-endian, then the
+// CRC-32C trailer. A change to any of it must bump the frame version.
+func TestDatasetSnapshotLayout(t *testing.T) {
+	want, err := hex.DecodeString(strings.Join([]string{
+		"4b524744", "02", "3800000000000000", // "KRGD", v2, 56 payload bytes
+		"0700000000000000", "0200000000000000", "0200000000000000", // seq 7, n 2, d 2
+		"000000000000e03f", "000000000000d03f", // 0.5, 0.25
+		"000000000000f03f", "000000000000c03f", // 1, 0.125
+		"99d43798", // CRC-32C over the 65 bytes above
+	}, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "base.krgd")
+	pts := []geom.Vector{{0.5, 0.25}, {1, 0.125}}
+	size, err := saveDatasetFile(path, &dsState{seq: 7, pts: pts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) || size != int64(len(want)) {
+		t.Fatalf("snapshot (size %d) =\n%x\nwant\n%x", size, got, want)
+	}
+	loaded, seq, loadedSize, err := loadDatasetFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq != 7 || loadedSize != size || len(loaded) != len(pts) {
+		t.Fatalf("loaded seq %d, size %d, %d points; want 7, %d, %d", seq, loadedSize, len(loaded), size, len(pts))
+	}
+	for i, p := range pts {
+		if !slices.Equal(loaded[i], p) {
+			t.Fatalf("point %d loaded as %v, want %v", i, loaded[i], p)
+		}
 	}
 }
