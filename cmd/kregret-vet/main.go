@@ -15,7 +15,7 @@
 //     used after Put, never aliasing a Row view
 //   - atomicguard: atomic fields never plain-accessed, mu-guarded
 //     fields only touched under the lock
-//   - wireguard:   gob wire structs registered in a wireManifest
+//   - wireguard:   wire structs (gob or appendWire) registered in a wireManifest
 //     pinning version and field layout
 //   - sleepctx:    bare time.Sleep inside loops — retry/backoff and
 //     polling waits must select on ctx.Done()

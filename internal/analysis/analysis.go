@@ -27,7 +27,7 @@
 //     never used after Put, and never alias a PointMatrix.Row view
 //   - atomicguard: atomic fields are never plain-accessed and
 //     mu-guarded fields are only touched under the lock
-//   - wireguard:   gob wire structs are registered in a wireManifest
+//   - wireguard:   wire structs (gob or appendWire) are registered in a wireManifest
 //     pinning their version and field layout
 //
 // PR 7 added the self-healing wait discipline:
