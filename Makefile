@@ -103,17 +103,20 @@ test-crash:
 # GeoGreedy must match its full-sweep oracle bit-for-bit on
 # fuzzer-built grids, and every exact skyline entry must match the
 # brute-force oracle on grids with duplicates, zeros and sum ties.
+# Each target spends at most 1s minimizing a new input (Go's default
+# is 60s, which stops a 10s run from executing anything new once a
+# worker starts minimizing).
 fuzz-smoke:
-	$(GO) test -run=^$$ -fuzz=FuzzNewDataset -fuzztime=10s .
-	$(GO) test -run=^$$ -fuzz=FuzzQuery -fuzztime=10s .
-	$(GO) test -run=^$$ -fuzz=FuzzCoresetBound -fuzztime=10s .
-	$(GO) test -run=^$$ -fuzz=FuzzLoadIndex -fuzztime=10s .
-	$(GO) test -run=^$$ -fuzz=FuzzDatasetSnapshot -fuzztime=10s .
-	$(GO) test -run=^$$ -fuzz=FuzzRecoverReplay -fuzztime=10s .
-	$(GO) test -run=^$$ -fuzz=FuzzKernels -fuzztime=10s ./internal/mat
-	$(GO) test -run=^$$ -fuzz=FuzzGeoGreedyOracle -fuzztime=10s ./internal/core
-	$(GO) test -run=^$$ -fuzz=FuzzSkyline -fuzztime=10s ./internal/skyline
-	$(GO) test -run=^$$ -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal
+	$(GO) test -run=^$$ -fuzz=FuzzNewDataset -fuzztime=10s -fuzzminimizetime=1s .
+	$(GO) test -run=^$$ -fuzz=FuzzQuery -fuzztime=10s -fuzzminimizetime=1s .
+	$(GO) test -run=^$$ -fuzz=FuzzCoresetBound -fuzztime=10s -fuzzminimizetime=1s .
+	$(GO) test -run=^$$ -fuzz=FuzzLoadIndex -fuzztime=10s -fuzzminimizetime=1s .
+	$(GO) test -run=^$$ -fuzz=FuzzDatasetSnapshot -fuzztime=10s -fuzzminimizetime=1s .
+	$(GO) test -run=^$$ -fuzz=FuzzRecoverReplay -fuzztime=10s -fuzzminimizetime=1s .
+	$(GO) test -run=^$$ -fuzz=FuzzKernels -fuzztime=10s -fuzzminimizetime=1s ./internal/mat
+	$(GO) test -run=^$$ -fuzz=FuzzGeoGreedyOracle -fuzztime=10s -fuzzminimizetime=1s ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzSkyline -fuzztime=10s -fuzzminimizetime=1s ./internal/skyline
+	$(GO) test -run=^$$ -fuzz=FuzzWALReplay -fuzztime=10s -fuzzminimizetime=1s ./internal/wal
 
 # Performance baseline: runs BenchmarkPaper at parallelism 1 and at
 # the machine width (GOMAXPROCS), alternating five passes each of

@@ -60,50 +60,9 @@ func TestEngineApplyFoldsEpoch(t *testing.T) {
 	sameAnswerBits(t, old, before)
 
 	s := eng.Stats()
-	if s.Epoch != 2 || s.MutationsApplied != 1 || s.Rebuilds != 1 || s.PendingMutations != 0 {
-		t.Fatalf("stats after one fold: epoch=%d applied=%d rebuilds=%d pending=%d",
-			s.Epoch, s.MutationsApplied, s.Rebuilds, s.PendingMutations)
-	}
-}
-
-// TestEngineRebuildThreshold: below the threshold, mutations are
-// applied (and durable) but invisible to queries; crossing it folds
-// them all at once.
-func TestEngineRebuildThreshold(t *testing.T) {
-	ds := mutGrid(t)
-	eng, err := NewEngine(ds, WithRebuildThreshold(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := eng.Shutdown(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	for i := 0; i < 2; i++ {
-		if err := eng.Apply(context.Background(), InsertMutation(Point{0.2, 0.2})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s := eng.Stats(); s.Epoch != 1 || s.PendingMutations != 2 || s.Rebuilds != 0 {
-		t.Fatalf("below threshold: epoch=%d pending=%d rebuilds=%d", s.Epoch, s.PendingMutations, s.Rebuilds)
-	}
-	if n := eng.Dataset().Len(); n != 6 {
-		t.Fatalf("serving epoch saw unfolded mutations: len=%d", n)
-	}
-	// The live dataset has them — they are applied, just not served.
-	if n := ds.Len(); n != 8 {
-		t.Fatalf("live dataset missing applied mutations: len=%d", n)
-	}
-	if err := eng.Apply(context.Background(), InsertMutation(Point{0.2, 0.2})); err != nil {
-		t.Fatal(err)
-	}
-	s := eng.Stats()
-	if s.Epoch != 2 || s.PendingMutations != 0 || s.Rebuilds != 1 || s.MutationsApplied != 3 {
-		t.Fatalf("after threshold: %+v", s)
-	}
-	if n := eng.Dataset().Len(); n != 9 {
-		t.Fatalf("fold missed mutations: len=%d", n)
+	if s.Epoch != 2 || s.MutationsApplied != 1 || s.Rebuilds != 1 {
+		t.Fatalf("stats after one fold: epoch=%d applied=%d rebuilds=%d",
+			s.Epoch, s.MutationsApplied, s.Rebuilds)
 	}
 }
 
@@ -250,7 +209,7 @@ func TestEngineApplyDurableAndCompacted(t *testing.T) {
 // prefix into the serving epoch rather than leaving it invisible.
 func TestEngineApplyPartialFailureFolds(t *testing.T) {
 	ds := mutGrid(t)
-	eng, err := NewEngine(ds, WithRebuildThreshold(100))
+	eng, err := NewEngine(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +227,7 @@ func TestEngineApplyPartialFailureFolds(t *testing.T) {
 		t.Fatal("out-of-range delete accepted")
 	}
 	s := eng.Stats()
-	if s.MutationsApplied != 1 || s.PendingMutations != 0 || s.Epoch != 2 {
+	if s.MutationsApplied != 1 || s.Epoch != 2 {
 		t.Fatalf("prefix not folded after failure: %+v", s)
 	}
 	if n := eng.Dataset().Len(); n != 7 {
@@ -358,7 +317,7 @@ func TestEngineShutdownRacingApply(t *testing.T) {
 		t.Fatalf("mutation accounting: acked=%d stats=%d seq=%d", applied, s.MutationsApplied, ds.Seq())
 	}
 	// Every fold was consistent: serving epoch length is base + folded.
-	if got, want := eng.Dataset().Len(), 6+int(s.MutationsApplied)-s.PendingMutations; got != want {
+	if got, want := eng.Dataset().Len(), 6+int(s.MutationsApplied); got != want {
 		t.Fatalf("serving epoch len=%d, want %d", got, want)
 	}
 
@@ -372,33 +331,24 @@ func TestEngineShutdownRacingApply(t *testing.T) {
 	}
 }
 
-// TestRebuildThresholdDefaultFoldsEveryApply pins the debounce
-// default: with no WithRebuildThreshold every Apply folds immediately
-// (readers never lag durable state), and sub-1 thresholds clamp to
-// the same behavior instead of deferring folds forever.
+// TestRebuildThresholdDefaultFoldsEveryApply pins that every Apply
+// folds immediately, so readers never lag durable state.
 func TestRebuildThresholdDefaultFoldsEveryApply(t *testing.T) {
-	for _, opts := range [][]EngineOption{
-		nil,                        // default
-		{WithRebuildThreshold(0)},  // clamps to 1
-		{WithRebuildThreshold(-5)}, // clamps to 1
-	} {
-		ds := mutGrid(t)
-		eng, err := NewEngine(ds, opts...)
-		if err != nil {
+	ds := mutGrid(t)
+	eng, err := NewEngine(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		if err := eng.Apply(context.Background(), InsertMutation(Point{0.5, 0.5})); err != nil {
 			t.Fatal(err)
 		}
-		for i := 1; i <= 3; i++ {
-			if err := eng.Apply(context.Background(), InsertMutation(Point{0.5, 0.5})); err != nil {
-				t.Fatal(err)
-			}
-			s := eng.Stats()
-			if s.Epoch != uint64(1+i) || s.Rebuilds != uint64(i) || s.PendingMutations != 0 {
-				t.Fatalf("opts=%v after %d applies: epoch=%d rebuilds=%d pending=%d",
-					opts, i, s.Epoch, s.Rebuilds, s.PendingMutations)
-			}
+		s := eng.Stats()
+		if s.Epoch != uint64(1+i) || s.Rebuilds != uint64(i) {
+			t.Fatalf("after %d applies: epoch=%d rebuilds=%d", i, s.Epoch, s.Rebuilds)
 		}
-		if err := eng.Shutdown(context.Background()); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := eng.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -125,6 +125,27 @@ func TestEngineQueryMatchesDataset(t *testing.T) {
 	}
 }
 
+// TestEngineQueryAllocs pins the cost of admission: a query the prefix
+// list covers runs on its caller's goroutine, so it allocates only the
+// Answer, its indices and the query's options (which f(&o) moves to
+// the heap) — nothing for the hand-off through the pool.
+func TestEngineQueryAllocs(t *testing.T) {
+	eng, _ := testEngine(t)
+	defer shutdownEngine(t, eng)
+	ctx := context.Background()
+	if _, err := eng.Query(ctx, 20); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := eng.Query(ctx, 10); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("a list-served Engine.Query makes %v allocations, want at most 3", allocs)
+	}
+}
+
 func TestEngineQueryTimeoutBudget(t *testing.T) {
 	// A per-query budget far too small for this dataset must surface
 	// as a deadline error even though the caller set no deadline.

@@ -7,7 +7,7 @@ import (
 // SleepCtx flags bare time.Sleep calls lexically inside a for or
 // range loop. A sleeping loop is almost always a retry/backoff or
 // polling loop, and a bare Sleep cannot be interrupted: it holds its
-// goroutine (and, in the serving path, a worker slot) for the full
+// goroutine (and, in the serving path, a run slot) for the full
 // duration after the caller's context has already expired. The
 // sanctioned shape is a context-aware wait —
 //

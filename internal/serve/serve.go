@@ -1,20 +1,22 @@
 // Package serve is the admission-control layer of the serving engine:
-// a bounded worker pool with a bounded wait queue, deadline-aware load
+// a gate of run slots with a bounded wait queue, deadline-aware load
 // shedding, and a graceful drain on shutdown. It is deliberately
-// generic — jobs are plain closures — so the geometry layer above it
-// (kregret.Engine) decides what a query is while this package decides
-// only whether and when it may run.
+// generic — jobs are plain closures, run on their caller's goroutine —
+// so the geometry layer above it (kregret.Engine) decides what a query
+// is while this package decides only whether and when it may run.
 //
 // Admission is strict and happens before any expensive work:
 //
 //   - a request whose context is already dead is shed (ErrShed);
-//   - a request that finds the wait queue full is shed (ErrOverloaded);
-//   - a request arriving after Shutdown is rejected (ErrShuttingDown).
+//   - a request arriving after Shutdown is rejected (ErrShuttingDown);
+//   - a request that finds every run slot taken and the wait queue
+//     full is shed (ErrOverloaded).
 //
-// Admitted requests wait in the queue; a worker re-checks the request
-// context at dequeue time and sheds deadline-doomed work before it
-// touches the job, so queue delay never converts into wasted solver
-// time. Every outcome is counted in Stats.
+// A request that finds a free slot runs at once. Otherwise it waits,
+// and waiters take freed slots in arrival order; a waiter re-checks
+// its context when it gets a slot and sheds deadline-doomed work
+// before it touches the job, so queue delay never converts into
+// wasted solver time. Every outcome is counted in Stats.
 package serve
 
 import (
@@ -50,7 +52,7 @@ type OverloadError struct {
 	// Sentinel is ErrOverloaded, ErrShed or ErrShuttingDown.
 	Sentinel error
 	// Queued and Capacity are the wait-queue depth and limit at the
-	// time of the decision; Workers is the pool size.
+	// time of the decision; Workers is the number of run slots.
 	Queued, Capacity, Workers int
 }
 
@@ -64,10 +66,10 @@ func (e *OverloadError) Unwrap() error { return e.Sentinel }
 // Config sizes a Pool. The zero value is usable: Workers defaults to
 // GOMAXPROCS and QueueDepth to twice the worker count.
 type Config struct {
-	// Workers is the number of goroutines executing jobs — the hard
-	// bound on concurrent solver work.
+	// Workers is the number of run slots: how many jobs may run at
+	// once, the hard bound on concurrent solver work.
 	Workers int
-	// QueueDepth bounds how many admitted jobs may wait for a worker.
+	// QueueDepth bounds how many admitted jobs may wait for a slot.
 	QueueDepth int
 }
 
@@ -83,20 +85,21 @@ func (c Config) withDefaults() Config {
 
 // Stats is a point-in-time snapshot of the pool counters.
 type Stats struct {
-	// Admitted counts requests that entered the wait queue.
+	// Admitted counts requests that took a run slot or entered the
+	// wait queue.
 	Admitted uint64
-	// Completed counts jobs that a worker ran to completion
-	// (successfully or not — job outcomes belong to the caller).
+	// Completed counts jobs that ran and returned or panicked (job
+	// outcomes belong to the caller).
 	Completed uint64
-	// ShedOverload counts requests dropped at admission because the
-	// queue was full.
+	// ShedOverload counts requests dropped at admission because every
+	// slot was taken and the queue was full.
 	ShedOverload uint64
 	// ShedDeadline counts requests dropped because their deadline had
 	// expired — at admission or at dequeue, before the job ran.
 	ShedDeadline uint64
-	// ShedAtDequeue is the subset of ShedDeadline dropped by a worker
-	// at dequeue time, i.e. after the request was Admitted. It makes
-	// the conservation identity exact at any drain point:
+	// ShedAtDequeue is the subset of ShedDeadline dropped when a
+	// waiter got its slot, i.e. after the request was Admitted. It
+	// makes the conservation identity exact at any drain point:
 	//
 	//	Admitted = Completed + Canceled + ShedAtDequeue + Queued
 	ShedAtDequeue uint64
@@ -111,53 +114,32 @@ type Stats struct {
 	Workers          int
 	QueueDepth       int
 	// DrainDuration is how long the shutdown drain took — from the
-	// first Shutdown call to the last worker exiting. Zero until the
-	// drain has completed.
+	// first Shutdown call to the last admitted call returning. Zero
+	// until the drain has completed.
 	DrainDuration time.Duration
 }
 
-// task states: a task is claimed exactly once, by CAS, by whichever
-// side (worker or waiting caller) acts first. This is what makes
-// "every request is answered, shed or canceled — none lost" hold
-// under the race between cancellation and dequeue.
-const (
-	taskPending int32 = iota
-	taskRunning
-	taskAbandoned
-	taskShed
-)
-
-type task struct {
-	// The request context rides in the task because the worker must
-	// re-check the deadline at dequeue time; the task never outlives
-	// the Do call that created it, so this is a request-scoped
-	// carrier, not a stored context.
-	//kregret:allow ctxflow: request-scoped carrier, dies with the Do call that made it
-	ctx   context.Context
-	fn    func(context.Context)
-	state atomic.Int32
-	// result is written by the claim winner before done is closed;
-	// the channel close publishes it to the waiter.
-	result error
-	done   chan struct{}
-}
-
-// Pool is a bounded worker pool. Create with NewPool; safe for
-// concurrent use.
+// Pool is a gate of run slots: at most Workers calls run at once, each
+// on its caller's goroutine, and at most QueueDepth more wait for a
+// slot. Create with NewPool; safe for concurrent use.
 type Pool struct {
-	cfg   Config
-	queue chan *task
+	cfg Config
+	// slots holds one token per running call. A freed token goes to
+	// the longest-blocked sender, so waiters run in arrival order.
+	slots chan struct{}
 
-	// mu guards state and serializes admissions against the queue
-	// close in Shutdown (sends are non-blocking, so the read lock is
-	// held only briefly).
+	// mu orders admissions against Shutdown: a call joins live under
+	// the read lock while shutdown is false, so none joins after the
+	// drain began. No blocking operation runs under it.
 	mu       sync.RWMutex
 	shutdown bool
 
-	// live counts running workers; the last one out closes drained.
-	// Shutdown writes drainStart before it closes the queue, and the
-	// close publishes it to the workers.
-	live       atomic.Int32
+	// live counts the calls inside Do that got past the shutdown
+	// check, plus one for the pool itself until Shutdown; whoever takes
+	// it to zero ends the drain. Shutdown writes drainStart before it
+	// releases the pool's unit, and the atomic count publishes it to
+	// the last call out.
+	live       atomic.Int64
 	drainStart time.Time
 	drained    chan struct{}
 
@@ -169,36 +151,27 @@ type Pool struct {
 	drainNanos                 atomic.Int64
 }
 
-// NewPool starts the workers and returns a running pool. The worker
-// goroutines are bound to the pool's lifetime, not to any request:
-// they exit when Shutdown closes the queue, which is the context-free
-// lifecycle contract of a server-side pool.
-//
-//kregret:allow ctxflow: worker lifetime is governed by Shutdown, not a request context
+// NewPool returns a pool ready to admit calls. It starts no goroutine.
 func NewPool(cfg Config) *Pool {
 	cfg = cfg.withDefaults()
-	p := &Pool{cfg: cfg, queue: make(chan *task, cfg.QueueDepth), drained: make(chan struct{})}
-	p.live.Store(int32(cfg.Workers))
-	for i := 0; i < cfg.Workers; i++ {
-		go p.worker()
-	}
+	p := &Pool{cfg: cfg, slots: make(chan struct{}, cfg.Workers), drained: make(chan struct{})}
+	p.live.Store(1)
 	return p
 }
 
-// Do admits fn, waits for a worker to run it, and returns nil once fn
-// has returned. fn receives ctx and must honor its cancellation. Do
-// returns a non-nil error only when fn never ran: an *OverloadError
-// (ErrOverloaded, ErrShed or ErrShuttingDown) or a wrapped ctx error
-// if the caller's context ended while the job was still queued. If
-// fn has started, Do always waits for it to finish, so values written
-// by fn are safe to read whenever Do returns nil.
+// Do admits fn and runs it on the calling goroutine once a run slot is
+// free, returning nil after fn has returned. fn receives ctx and must
+// honor its cancellation. Do returns a non-nil error only when fn
+// never ran: an *OverloadError (ErrOverloaded, ErrShed or
+// ErrShuttingDown) or a wrapped ctx error if the caller's context
+// ended while it waited for a slot. A panic in fn reaches Do's caller
+// after the slot is released.
 func (p *Pool) Do(ctx context.Context, fn func(context.Context)) error {
 	// Deadline-doomed work is shed before it costs anything.
 	if ctx.Err() != nil {
 		p.shedDeadline.Add(1)
 		return p.overload(ErrShed)
 	}
-	t := &task{ctx: ctx, fn: fn, done: make(chan struct{})}
 
 	p.mu.RLock()
 	if p.shutdown {
@@ -206,65 +179,78 @@ func (p *Pool) Do(ctx context.Context, fn func(context.Context)) error {
 		p.rejectedShutdown.Add(1)
 		return p.overload(ErrShuttingDown)
 	}
-	if fault.Enabled && fault.Active(fault.SiteServeQueueFull) {
-		p.mu.RUnlock()
-		p.shedOverload.Add(1)
-		return p.overload(ErrOverloaded)
-	}
-	select {
-	case p.queue <- t:
-		p.mu.RUnlock()
-		p.admitted.Add(1)
-		p.queuedGauge.Add(1)
-	default:
-		p.mu.RUnlock()
-		p.shedOverload.Add(1)
-		return p.overload(ErrOverloaded)
-	}
+	p.live.Add(1)
+	p.mu.RUnlock()
+	defer p.leave()
 
-	select {
-	case <-t.done:
-		return t.result
-	case <-ctx.Done():
-		if t.state.CompareAndSwap(taskPending, taskAbandoned) {
-			// Still queued: the worker will skip it.
-			p.canceled.Add(1)
-			return fmt.Errorf("serve: canceled while queued: %w", ctx.Err())
-		}
-		// A worker claimed it first — the job is running (or was
-		// shed); wait for the authoritative outcome. fn sees the same
-		// ctx and returns promptly on cancellation.
-		<-t.done
-		return t.result
+	if fault.Enabled && fault.Active(fault.SiteServeQueueFull) {
+		p.shedOverload.Add(1)
+		return p.overload(ErrOverloaded)
 	}
+	select {
+	case p.slots <- struct{}{}:
+		p.admitted.Add(1)
+	default:
+		if err := p.await(ctx); err != nil {
+			return err
+		}
+	}
+	defer p.release()
+	p.inFlightGauge.Add(1)
+	fn(ctx)
+	return nil
 }
 
-func (p *Pool) worker() {
-	for t := range p.queue {
-		p.queuedGauge.Add(-1)
-		if t.ctx.Err() != nil {
-			// Deadline died in the queue: shed before the job runs.
-			if t.state.CompareAndSwap(taskPending, taskShed) {
-				p.shedDeadline.Add(1)
-				p.shedAtDequeue.Add(1)
-				t.result = p.overload(ErrShed)
-				close(t.done)
-			}
-			continue
+// await queues a caller that found every run slot taken and parks it
+// until it holds one. It sheds the caller if QueueDepth others are
+// already waiting; the compare-and-swap never over-counts, so a caller
+// is shed only when they really are. A waiter whose context ends is
+// canceled; one whose context is dead by the time it gets a slot gives
+// the slot back and is shed before its job runs, so queue delay never
+// turns into wasted solver time.
+func (p *Pool) await(ctx context.Context) error {
+	for {
+		q := p.queuedGauge.Load()
+		if q >= int64(p.cfg.QueueDepth) {
+			p.shedOverload.Add(1)
+			return p.overload(ErrOverloaded)
 		}
-		if !t.state.CompareAndSwap(taskPending, taskRunning) {
-			continue // abandoned by its caller
+		if p.queuedGauge.CompareAndSwap(q, q+1) {
+			break
 		}
-		p.inFlightGauge.Add(1)
-		t.fn(t.ctx)
-		p.inFlightGauge.Add(-1)
-		p.completed.Add(1)
-		close(t.done)
 	}
-	// Shutdown closed the queue and it is empty. The last worker out
-	// ends the drain: it records how long the drain took (at least
-	// 1ns, so a finished drain never reads as zero) and releases every
-	// Shutdown call waiting on drained.
+	p.admitted.Add(1)
+	select {
+	case p.slots <- struct{}{}:
+		p.queuedGauge.Add(-1)
+	case <-ctx.Done():
+		p.queuedGauge.Add(-1)
+		p.canceled.Add(1)
+		return fmt.Errorf("serve: canceled while queued: %w", ctx.Err())
+	}
+	if ctx.Err() != nil {
+		<-p.slots
+		p.shedDeadline.Add(1)
+		p.shedAtDequeue.Add(1)
+		return p.overload(ErrShed)
+	}
+	return nil
+}
+
+// release ends a running call, also when its job panicked: the call
+// counts as completed and its slot frees.
+func (p *Pool) release() {
+	p.inFlightGauge.Add(-1)
+	p.completed.Add(1)
+	<-p.slots
+}
+
+// leave takes one unit off the live count: a call into Do as it
+// returns, or the pool's own unit at the first Shutdown. Whoever takes
+// it to zero ends the drain: it records how long the drain took (at
+// least 1ns, so a finished drain never reads as zero) and releases
+// every Shutdown call waiting on drained.
+func (p *Pool) leave() {
 	if p.live.Add(-1) == 0 {
 		p.drainNanos.Store(max(time.Since(p.drainStart).Nanoseconds(), 1))
 		close(p.drained)
@@ -282,17 +268,17 @@ func (p *Pool) overload(sentinel error) error {
 }
 
 // Shutdown stops admissions immediately (subsequent Do calls return
-// ErrShuttingDown), lets the workers drain every already-queued job,
-// and waits for in-flight jobs to finish. It returns nil once the
-// pool is fully drained, with Stats().DrainDuration set, or ctx.Err()
-// if ctx ends first — then the workers keep draining and Shutdown may
-// be called again to keep waiting. Safe to call multiple times.
+// ErrShuttingDown) and waits until every admitted call, running or
+// still waiting for a slot, has returned. It returns nil once the pool
+// is fully drained, with Stats().DrainDuration set, or ctx.Err() if
+// ctx ends first — then the admitted calls keep draining and Shutdown
+// may be called again to keep waiting. Safe to call multiple times.
 func (p *Pool) Shutdown(ctx context.Context) error {
 	p.mu.Lock()
 	if !p.shutdown {
 		p.shutdown = true
 		p.drainStart = time.Now()
-		close(p.queue)
+		p.leave()
 	}
 	p.mu.Unlock()
 

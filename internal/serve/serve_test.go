@@ -11,8 +11,8 @@ import (
 	"time"
 )
 
-// gatedPool returns a pool whose jobs block until release is closed,
-// so tests can hold workers busy deterministically.
+// gatedJob returns a job that blocks until release is closed, so tests
+// can hold run slots busy deterministically.
 func gatedJob(release <-chan struct{}, ran *atomic.Int64) func(context.Context) {
 	return func(ctx context.Context) {
 		select {
@@ -264,8 +264,7 @@ func TestPoolShutdownHonorsContext(t *testing.T) {
 	wg.Wait()
 }
 
-// poolSpawned counts the live goroutines started by a Pool method,
-// which leaves out the workers: NewPool starts those.
+// poolSpawned counts the live goroutines started by a Pool method.
 func poolSpawned() int {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
@@ -273,9 +272,9 @@ func poolSpawned() int {
 }
 
 // TestPoolShutdownRunsOnWorkers pins that the drain runs on the
-// workers alone: a Shutdown its context interrupts starts no goroutine
-// beside them, and the Shutdown that sees the drain finish returns
-// with DrainDuration already recorded.
+// admitted callers' own goroutines: a Shutdown its context interrupts
+// starts no goroutine, and the Shutdown that sees the drain finish
+// returns with DrainDuration already recorded.
 func TestPoolShutdownRunsOnWorkers(t *testing.T) {
 	p := NewPool(Config{Workers: 2, QueueDepth: 1})
 	release := make(chan struct{})
@@ -384,5 +383,117 @@ func TestPoolStress(t *testing.T) {
 	}
 	if err := p.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// waitForWaiters blocks until n callers are parked in Pool.await
+// waiting for a run slot. The Queued gauge alone cannot order two
+// waiters: a caller joins it just before it blocks on the slot
+// channel, and the channel, not the gauge, decides who gets a freed
+// slot.
+func waitForWaiters(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		dump := string(buf[:runtime.Stack(buf, true)])
+		parked := 0
+		for _, g := range strings.Split(dump, "\n\n") {
+			header, frames, _ := strings.Cut(g, "\n")
+			if strings.Contains(header, "[select") && strings.HasPrefix(frames, "repro/internal/serve.(*Pool).await") {
+				parked++
+			}
+		}
+		if parked >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d callers parked waiting for a slot, want %d", parked, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPoolFIFO pins the wait order: with the one slot taken, two
+// callers that queue in order get the freed slot in that order.
+func TestPoolFIFO(t *testing.T) {
+	p := NewPool(Config{Workers: 1, QueueDepth: 2})
+	release := make(chan struct{})
+	started := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if err := p.Do(context.Background(), func(context.Context) {
+			close(started)
+			<-release
+		}); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-started
+
+	var mu sync.Mutex
+	var order []string
+	for i, name := range []string{"first", "second"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := p.Do(context.Background(), func(context.Context) {
+				mu.Lock()
+				order = append(order, name)
+				mu.Unlock()
+			}); err != nil {
+				t.Error(err)
+			}
+		}()
+		waitForWaiters(t, i+1)
+	}
+	close(release)
+	wg.Wait()
+	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
+		t.Fatalf("waiters ran in order %v, want [first second]", order)
+	}
+	if err := p.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPoolPanicReleasesSlot: a job runs on its caller's goroutine, so
+// its panic reaches Do's caller, and the slot and the live count are
+// released on the way out.
+func TestPoolPanicReleasesSlot(t *testing.T) {
+	p := NewPool(Config{Workers: 1, QueueDepth: 1})
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		_ = p.Do(context.Background(), func(context.Context) { panic("job panic") })
+	}()
+	if recovered != "job panic" {
+		t.Fatalf("recovered %v, want the job's panic", recovered)
+	}
+
+	// The one slot is free again: a slot still held would make this
+	// call wait until its deadline.
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	var ran atomic.Int64
+	if err := p.Do(ctx, func(context.Context) { ran.Add(1) }); err != nil {
+		t.Fatalf("Do after a panicked job: %v", err)
+	}
+	if ran.Load() != 1 {
+		t.Fatal("job after a panicked job did not run")
+	}
+	s := p.Stats()
+	if s.Admitted != 2 || s.Completed != 2 || s.InFlight != 0 || s.Queued != 0 {
+		t.Fatalf("counters after a panicked job: %+v", s)
+	}
+	// A live count the panic left raised would keep the drain open
+	// until ctx's deadline.
+	if err := p.Shutdown(ctx); err != nil {
+		t.Fatalf("drain after a panicked job: %v", err)
+	}
+	if p.Stats().DrainDuration <= 0 {
+		t.Fatal("drain duration not recorded")
 	}
 }

@@ -40,9 +40,10 @@
 // # Serving
 //
 // For many concurrent callers, NewEngine wraps a Dataset in a serving
-// layer: a bounded worker pool with a bounded wait queue sheds
-// over-capacity work (ErrOverloaded) and deadline-doomed work
-// (ErrShed) before any geometry runs, per-query wall-clock budgets
+// layer: an admission gate of run slots with a bounded wait queue
+// sheds over-capacity work (ErrOverloaded) and deadline-doomed work
+// (ErrShed) before any geometry runs, each admitted query runs on its
+// caller's goroutine, per-query wall-clock budgets
 // ride the context plumbing, and per-(algorithm, dimension) circuit
 // breakers route repeated numerical degradations straight to the Cube
 // fallback until a cooldown probe succeeds. Default queries are
