@@ -9,8 +9,8 @@ import (
 
 // Eight goroutines hammer one shared Dataset and one shared Index
 // with a mix of queries, evaluations and lazy accessors. Run with
-// -race (the Makefile's test-race target does): the sync.Once caches
-// are the only mutable state, and this test is their proof.
+// -race (the Makefile's test-race target does): the caches fillOnce
+// fills are the only mutable state, and this test is their proof.
 func TestConcurrentDatasetAndIndex(t *testing.T) {
 	ds, err := NewDataset(testPoints(300, 4, 11))
 	if err != nil {
