@@ -125,9 +125,8 @@ fuzz-smoke:
 # median ns/op and its IQR over the five samples, B/op, allocs/op and
 # the speedup of the medians.
 # Compare the json against the previous revision's before merging
-# perf work; the interesting regressions are allocs/op (the scratch
-# pools) and the sequential ns/op (parallelism must not tax
-# workers=1).
+# perf work; the interesting regressions are allocs/op and the
+# sequential ns/op (parallelism must not tax workers=1).
 bench:
 	$(GO) run ./cmd/benchbaseline -count 5 -benchtime 300ms
 

@@ -451,10 +451,7 @@ func (e *Engine) serveOnce(ctx context.Context, k int, opts []Option) (*Answer, 
 		ctx, cancel = context.WithTimeout(ctx, e.opts.maxQueryTime)
 		defer cancel()
 	}
-	o := defaultOptions()
-	for _, f := range opts {
-		f(&o)
-	}
+	o := resolveOptions(opts)
 	ep := e.epoch.Load()
 	if e.opts.watchdogInterval > 0 {
 		if deadline, ok := ctx.Deadline(); ok { // unbounded work is never stuck
@@ -494,18 +491,18 @@ func (e *Engine) serveOnce(ctx context.Context, k int, opts []Option) (*Answer, 
 			view = v
 		}
 	}
-	serveQuery := func(extra ...Option) (*Answer, error) {
+	// serveQuery answers under o, or under a copy of o for the open
+	// breaker's Cube route, which the prefix list never serves.
+	serveQuery := func(o *options) (*Answer, error) {
 		var (
 			ans *Answer
 			deg degradation
 			err error
 		)
-		if view != nil && len(extra) == 0 {
-			ans, deg, err = view.query(ctx, st, k, e.perQueryWorkers, &o)
+		if view != nil && o.algorithm == AlgoGeoGreedy {
+			ans, deg, err = view.query(ctx, st, k, e.perQueryWorkers, o)
 		} else {
-			// Capping opts makes append copy instead of writing into
-			// the caller's variadic slice.
-			ans, deg, err = serveDS.queryContext(ctx, k, e.perQueryWorkers, append(opts[:len(opts):len(opts)], extra...)...)
+			ans, deg, err = serveDS.queryContext(ctx, k, e.perQueryWorkers, o)
 		}
 		if deg.retried {
 			e.retries.Add(1)
@@ -523,10 +520,12 @@ func (e *Engine) serveOnce(ctx context.Context, k int, opts []Option) (*Answer, 
 	if o.algorithm == AlgoCube {
 		// Cube is the floor of the fallback chain — non-adaptive
 		// arithmetic with nothing to break.
-		return serveQuery()
+		return serveQuery(&o)
 	}
 	if !br.Allow() {
-		ans, err := serveQuery(WithAlgorithm(AlgoCube))
+		cube := o
+		cube.algorithm = AlgoCube
+		ans, err := serveQuery(&cube)
 		if err != nil {
 			return nil, err
 		}
@@ -538,7 +537,7 @@ func (e *Engine) serveOnce(ctx context.Context, k int, opts []Option) (*Answer, 
 		return ans, nil
 	}
 
-	ans, err := serveQuery()
+	ans, err := serveQuery(&o)
 	switch {
 	case err == nil && !ans.Degraded:
 		br.Record(true)

@@ -221,9 +221,13 @@ func fuzzEnginePath(t *testing.T, ds *Dataset, data []byte, k int) {
 }
 
 // FuzzLoadIndex feeds the snapshot decoder valid snapshots, mutated
-// snapshots and raw garbage: the only acceptable outcomes are a typed
-// error or an index whose answers validate — never a panic, never an
-// index with out-of-range candidates.
+// snapshots and raw garbage, each input both as a whole file and as a
+// payload inside a frame with a valid CRC-32C, so mutations reach the
+// payload decoders instead of stopping at the CRC. The only acceptable
+// outcomes are a typed error or an index whose answers validate: every
+// Query(k) up to Len() answers, Len()+1 answers or fails, MinSize
+// stays within the list, and no answer references a tuple outside the
+// dataset — never a panic.
 func FuzzLoadIndex(f *testing.F) {
 	ds, err := NewDataset(testPoints(40, 3, 6))
 	if err != nil {
@@ -249,27 +253,43 @@ func FuzzLoadIndex(f *testing.F) {
 	// a buffer by the claim.
 	f.Add(binary.LittleEndian.AppendUint64([]byte("KRGX\x02"), 1<<32))
 	f.Add([]byte{})
+	f.Add(indexPayload(f, ds, idx.cand, nil, listStream(f, idx)))
+	for _, tc := range inconsistentListPayloads(f, ds, idx) {
+		f.Add(tc.payload)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		loaded, err := LoadIndex(bytes.NewReader(data), ds)
-		if err != nil {
-			return
-		}
-		// Whatever decoded must answer like a real index.
-		ans, err := loaded.Query(3)
-		if err != nil {
-			return
-		}
-		if len(ans.Indices) == 0 || len(ans.Indices) > 3 {
-			t.Fatalf("loaded index answered with %d tuples for k=3", len(ans.Indices))
-		}
-		for _, i := range ans.Indices {
-			if i < 0 || i >= ds.Len() {
-				t.Fatalf("loaded index references tuple %d of %d", i, ds.Len())
+		for _, snap := range [][]byte{data, frameSnapshot(snapshotMagic, snapshotVersion, data)} {
+			loaded, err := LoadIndex(bytes.NewReader(snap), ds)
+			if err != nil {
+				continue
 			}
-		}
-		if math.IsNaN(ans.MRR) || ans.MRR < 0 || ans.MRR > 1+1e-9 {
-			t.Fatalf("loaded index MRR %v outside [0, 1]", ans.MRR)
+			// Whatever decoded must answer like a real index.
+			for k := 1; k <= loaded.Len()+1; k++ {
+				ans, err := loaded.Query(k)
+				if err != nil {
+					if k <= loaded.Len() {
+						t.Fatalf("loaded index of length %d failed at k=%d: %v", loaded.Len(), k, err)
+					}
+					continue
+				}
+				if len(ans.Indices) == 0 || len(ans.Indices) > k {
+					t.Fatalf("loaded index answered with %d tuples for k=%d", len(ans.Indices), k)
+				}
+				for _, i := range ans.Indices {
+					if i < 0 || i >= ds.Len() {
+						t.Fatalf("loaded index references tuple %d of %d", i, ds.Len())
+					}
+				}
+				if math.IsNaN(ans.MRR) || ans.MRR < 0 || ans.MRR > 1+1e-9 {
+					t.Fatalf("loaded index MRR %v outside [0, 1]", ans.MRR)
+				}
+			}
+			for _, eps := range []float64{0, 0.01, 0.5, 1} {
+				if k, ok := loaded.MinSize(eps); ok && (k < 1 || k > loaded.Len()) {
+					t.Fatalf("MinSize(%v) = %d outside a list of length %d", eps, k, loaded.Len())
+				}
+			}
 		}
 	})
 }

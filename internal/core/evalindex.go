@@ -135,15 +135,14 @@ func buildHull(ctx context.Context, pts []geom.Vector, sel []int) (*dualHull, er
 // (geogreedy_fault.go).
 var grainSupport = 16384
 
-// supportScan fills (from the scratch pool — caller must
-// putFloatScratch) the support value of every scan row against the
-// hull: parallel.For chunks hand row ranges to the batched
+// supportScan returns the support value of every scan row against
+// the hull: parallel.For chunks hand row ranges to the batched
 // dd.SupportsInto kernel, with a cancellation check per scanBatch
 // sub-range. The body returns the bare ctx error; callers wrap it with
 // their site-specific message.
 func (x *EvalIndex) supportScan(ctx context.Context, hull *dualHull, workers int) ([]float64, error) {
 	qm := x.scanMatrix()
-	vals := floatScratch(qm.Rows())
+	vals := make([]float64, qm.Rows())
 	err := parallel.For(ctx, qm.Rows(), workers, grainSupport, func(start, end int) error {
 		for bs := start; bs < end; bs += scanBatch {
 			if err := ctx.Err(); err != nil {
@@ -158,7 +157,6 @@ func (x *EvalIndex) supportScan(ctx context.Context, hull *dualHull, workers int
 		return nil
 	})
 	if err != nil {
-		putFloatScratch(vals)
 		return nil, err
 	}
 	return vals, nil
@@ -205,7 +203,6 @@ func (x *EvalIndex) mrrArgMax(ctx context.Context, sel []int, workers int) (floa
 	if err != nil {
 		return 0, -1, fmt.Errorf("core: regret evaluation canceled: %w", err)
 	}
-	defer putFloatScratch(vals)
 	// Sequential fold in row order: NaN poisons (lowest index first,
 	// reported as its dataset index), otherwise first-max — the same
 	// contract as GeoGreedy's maxSupport.
@@ -294,19 +291,15 @@ func (x *EvalIndex) SampledRegretParCtx(ctx context.Context, sel []int, samples 
 	}
 	d := len(x.pts[0])
 	rng := rand.New(rand.NewSource(seed))
-	// One flat backing for all sample vectors, returned to the pool on
-	// exit: the per-sample utilities are read-only once drawn and never
-	// outlive this call.
-	wbuf := floatScratch(samples * d)
-	defer putFloatScratch(wbuf)
+	// One flat backing for all sample vectors.
+	wbuf := make([]float64, samples*d)
 	ws := make([]geom.Vector, samples)
 	for s := range ws {
 		w := geom.Vector(wbuf[s*d : (s+1)*d])
 		randomUtilityInto(rng, w)
 		ws[s] = w
 	}
-	regrets := floatScratch(samples)
-	defer putFloatScratch(regrets)
+	regrets := make([]float64, samples)
 	err = parallel.For(ctx, samples, workers, 1, func(start, end int) error {
 		for s := start; s < end; s++ {
 			if (s-start)%sampleCtxBatch == 0 {
@@ -342,8 +335,8 @@ func randomUtility(rng *rand.Rand, d int) geom.Vector {
 }
 
 // randomUtilityInto is randomUtility writing into caller-provided
-// storage — SampledRegretParCtx draws thousands per call and pools
-// one flat backing instead.
+// storage — SampledRegretParCtx draws thousands per call into one
+// flat backing.
 func randomUtilityInto(rng *rand.Rand, w geom.Vector) {
 	for {
 		var norm float64
@@ -392,7 +385,6 @@ func (x *EvalIndex) WorstUtilityParCtx(ctx context.Context, sel []int, workers i
 			maxSupport, witness = s, i
 		}
 	}
-	putFloatScratch(vals)
 	if witness < 0 {
 		return nil, -1, nil
 	}

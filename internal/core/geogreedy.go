@@ -114,16 +114,11 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 
 	// Flat copy of the candidates: the support scans and re-location
 	// passes below run as contiguous kernels over qm instead of
-	// per-point Dot calls. The backing comes from the scratch pool —
-	// at paper scale it is the single largest per-query allocation —
-	// and is released on return; qm must not outlive this function.
-	qbuf := floatScratch(len(pts) * len(pts[0]))
-	defer putFloatScratch(qbuf)
-	qm := mat.FromVectorsInto(pts, qbuf)
+	// per-point Dot calls.
+	qm := mat.FromVectors(pts)
 
 	selected := make([]int, 0, k)
-	states := candStateScratch(len(pts))
-	defer putCandStateScratch(states)
+	states := make([]candState, len(pts))
 
 	// exactMRR is the lazily built evaluator of the doc comment.
 	var x *EvalIndex
@@ -186,13 +181,9 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 	// the list of those whose cached support it attains: heads[id] is
 	// the first (-1: none) and candState.next links the rest. dd numbers
 	// vertices from 0 and never reuses an ID, so heads is a slice that
-	// only grows. Both come from the scratch pool.
-	active := intScratch(len(pts))[:0]
-	heads := intScratch(0)
-	defer func() {
-		putIntScratch(heads)
-		putIntScratch(active)
-	}()
+	// only grows.
+	active := make([]int, 0, len(pts))
+	var heads []int
 	// link files candidate i under the vertex of its freshly computed
 	// support, or retires it, and reports whether it stays in play. A
 	// candidate whose every dot was NaN has no vertex and is never
@@ -216,10 +207,8 @@ func greedyHullTrace(ctx context.Context, pts []geom.Vector, k, workers int, sto
 	// row ranges go to the batched support kernel, then the values are
 	// distributed into the per-candidate state (the taken few are
 	// computed and discarded — cheaper than breaking the batch).
-	vals := floatScratch(scanBatch)
-	ids := intScratch(scanBatch)
-	defer putFloatScratch(vals)
-	defer putIntScratch(ids)
+	vals := make([]float64, min(scanBatch, len(pts)))
+	ids := make([]int, len(vals))
 	for bs := 0; bs < len(pts); bs += scanBatch {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: GeoGreedy canceled during candidate assignment: %w", err)

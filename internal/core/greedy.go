@@ -73,8 +73,7 @@ func GreedyParCtx(ctx context.Context, pts []geom.Vector, k, workers int) (*Resu
 	// the shared constraint rows ω·p ≤ 1 for the current selection
 	// (read-only during the fan-out; lp copies coefficients into its
 	// tableau, so sharing across solver goroutines is safe).
-	zs := floatScratch(len(pts))
-	defer putFloatScratch(zs)
+	zs := make([]float64, len(pts))
 	cons := make([]lp.Constraint, 0, k)
 
 	solveAll := func() error {

@@ -81,8 +81,12 @@ func LoadStoredList(r io.Reader) (*StoredList, error) {
 			return nil, fmt.Errorf("%w: duplicate index %d", ErrBadStoredList, idx)
 		}
 		seen[idx] = true
-		if mrr := wire.MRRAt[i]; mrr < 0 || mrr > 1 {
+		mrr := wire.MRRAt[i]
+		if !(mrr >= 0 && mrr <= 1) {
 			return nil, fmt.Errorf("%w: regret %v out of range", ErrBadStoredList, mrr)
+		}
+		if i > 0 && mrr > wire.MRRAt[i-1] {
+			return nil, fmt.Errorf("%w: regret rises from %v to %v at entry %d", ErrBadStoredList, wire.MRRAt[i-1], mrr, i)
 		}
 	}
 	return &StoredList{

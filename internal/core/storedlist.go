@@ -198,6 +198,10 @@ func (s *StoredList) Covers(k int) bool {
 	return s != nil && len(s.order) > 0 && (k <= len(s.order) || s.complete)
 }
 
+// Candidates returns the size of the candidate set the list was built
+// over; every index Query returns is below it.
+func (s *StoredList) Candidates() int { return s.nCand }
+
 // Len returns the materialized list length. It can be shorter than
 // the candidate count: GeoGreedy stops once the regret reaches zero,
 // and every further point would be redundant (the prefix already

@@ -78,30 +78,6 @@ func FromVectors(pts []geom.Vector) *PointMatrix {
 	return m
 }
 
-// FromVectorsInto is FromVectors backed by buf when buf has the
-// capacity (allocating otherwise), for callers that recycle the
-// backing across queries — GeoGreedy flattens the full candidate set
-// per query, which dominated its footprint before pooling. The
-// returned matrix aliases buf; the caller must not release buf to a
-// pool before the matrix's last use.
-func FromVectorsInto(pts []geom.Vector, buf []float64) *PointMatrix {
-	if len(pts) == 0 {
-		return &PointMatrix{}
-	}
-	d := len(pts[0])
-	if cap(buf) < len(pts)*d {
-		buf = make([]float64, len(pts)*d)
-	}
-	m := &PointMatrix{data: buf[:len(pts)*d], n: len(pts), d: d}
-	for i, p := range pts {
-		if len(p) != d {
-			panic(fmt.Sprintf("mat: FromVectorsInto row %d has dimension %d, want %d", i, len(p), d))
-		}
-		copy(m.data[i*d:(i+1)*d], p)
-	}
-	return m
-}
-
 // Rows returns the number of points.
 func (m *PointMatrix) Rows() int { return m.n }
 

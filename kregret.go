@@ -208,8 +208,20 @@ type options struct {
 	syncEvery  int
 }
 
-func defaultOptions() options {
-	return options{normalize: true, algorithm: AlgoGeoGreedy, candidates: CandidatesHappy, fallback: true}
+// resolveOptions applies opts over the defaults. A call without
+// options returns before o is declared: each Option is called through
+// a function value, so f(&o) moves o to the heap, and only a call that
+// passes an option pays for it.
+func resolveOptions(opts []Option) options {
+	defaults := options{normalize: true, algorithm: AlgoGeoGreedy, candidates: CandidatesHappy, fallback: true}
+	if len(opts) == 0 {
+		return defaults
+	}
+	o := defaults
+	for _, f := range opts {
+		f(&o)
+	}
+	return o
 }
 
 // WithoutNormalization makes NewDataset keep coordinates as given.
@@ -368,10 +380,7 @@ func newDatasetFromVectors(pts []geom.Vector, seq uint64) *Dataset {
 // the points must already be finite and strictly positive; either
 // way they need at least one dimension.
 func NewDataset(points []Point, opts ...Option) (*Dataset, error) {
-	o := defaultOptions()
-	for _, f := range opts {
-		f(&o)
-	}
+	o := resolveOptions(opts)
 	if len(points) == 0 {
 		return nil, ErrNoPoints
 	}
@@ -623,19 +632,16 @@ func (d *Dataset) Query(k int, opts ...Option) (*Answer, error) {
 // running to completion. An already-expired context returns before
 // any work is done.
 func (d *Dataset) QueryContext(ctx context.Context, k int, opts ...Option) (*Answer, error) {
-	ans, _, err := d.queryContext(ctx, k, 0, opts...)
+	o := resolveOptions(opts)
+	ans, _, err := d.queryContext(ctx, k, 0, &o)
 	return ans, err
 }
 
-// queryContext is QueryContext with the solver running at the given
-// width (0 = GOMAXPROCS). The Engine passes its per-query width here
-// and counts the degradation chain's perturbed re-run from the
-// returned record, which is set on failure too.
-func (d *Dataset) queryContext(ctx context.Context, k, workers int, opts ...Option) (*Answer, degradation, error) {
-	o := defaultOptions()
-	for _, f := range opts {
-		f(&o)
-	}
+// queryContext is QueryContext with resolved options and the solver
+// running at the given width (0 = GOMAXPROCS). The Engine passes its
+// per-query width here and counts the degradation chain's perturbed
+// re-run from the returned record, which is set on failure too.
+func (d *Dataset) queryContext(ctx context.Context, k, workers int, o *options) (*Answer, degradation, error) {
 	if k < 1 {
 		return nil, degradation{}, ErrBadK
 	}
@@ -651,7 +657,7 @@ func (d *Dataset) queryContext(ctx context.Context, k, workers int, opts ...Opti
 	if err != nil {
 		return nil, degradation{}, fmt.Errorf("kregret: %w", err)
 	}
-	res, deg, err := solveWithFallback(ctx, &o, candPts, k, workers)
+	res, deg, err := solveWithFallback(ctx, o, candPts, k, workers)
 	if err != nil {
 		return nil, deg, err
 	}

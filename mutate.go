@@ -494,10 +494,7 @@ func (t liveSlots) kill(k int) int {
 // ErrCorruptSnapshot for the snapshot, wal.ErrCorruptRecord for the
 // log.
 func Recover(snapshotPath, walPath string, opts ...Option) (*Dataset, error) {
-	o := defaultOptions()
-	for _, f := range opts {
-		f(&o)
-	}
+	o := resolveOptions(opts)
 	pts, seq, size, err := loadDatasetFile(snapshotPath)
 	if err != nil {
 		return nil, err

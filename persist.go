@@ -235,9 +235,14 @@ func decodeIndex(data []byte, d *Dataset) (*Index, error) {
 	if wire.N != d.Len() || wire.Dim != d.Dim() || wire.Checksum != d.checksum() {
 		return nil, ErrIndexMismatch
 	}
-	for _, c := range wire.Cand {
+	// Every writer stores ascending candidates: the skyline, the happy
+	// points or their ascending global images.
+	for k, c := range wire.Cand {
 		if c < 0 || c >= d.Len() {
 			return nil, fmt.Errorf("%w: index candidate %d out of range", ErrCorruptIndex, c)
+		}
+		if k > 0 && c <= wire.Cand[k-1] {
+			return nil, fmt.Errorf("%w: index candidates not strictly ascending at position %d", ErrCorruptIndex, k)
 		}
 	}
 	// Validate the extreme set before seeding: a snapshot that passed
@@ -264,6 +269,11 @@ func decodeIndex(data []byte, d *Dataset) (*Index, error) {
 	list, err := core.LoadStoredList(r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: loading index list: %v", ErrCorruptIndex, err)
+	}
+	// The list indexes Cand, so it must have been built over exactly
+	// that many candidates.
+	if n := list.Candidates(); n != len(wire.Cand) {
+		return nil, fmt.Errorf("%w: list built over %d candidates, index stores %d", ErrCorruptIndex, n, len(wire.Cand))
 	}
 	if len(wire.Ext) > 0 {
 		d.seedSkyline(wire.Ext)

@@ -2,6 +2,7 @@ package kregret
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
@@ -200,34 +201,132 @@ func TestSnapshotSeedsExtremeSet(t *testing.T) {
 	}
 }
 
+// indexPayload is the payload of an index snapshot of ds with the
+// given candidates, extreme set and list stream, consistent or not;
+// frameSnapshot gives it a valid CRC.
+func indexPayload(tb testing.TB, ds *Dataset, cand, ext []int, list []byte) []byte {
+	tb.Helper()
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(indexWire{
+		Version:  indexVersion,
+		Checksum: ds.checksum(),
+		N:        ds.Len(),
+		Dim:      ds.Dim(),
+		Cand:     cand,
+		Ext:      ext,
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	return append(payload.Bytes(), list...)
+}
+
+// listStream is the gob stream idx's list saves.
+func listStream(tb testing.TB, idx *Index) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := idx.list.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // A CRC-valid frame can still carry a hostile extreme set; both
 // out-of-range and out-of-order entries must be rejected as
 // corruption before they seed the dataset.
 func TestSnapshotRejectsBadExtremeSet(t *testing.T) {
 	ds, idx, _ := snapshotFixture(t)
+	list := listStream(t, idx)
 	for name, ext := range map[string][]int{
 		"out of range":  {0, ds.Len()},
 		"negative":      {-1, 2},
 		"not ascending": {3, 3},
 		"descending":    {5, 2},
 	} {
-		var payload bytes.Buffer
-		if err := gob.NewEncoder(&payload).Encode(indexWire{
-			Version:  indexVersion,
-			Checksum: ds.checksum(),
-			N:        ds.Len(),
-			Dim:      ds.Dim(),
-			Cand:     idx.cand,
-			Ext:      ext,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := idx.list.Save(&payload); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadIndex(bytes.NewReader(frameSnapshot(snapshotMagic, snapshotVersion, payload.Bytes())), ds); !errors.Is(err, ErrCorruptIndex) {
+		snap := frameSnapshot(snapshotMagic, snapshotVersion, indexPayload(t, ds, idx.cand, ext, list))
+		if _, err := LoadIndex(bytes.NewReader(snap), ds); !errors.Is(err, ErrCorruptIndex) {
 			t.Fatalf("%s extreme set: want ErrCorruptIndex, got %v", name, err)
 		}
+	}
+}
+
+// storedListMirror decodes a StoredList's gob stream by field name,
+// so a test can change one field and encode it again.
+type storedListMirror struct {
+	Version, Dim, NCand int
+	Complete            bool
+	Order               []int
+	MRRAt               []float64
+}
+
+// inconsistentListPayloads are index payloads of ds whose list does
+// not fit the rest: candidates cut to one entry (the list then indexes
+// past them), candidates out of order, and regrets that rise along the
+// list (MinSize's binary search assumes they never do).
+func inconsistentListPayloads(tb testing.TB, ds *Dataset, idx *Index) []namedPayload {
+	tb.Helper()
+	list := listStream(tb, idx)
+	var m storedListMirror
+	if err := gob.NewDecoder(bytes.NewReader(list)).Decode(&m); err != nil {
+		tb.Fatal(err)
+	}
+	last := len(m.MRRAt) - 1
+	if last < 1 || m.MRRAt[last-1] >= 1 {
+		tb.Fatalf("fixture list has regrets %v, want two or more below 1", m.MRRAt)
+	}
+	m.MRRAt[last] = 1
+	var rising bytes.Buffer
+	if err := gob.NewEncoder(&rising).Encode(m); err != nil {
+		tb.Fatal(err)
+	}
+	swapped := slices.Clone(idx.cand)
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	return []namedPayload{
+		{"one candidate", indexPayload(tb, ds, idx.cand[:1], nil, list)},
+		{"unsorted candidates", indexPayload(tb, ds, swapped, nil, list)},
+		{"rising regrets", indexPayload(tb, ds, idx.cand, nil, rising.Bytes())},
+	}
+}
+
+type namedPayload struct {
+	name    string
+	payload []byte
+}
+
+// A CRC-valid frame whose list does not fit its candidates, or whose
+// regrets rise, is corrupt: LoadIndex refuses it, and an engine
+// started over it rebuilds the snapshot instead of serving from it.
+func TestSnapshotRejectsInconsistentList(t *testing.T) {
+	ds, idx, _ := snapshotFixture(t)
+	want, err := ds.Query(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range inconsistentListPayloads(t, ds, idx) {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := frameSnapshot(snapshotMagic, snapshotVersion, tc.payload)
+			if _, err := LoadIndex(bytes.NewReader(snap), ds); !errors.Is(err, ErrCorruptIndex) {
+				t.Fatalf("want ErrCorruptIndex, got %v", err)
+			}
+			path := filepath.Join(t.TempDir(), "idx.snap")
+			if err := os.WriteFile(path, snap, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			eng, err := NewEngine(ds, WithSnapshot(path))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer shutdownEngine(t, eng)
+			if !eng.Stats().SnapshotRebuilt {
+				t.Fatal("engine served from an inconsistent snapshot")
+			}
+			got, err := eng.Query(context.Background(), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Indices, want.Indices) || got.MRR != want.MRR {
+				t.Fatalf("rebuilt engine answered %v (mrr %v), want %v (mrr %v)", got.Indices, got.MRR, want.Indices, want.MRR)
+			}
+		})
 	}
 }
 

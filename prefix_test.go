@@ -250,7 +250,7 @@ func stateQuery(t *testing.T, st *dsState, k int) *Answer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := defaultOptions()
+	o := resolveOptions(nil)
 	ans, _, err := v.query(context.Background(), st, k, 1, &o)
 	if err != nil {
 		t.Fatal(err)

@@ -158,7 +158,11 @@ func buildShardView(ctx context.Context, ds *Dataset, shards int, eps float64) (
 		if err != nil {
 			return nil, nil, 0, fmt.Errorf("kregret: shard union skyline: %w", err)
 		}
-		cand = happy.ComputeAmongSkylineCertParallel(st.pts, sky, 0).HappyPoints()
+		cert, err := happy.ComputeAmongSkylineCertParallelCtx(ctx, st.pts, sky, 0)
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("kregret: shard union happy points: %w", err)
+		}
+		cand = cert.HappyPoints()
 	}
 	coreIdx, _, err := coreset.Build(ctx, st.pts, cand, kernelEps, 0)
 	if err != nil {

@@ -90,6 +90,21 @@ func TestShardedEpsZeroExact(t *testing.T) {
 	}
 }
 
+// TestShardViewHonoursContext: the exact plan's happy pass over the
+// shard union runs under the build's context, which is all that can
+// stop an eps = 0 build once the shard covers are done, because the
+// coreset pass at eps = 0 checks none.
+func TestShardViewHonoursContext(t *testing.T) {
+	ds, err := NewDataset(testPoints(500, 3, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &errAfterFirst{Context: context.Background()}
+	if _, _, _, err := buildShardView(ctx, ds, 1, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want an error wrapping context.Canceled, got %v", err)
+	}
+}
+
 // TestShardedEpsBound: with eps > 0 every answer's true regret over
 // the full dataset stays within eps of the reported (core-measured)
 // value — the per-shard kernel bound composing over the union.
