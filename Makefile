@@ -31,7 +31,7 @@ bench-module:
 	$(GO) -C cmd/kregret-bench test ./...
 
 # Domain-aware static analysis: floatcmp, slicealias, naninf, errdrop,
-# ctxflow, poolscope, atomicguard, wireguard, sleepctx — over the same
+# ctxflow, nopool, atomicguard, wireguard, sleepctx — over the same
 # three builds as vet.
 kregret-vet:
 	$(GO) run ./cmd/kregret-vet ./...
@@ -101,8 +101,11 @@ test-crash:
 # (points, sequence number and error text), the kernels must match the
 # scalar reference bit-for-bit on arbitrary float bit patterns,
 # GeoGreedy must match its full-sweep oracle bit-for-bit on
-# fuzzer-built grids, and every exact skyline entry must match the
-# brute-force oracle on grids with duplicates, zeros and sum ties.
+# fuzzer-built grids, every exact skyline entry must match the
+# brute-force oracle on grids with duplicates, zeros and sum ties,
+# and the happy-point subjugation test must match its
+# facet-enumeration oracle, with the kernel's row decision sound
+# against it and equal to its 4-d form, decide4.
 # Each target spends at most 1s minimizing a new input (Go's default
 # is 60s, which stops a 10s run from executing anything new once a
 # worker starts minimizing).
@@ -116,6 +119,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzKernels -fuzztime=10s -fuzzminimizetime=1s ./internal/mat
 	$(GO) test -run=^$$ -fuzz=FuzzGeoGreedyOracle -fuzztime=10s -fuzzminimizetime=1s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzSkyline -fuzztime=10s -fuzzminimizetime=1s ./internal/skyline
+	$(GO) test -run=^$$ -fuzz=FuzzSubjugates -fuzztime=10s -fuzzminimizetime=1s ./internal/happy
+	$(GO) test -run=^$$ -fuzz=FuzzDecideContract -fuzztime=10s -fuzzminimizetime=1s ./internal/happy
 	$(GO) test -run=^$$ -fuzz=FuzzWALReplay -fuzztime=10s -fuzzminimizetime=1s ./internal/wal
 
 # Performance baseline: runs BenchmarkPaper at parallelism 1 and at

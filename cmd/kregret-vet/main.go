@@ -11,8 +11,8 @@
 //   - errdrop:     silently discarded error returns
 //   - ctxflow:     context must flow caller → callee, never minted
 //     mid-stack or stored in struct fields
-//   - poolscope:   sync.Pool borrows returned on every path, never
-//     used after Put, never aliasing a Row view
+//   - nopool:      no sync.Pool in production code; a reusable
+//     buffer has one owner
 //   - atomicguard: atomic fields never plain-accessed, mu-guarded
 //     fields only touched under the lock
 //   - wireguard:   wire structs (gob or appendWire) registered in a wireManifest

@@ -23,8 +23,8 @@
 //   - ctxflow:     context flows caller → callee: no fresh
 //     Background/TODO outside package main and compat wrappers, ctx
 //     is the first parameter, contexts never live in struct fields
-//   - poolscope:   sync.Pool borrows are returned on every path,
-//     never used after Put, and never alias a PointMatrix.Row view
+//   - nopool:      no sync.Pool in production code; a reusable buffer
+//     has one owner (an lp.Solver keeps its own tableau)
 //   - atomicguard: atomic fields are never plain-accessed and
 //     mu-guarded fields are only touched under the lock
 //   - wireguard:   wire structs (gob or appendWire) are registered in a wireManifest
@@ -78,7 +78,7 @@ type Analyzer struct {
 
 // All returns the full analyzer suite in deterministic order.
 func All() []*Analyzer {
-	return []*Analyzer{FloatCmp, SliceAlias, NaNInf, ErrDrop, CtxFlow, PoolScope, AtomicGuard, WireGuard, SleepCtx}
+	return []*Analyzer{FloatCmp, SliceAlias, NaNInf, ErrDrop, CtxFlow, NoPool, AtomicGuard, WireGuard, SleepCtx}
 }
 
 // ByName resolves a comma-separated analyzer list ("floatcmp,errdrop").

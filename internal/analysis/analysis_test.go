@@ -136,11 +136,8 @@ func TestCtxFlowFixture(t *testing.T) {
 	runFixture(t, "ctxflow", "ctxflowfix", "ctxflow")
 }
 
-func TestPoolScopeFixture(t *testing.T) {
-	// The import path deliberately contains "/internal/": pooled
-	// buffers are internal scratch, and the Row-view Put check must
-	// fire regardless of the slicealias internal-package exemption.
-	runFixture(t, "poolscope", "repro/internal/poolscopefix", "poolscope")
+func TestNoPoolFixture(t *testing.T) {
+	runFixture(t, "nopool", "nopoolfix", "nopool")
 }
 
 func TestAtomicGuardFixture(t *testing.T) {

@@ -40,7 +40,10 @@ func convexAmong(pts []geom.Vector, cand []int) ([]int, error) {
 		return nil, nil
 	}
 	d := len(pts[0])
-	var out []int
+	var (
+		out    []int
+		solver lp.Solver
+	)
 	for _, pi := range cand {
 		p := pts[pi]
 		// Covering set: the other candidates, minus exact duplicates
@@ -54,7 +57,7 @@ func convexAmong(pts []geom.Vector, cand []int) ([]int, error) {
 		}
 		extreme := true
 		if len(cols) > 0 {
-			covered, err := coverable(pts, cols, p, d)
+			covered, err := coverable(&solver, pts, cols, p, d)
 			if err != nil {
 				return nil, err
 			}
@@ -68,10 +71,10 @@ func convexAmong(pts []geom.Vector, cand []int) ([]int, error) {
 	return out, nil
 }
 
-// coverable solves the covering LP and reports whether the optimum
-// is ≤ 1 (p is dominated by a convex combination, hence interior or
-// on a face without being a vertex).
-func coverable(pts []geom.Vector, cols []int, p geom.Vector, d int) (bool, error) {
+// coverable solves the covering LP on s and reports whether the
+// optimum is ≤ 1 (p is dominated by a convex combination, hence
+// interior or on a face without being a vertex).
+func coverable(s *lp.Solver, pts []geom.Vector, cols []int, p geom.Vector, d int) (bool, error) {
 	obj := make([]float64, len(cols))
 	for i := range obj {
 		obj[i] = 1
@@ -84,7 +87,7 @@ func coverable(pts []geom.Vector, cols []int, p geom.Vector, d int) (bool, error
 		}
 		cons[j] = lp.Constraint{Coeffs: coeffs, Rel: lp.GE, RHS: p[j]}
 	}
-	sol, err := lp.Solve(&lp.Problem{Objective: obj, Maximize: false, Constraints: cons})
+	sol, err := s.Solve(&lp.Problem{Objective: obj, Maximize: false, Constraints: cons})
 	if err != nil {
 		return false, fmt.Errorf("core: hull covering LP: %w", err)
 	}

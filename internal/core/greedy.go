@@ -72,7 +72,8 @@ func GreedyParCtx(ctx context.Context, pts []geom.Vector, k, workers int) (*Resu
 	// Per-iteration scratch: the LP optimum of every candidate, and
 	// the shared constraint rows ω·p ≤ 1 for the current selection
 	// (read-only during the fan-out; lp copies coefficients into its
-	// tableau, so sharing across solver goroutines is safe).
+	// tableau, so sharing across solver goroutines is safe). Each chunk
+	// owns an lp.Solver, whose tableau its solves reuse.
 	zs := make([]float64, len(pts))
 	cons := make([]lp.Constraint, 0, k)
 
@@ -86,6 +87,7 @@ func GreedyParCtx(ctx context.Context, pts []geom.Vector, k, workers int) (*Resu
 		// overhead was measurably slowing it down (the 0.94x
 		// Paper/Greedy speedup in BENCH_7f78352.json).
 		return parallel.For(ctx, len(pts), workers, grainLP, func(start, end int) error {
+			var solver lp.Solver
 			for i := start; i < end; i++ {
 				if taken[i] {
 					continue
@@ -93,7 +95,7 @@ func GreedyParCtx(ctx context.Context, pts []geom.Vector, k, workers int) (*Resu
 				if err := ctx.Err(); err != nil {
 					return fmt.Errorf("core: Greedy canceled after %d selections: %w", len(selected), err)
 				}
-				z, err := supportByLPCons(ctx, cons, pts[i])
+				z, err := supportByLPCons(ctx, &solver, cons, pts[i])
 				if err != nil {
 					return err
 				}
@@ -170,14 +172,15 @@ func consFor(cons []lp.Constraint, pts []geom.Vector, selected []int) []lp.Const
 	return cons
 }
 
-// supportByLPCons solves max{ω·q : ω ≥ 0, ω·p ≤ 1 ∀p ∈ S} over the
-// selection's prebuilt constraint rows (consFor), so the per-iteration
-// fan-out shares one constraint slice across all candidate solves.
+// supportByLPCons solves max{ω·q : ω ≥ 0, ω·p ≤ 1 ∀p ∈ S} on s over
+// the selection's prebuilt constraint rows (consFor), so the
+// per-iteration fan-out shares one constraint slice across all
+// candidate solves.
 // The optimum is 1/cr(q, S). Unbounded LPs (possible only when the
 // selection does not yet span every dimension, e.g. k < d) are
 // reported as +Inf.
-func supportByLPCons(ctx context.Context, cons []lp.Constraint, q geom.Vector) (float64, error) {
-	sol, err := lp.SolveCtx(ctx, &lp.Problem{Objective: q, Maximize: true, Constraints: cons})
+func supportByLPCons(ctx context.Context, s *lp.Solver, cons []lp.Constraint, q geom.Vector) (float64, error) {
+	sol, err := s.SolveCtx(ctx, &lp.Problem{Objective: q, Maximize: true, Constraints: cons})
 	if err != nil {
 		return 0, fmt.Errorf("core: greedy candidate LP: %w", err)
 	}

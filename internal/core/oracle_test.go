@@ -14,6 +14,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/happy"
+	"repro/internal/lp"
 	"repro/internal/skyline"
 )
 
@@ -52,7 +53,7 @@ func MRRByLP(pts []geom.Vector, sel []int) (float64, error) {
 // selection does not yet span every dimension, e.g. k < d) are
 // reported as +Inf.
 func supportByLP(ctx context.Context, pts []geom.Vector, selected []int, q geom.Vector) (float64, error) {
-	return supportByLPCons(ctx, consFor(nil, pts, selected), q)
+	return supportByLPCons(ctx, new(lp.Solver), consFor(nil, pts, selected), q)
 }
 
 // ConvexHullPoints returns the indices of D_conv from scratch: the

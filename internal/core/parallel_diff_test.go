@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -155,33 +156,50 @@ func TestGeoGreedyParallelExhaustion(t *testing.T) {
 
 func TestGreedyParallelMatchesSequential(t *testing.T) {
 	ctx := context.Background()
-	for d := 2; d <= 4; d++ {
-		for name, pts := range diffFamilies(t, 150, d, int64(40+d)) {
-			k := d + 3
-			ref, err := GreedyParCtx(ctx, pts, k, 1)
+	check := func(label string, pts []geom.Vector, k int) {
+		t.Helper()
+		ref, err := GreedyParCtx(ctx, pts, k, 1)
+		if err != nil {
+			t.Fatalf("%s sequential: %v", label, err)
+		}
+		for _, w := range diffWorkers {
+			got, err := GreedyParCtx(ctx, pts, k, w)
 			if err != nil {
-				t.Fatalf("%s d=%d sequential: %v", name, d, err)
+				t.Fatalf("%s workers=%d: %v", label, w, err)
 			}
-			for _, w := range diffWorkers {
-				got, err := GreedyParCtx(ctx, pts, k, w)
-				if err != nil {
-					t.Fatalf("%s d=%d workers=%d: %v", name, d, w, err)
-				}
-				if !reflect.DeepEqual(got.Indices, ref.Indices) {
-					t.Errorf("%s d=%d workers=%d: indices %v, want %v",
-						name, d, w, got.Indices, ref.Indices)
-				}
-				if got.MRR != ref.MRR {
-					t.Errorf("%s d=%d workers=%d: MRR %.17g, want %.17g",
-						name, d, w, got.MRR, ref.MRR)
-				}
-				if got.ExhaustedAt != ref.ExhaustedAt {
-					t.Errorf("%s d=%d workers=%d: ExhaustedAt %d, want %d",
-						name, d, w, got.ExhaustedAt, ref.ExhaustedAt)
-				}
+			if !reflect.DeepEqual(got.Indices, ref.Indices) {
+				t.Errorf("%s workers=%d: indices %v, want %v",
+					label, w, got.Indices, ref.Indices)
+			}
+			if got.MRR != ref.MRR {
+				t.Errorf("%s workers=%d: MRR %.17g, want %.17g",
+					label, w, got.MRR, ref.MRR)
+			}
+			if got.ExhaustedAt != ref.ExhaustedAt {
+				t.Errorf("%s workers=%d: ExhaustedAt %d, want %d",
+					label, w, got.ExhaustedAt, ref.ExhaustedAt)
 			}
 		}
 	}
+	for d := 2; d <= 4; d++ {
+		for name, pts := range diffFamilies(t, 150, d, int64(40+d)) {
+			check(fmt.Sprintf("%s d=%d", name, d), pts, d+3)
+		}
+	}
+
+	// The families above are below the fan-out cutoff of 2·grainLP
+	// candidates, so their LP sweeps run inline. This one is above it:
+	// its sweeps run in concurrent chunks, each solving on its own
+	// lp.Solver, so under -race a Solver shared across chunks fails
+	// here.
+	pts, err := dataset.AntiCorrelated(2100, 3, 43)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) < 2*grainLP {
+		t.Fatalf("%d points do not reach the cutoff of %d", len(pts), 2*grainLP)
+	}
+	check("anticorrelated n=2100 d=3", pts, 5)
 }
 
 func TestEvaluatorsParallelMatchSequential(t *testing.T) {

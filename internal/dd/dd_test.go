@@ -252,7 +252,7 @@ func TestDegenerateThroughCorner(t *testing.T) {
 // the simplex solver — the independent oracle for MaxDot.
 func maxDotLP(t *testing.T, p *Polytope, q geom.Vector) float64 {
 	t.Helper()
-	// Variables must be non-negative for lp.Solve; our polytopes here
+	// Variables must be non-negative for the LP; our polytopes here
 	// always include x ≥ 0 from NewBox, so drop those constraints and
 	// keep the rest.
 	var cons []lp.Constraint
@@ -270,7 +270,7 @@ func maxDotLP(t *testing.T, p *Polytope, q geom.Vector) float64 {
 		}
 		cons = append(cons, lp.Constraint{Coeffs: h.Normal, Rel: lp.LE, RHS: h.Offset})
 	}
-	sol, err := lp.Solve(&lp.Problem{Objective: q, Maximize: true, Constraints: cons})
+	sol, err := new(lp.Solver).Solve(&lp.Problem{Objective: q, Maximize: true, Constraints: cons})
 	if err != nil {
 		t.Fatalf("lp oracle: %v", err)
 	}

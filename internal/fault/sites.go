@@ -36,7 +36,7 @@ const (
 	// degeneracy case of the fallback chain.
 	SiteDDAddHalfspace = "dd.add-halfspace"
 
-	// SiteLPIterationCap makes the next lp.Solve report
+	// SiteLPIterationCap makes the next lp.Solver solve report
 	// ErrIterationCap as if the simplex had cycled past its pivot
 	// budget.
 	SiteLPIterationCap = "lp.iteration-cap"

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/assert"
 	"repro/internal/fault"
@@ -95,7 +94,7 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", int(s))
 }
 
-// Solution is the result of Solve.
+// Solution is the result of a solve.
 type Solution struct {
 	Status Status
 	// X is the optimal assignment of the original variables
@@ -106,7 +105,7 @@ type Solution struct {
 	Objective float64
 }
 
-// Errors returned by Solve for malformed input or solver failure.
+// Errors returned by Solver.Solve for malformed input or solver failure.
 var (
 	ErrBadProblem    = errors.New("lp: malformed problem")
 	ErrIterationCap  = errors.New("lp: iteration limit exceeded")
@@ -122,17 +121,28 @@ const (
 	ctxBatch   = 64    // pivots between cancellation checks in SolveCtx
 )
 
-// Solve optimizes the problem with the two-phase primal simplex
-// method. All variables are implicitly constrained to x ≥ 0.
-func Solve(p *Problem) (*Solution, error) {
-	return SolveCtx(context.Background(), p)
+// Solver solves linear programs with the two-phase primal simplex
+// method. It keeps one tableau across its solves, so a caller that
+// solves many problems of similar shape — the Greedy baseline solves
+// one LP per candidate per iteration — reuses the tableau's rows
+// instead of allocating them per solve. The zero value is ready to
+// use. A Solver is not safe for concurrent use: each goroutine that
+// solves needs its own.
+type Solver struct {
+	t tableau
+}
+
+// Solve optimizes the problem. All variables are implicitly
+// constrained to x ≥ 0.
+func (s *Solver) Solve(p *Problem) (*Solution, error) {
+	return s.SolveCtx(context.Background(), p)
 }
 
 // SolveCtx is Solve with cooperative cancellation: the pivot loop
 // checks the context every ctxBatch pivots, so a canceled or expired
 // context stops even a degenerate, slowly-converging tableau within
 // one pivot batch. The returned error wraps ctx.Err().
-func SolveCtx(ctx context.Context, p *Problem) (*Solution, error) {
+func (s *Solver) SolveCtx(ctx context.Context, p *Problem) (*Solution, error) {
 	n := len(p.Objective)
 	if n == 0 {
 		return nil, fmt.Errorf("%w: empty objective", ErrBadProblem)
@@ -157,8 +167,8 @@ func SolveCtx(ctx context.Context, p *Problem) (*Solution, error) {
 		}
 	}
 
-	t := acquireTableau(p)
-	defer t.release()
+	t := &s.t
+	t.init(p)
 	if t.numArtificial > 0 {
 		if err := t.phase1(ctx); err != nil {
 			return nil, err
@@ -170,7 +180,7 @@ func SolveCtx(ctx context.Context, p *Problem) (*Solution, error) {
 			assert.Feasible("lp phase-1 basis", t.basicValues(), feasEps)
 		}
 	}
-	status, err := t.phase2(ctx)
+	status, err := t.phase2(ctx, p)
 	if err != nil {
 		return nil, err
 	}
@@ -205,32 +215,9 @@ type tableau struct {
 	basis         []int
 	artStart      int // first artificial column index
 	numArtificial int
-	maximize      bool
-	objective     []float64
 	objScratch    []float64 // phase objective row, reused across solves
 	pivots        int
 	infeasible    bool
-}
-
-// tableauPool recycles tableaus across solves. The Greedy baseline
-// solves one LP per candidate per iteration — tens of thousands of
-// structurally identical problems — and with intra-query parallelism
-// several goroutines solve at once, so per-solve tableau allocation
-// is the dominant allocator pressure. Rows and basis keep their
-// backing arrays between solves; init zero-fills what it reuses.
-var tableauPool = sync.Pool{New: func() any { return new(tableau) }}
-
-func acquireTableau(p *Problem) *tableau {
-	t := tableauPool.Get().(*tableau)
-	t.init(p)
-	return t
-}
-
-// release returns the tableau to the pool. The objective slice is the
-// caller's memory — drop the reference so the pool doesn't pin it.
-func (t *tableau) release() {
-	t.objective = nil
-	tableauPool.Put(t)
 }
 
 // normalizedRel is the constraint sense after the RHS ≥ 0
@@ -248,7 +235,7 @@ func normalizedRel(c Constraint) Relation {
 	return rel
 }
 
-// init loads the problem into the (possibly recycled) tableau. Row
+// init loads the problem into the (possibly reused) tableau. Row
 // normalization (RHS ≥ 0) is folded into the row writes directly, so
 // no intermediate per-constraint copies are made.
 func (t *tableau) init(p *Problem) {
@@ -271,8 +258,6 @@ func (t *tableau) init(p *Problem) {
 
 	t.m, t.nOrig, t.width = m, n, width
 	t.artStart, t.numArtificial = artStart, numArt
-	t.maximize = p.Maximize
-	t.objective = p.Objective
 	t.pivots = 0
 	t.infeasible = false
 	t.rows = growRows(t.rows, m+1, width+1)
@@ -425,11 +410,11 @@ func (t *tableau) phase1(ctx context.Context) error {
 	return nil
 }
 
-// phase2 optimizes the real objective, excluding artificial columns.
-func (t *tableau) phase2(ctx context.Context) (Status, error) {
+// phase2 optimizes p's objective, excluding artificial columns.
+func (t *tableau) phase2(ctx context.Context, p *Problem) (Status, error) {
 	c := t.phaseObjective()
-	for j, v := range t.objective {
-		if t.maximize {
+	for j, v := range p.Objective {
+		if p.Maximize {
 			c[j] = v
 		} else {
 			c[j] = -v

@@ -8,7 +8,7 @@ import (
 
 func solveOK(t *testing.T, p *Problem) *Solution {
 	t.Helper()
-	sol, err := Solve(p)
+	sol, err := new(Solver).Solve(p)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -141,28 +141,28 @@ func TestDegenerateCycling(t *testing.T) {
 }
 
 func TestBadInputs(t *testing.T) {
-	if _, err := Solve(&Problem{}); err == nil {
+	if _, err := new(Solver).Solve(&Problem{}); err == nil {
 		t.Fatal("empty objective accepted")
 	}
-	if _, err := Solve(&Problem{
+	if _, err := new(Solver).Solve(&Problem{
 		Objective:   []float64{1},
 		Constraints: []Constraint{{Coeffs: []float64{1, 2}, Rel: LE, RHS: 1}},
 	}); err == nil {
 		t.Fatal("mismatched constraint accepted")
 	}
-	if _, err := Solve(&Problem{
+	if _, err := new(Solver).Solve(&Problem{
 		Objective:   []float64{math.NaN()},
 		Constraints: nil,
 	}); err == nil {
 		t.Fatal("NaN objective accepted")
 	}
-	if _, err := Solve(&Problem{
+	if _, err := new(Solver).Solve(&Problem{
 		Objective:   []float64{1},
 		Constraints: []Constraint{{Coeffs: []float64{math.Inf(1)}, Rel: LE, RHS: 1}},
 	}); err == nil {
 		t.Fatal("Inf coefficient accepted")
 	}
-	if _, err := Solve(&Problem{
+	if _, err := new(Solver).Solve(&Problem{
 		Objective:   []float64{1},
 		Constraints: []Constraint{{Coeffs: []float64{1}, Rel: LE, RHS: math.NaN()}},
 	}); err == nil {
@@ -189,7 +189,7 @@ func TestFeasibilityOfSolutions(t *testing.T) {
 			}
 			p.Constraints = append(p.Constraints, c)
 		}
-		sol, err := Solve(p)
+		sol, err := new(Solver).Solve(p)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -287,6 +287,59 @@ func TestLPDualityGap(t *testing.T) {
 		}
 		if math.Abs(ps.Objective-dsol.Objective) > 1e-6*(1+math.Abs(ps.Objective)) {
 			t.Fatalf("trial %d: duality gap %v vs %v", trial, ps.Objective, dsol.Objective)
+		}
+	}
+}
+
+// TestSolverReuse pins tableau reuse: one Solver solving a seeded
+// sequence of problems whose shape changes from solve to solve (m and
+// n going up and down, LE/GE/EQ mixes, negative right-hand sides) must
+// answer every problem exactly as a fresh Solver does, so a row, basis
+// entry, flag or pivot count that init leaves behind from an earlier
+// solve fails here. (A kept pivot count shows only after the sequence
+// has pivoted past danzigCap, which 2,000 trials do.)
+func TestSolverReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var reused Solver
+	seen := map[Status]int{}
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(6)
+		m := rng.Intn(8)
+		p := &Problem{Objective: make([]float64, n), Maximize: rng.Intn(2) == 0}
+		for j := range p.Objective {
+			p.Objective[j] = rng.NormFloat64()
+		}
+		for i := 0; i < m; i++ {
+			c := Constraint{Coeffs: make([]float64, n), Rel: Relation(rng.Intn(3)), RHS: 2 * rng.NormFloat64()}
+			for j := range c.Coeffs {
+				c.Coeffs[j] = rng.NormFloat64()
+			}
+			p.Constraints = append(p.Constraints, c)
+		}
+		got, gotErr := reused.Solve(p)
+		want, wantErr := new(Solver).Solve(p)
+		if gotErr != nil || wantErr != nil {
+			t.Fatalf("trial %d: reused error %v, fresh error %v", trial, gotErr, wantErr)
+		}
+		if got.Status != want.Status {
+			t.Fatalf("trial %d (m=%d n=%d): reused status %v, fresh %v", trial, m, n, got.Status, want.Status)
+		}
+		if math.Float64bits(got.Objective) != math.Float64bits(want.Objective) || len(got.X) != len(want.X) {
+			t.Fatalf("trial %d: reused %v obj %v, fresh %v obj %v", trial, got.X, got.Objective, want.X, want.Objective)
+		}
+		for j := range got.X {
+			if math.Float64bits(got.X[j]) != math.Float64bits(want.X[j]) {
+				t.Fatalf("trial %d: reused x %v, fresh x %v", trial, got.X, want.X)
+			}
+		}
+		seen[got.Status]++
+	}
+	// The sequence must move between every outcome, or a flag such as
+	// infeasible would never be seen set before a solve that needs it
+	// clear.
+	for _, st := range []Status{Optimal, Infeasible, Unbounded} {
+		if seen[st] == 0 {
+			t.Fatalf("the sequence never solved to %v: %v", st, seen)
 		}
 	}
 }
