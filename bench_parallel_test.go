@@ -138,7 +138,7 @@ func BenchmarkPaper(b *testing.B) {
 		// default query at k = 20 (DESIGN.md §10).
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.BuildStoredListUpToParCtx(ctx, cand, 20, w); err != nil {
+			if _, err := core.BuildStoredListUpToParCtx(ctx, cand, 20, w, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -10,8 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/parallel"
 	"repro/internal/serve"
 )
@@ -91,7 +89,9 @@ func WithBreaker(threshold int, cooldown time.Duration) EngineOption {
 // candidates, the skyline or the happy points, reuses its
 // predecessor's) and writes it back. Answers are the same
 // with or without it; it trades list builds at startup and on every
-// fold for restarts that start with the whole list.
+// fold for restarts that start with the whole list. An engine with
+// WithShardedServing cannot take a snapshot: NewEngine refuses the
+// pair before it touches path.
 func WithSnapshot(path string) EngineOption {
 	return func(o *engineOptions) { o.snapshotPath = path }
 }
@@ -219,8 +219,8 @@ type Engine struct {
 type engineEpoch struct {
 	num uint64
 	ds  *Dataset
-	// idx wraps the complete (or loaded) prefix list in global
-	// indices for persistence; non-nil only with WithSnapshot.
+	// idx wraps the complete (or loaded) prefix list of ds's epoch for
+	// persistence; non-nil only with WithSnapshot.
 	idx *Index
 
 	// Sharded serving view (WithShardedServing), nil/zero when the
@@ -275,7 +275,7 @@ func NewEngineContext(ctx context.Context, ds *Dataset, opts ...EngineOption) (*
 	ep := &engineEpoch{num: 1, ds: ds.Snapshot()}
 	e.shardEpoch(ctx, ep)
 	if o.snapshotPath != "" {
-		idx, rebuilt, err := loadOrRebuildIndex(ctx, ep, o.snapshotPath)
+		idx, rebuilt, err := loadOrRebuildIndex(ctx, ep.ds, o.snapshotPath)
 		if err != nil {
 			return nil, err
 		}
@@ -302,103 +302,43 @@ func derivePerQueryWorkers(budget, poolWorkers int) int {
 }
 
 // loadOrRebuildIndex implements the crash-safe startup path: a
-// snapshot that loads and carries exactly the epoch's core (nil for an
-// unsharded epoch) wins and its list becomes the epoch's prefix list;
-// a missing, corrupt or mismatched one is replaced by a fresh build to
-// the end under ctx, written back atomically. Only unexpected failures
-// (I/O errors, a canceled or numerically failing build) propagate.
-func loadOrRebuildIndex(ctx context.Context, ep *engineEpoch, path string) (*Index, bool, error) {
-	idx, err := LoadFile(path, ep.ds)
+// snapshot that loads becomes the prefix list of ds's epoch; a missing,
+// corrupt or mismatched one is replaced by a fresh build to the end
+// under ctx, written back atomically. Only unexpected failures (I/O
+// errors, a canceled or numerically failing build) propagate.
+func loadOrRebuildIndex(ctx context.Context, ds *Dataset, path string) (*Index, bool, error) {
+	idx, err := LoadFile(path, ds)
 	if err == nil {
-		if err = ep.adopt(ctx, idx); err == nil {
+		if err = ds.snap().adopt(ctx, idx); err == nil {
 			return idx, false, nil
 		}
 	}
 	if !loadFailureRebuildable(err) {
 		return nil, false, fmt.Errorf("kregret: engine snapshot: %w", err)
 	}
-	idx, berr := ep.buildIndex(ctx)
+	idx, berr := ds.buildIndex(ctx, 0)
 	if berr != nil {
 		return nil, false, fmt.Errorf("kregret: engine snapshot unusable (%w) and rebuild failed: %w", err, berr)
 	}
-	if serr := idx.SaveFile(path, ep.ds); serr != nil {
+	if serr := idx.SaveFile(path, ds); serr != nil {
 		return nil, false, fmt.Errorf("kregret: rewriting engine snapshot: %w", serr)
 	}
 	return idx, true, nil
 }
 
-// serving is the state default queries run on: the sharded core's
-// when the epoch has one, the dataset's otherwise.
-func (ep *engineEpoch) serving() *dsState {
-	if ep.serveDS != nil {
-		return ep.serveDS.snap()
-	}
-	return ep.ds.snap()
-}
-
-// adopt makes a loaded snapshot's list the epoch's prefix list. The
-// snapshot must carry exactly the epoch's core (nil when unsharded):
-// a sharded core on an exact engine would serve silently approximate
-// answers, an exact list on a sharded one would not match the core,
-// and so would another shard/eps plan's core. A sharded snapshot's
-// candidates, stored in global indices, are mapped back into the core.
-// A list over the serving state's skyline (filled under ctx; a loaded
-// unsharded snapshot seeds it) was checked when it was built, so its
-// cell is checked and grows the same way.
-func (ep *engineEpoch) adopt(ctx context.Context, idx *Index) error {
-	if !slices.Equal(idx.core, ep.coreMap) {
-		return fmt.Errorf("%w: snapshot core does not match the serving core", ErrIndexMismatch)
-	}
-	cand := idx.cand
-	if ep.coreMap != nil {
-		cand = make([]int, len(idx.cand))
-		for i, g := range idx.cand {
-			j, ok := slices.BinarySearch(ep.coreMap, g)
-			if !ok {
-				return fmt.Errorf("%w: snapshot candidate %d is not in the serving core", ErrIndexMismatch, g)
-			}
-			cand[i] = j
-		}
-	}
-	st := ep.serving()
-	sky, err := st.skylineCtx(ctx)
+// adopt makes a loaded snapshot's list the epoch's prefix list. A list
+// over the epoch's skyline (filled under ctx; the load seeded it) was
+// checked when it was built, so its cell is checked and grows the same
+// way.
+func (s *dsState) adopt(ctx context.Context, idx *Index) error {
+	sky, err := s.skylineCtx(ctx)
 	if err != nil {
 		return err
 	}
-	cell := &prefixCell{checked: slices.Equal(cand, sky)}
+	cell := &prefixCell{checked: slices.Equal(idx.cand, sky)}
 	cell.list.Store(idx.list)
-	st.prefix.Store(&prefixView{cell: cell, cand: cand})
+	s.prefix.Store(&prefixView{cell: cell, cand: idx.cand})
 	return nil
-}
-
-// buildIndex builds the epoch's prefix list to the end, through the
-// cell's single flight, and wraps it as the epoch's snapshot Index in
-// global indices (a sharded one records its core). A cell the epoch
-// shares with its predecessor that already holds the whole list costs
-// nothing.
-func (ep *engineEpoch) buildIndex(ctx context.Context) (*Index, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("kregret: index build canceled: %w", err)
-	}
-	st := ep.serving()
-	v, err := st.listView(ctx)
-	if err != nil {
-		return nil, err
-	}
-	v, l, err := v.grow(ctx, st, len(v.cand), func(candPts []geom.Vector, n int, rely func(int) error) (*core.StoredList, error) {
-		return buildList(ctx, candPts, n, rely)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if ep.coreMap == nil {
-		return &Index{list: l, cand: v.cand}, nil
-	}
-	cand := make([]int, len(v.cand))
-	for i, c := range v.cand {
-		cand[i] = ep.coreMap[c]
-	}
-	return &Index{list: l, cand: cand, core: slices.Clone(ep.coreMap)}, nil
 }
 
 // loadFailureRebuildable reports whether a snapshot load failure is
@@ -643,10 +583,12 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 
 // Index returns the current epoch's snapshot-backed index, or nil
 // when the engine was built without WithSnapshot: the list loaded at
-// startup, or the one built to the end at startup or by the last fold,
-// in global indices. Queries beyond a partial loaded index still
-// answer, from the epoch's grown prefix list; Index keeps returning
-// the list the snapshot holds.
+// startup, or the one built to the end at startup or by the last fold.
+// Queries beyond a partial loaded index still answer, from the epoch's
+// grown prefix list; Index keeps returning the list the snapshot
+// holds. It describes the epoch Dataset returns at the same moment;
+// when a fold lands between the two calls, saving the one against the
+// other returns ErrIndexMismatch.
 func (e *Engine) Index() *Index { return e.epoch.Load().idx }
 
 // Dataset returns the current serving epoch's read-only dataset view.
@@ -733,7 +675,7 @@ func (e *Engine) foldLocked(ctx context.Context) error {
 	ep := &engineEpoch{num: old.num + 1, ds: e.base.Snapshot()}
 	e.shardEpoch(ctx, ep)
 	if e.opts.snapshotPath != "" {
-		idx, err := ep.buildIndex(ctx)
+		idx, err := ep.ds.buildIndex(ctx, 0)
 		if err != nil {
 			// The mutations stay unserved; the next Apply retries the
 			// fold. Queries keep answering from the old epoch.

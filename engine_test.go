@@ -251,8 +251,7 @@ func TestEngineSnapshotStartup(t *testing.T) {
 
 // TestNewEngineContextCanceledRebuild: a snapshot rebuild at startup
 // runs under the constructor's context. Canceled, it fails with
-// context.Canceled and writes no snapshot — unsharded, and sharded
-// where the canceled shard build falls back to unsharded serving.
+// context.Canceled and writes no snapshot.
 func TestNewEngineContextCanceledRebuild(t *testing.T) {
 	ds, err := NewDataset(testPoints(300, 3, 5))
 	if err != nil {
@@ -260,25 +259,20 @@ func TestNewEngineContextCanceledRebuild(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for name, opts := range map[string][]EngineOption{
-		"unsharded": nil,
-		"sharded":   {WithShardedServing(1, 0)},
-	} {
-		t.Run(name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "idx.snap")
-			eng, err := NewEngineContext(ctx, ds, append(opts, WithSnapshot(path))...)
-			if err == nil {
-				shutdownEngine(t, eng)
-				t.Fatal("rebuild under a canceled context succeeded")
-			}
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("want context.Canceled, got %v", err)
-			}
-			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-				t.Fatalf("canceled rebuild wrote a snapshot (stat: %v)", err)
-			}
-		})
-	}
+	t.Run("unsharded", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "idx.snap")
+		eng, err := NewEngineContext(ctx, ds, WithSnapshot(path))
+		if err == nil {
+			shutdownEngine(t, eng)
+			t.Fatal("rebuild under a canceled context succeeded")
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("want context.Canceled, got %v", err)
+		}
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("canceled rebuild wrote a snapshot (stat: %v)", err)
+		}
+	})
 }
 
 func TestEngineSnapshotMismatchRebuilds(t *testing.T) {

@@ -253,10 +253,11 @@ func FuzzLoadIndex(f *testing.F) {
 	// a buffer by the claim.
 	f.Add(binary.LittleEndian.AppendUint64([]byte("KRGX\x02"), 1<<32))
 	f.Add([]byte{})
-	f.Add(indexPayload(f, ds, idx.cand, nil, listStream(f, idx)))
+	f.Add(indexPayload(f, ds, indexWire{Cand: idx.cand}, listStream(f, idx)))
 	for _, tc := range inconsistentListPayloads(f, ds, idx) {
 		f.Add(tc.payload)
 	}
+	f.Add(shardedCoreSnapshot(f, ds, 3, 0.1)) // a core: ErrIndexMismatch
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, snap := range [][]byte{data, frameSnapshot(snapshotMagic, snapshotVersion, data)} {

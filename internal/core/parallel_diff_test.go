@@ -250,12 +250,12 @@ func TestStoredListParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	const maxLen = 10
-	ref, err := BuildStoredListUpToParCtx(ctx, pts, maxLen, 1)
+	ref, err := BuildStoredListUpToParCtx(ctx, pts, maxLen, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range diffWorkers {
-		got, err := BuildStoredListUpToParCtx(ctx, pts, maxLen, w)
+		got, err := BuildStoredListUpToParCtx(ctx, pts, maxLen, w, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

@@ -59,7 +59,7 @@ func BuildStoredList(pts []geom.Vector) (*StoredList, error) {
 // full GeoGreedy run; see GeoGreedyParCtx for the check granularity
 // and BuildStoredListUpToParCtx for the worker contract).
 func BuildStoredListParCtx(ctx context.Context, pts []geom.Vector, workers int) (*StoredList, error) {
-	s, err := BuildStoredListUpToParCtx(ctx, pts, len(pts), workers)
+	s, err := BuildStoredListUpToParCtx(ctx, pts, len(pts), workers, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +73,7 @@ func BuildStoredListParCtx(ctx context.Context, pts []geom.Vector, workers int) 
 // rejects larger ks with ErrBeyondList (unless the greedy exhausted
 // the hull before maxLen, in which case the list is complete anyway).
 func BuildStoredListUpTo(pts []geom.Vector, maxLen int) (*StoredList, error) {
-	return BuildStoredListUpToParCtx(context.Background(), pts, maxLen, 1)
+	return BuildStoredListUpToParCtx(context.Background(), pts, maxLen, 1, nil)
 }
 
 // BuildStoredListUpToParCtx is BuildStoredListUpTo with cooperative
@@ -85,22 +85,18 @@ func BuildStoredListUpTo(pts []geom.Vector, maxLen int) (*StoredList, error) {
 // which the hull cannot price, are evaluated exactly only when a
 // query, MinK or Save first reads them. The materialized order and
 // per-prefix regrets are byte-identical for every worker count.
-func BuildStoredListUpToParCtx(ctx context.Context, pts []geom.Vector, maxLen, workers int) (*StoredList, error) {
-	return BuildStoredListReliedParCtx(ctx, pts, maxLen, workers, nil)
-}
-
-// BuildStoredListReliedParCtx is BuildStoredListUpToParCtx that tells
-// rely, when non-nil, every candidate the list's order and regrets
-// depend on, as the build meets it: each boundary point, each pick,
-// each candidate whose support prices a non-zero prefix regret, and
-// for the prefixes shorter than the seed batch, which the build then
-// prices at once, each point the exact evaluator finds pricing a
+//
+// rely, when non-nil, is told every candidate the list's order and
+// regrets depend on, as the build meets it: each boundary point, each
+// pick, each candidate whose support prices a non-zero prefix regret,
+// and for the prefixes shorter than the seed batch, which the build
+// then prices at once, each point the exact evaluator finds pricing a
 // non-zero regret. An error from rely ends the build with it. A caller
 // whose candidates are a superset of another set, in the same order,
 // gets the list that set gives whenever rely accepts only its members:
 // the two runs have the same seeds and hull box, and each step's
 // arg-max and its value are the same over both (ALGORITHMS.md §3).
-func BuildStoredListReliedParCtx(ctx context.Context, pts []geom.Vector, maxLen, workers int, rely func(int) error) (*StoredList, error) {
+func BuildStoredListUpToParCtx(ctx context.Context, pts []geom.Vector, maxLen, workers int, rely func(int) error) (*StoredList, error) {
 	d, err := validatePoints(pts)
 	if err != nil {
 		return nil, err

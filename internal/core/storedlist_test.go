@@ -261,7 +261,7 @@ func TestBuildStoredListRelied(t *testing.T) {
 	pts := antiCorrelated(rng, 300, 4)
 	for _, maxLen := range []int{1, 3, 4, 20, len(pts)} {
 		relied := map[int]bool{}
-		got, err := BuildStoredListReliedParCtx(ctx, pts, maxLen, 2, func(i int) error {
+		got, err := BuildStoredListUpToParCtx(ctx, pts, maxLen, 2, func(i int) error {
 			relied[i] = true
 			return nil
 		})
@@ -316,7 +316,7 @@ func TestBuildStoredListRelied(t *testing.T) {
 
 	errStop := errors.New("stop")
 	calls := 0
-	_, err := BuildStoredListReliedParCtx(ctx, pts, 20, 1, func(int) error {
+	_, err := BuildStoredListUpToParCtx(ctx, pts, 20, 1, func(int) error {
 		if calls++; calls == 6 {
 			return errStop
 		}

@@ -431,15 +431,6 @@ func (s *dsState) evalIndexCtx(ctx context.Context) (*core.EvalIndex, error) {
 	return s.eval, nil
 }
 
-// seedSkyline installs precomputed skyline indices (from a snapshot)
-// into the current epoch's lazy cache, so loading an index does not
-// recompute the skyline pass. A no-op if the skyline was already
-// computed.
-func (d *Dataset) seedSkyline(sky []int) {
-	s := d.snap()
-	seedOnce(&s.skyMu, &s.skyDone, func() { s.sky = append([]int(nil), sky...) })
-}
-
 // Len returns the number of tuples.
 func (d *Dataset) Len() int { return len(d.snap().pts) }
 
@@ -992,20 +983,22 @@ func (d *Dataset) WorstUtilityContext(ctx context.Context, selection []int) (wei
 }
 
 // Index is the materialized StoredList of the paper's Section IV-B:
-// one expensive preprocessing pass, then O(k) per query.
+// one expensive preprocessing pass, then O(k) per query. It wraps a
+// prefix of the default list of one dataset epoch (see prefix.go) and
+// records which epoch: its sequence number and length, so Save refuses
+// a dataset that has moved on since.
 type Index struct {
 	list *core.StoredList
 	cand []int
-	// core, when non-nil, records that this index was built by a
-	// sharded engine over the merged partition–merge core (global
-	// indices, ascending). It rides in snapshot payload v3 so reload
-	// can match the index against the engine's shard configuration;
-	// cand is already in global coordinates either way.
-	core []int
+	seq  uint64
+	n    int
 }
 
-// BuildIndex runs the StoredList preprocessing over the happy points.
-// The returned Index is immutable and safe for concurrent queries.
+// BuildIndex runs the StoredList preprocessing to the end. It grows the
+// dataset epoch's default list, the one an Engine over the same epoch
+// serves from, so a list the epoch already holds costs nothing; its
+// answers are the ones GeoGreedy gives over the happy points. The
+// returned Index is immutable and safe for concurrent queries.
 func (d *Dataset) BuildIndex() (*Index, error) {
 	return d.buildIndex(context.Background(), 0)
 }
@@ -1019,8 +1012,9 @@ func (d *Dataset) BuildIndexContext(ctx context.Context) (*Index, error) {
 
 // BuildIndexUpTo materializes the index only up to queries of size
 // maxK — a fraction of the full preprocessing cost on large frontier
-// sets. Queries with k > maxK return an error unless the greedy
-// exhausted the hull earlier (zero regret reached).
+// sets. The Index answers every k ≤ maxK, and more when the epoch's
+// list already reaches further; a k beyond the list returns an error
+// unless the greedy exhausted the hull earlier (zero regret reached).
 func (d *Dataset) BuildIndexUpTo(maxK int) (*Index, error) {
 	if maxK < 1 {
 		return nil, ErrBadK
@@ -1036,28 +1030,29 @@ func (d *Dataset) BuildIndexUpToContext(ctx context.Context, maxK int) (*Index, 
 	return d.buildIndex(ctx, maxK)
 }
 
+// buildIndex grows the epoch's prefix list to cover maxK (to the end
+// when maxK is 0) through the cell's single flight and wraps it: the
+// one Index builder, behind BuildIndex, the Engine's startup rebuild
+// and its folds (WithSnapshot).
 func (d *Dataset) buildIndex(ctx context.Context, maxK int) (*Index, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("kregret: index build canceled: %w", err)
 	}
 	st := d.snap()
-	hp, err := st.candidateIndices(ctx, CandidatesHappy)
+	v, err := st.listView(ctx)
 	if err != nil {
 		return nil, err
 	}
-	cand := append([]int(nil), hp...)
-	if maxK <= 0 {
-		maxK = len(cand)
+	if maxK == 0 {
+		maxK = len(v.cand)
 	}
-	candPts, err := core.Select(st.pts, cand)
-	if err != nil {
-		return nil, fmt.Errorf("kregret: %w", err)
-	}
-	list, err := buildList(ctx, candPts, maxK, nil)
+	v, l, err := v.grow(ctx, st, maxK, func(candPts []geom.Vector, n int, rely func(int) error) (*core.StoredList, error) {
+		return buildList(ctx, candPts, n, rely)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &Index{list: list, cand: cand}, nil
+	return &Index{list: l, cand: v.cand, seq: st.seq, n: len(st.pts)}, nil
 }
 
 // buildList materializes the first n entries of GeoGreedy's order over
@@ -1068,7 +1063,7 @@ func buildList(ctx context.Context, candPts []geom.Vector, n int, rely func(int)
 	var list *core.StoredList
 	err := protect("BuildIndex", func() error {
 		var err error
-		if list, err = core.BuildStoredListReliedParCtx(ctx, candPts, n, 0, rely); err != nil {
+		if list, err = core.BuildStoredListUpToParCtx(ctx, candPts, n, 0, rely); err != nil {
 			return fmt.Errorf("kregret: %w", err)
 		}
 		return nil

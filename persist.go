@@ -101,21 +101,18 @@ func unframeSnapshot(data []byte, magic string, version byte, corrupt error) ([]
 }
 
 // indexWire is the gob envelope around a stored list: the candidate
-// mapping (the happy points, or for an engine's checked list the
-// skyline) plus a checksum binding the index to the dataset it was
-// built from. Its Version field versions the payload schema,
-// independent of the outer frame version; only the current one loads.
+// mapping (the happy points, or for a checked list the skyline) plus a
+// checksum binding the index to the dataset it was built from. Its
+// Version field versions the payload schema, independent of the outer
+// frame version; only the current one loads.
 //
 // Ext carries the skyline (extreme set) indices computed during
 // preprocessing, so loading a snapshot also seeds the dataset's
 // evaluation pruning, and tells a checked list apart, without
-// recomputing the skyline pass. Core
-// carries the sharded engine's merged coreset (global indices,
-// ascending), so reload can tell a core-built StoredList apart from an
-// exact one and match it against the current shard configuration. Ext
-// and Core are mutually exclusive: a core-built snapshot skips the
-// full-dataset skyline (recomputing it at scale would defeat the
-// sharding).
+// recomputing the skyline pass. Core is empty in every snapshot this
+// package writes. Sharded engines once wrote their merged core there,
+// beside a list over it that is only ε-approximate, so a payload that
+// carries one is ErrIndexMismatch and an engine rebuilds over it.
 type indexWire struct {
 	Version  int
 	Checksum uint64
@@ -137,11 +134,11 @@ var wireManifest = map[string]string{
 	"datasetWire": "v2 Seq uint64; Pts []geom.Vector",
 }
 
-// checksum fingerprints the (normalized) dataset contents.
-func (d *Dataset) checksum() uint64 {
+// checksum fingerprints the epoch's (normalized) points.
+func (s *dsState) checksum() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
-	for _, p := range d.snap().pts {
+	for _, p := range s.pts {
 		for _, x := range p {
 			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
 			//kregret:allow errdrop: hash.Hash.Write never returns an error
@@ -153,9 +150,11 @@ func (d *Dataset) checksum() uint64 {
 
 // Save serializes the index so later processes can skip the expensive
 // StoredList preprocessing. The dataset itself is not stored; load
-// with LoadIndex against an identically-constructed Dataset. The
-// stream is framed with a CRC-32C trailer so corruption is detectable
-// on load; use SaveFile for crash-safe writes to disk.
+// with LoadIndex against an identically-constructed Dataset. d must
+// still hold the epoch the index describes: an index built or loaded
+// before a mutation of d is ErrIndexMismatch. The stream is framed
+// with a CRC-32C trailer so corruption is detectable on load; use
+// SaveFile for crash-safe writes to disk.
 func (x *Index) Save(w io.Writer, d *Dataset) error {
 	frame, err := x.encode(d)
 	if err != nil {
@@ -167,31 +166,29 @@ func (x *Index) Save(w io.Writer, d *Dataset) error {
 	return nil
 }
 
-// encode builds the framed index snapshot.
+// encode builds the framed index snapshot from d's current epoch,
+// which must be the one the index describes.
 func (x *Index) encode(d *Dataset) ([]byte, error) {
-	// The skyline is already cached on any dataset that built an index
-	// (the engine's list build and the happy-point pass both run it);
-	// persisting it lets the loader seed evaluation pruning for free.
-	// A core-built index (sharded
-	// engine) persists the core instead: its dataset never ran a
-	// full-dataset skyline and must not start now.
-	var sky []int
-	if x.core == nil {
-		var err error
-		sky, err = d.Skyline()
-		if err != nil {
-			return nil, fmt.Errorf("kregret: saving index: %w", err)
-		}
+	st := d.snap()
+	if st.seq != x.seq || len(st.pts) != x.n {
+		return nil, fmt.Errorf("%w: the index describes %d points at mutation %d, the dataset holds %d at mutation %d",
+			ErrIndexMismatch, x.n, x.seq, len(st.pts), st.seq)
+	}
+	// The skyline is already cached on any epoch that built an index
+	// (the list build and the happy-point pass both run it); persisting
+	// it lets the loader seed evaluation pruning for free.
+	sky, err := st.skyline()
+	if err != nil {
+		return nil, fmt.Errorf("kregret: saving index: %w", err)
 	}
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(indexWire{
 		Version:  indexVersion,
-		Checksum: d.checksum(),
-		N:        d.Len(),
-		Dim:      d.Dim(),
+		Checksum: st.checksum(),
+		N:        len(st.pts),
+		Dim:      len(st.pts[0]),
 		Cand:     x.cand,
 		Ext:      sky,
-		Core:     x.core,
 	}); err != nil {
 		return nil, fmt.Errorf("kregret: saving index: %w", err)
 	}
@@ -216,9 +213,10 @@ func LoadIndex(r io.Reader, d *Dataset) (*Index, error) {
 }
 
 // decodeIndex verifies the frame, decodes the two gob streams and
-// validates them against the dataset. Framing, integrity and decode
-// failures are corruption; a clean decode that names a different
-// dataset is ErrIndexMismatch.
+// validates them against d's current epoch, which the index then
+// describes. Framing, integrity and decode failures are corruption; a
+// clean decode that names a different dataset, or carries a sharded
+// core, is ErrIndexMismatch.
 func decodeIndex(data []byte, d *Dataset) (*Index, error) {
 	payload, err := unframeSnapshot(data, snapshotMagic, snapshotVersion, ErrCorruptIndex)
 	if err != nil {
@@ -232,13 +230,18 @@ func decodeIndex(data []byte, d *Dataset) (*Index, error) {
 	if wire.Version != indexVersion {
 		return nil, fmt.Errorf("kregret: index payload v%d, want v%d", wire.Version, indexVersion)
 	}
-	if wire.N != d.Len() || wire.Dim != d.Dim() || wire.Checksum != d.checksum() {
+	st := d.snap()
+	n := len(st.pts)
+	if wire.N != n || wire.Dim != len(st.pts[0]) || wire.Checksum != st.checksum() {
 		return nil, ErrIndexMismatch
 	}
-	// Every writer stores ascending candidates: the skyline, the happy
-	// points or their ascending global images.
+	if len(wire.Core) > 0 {
+		return nil, fmt.Errorf("%w: the list was built over a sharded engine's merged core", ErrIndexMismatch)
+	}
+	// Every writer stores ascending candidates: the skyline or the
+	// happy points.
 	for k, c := range wire.Cand {
-		if c < 0 || c >= d.Len() {
+		if c < 0 || c >= n {
 			return nil, fmt.Errorf("%w: index candidate %d out of range", ErrCorruptIndex, c)
 		}
 		if k > 0 && c <= wire.Cand[k-1] {
@@ -249,21 +252,11 @@ func decodeIndex(data []byte, d *Dataset) (*Index, error) {
 	// the CRC can still carry garbage if it was written by a buggy or
 	// hostile producer.
 	for k, e := range wire.Ext {
-		if e < 0 || e >= d.Len() {
+		if e < 0 || e >= n {
 			return nil, fmt.Errorf("%w: extreme index %d out of range", ErrCorruptIndex, e)
 		}
 		if k > 0 && e <= wire.Ext[k-1] {
 			return nil, fmt.Errorf("%w: extreme set not strictly ascending at position %d", ErrCorruptIndex, k)
-		}
-	}
-	// The sharded core gets the same treatment: global indices,
-	// strictly ascending. Ext is never persisted alongside it.
-	for k, c := range wire.Core {
-		if c < 0 || c >= d.Len() {
-			return nil, fmt.Errorf("%w: core index %d out of range", ErrCorruptIndex, c)
-		}
-		if k > 0 && c <= wire.Core[k-1] {
-			return nil, fmt.Errorf("%w: core not strictly ascending at position %d", ErrCorruptIndex, k)
 		}
 	}
 	list, err := core.LoadStoredList(r)
@@ -272,13 +265,15 @@ func decodeIndex(data []byte, d *Dataset) (*Index, error) {
 	}
 	// The list indexes Cand, so it must have been built over exactly
 	// that many candidates.
-	if n := list.Candidates(); n != len(wire.Cand) {
-		return nil, fmt.Errorf("%w: list built over %d candidates, index stores %d", ErrCorruptIndex, n, len(wire.Cand))
+	if nc := list.Candidates(); nc != len(wire.Cand) {
+		return nil, fmt.Errorf("%w: list built over %d candidates, index stores %d", ErrCorruptIndex, nc, len(wire.Cand))
 	}
 	if len(wire.Ext) > 0 {
-		d.seedSkyline(wire.Ext)
+		// Seed the epoch's skyline cache, so the load does not recompute
+		// the skyline pass; a cache already filled is kept.
+		seedOnce(&st.skyMu, &st.skyDone, func() { st.sky = wire.Ext })
 	}
-	return &Index{list: list, cand: wire.Cand, core: wire.Core}, nil
+	return &Index{list: list, cand: wire.Cand, seq: st.seq, n: n}, nil
 }
 
 // SaveFile writes the index snapshot to path crash-safely (see

@@ -90,7 +90,7 @@ func TestSnapshotRejectsPreviousFormats(t *testing.T) {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(indexWire{
 			Version:  version,
-			Checksum: ds.checksum(),
+			Checksum: ds.snap().checksum(),
 			N:        ds.Len(),
 			Dim:      ds.Dim(),
 			Cand:     idx.cand,
@@ -201,20 +201,15 @@ func TestSnapshotSeedsExtremeSet(t *testing.T) {
 	}
 }
 
-// indexPayload is the payload of an index snapshot of ds with the
-// given candidates, extreme set and list stream, consistent or not;
-// frameSnapshot gives it a valid CRC.
-func indexPayload(tb testing.TB, ds *Dataset, cand, ext []int, list []byte) []byte {
+// indexPayload is the payload of an index snapshot of ds with w's
+// candidates, extreme set and core and the given list stream,
+// consistent or not; frameSnapshot gives it a valid CRC.
+func indexPayload(tb testing.TB, ds *Dataset, w indexWire, list []byte) []byte {
 	tb.Helper()
+	st := ds.snap()
+	w.Version, w.Checksum, w.N, w.Dim = indexVersion, st.checksum(), len(st.pts), len(st.pts[0])
 	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(indexWire{
-		Version:  indexVersion,
-		Checksum: ds.checksum(),
-		N:        ds.Len(),
-		Dim:      ds.Dim(),
-		Cand:     cand,
-		Ext:      ext,
-	}); err != nil {
+	if err := gob.NewEncoder(&payload).Encode(w); err != nil {
 		tb.Fatal(err)
 	}
 	return append(payload.Bytes(), list...)
@@ -242,7 +237,7 @@ func TestSnapshotRejectsBadExtremeSet(t *testing.T) {
 		"not ascending": {3, 3},
 		"descending":    {5, 2},
 	} {
-		snap := frameSnapshot(snapshotMagic, snapshotVersion, indexPayload(t, ds, idx.cand, ext, list))
+		snap := frameSnapshot(snapshotMagic, snapshotVersion, indexPayload(t, ds, indexWire{Cand: idx.cand, Ext: ext}, list))
 		if _, err := LoadIndex(bytes.NewReader(snap), ds); !errors.Is(err, ErrCorruptIndex) {
 			t.Fatalf("%s extreme set: want ErrCorruptIndex, got %v", name, err)
 		}
@@ -281,9 +276,9 @@ func inconsistentListPayloads(tb testing.TB, ds *Dataset, idx *Index) []namedPay
 	swapped := slices.Clone(idx.cand)
 	swapped[0], swapped[1] = swapped[1], swapped[0]
 	return []namedPayload{
-		{"one candidate", indexPayload(tb, ds, idx.cand[:1], nil, list)},
-		{"unsorted candidates", indexPayload(tb, ds, swapped, nil, list)},
-		{"rising regrets", indexPayload(tb, ds, idx.cand, nil, rising.Bytes())},
+		{"one candidate", indexPayload(tb, ds, indexWire{Cand: idx.cand[:1]}, list)},
+		{"unsorted candidates", indexPayload(tb, ds, indexWire{Cand: swapped}, list)},
+		{"rising regrets", indexPayload(tb, ds, indexWire{Cand: idx.cand}, rising.Bytes())},
 	}
 }
 
@@ -370,6 +365,75 @@ func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 			names[i] = e.Name()
 		}
 		t.Fatalf("snapshot dir littered: %v", names)
+	}
+}
+
+// TestSaveFileRefusesStaleIndex: an Index describes the epoch it was
+// built over. Once the dataset has moved on, Save and SaveFile refuse
+// it as ErrIndexMismatch and write nothing, so no restart adopts a
+// list over points the dataset no longer holds. An index of the
+// current epoch saves, an engine over it answers as Dataset.Query
+// does, and the engine's own index goes stale at its next fold.
+func TestSaveFileRefusesStaleIndex(t *testing.T) {
+	ds, err := NewDataset(testPoints(300, 3, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := ds.BuildIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ds.Insert(Point{1, 1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "idx.snap")
+	if err := stale.SaveFile(path, ds); !errors.Is(err, ErrIndexMismatch) {
+		t.Fatalf("SaveFile of a stale index: want ErrIndexMismatch, got %v", err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("refused SaveFile left a file (stat: %v)", err)
+	}
+	var buf bytes.Buffer
+	if err := stale.Save(&buf, ds); !errors.Is(err, ErrIndexMismatch) || buf.Len() > 0 {
+		t.Fatalf("Save of a stale index: got %v after %d bytes, want ErrIndexMismatch and none", err, buf.Len())
+	}
+
+	idx, err := ds.BuildIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.SaveFile(path, ds); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(ds, WithSnapshot(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownEngine(t, eng)
+	if eng.Stats().SnapshotRebuilt {
+		t.Fatal("engine rebuilt a current snapshot")
+	}
+	got, err := eng.Query(context.Background(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ds.Query(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := diffAnswer(got, want); err != nil {
+		t.Fatalf("k=3: %v", err)
+	}
+
+	before := eng.Index()
+	if err := eng.Apply(context.Background(), InsertMutation(Point{0.5, 0.5, 0.5})); err != nil {
+		t.Fatal(err)
+	}
+	if err := before.SaveFile(path, eng.Dataset()); !errors.Is(err, ErrIndexMismatch) {
+		t.Fatalf("SaveFile of the index before a fold: want ErrIndexMismatch, got %v", err)
+	}
+	if err := eng.Index().SaveFile(path, eng.Dataset()); err != nil {
+		t.Fatalf("SaveFile of the folded epoch's index: %v", err)
 	}
 }
 

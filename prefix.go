@@ -279,7 +279,7 @@ func buildPrefix(ctx context.Context, candPts []geom.Vector, n, k, workers int, 
 			l, err = nil, solverPanic(r, AlgoGeoGreedy, k, CandidatesHappy, len(candPts))
 		}
 	}()
-	if l, err = core.BuildStoredListReliedParCtx(ctx, candPts, n, workers, rely); err != nil {
+	if l, err = core.BuildStoredListUpToParCtx(ctx, candPts, n, workers, rely); err != nil {
 		return nil, fmt.Errorf("kregret: %w", err)
 	}
 	return l, nil

@@ -9,6 +9,7 @@ package kregret
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -16,6 +17,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // diffAnswer reports how got differs from want, or nil when they are
@@ -61,27 +64,41 @@ func remapAnswer(ans *Answer, m []int) *Answer {
 // path, every default answer equals the solver's. The reference is
 // Dataset.Query on the epoch, for the sharded eps = 0.1 engine the
 // merged core dataset's Query remapped to global indices; S = 1 with
-// eps = 0 must be byte-identical to the unsharded answer.
+// eps = 0 must be byte-identical to the unsharded answer. Every engine,
+// and every snapshot, is made over a dataset of its own: engines over
+// one Dataset share its epoch and with it the prefix list, so a later
+// one would find the list already grown.
 func TestEngineDefaultPathMatchesDataset(t *testing.T) {
-	ds, err := NewDataset(testPoints(400, 4, 21))
-	if err != nil {
-		t.Fatal(err)
+	pts := testPoints(400, 4, 21)
+	newDS := func() *Dataset {
+		t.Helper()
+		ds, err := NewDataset(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
 	}
+	ds := newDS()
 	dir := t.TempDir()
-	full, err := ds.BuildIndex()
+	fullDS := newDS()
+	full, err := fullDS.BuildIndex()
 	if err != nil {
 		t.Fatal(err)
 	}
 	fullPath := filepath.Join(dir, "full.snap")
-	if err := full.SaveFile(fullPath, ds); err != nil {
+	if err := full.SaveFile(fullPath, fullDS); err != nil {
 		t.Fatal(err)
 	}
-	partial, err := ds.BuildIndexUpTo(5)
+	partialDS := newDS()
+	partial, err := partialDS.BuildIndexUpTo(5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if partial.Len() >= full.Len() {
+		t.Fatalf("partial index has length %d, the full one %d", partial.Len(), full.Len())
+	}
 	partialPath := filepath.Join(dir, "partial.snap")
-	if err := partial.SaveFile(partialPath, ds); err != nil {
+	if err := partial.SaveFile(partialPath, partialDS); err != nil {
 		t.Fatal(err)
 	}
 
@@ -99,7 +116,7 @@ func TestEngineDefaultPathMatchesDataset(t *testing.T) {
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
-			probe, err := NewEngine(ds, cfg.opts...)
+			probe, err := NewEngine(newDS(), cfg.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +131,7 @@ func TestEngineDefaultPathMatchesDataset(t *testing.T) {
 			}
 			shutdownEngine(t, probe)
 			for order, ks := range kOrders(len(cand) + 2) {
-				eng, err := NewEngine(ds, cfg.opts...)
+				eng, err := NewEngine(newDS(), cfg.opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -149,6 +166,75 @@ func TestEngineDefaultPathMatchesDataset(t *testing.T) {
 				shutdownEngine(t, eng)
 			}
 		})
+	}
+}
+
+// TestBuildIndexGrowsEpochList: BuildIndex wraps the epoch's default
+// list, which a fresh normalized dataset builds over its skyline and
+// checks, so the happy cache stays unfilled, and the index answers
+// every k as Dataset.Query does, bit for bit. BuildIndexUpTo(5) on a
+// fresh dataset covers k ≤ 5 and refuses 6; over an epoch whose list is
+// already complete it wraps the whole list.
+func TestBuildIndexGrowsEpochList(t *testing.T) {
+	pts := testPoints(400, 4, 21)
+	ds, err := NewDataset(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := ds.BuildIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.snap().happyDone.Load() {
+		t.Fatal("BuildIndex filled the happy cache")
+	}
+	for k := 1; k <= idx.Len()+2; k++ {
+		got, err := idx.Query(k)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		want, err := ds.Query(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := diffAnswer(got, want); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+	}
+
+	fresh, err := NewDataset(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upTo, err := fresh.BuildIndexUpTo(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if upTo.Len() != 5 || idx.Len() <= 5 {
+		t.Fatalf("BuildIndexUpTo(5) has length %d, the full list %d", upTo.Len(), idx.Len())
+	}
+	if _, err := upTo.Query(6); !errors.Is(err, core.ErrBeyondList) {
+		t.Fatalf("k=6 beyond a partial index: want ErrBeyondList, got %v", err)
+	}
+	for k := 1; k <= 5; k++ {
+		got, err := upTo.Query(k)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		want, err := idx.Query(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := diffAnswer(got, want); err != nil {
+			t.Fatalf("partial k=%d: %v", k, err)
+		}
+	}
+	wide, err := ds.BuildIndexUpTo(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wide.Len() != idx.Len() {
+		t.Fatalf("BuildIndexUpTo(5) over a complete list has length %d, want %d", wide.Len(), idx.Len())
 	}
 }
 

@@ -26,6 +26,7 @@ package kregret
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -60,8 +61,10 @@ import (
 // one-point shards). If a shard build fails — numerically or via
 // fault injection — the epoch serves unsharded and the fallback is
 // counted in Stats().ShardFallbacks; sharding is retried at the next
-// fold. Invalid configuration (shards < 1, eps outside [0, 1)) fails
-// NewEngine.
+// fold. Invalid configuration (shards < 1, eps outside [0, 1), or
+// WithSnapshot beside it) fails NewEngine: a sharded engine rebuilds
+// its core at every start, and the list over that core, a few dozen
+// points, costs less to build than the snapshot costs to load.
 func WithShardedServing(shards int, eps float64) EngineOption {
 	return func(o *engineOptions) {
 		o.shards = shards
@@ -70,10 +73,14 @@ func WithShardedServing(shards int, eps float64) EngineOption {
 	}
 }
 
-// validateSharding rejects an impossible shard plan at NewEngine time.
+// validateSharding rejects an impossible shard plan at NewEngine time,
+// and a snapshot beside any plan.
 func (o *engineOptions) validateSharding() error {
 	if !o.sharded {
 		return nil
+	}
+	if o.snapshotPath != "" {
+		return errors.New("kregret: WithSnapshot and WithShardedServing cannot be combined")
 	}
 	if o.shards < 1 {
 		return fmt.Errorf("kregret: sharded serving needs at least 1 shard, got %d", o.shards)
