@@ -62,7 +62,7 @@ test-fault:
 # torn snapshot writes.
 test-serve:
 	$(GO) test -race -tags kregretfault -count=1 \
-		-run 'Engine|Pool|Breaker|Snapshot|SaveFile|LoadFile|Fault|Prefix|Fold' \
+		-run 'Engine|Pool|Breaker|Snapshot|SaveFile|LoadFile|Fault|Prefix|Fold|ShardedReloadNamesCoreMismatch' \
 		./internal/serve .
 
 # Seeded chaos soak: 20 consecutive fault schedules, each arming a
@@ -163,6 +163,6 @@ bench-shard:
 	$(GO) run ./cmd/benchbaseline -n 4000 -benchtime 1x \
 		-bench 'Paper/(ColdQuery|ShardedColdQuery)' \
 		-out /tmp/kregret_bench_shard.json
-	$(GO) test -count=1 -run 'Sharded|MergeShardCores|CoresetDifferential' .
+	$(GO) test -count=1 -run 'Sharded|MergeShardCores|CoresetDifferential|SnapshotRejectsBadCore' .
 
 check: build vet fmt bench-module kregret-vet test-race test-debug test-fault test-serve test-chaos test-crash bench-smoke bench-shard
