@@ -389,49 +389,60 @@ func BenchmarkPaper(b *testing.B) {
 			b.StartTimer()
 		}
 	})
-	b.Run("Apply", func(b *testing.B) {
-		// The write path end to end: alternating inserts of fresh points
-		// and mid-array deletes through Engine.Apply, each fsynced to the
-		// WAL and folded into a serving epoch whose candidate caches a
-		// first query warmed. The fold compacts only once the log
-		// outgrows the base snapshot (DESIGN.md §15). An untimed first
-		// insert makes the dataset's owned point array, so the timed
-		// inserts write in place at any b.N and the row measures the
-		// steady state: an in-place insert and a copying delete.
-		dir := b.TempDir()
-		ds, err := NewDataset(vecsToPoints(pts), WithoutNormalization(), WithSyncEvery(1),
-			WithWAL(filepath.Join(dir, "apply.wal"), filepath.Join(dir, "apply.snap")))
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng, err := NewEngine(ds)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer func() {
-			if err := errors.Join(eng.Shutdown(ctx), ds.Close()); err != nil {
+	// The write path end to end: alternating inserts of fresh points
+	// and mid-array deletes through Engine.Apply, each fsynced to the
+	// WAL and folded into a serving epoch whose candidate caches a
+	// first query warmed. The fold compacts only once the log outgrows
+	// the base snapshot (DESIGN.md §15). An untimed first insert makes
+	// the dataset's owned point array, so the timed inserts write in
+	// place at any b.N and the row measures the steady state: an
+	// in-place insert and a copying delete. ApplySnapshot runs the same
+	// engine with WithSnapshot, which builds the whole list and writes
+	// it at startup, untimed; its folds do the work Apply's do.
+	for _, row := range []struct {
+		name     string
+		snapshot bool
+	}{{"Apply", false}, {"ApplySnapshot", true}} {
+		b.Run(row.name, func(b *testing.B) {
+			dir := b.TempDir()
+			ds, err := NewDataset(vecsToPoints(pts), WithoutNormalization(), WithSyncEvery(1),
+				WithWAL(filepath.Join(dir, "apply.wal"), filepath.Join(dir, "apply.snap")))
+			if err != nil {
 				b.Fatal(err)
 			}
-		}()
-		if _, err := eng.Query(ctx, 20); err != nil {
-			b.Fatal(err)
-		}
-		fresh := benchInserts(b, len(pts))
-		if err := eng.Apply(ctx, InsertMutation(Point(fresh[len(fresh)-1]))); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m := DeleteMutation(ds.Len() / 2)
-			if i%2 == 0 {
-				m = InsertMutation(Point(fresh[i/2%len(fresh)]))
+			var opts []EngineOption
+			if row.snapshot {
+				opts = append(opts, WithSnapshot(filepath.Join(dir, "apply.idx")))
 			}
-			if err := eng.Apply(ctx, m); err != nil {
+			eng, err := NewEngine(ds, opts...)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			defer func() {
+				if err := errors.Join(eng.Shutdown(ctx), ds.Close()); err != nil {
+					b.Fatal(err)
+				}
+			}()
+			if _, err := eng.Query(ctx, 20); err != nil {
+				b.Fatal(err)
+			}
+			fresh := benchInserts(b, len(pts))
+			if err := eng.Apply(ctx, InsertMutation(Point(fresh[len(fresh)-1]))); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m := DeleteMutation(ds.Len() / 2)
+				if i%2 == 0 {
+					m = InsertMutation(Point(fresh[i/2%len(fresh)]))
+				}
+				if err := eng.Apply(ctx, m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	b.Run("Recover", func(b *testing.B) {
 		// Restart of a durable dataset: the base snapshot of the
 		// instance plus a log of 10,000 alternating inserts and

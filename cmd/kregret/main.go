@@ -32,7 +32,7 @@
 // circuit breaking, and crash-safe snapshot files (a corrupt or
 // mismatched snapshot is rebuilt, not fatal). -watchdog flags a query
 // still running the given interval past its deadline and quarantines
-// its breaker key. Engine counters are
+// its algorithm's breaker. Engine counters are
 // reported on exit, among them the degradation chain's perturbed
 // re-runs after a numerical failure ("retries") and how many of them
 // answered ("rescued").

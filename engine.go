@@ -77,21 +77,22 @@ func WithBreaker(threshold int, cooldown time.Duration) EngineOption {
 	}
 }
 
-// WithSnapshot persists the engine's default prefix list (the
-// StoredList every default query is served from, see NewEngine) in a
-// snapshot file. At startup the engine loads path and serves from the
-// loaded list, growing it on demand if it is partial (BuildIndexUpTo).
-// When the file is missing, corrupt (ErrCorruptIndex) or built from a
+// WithSnapshot makes path a startup cache of the engine's default
+// prefix list (the StoredList every default query is served from, see
+// NewEngine). NewEngine loads path and serves from the loaded list,
+// growing it on demand if it is partial (BuildIndexUpTo). When the
+// file is missing, corrupt (ErrCorruptIndex) or built from a
 // different dataset (ErrIndexMismatch), it builds the list to the end
 // and atomically rewrites the snapshot instead of failing; the
-// rebuild is recorded in Stats().SnapshotRebuilt. Each fold builds
-// the new epoch's list to the end (a fold that keeps the list's
-// candidates, the skyline or the happy points, reuses its
-// predecessor's) and writes it back. Answers are the same
-// with or without it; it trades list builds at startup and on every
-// fold for restarts that start with the whole list. An engine with
-// WithShardedServing cannot take a snapshot: NewEngine refuses the
-// pair before it touches path.
+// rebuild is recorded in Stats().SnapshotRebuilt. The file is read
+// and written nowhere else: Apply folds as on any engine, so after a
+// fold the file describes the startup dataset, and a restart over the
+// mutated dataset rebuilds it. To persist a folded epoch's list, call
+// BuildIndex and SaveFile on Engine.Dataset(). Answers are the same
+// with or without it; it trades one full list build at startup for
+// restarts over an unchanged dataset that start with the whole list.
+// An engine with WithShardedServing cannot take a snapshot: NewEngine
+// refuses the pair before it touches path.
 func WithSnapshot(path string) EngineOption {
 	return func(o *engineOptions) { o.snapshotPath = path }
 }
@@ -101,11 +102,11 @@ func WithSnapshot(path string) EngineOption {
 // cancellation checks cannot reach. Each query with a deadline arms
 // its own timer for deadline + interval, disarmed when it returns; a
 // query without a deadline is never flagged. A flagged query is
-// counted once in Stats().WatchdogStuck and its breaker key
-// (algorithm/dim bucket) is quarantined: the breaker trips open
-// immediately, so follow-up traffic for the pathological regime
-// short-circuits to Cube instead of piling onto stuck solvers.
-// Default: disabled.
+// counted once in Stats().WatchdogStuck and the breaker of its
+// requested algorithm is quarantined: it trips open immediately, so
+// follow-up traffic for that solver short-circuits to Cube instead of
+// piling onto stuck solvers. A flagged Cube query is counted and
+// trips nothing. Default: disabled.
 func WithWatchdog(interval time.Duration) EngineOption {
 	return func(o *engineOptions) { o.watchdogInterval = interval }
 }
@@ -127,8 +128,9 @@ type EngineStats struct {
 	// Degraded counts answers produced by the numerical fallback
 	// chain; BreakerShortCircuits counts queries an open breaker
 	// routed straight to Cube without attempting the requested
-	// solver. Breakers maps each (algorithm/dim-bucket) key to its
-	// current state ("closed", "open", "half-open").
+	// solver. Breakers maps each guarded algorithm ("GeoGreedy",
+	// "Greedy") to its breaker's current state ("closed", "open",
+	// "half-open").
 	Degraded             uint64
 	BreakerShortCircuits uint64
 	Breakers             map[string]string
@@ -138,8 +140,9 @@ type EngineStats struct {
 	// a numerical failure (the first fallback stage, DESIGN.md §9) and
 	// RetrySuccesses the ones that answered; WatchdogStuck counts
 	// queries the watchdog found running one interval past their
-	// deadline (each quarantines its breaker key). DrainDuration is
-	// how long the shutdown drain took, zero until it has completed.
+	// deadline (each quarantines its algorithm's breaker).
+	// DrainDuration is how long the shutdown drain took, zero until it
+	// has completed.
 	ShedAtDequeue  uint64
 	Retries        uint64
 	RetrySuccesses uint64
@@ -151,7 +154,7 @@ type EngineStats struct {
 	// Mutation counters. Epoch is the serving epoch number (1 at
 	// startup, +1 per fold); MutationsApplied counts mutations
 	// durably applied through Engine.Apply; Rebuilds counts epoch
-	// folds.
+	// folds, Epoch − 1, since every fold swaps in its epoch.
 	Epoch            uint64
 	MutationsApplied uint64
 	Rebuilds         uint64
@@ -184,13 +187,19 @@ type Engine struct {
 	// touch it: they run against the epoch below.
 	base *Dataset
 	// epoch is the immutable serving state: a Snapshot of base plus
-	// its index, swapped atomically by each Apply that changed the
-	// dataset. In-flight queries finish on the epoch they loaded;
+	// its sharded view, swapped atomically by each Apply that changed
+	// the dataset. In-flight queries finish on the epoch they loaded;
 	// new queries see the new one. Copy-on-write, no read locks.
-	epoch    atomic.Pointer[engineEpoch]
-	pool     *serve.Pool
-	breakers *serve.BreakerSet
+	epoch atomic.Pointer[engineEpoch]
+	pool  *serve.Pool
+	// breakers guards each adaptive solver, GeoGreedy and Greedy, with
+	// one breaker; Cube has nothing to break and no entry. The map is
+	// filled at construction and only read after.
+	breakers map[Algorithm]*serve.Breaker
 	opts     engineOptions
+	// idx is the index WithSnapshot loaded or built at startup, nil
+	// without it. Folds leave it alone.
+	idx *Index
 	// perQueryWorkers is the width every live solver runs at:
 	// GOMAXPROCS divided by the number of run slots, at least 1.
 	perQueryWorkers int
@@ -201,7 +210,6 @@ type Engine struct {
 	retrySuccesses  atomic.Uint64
 	watchdogStuck   atomic.Uint64
 	applied         atomic.Uint64
-	rebuilds        atomic.Uint64
 	shardFallbacks  atomic.Uint64
 	stopping        atomic.Bool
 	snapshotRebuilt bool
@@ -219,9 +227,6 @@ type Engine struct {
 type engineEpoch struct {
 	num uint64
 	ds  *Dataset
-	// idx wraps the complete (or loaded) prefix list of ds's epoch for
-	// persistence; non-nil only with WithSnapshot.
-	idx *Index
 
 	// Sharded serving view (WithShardedServing), nil/zero when the
 	// engine is unsharded or the shard build for this epoch fell back:
@@ -242,8 +247,9 @@ type engineEpoch struct {
 // relies on is a happy point, so a cold start skips the happy-point
 // pass; otherwise it is built over the happy points. Either way the
 // answers are bit-identical to Dataset.Query's. With WithSnapshot the
-// list is loaded from (or built to the end and written to) a snapshot
-// file at startup. Other configurations run their solver per query.
+// first epoch's list is loaded from (or built to the end and written
+// to) a snapshot file. Other configurations run their solver per
+// query.
 func NewEngine(ds *Dataset, opts ...EngineOption) (*Engine, error) {
 	return NewEngineContext(context.Background(), ds, opts...)
 }
@@ -264,13 +270,14 @@ func NewEngineContext(ctx context.Context, ds *Dataset, opts ...EngineOption) (*
 	if err := o.validateSharding(); err != nil {
 		return nil, err
 	}
+	bc := serve.BreakerConfig{Threshold: o.breakerThreshold, Cooldown: o.breakerCooldown}
 	e := &Engine{
 		base: ds,
 		opts: o,
-		breakers: serve.NewBreakerSet(serve.BreakerConfig{
-			Threshold: o.breakerThreshold,
-			Cooldown:  o.breakerCooldown,
-		}),
+		breakers: map[Algorithm]*serve.Breaker{
+			AlgoGeoGreedy: serve.NewBreaker(bc),
+			AlgoGreedy:    serve.NewBreaker(bc),
+		},
 	}
 	ep := &engineEpoch{num: 1, ds: ds.Snapshot()}
 	e.shardEpoch(ctx, ep)
@@ -279,7 +286,7 @@ func NewEngineContext(ctx context.Context, ds *Dataset, opts ...EngineOption) (*
 		if err != nil {
 			return nil, err
 		}
-		ep.idx, e.snapshotRebuilt = idx, rebuilt
+		e.idx, e.snapshotRebuilt = idx, rebuilt
 	}
 	e.epoch.Store(ep)
 	e.pool = serve.NewPool(serve.Config{Workers: o.workers, QueueDepth: o.queueDepth})
@@ -382,9 +389,9 @@ func (e *Engine) Query(ctx context.Context, k int, opts ...Option) (*Answer, err
 // under the per-query wall-clock budget. A failure returns at once:
 // the one re-run worth making, over perturbed candidates, already
 // happened inside the degradation chain. It loads the serving epoch
-// exactly once, up front: every read below — prefix list, breaker
-// key, solver — comes from that one generation, so an epoch swap
-// mid-query cannot hand the query a mixed view.
+// exactly once, up front: every read below — prefix list, solver —
+// comes from that one generation, so an epoch swap mid-query cannot
+// hand the query a mixed view.
 func (e *Engine) serveOnce(ctx context.Context, k int, opts []Option) (*Answer, error) {
 	if e.opts.maxQueryTime > 0 {
 		var cancel context.CancelFunc
@@ -395,7 +402,7 @@ func (e *Engine) serveOnce(ctx context.Context, k int, opts []Option) (*Answer, 
 	ep := e.epoch.Load()
 	if e.opts.watchdogInterval > 0 {
 		if deadline, ok := ctx.Deadline(); ok { // unbounded work is never stuck
-			defer e.armWatchdog(breakerKey(o.algorithm, ep.ds.Dim()), deadline)()
+			defer e.armWatchdog(o.algorithm, deadline)()
 		}
 	}
 
@@ -456,10 +463,11 @@ func (e *Engine) serveOnce(ctx context.Context, k int, opts []Option) (*Answer, 
 		return ans, err
 	}
 
-	br := e.breakers.For(breakerKey(o.algorithm, ep.ds.Dim()))
-	if o.algorithm == AlgoCube {
+	br := e.breakers[o.algorithm]
+	if br == nil {
 		// Cube is the floor of the fallback chain — non-adaptive
-		// arithmetic with nothing to break.
+		// arithmetic with nothing to break. (An unknown algorithm has no
+		// breaker either, and the solve refuses it.)
 		return serveQuery(&o)
 	}
 	if !br.Allow() {
@@ -472,8 +480,7 @@ func (e *Engine) serveOnce(ctx context.Context, k int, opts []Option) (*Answer, 
 		e.breakerShorts.Add(1)
 		e.degraded.Add(1)
 		ans.Degraded = true
-		ans.FallbackReason = fmt.Sprintf("circuit breaker open for %s: served by Cube without attempting %v",
-			breakerKey(o.algorithm, ep.ds.Dim()), o.algorithm)
+		ans.FallbackReason = fmt.Sprintf("circuit breaker open for %v: served by Cube without attempting it", o.algorithm)
 		return ans, nil
 	}
 
@@ -495,25 +502,12 @@ func (e *Engine) serveOnce(ctx context.Context, k int, opts []Option) (*Answer, 
 	return ans, err
 }
 
-// breakerKey buckets breakers by requested algorithm and dimension:
-// numerical degeneracy risk grows with dimension, so a storm at d=7
-// must not open the breaker for well-conditioned low-d traffic when
-// one engine serves heterogeneous query options.
-func breakerKey(alg Algorithm, dim int) string {
-	bucket := dim
-	if bucket > 8 {
-		bucket = 8
-	}
-	return fmt.Sprintf("%v/d%d", alg, bucket)
-}
-
 // Stats snapshots the serving counters.
 func (e *Engine) Stats() EngineStats {
 	ps := e.pool.Stats()
-	states := e.breakers.States()
-	breakers := make(map[string]string, len(states))
-	for k, s := range states {
-		breakers[k] = s.String()
+	breakers := make(map[string]string, len(e.breakers))
+	for alg, b := range e.breakers {
+		breakers[alg.String()] = b.State().String()
 	}
 	ep := e.epoch.Load()
 	return EngineStats{
@@ -523,7 +517,7 @@ func (e *Engine) Stats() EngineStats {
 		ShardFallbacks:       e.shardFallbacks.Load(),
 		Epoch:                ep.num,
 		MutationsApplied:     e.applied.Load(),
-		Rebuilds:             e.rebuilds.Load(),
+		Rebuilds:             ep.num - 1,
 		Admitted:             ps.Admitted,
 		Completed:            ps.Completed,
 		ShedOverload:         ps.ShedOverload,
@@ -546,16 +540,19 @@ func (e *Engine) Stats() EngineStats {
 	}
 }
 
-// armWatchdog schedules the stuck-query check of one query: if it is
-// still running one interval past deadline, the timer counts it in
-// WatchdogStuck and quarantines its breaker key. The returned disarm
-// stops the timer when the query returns, or waits out a check that
-// already fired, so the flag is visible by the time Query returns.
-func (e *Engine) armWatchdog(key string, deadline time.Time) (disarm func()) {
+// armWatchdog schedules the stuck-query check of one query for alg:
+// if it is still running one interval past deadline, the timer counts
+// it in WatchdogStuck and trips alg's breaker (Cube has none). The
+// returned disarm stops the timer when the query returns, or waits out
+// a check that already fired, so the flag is visible by the time Query
+// returns.
+func (e *Engine) armWatchdog(alg Algorithm, deadline time.Time) (disarm func()) {
 	fired := make(chan struct{})
 	t := time.AfterFunc(time.Until(deadline)+e.opts.watchdogInterval, func() {
 		e.watchdogStuck.Add(1)
-		e.breakers.For(key).Trip()
+		if br := e.breakers[alg]; br != nil {
+			br.Trip()
+		}
 		close(fired)
 	})
 	return func() {
@@ -581,15 +578,15 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	return e.pool.Shutdown(ctx)
 }
 
-// Index returns the current epoch's snapshot-backed index, or nil
-// when the engine was built without WithSnapshot: the list loaded at
-// startup, or the one built to the end at startup or by the last fold.
-// Queries beyond a partial loaded index still answer, from the epoch's
-// grown prefix list; Index keeps returning the list the snapshot
-// holds. It describes the epoch Dataset returns at the same moment;
-// when a fold lands between the two calls, saving the one against the
-// other returns ErrIndexMismatch.
-func (e *Engine) Index() *Index { return e.epoch.Load().idx }
+// Index returns the index WithSnapshot loaded or built at startup, or
+// nil when the engine was built without it. Queries beyond a partial
+// loaded index still answer, from the epoch's grown prefix list; Index
+// keeps returning the list the snapshot holds. It describes the first
+// epoch: until the first fold it saves against Dataset() (or the
+// Dataset given to NewEngine, while that holds the epoch), and after
+// one that is ErrIndexMismatch, as for any stale index. A folded
+// epoch's index is Dataset().BuildIndex().
+func (e *Engine) Index() *Index { return e.idx }
 
 // Dataset returns the current serving epoch's read-only dataset view.
 // It is pinned: later mutations through Apply never change it.
@@ -617,24 +614,23 @@ func DeleteMutation(i int) Mutation { return Mutation{index: i} }
 // Apply durably applies mutations to the engine's dataset and folds
 // the whole batch, once, into a fresh serving epoch: warm candidate
 // caches arrive pre-seeded by the per-mutation incremental fold
-// (DESIGN.md §16; cold caches stay cold and compute lazily), the index
-// (WithSnapshot) is rebuilt eagerly, and the epoch pointer is swapped
-// atomically — queries already running finish on the old epoch, new
-// queries see the fold. After the swap the engine persists
-// best-effort: the rebuilt index is written back to the snapshot path,
-// and a WAL-backed dataset is compacted once its log has grown larger
-// than the base snapshot it extends, so an acknowledged mutation costs
-// its log record, not a snapshot rewrite (DESIGN.md §15).
+// (DESIGN.md §16; cold caches stay cold and compute lazily), and the
+// epoch pointer is swapped atomically — queries already running
+// finish on the old epoch, new queries see the fold. No list is built
+// and no index written (WithSnapshot's file is a startup cache). After
+// the swap a WAL-backed dataset is compacted once its log has grown
+// larger than the base snapshot it extends, so an acknowledged
+// mutation costs its log record, not a snapshot rewrite (DESIGN.md
+// §15).
 //
 // Mutations are applied in order and each is durable (WAL-appended
 // and fsynced per the dataset's WithSyncEvery) before the next is
 // attempted. On error, every mutation before the failing one remains
-// applied and durable; the error says which one failed. An error
-// from the post-swap persistence or rebuild step does not undo any
-// mutation — re-applying is never the right response to it: the
-// next Apply folds again, taking in every mutation the failed fold
-// left unserved. After Shutdown has begun, Apply returns
-// ErrShuttingDown without applying anything.
+// applied, durable and folded; the error says which one failed. An
+// error from the post-swap compaction does not undo any mutation —
+// re-applying is never the right response to it: the log stays larger
+// than the snapshot, so the next fold compacts again. After Shutdown
+// has begun, Apply returns ErrShuttingDown without applying anything.
 func (e *Engine) Apply(ctx context.Context, muts ...Mutation) error {
 	if len(muts) == 0 {
 		return nil
@@ -662,11 +658,11 @@ func (e *Engine) Apply(ctx context.Context, muts ...Mutation) error {
 	return e.foldLocked(ctx)
 }
 
-// foldLocked builds the successor epoch from the live dataset and
-// swaps it in, then persists best-effort. It does nothing while the
-// serving epoch already holds every applied mutation, so it also folds
-// mutations an earlier failed fold left unserved. Callers hold
-// muApply.
+// foldLocked snapshots the live dataset into the successor epoch,
+// gives it its sharded view (which falls back rather than fail) and
+// swaps it in, then compacts. Nothing before the swap can fail, so
+// every fold that starts is served. It does nothing while the serving
+// epoch already holds every applied mutation. Callers hold muApply.
 func (e *Engine) foldLocked(ctx context.Context) error {
 	old := e.epoch.Load()
 	if e.base.Seq() == old.ds.Seq() {
@@ -674,32 +670,15 @@ func (e *Engine) foldLocked(ctx context.Context) error {
 	}
 	ep := &engineEpoch{num: old.num + 1, ds: e.base.Snapshot()}
 	e.shardEpoch(ctx, ep)
-	if e.opts.snapshotPath != "" {
-		idx, err := ep.ds.buildIndex(ctx, 0)
-		if err != nil {
-			// The mutations stay unserved; the next Apply retries the
-			// fold. Queries keep answering from the old epoch.
-			return fmt.Errorf("kregret: epoch %d index rebuild: %w", ep.num, err)
-		}
-		ep.idx = idx
-	}
 	e.epoch.Store(ep)
-	e.rebuilds.Add(1)
 
-	// Persistence rides behind the swap: serving switches to the new
-	// epoch immediately, disk writes only bound restart/recovery
-	// time. Both failures are reported but change nothing in memory —
-	// the WAL already holds every mutation durably, and a compaction
-	// that failed is retried by the next fold, since the log is still
-	// larger than the snapshot.
-	var errs []error
-	if ep.idx != nil {
-		if err := ep.idx.SaveFile(e.opts.snapshotPath, ep.ds); err != nil {
-			errs = append(errs, fmt.Errorf("kregret: persisting epoch %d index: %w", ep.num, err))
-		}
-	}
+	// Compaction rides behind the swap: serving switches to the new
+	// epoch immediately, and the disk write only bounds recovery time.
+	// A failure is reported but changes nothing in memory — the WAL
+	// already holds every mutation durably, and the next fold retries,
+	// since the log is still larger than the snapshot.
 	if err := e.base.compactIfOutgrown(); err != nil {
-		errs = append(errs, fmt.Errorf("kregret: post-fold compaction: %w", err))
+		return fmt.Errorf("kregret: post-fold compaction: %w", err)
 	}
-	return errors.Join(errs...)
+	return nil
 }

@@ -38,7 +38,7 @@ func TestEngineBreakerCycleUnderNumericalStorm(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	key := breakerKey(AlgoGeoGreedy, ds.Dim())
+	key := AlgoGeoGreedy.String()
 
 	// Storm: every GeoGreedy support value is NaN, so each query pays
 	// the full retry ladder and comes back degraded.

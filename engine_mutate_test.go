@@ -1,6 +1,7 @@
 package kregret
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -66,49 +67,142 @@ func TestEngineApplyFoldsEpoch(t *testing.T) {
 	}
 }
 
-// TestEngineApplyRebuildsIndex: on a snapshot-backed engine a fold
-// rebuilds the index over the new epoch, serves from it, and persists
-// it — the file on disk loads against the new epoch's dataset.
-func TestEngineApplyRebuildsIndex(t *testing.T) {
-	ds := mutGrid(t)
+// TestEngineSnapshotFoldKeepsStartupFile: WithSnapshot is a startup
+// cache. Apply folds without building or writing an index: the
+// snapshot file stays byte-identical, Index keeps answering from the
+// startup list, and that index, which describes the first epoch, is
+// ErrIndexMismatch against Dataset() after the fold. Queries serve the
+// folded epoch.
+func TestEngineSnapshotFoldKeepsStartupFile(t *testing.T) {
+	ds, err := NewDataset(testPoints(300, 3, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "idx.snap")
 	eng, err := NewEngine(ds, WithSnapshot(path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if err := eng.Shutdown(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	if err := eng.Apply(context.Background(), InsertMutation(Point{1.0, 1.0})); err != nil {
-		t.Fatal(err)
-	}
-	idx := eng.Index()
-	if idx == nil {
-		t.Fatal("index lost across fold")
-	}
-	ans, err := idx.Query(2)
+	defer shutdownEngine(t, eng)
+	startup, idx := eng.Dataset(), eng.Index()
+	written, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, i := range ans.Indices {
-		if i == 6 {
-			found = true
+	happy, err := startup.HappyPoints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := eng.Apply(ctx, InsertMutation(Point{0.5, 0.5, 0.5}), DeleteMutation(happy[0])); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Apply(ctx, DeleteMutation(happy[len(happy)/2])); err != nil {
+		t.Fatal(err)
+	}
+	if s := eng.Stats(); s.Epoch != 3 || s.Rebuilds != 2 {
+		t.Fatalf("after two folds: epoch=%d rebuilds=%d, want 3 and 2", s.Epoch, s.Rebuilds)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, written) {
+		t.Fatal("a fold rewrote the snapshot file")
+	}
+	if eng.Index() != idx {
+		t.Fatal("a fold replaced the startup index")
+	}
+	for _, k := range upTo(8) {
+		got, err := eng.Index().Query(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := startup.Query(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := diffAnswer(got, want); err != nil {
+			t.Fatalf("startup index k=%d: %v", k, err)
 		}
 	}
-	if !found {
-		t.Fatalf("rebuilt index does not know the insert: %v", ans.Indices)
+	other := filepath.Join(t.TempDir(), "other.snap")
+	if err := eng.Index().SaveFile(other, eng.Dataset()); !errors.Is(err, ErrIndexMismatch) {
+		t.Fatalf("SaveFile of the startup index after a fold: want ErrIndexMismatch, got %v", err)
 	}
-	// The persisted snapshot belongs to the new epoch.
-	if _, err := LoadFile(path, eng.Dataset()); err != nil {
-		t.Fatalf("persisted index does not match the new epoch: %v", err)
+	if _, err := os.Stat(other); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("refused SaveFile left a file (stat: %v)", err)
 	}
-	// And no longer to the old one.
-	old := mutGrid(t)
-	if _, err := LoadFile(path, old); !errors.Is(err, ErrIndexMismatch) {
-		t.Fatalf("stale-dataset load: %v", err)
+	sameAsDataset(t, eng, eng.Dataset(), upTo(8))
+}
+
+// TestEngineSnapshotRestartAfterFold: a restart loads the snapshot only
+// when it describes the recovered dataset. A folded epoch persisted
+// with Dataset().BuildIndex() and SaveFile loads (SnapshotRebuilt
+// false); once the dataset has moved past the file, the restart
+// rebuilds and rewrites it (SnapshotRebuilt true). Both restarts
+// answer k = 1…8 as Dataset.Query does.
+func TestEngineSnapshotRestartAfterFold(t *testing.T) {
+	dir := t.TempDir()
+	walPath, snapPath := filepath.Join(dir, "d.wal"), filepath.Join(dir, "d.snap")
+	idxPath := filepath.Join(dir, "idx.snap")
+	ds, err := NewDataset(testPoints(300, 3, 5), WithWAL(walPath, snapPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// stop shuts eng down and closes its dataset, as a process exit
+	// would leave the files.
+	stop := func(eng *Engine, ds *Dataset) {
+		t.Helper()
+		if err := errors.Join(eng.Shutdown(ctx), ds.Close()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restart := func(wantRebuilt bool) (*Engine, *Dataset) {
+		t.Helper()
+		rec, err := Recover(snapPath, walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewEngine(rec, WithSnapshot(idxPath))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.Stats().SnapshotRebuilt; got != wantRebuilt {
+			t.Fatalf("restart at seq %d: SnapshotRebuilt = %v, want %v", rec.Seq(), got, wantRebuilt)
+		}
+		sameAsDataset(t, eng, rec, upTo(8))
+		return eng, rec
+	}
+
+	eng, err := NewEngine(ds, WithSnapshot(idxPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Apply(ctx, InsertMutation(Point{0.5, 0.5, 0.5}), DeleteMutation(3)); err != nil {
+		t.Fatal(err)
+	}
+	folded := eng.Dataset()
+	idx, err := folded.BuildIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.SaveFile(idxPath, folded); err != nil {
+		t.Fatal(err)
+	}
+	stop(eng, ds)
+
+	eng, rec := restart(false)
+	if err := eng.Apply(ctx, DeleteMutation(5)); err != nil {
+		t.Fatal(err)
+	}
+	stop(eng, rec)
+
+	eng, rec = restart(true)
+	defer stop(eng, rec)
+	if _, err := LoadFile(idxPath, rec); err != nil {
+		t.Fatalf("the rebuilding restart did not rewrite the snapshot: %v", err)
 	}
 }
 

@@ -3,7 +3,7 @@
 // Fault-injection tests for the engine's self-healing layer: the
 // degradation chain's perturbed re-run rescuing a transiently failing
 // solver (counted in Stats), and the stuck-query watchdog quarantining
-// a pathological breaker key while sparing a brief overrun. They
+// a stuck solver's breaker while sparing a brief overrun. They
 // compile only under the kregretfault tag (`make test-serve`).
 package kregret
 
@@ -43,9 +43,9 @@ func TestEnginePerturbedRetryRescuesTransientFault(t *testing.T) {
 
 // TestEngineWatchdogQuarantinesStuckQuery turns the LP solver into a
 // slow loop that outlives its deadline by an order of magnitude: the
-// watchdog must flag the in-flight query and trip the breaker for its
-// (algorithm, dim) key, so follow-up traffic short-circuits to Cube
-// instead of piling onto the stuck regime.
+// watchdog must flag the in-flight query and trip its algorithm's
+// breaker, so follow-up traffic short-circuits to Cube instead of
+// piling onto the stuck solver.
 func TestEngineWatchdogQuarantinesStuckQuery(t *testing.T) {
 	defer fault.Reset()
 	eng, _ := testEngine(t,
@@ -81,18 +81,18 @@ func TestEngineWatchdogQuarantinesStuckQuery(t *testing.T) {
 	if s.WatchdogStuck == 0 {
 		t.Fatalf("watchdog missed the stuck query: %+v", s)
 	}
-	key := breakerKey(AlgoGreedy, 3)
+	key := AlgoGreedy.String()
 	if state := s.Breakers[key]; state != "open" {
 		t.Fatalf("breaker %s = %q, want open (quarantined): %v", key, state, s.Breakers)
 	}
 
-	// The quarantine redirects the next query for the key to Cube.
+	// The quarantine redirects the next Greedy query to Cube.
 	ans, err := eng.Query(context.Background(), 2, WithAlgorithm(AlgoGreedy))
 	if err != nil {
-		t.Fatalf("quarantined key stopped serving: %v", err)
+		t.Fatalf("quarantined solver stopped serving: %v", err)
 	}
 	if !ans.Degraded || ans.Algorithm != AlgoCube {
-		t.Fatalf("quarantined key not short-circuited to Cube: %+v", ans)
+		t.Fatalf("quarantined solver not short-circuited to Cube: %+v", ans)
 	}
 	if s := eng.Stats(); s.BreakerShortCircuits == 0 {
 		t.Fatalf("short-circuit not counted: %+v", s)
@@ -101,8 +101,8 @@ func TestEngineWatchdogQuarantinesStuckQuery(t *testing.T) {
 
 // TestEngineWatchdogSparesBriefOverrun pins the watchdog's grace: a
 // query that overruns its deadline by less than one interval returns
-// before its timer fires, so it is not counted and its breaker key
-// stays closed.
+// before its timer fires, so it is not counted and its algorithm's
+// breaker stays closed.
 func TestEngineWatchdogSparesBriefOverrun(t *testing.T) {
 	defer fault.Reset()
 	const interval = 400 * time.Millisecond
@@ -138,7 +138,7 @@ func TestEngineWatchdogSparesBriefOverrun(t *testing.T) {
 	if s.WatchdogStuck != 0 {
 		t.Fatalf("watchdog flagged a query that overran by %v, under its %v grace: %+v", elapsed-10*time.Millisecond, interval, s)
 	}
-	key := breakerKey(AlgoGreedy, 3)
+	key := AlgoGreedy.String()
 	if state := s.Breakers[key]; state != "closed" {
 		t.Fatalf("breaker %s = %q, want closed: %v", key, state, s.Breakers)
 	}

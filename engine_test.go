@@ -3,6 +3,7 @@ package kregret
 import (
 	"context"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -321,11 +322,58 @@ func TestEngineStatsShape(t *testing.T) {
 	if s.Admitted != 1 || s.Completed != 1 {
 		t.Fatalf("counters wrong after one query: %+v", s)
 	}
-	if state := s.Breakers[breakerKey(AlgoGeoGreedy, 3)]; state != "closed" {
+	if state := s.Breakers["GeoGreedy"]; state != "closed" {
 		t.Fatalf("breaker state %q, want closed (%v)", state, s.Breakers)
 	}
 	if s.Retries != 0 || s.RetrySuccesses != 0 || s.WatchdogStuck != 0 || s.ShedAtDequeue != 0 {
 		t.Fatalf("self-healing counters nonzero after one healthy query: %+v", s)
+	}
+}
+
+// TestEngineBreakersPerAlgorithm: an engine guards GeoGreedy and
+// Greedy with one breaker each, named in Stats by the algorithm. A
+// Cube query consults no breaker and adds none.
+func TestEngineBreakersPerAlgorithm(t *testing.T) {
+	eng, _ := testEngine(t)
+	defer shutdownEngine(t, eng)
+	ctx := context.Background()
+	if _, err := eng.Query(ctx, 3, WithAlgorithm(AlgoCube)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Query(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"GeoGreedy": "closed", "Greedy": "closed"}
+	if got := eng.Stats().Breakers; !maps.Equal(got, want) {
+		t.Fatalf("breakers %v, want %v", got, want)
+	}
+}
+
+// TestEngineWatchdogTripsRequestedBreaker: the watchdog's check of a
+// query past its deadline trips the breaker of the query's algorithm
+// and no other, and a flagged Cube query is counted but trips none.
+func TestEngineWatchdogTripsRequestedBreaker(t *testing.T) {
+	eng, _ := testEngine(t, WithWatchdog(time.Millisecond), WithBreaker(5, time.Hour))
+	defer shutdownEngine(t, eng)
+	for i, tc := range []struct {
+		alg  Algorithm
+		want map[string]string
+	}{
+		{AlgoCube, map[string]string{"GeoGreedy": "closed", "Greedy": "closed"}},
+		{AlgoGreedy, map[string]string{"GeoGreedy": "closed", "Greedy": "open"}},
+	} {
+		// The deadline is long past, so the check fires at once; disarm
+		// then waits for it.
+		disarm := eng.armWatchdog(tc.alg, time.Now().Add(-time.Hour))
+		for start := time.Now(); eng.Stats().WatchdogStuck != uint64(i+1); time.Sleep(time.Millisecond) {
+			if time.Since(start) > 5*time.Second {
+				t.Fatalf("%v: the watchdog never fired", tc.alg)
+			}
+		}
+		disarm()
+		if got := eng.Stats().Breakers; !maps.Equal(got, tc.want) {
+			t.Fatalf("%v flagged: breakers %v, want %v", tc.alg, got, tc.want)
+		}
 	}
 }
 

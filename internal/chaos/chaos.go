@@ -4,7 +4,7 @@
 // internal/fault injection sites (each armed on an independent
 // probabilistic trigger) with per-client request scripts mixing
 // healthy, short-deadline, pre-canceled, fallback-disabled,
-// breaker-key-skewed and durable-mutation traffic. The tagged half of
+// Greedy-skewed and durable-mutation traffic. The tagged half of
 // the package (soak.go, build tag kregretfault) drives a
 // kregret.Engine with the schedule and checks six global invariants:
 //
@@ -49,7 +49,7 @@ type RequestClass int
 
 const (
 	// ClassHealthy is a default-option query: served from the
-	// snapshot index in O(k), immune to solver faults.
+	// epoch's prefix list in O(k), immune to solver faults.
 	ClassHealthy RequestClass = iota
 	// ClassHealthyLive forces the live GeoGreedy solver over skyline
 	// candidates, bypassing the index so solver faults land on it.
@@ -59,7 +59,8 @@ const (
 	// degraded answers.
 	ClassNoFallback
 	// ClassSkewed routes to the Greedy solver, concentrating load on
-	// a second breaker key so per-key isolation is visible.
+	// the engine's second breaker, Greedy's, so per-algorithm
+	// isolation is visible.
 	ClassSkewed
 	// ClassShortDeadline runs the live solver under a deadline of a
 	// few milliseconds — the shed-at-dequeue, mid-solve cancellation

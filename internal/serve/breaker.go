@@ -155,7 +155,7 @@ func (b *Breaker) Record(success bool) {
 // Trip forces the breaker open now, as if a failure storm had just
 // crossed the threshold: requests short-circuit for a full cooldown
 // before half-open probing resumes. The engine's stuck-query watchdog
-// calls it from a query's deadline timer to quarantine the key of a
+// calls it from a query's deadline timer to quarantine the solver of a
 // query still running one interval past its deadline — evidence of
 // pathology that must not wait for Record calls that may never come.
 func (b *Breaker) Trip() {
@@ -197,42 +197,4 @@ func (b *Breaker) decayScoreLocked(now time.Time) {
 	if b.score < 1e-3 {
 		b.score = 0
 	}
-}
-
-// BreakerSet is a keyed registry of breakers sharing one config — the
-// engine keys them by (algorithm, dimension bucket) so a degenerate-
-// input storm in one regime does not open the breaker for others.
-type BreakerSet struct {
-	cfg BreakerConfig
-
-	mu sync.Mutex
-	m  map[string]*Breaker
-}
-
-// NewBreakerSet returns an empty registry.
-func NewBreakerSet(cfg BreakerConfig) *BreakerSet {
-	return &BreakerSet{cfg: cfg.withDefaults(), m: map[string]*Breaker{}}
-}
-
-// For returns the breaker for key, creating it (closed) on first use.
-func (s *BreakerSet) For(key string) *Breaker {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b := s.m[key]
-	if b == nil {
-		b = NewBreaker(s.cfg)
-		s.m[key] = b
-	}
-	return b
-}
-
-// States snapshots every breaker's current state by key.
-func (s *BreakerSet) States() map[string]BreakerState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]BreakerState, len(s.m))
-	for k, b := range s.m {
-		out[k] = b.State()
-	}
-	return out
 }

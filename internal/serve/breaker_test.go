@@ -154,28 +154,6 @@ func TestBreakerSuccessesDecayScore(t *testing.T) {
 	}
 }
 
-func TestBreakerSetKeysAreIndependent(t *testing.T) {
-	s := NewBreakerSet(BreakerConfig{Threshold: 1, Cooldown: time.Hour})
-	a, b := s.For("GeoGreedy/d7"), s.For("GeoGreedy/d3")
-	if a == b {
-		t.Fatal("distinct keys share a breaker")
-	}
-	if s.For("GeoGreedy/d7") != a {
-		t.Fatal("same key returned a different breaker")
-	}
-	a.Record(false)
-	if a.State() != BreakerOpen {
-		t.Fatal("keyed breaker did not trip")
-	}
-	if b.State() != BreakerClosed {
-		t.Fatal("storm on one key opened another key's breaker")
-	}
-	states := s.States()
-	if states["GeoGreedy/d7"] != BreakerOpen || states["GeoGreedy/d3"] != BreakerClosed {
-		t.Fatalf("snapshot wrong: %v", states)
-	}
-}
-
 func TestBreakerStateStrings(t *testing.T) {
 	for s, want := range map[BreakerState]string{
 		BreakerClosed: "closed", BreakerOpen: "open", BreakerHalfOpen: "half-open",

@@ -294,6 +294,10 @@ type Dataset struct {
 type dsState struct {
 	pts []geom.Vector
 	seq uint64 // last mutation folded into this epoch
+	// id tells this epoch apart from every other the process made
+	// (newState), even one with the same seq and length, so an Index
+	// names the epoch it describes without pinning its points.
+	id uint64
 
 	evalMu   sync.Mutex
 	evalDone atomic.Bool
@@ -364,11 +368,20 @@ func seedOnce(mu *sync.Mutex, done *atomic.Bool, set func()) {
 // mutation can never split a query across two epochs.
 func (d *Dataset) snap() *dsState { return d.state.Load() }
 
+// epochIDs numbers the epochs newState makes.
+var epochIDs atomic.Uint64
+
+// newState makes the epoch of pts at seq, with an id of its own. Every
+// epoch is made here: by a new dataset, an Insert or a Delete.
+func newState(pts []geom.Vector, seq uint64) *dsState {
+	return &dsState{pts: pts, seq: seq, id: epochIDs.Add(1)}
+}
+
 // newDatasetFromVectors finishes Dataset construction from validated,
 // already-normalized vectors (shared by NewDataset and Recover).
 func newDatasetFromVectors(pts []geom.Vector, seq uint64) *Dataset {
 	d := &Dataset{}
-	d.state.Store(&dsState{pts: pts, seq: seq})
+	d.state.Store(newState(pts, seq))
 	return d
 }
 
@@ -985,13 +998,12 @@ func (d *Dataset) WorstUtilityContext(ctx context.Context, selection []int) (wei
 // Index is the materialized StoredList of the paper's Section IV-B:
 // one expensive preprocessing pass, then O(k) per query. It wraps a
 // prefix of the default list of one dataset epoch (see prefix.go) and
-// records which epoch: its sequence number and length, so Save refuses
-// a dataset that has moved on since.
+// records which epoch, so Save refuses a dataset that has moved on
+// since, and any other dataset.
 type Index struct {
-	list *core.StoredList
-	cand []int
-	seq  uint64
-	n    int
+	list  *core.StoredList
+	cand  []int
+	epoch uint64 // the dsState id
 }
 
 // BuildIndex runs the StoredList preprocessing to the end. It grows the
@@ -1032,8 +1044,8 @@ func (d *Dataset) BuildIndexUpToContext(ctx context.Context, maxK int) (*Index, 
 
 // buildIndex grows the epoch's prefix list to cover maxK (to the end
 // when maxK is 0) through the cell's single flight and wraps it: the
-// one Index builder, behind BuildIndex, the Engine's startup rebuild
-// and its folds (WithSnapshot).
+// one Index builder, behind BuildIndex and the Engine's startup
+// rebuild (WithSnapshot).
 func (d *Dataset) buildIndex(ctx context.Context, maxK int) (*Index, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("kregret: index build canceled: %w", err)
@@ -1052,7 +1064,7 @@ func (d *Dataset) buildIndex(ctx context.Context, maxK int) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{list: l, cand: v.cand, seq: st.seq, n: len(st.pts)}, nil
+	return &Index{list: l, cand: v.cand, epoch: st.id}, nil
 }
 
 // buildList materializes the first n entries of GeoGreedy's order over

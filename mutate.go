@@ -140,7 +140,7 @@ func (d *Dataset) Insert(p Point) (int, error) {
 		d.owned = append(withHeadroom(n+1), st.pts...)
 	}
 	d.owned = append(d.owned, v)
-	ns := &dsState{pts: d.owned[: n+1 : n+1], seq: seq}
+	ns := newState(d.owned[:n+1:n+1], seq)
 	seedAfterInsert(st, ns)
 	d.state.Store(ns)
 	return n, nil
@@ -264,7 +264,7 @@ func (d *Dataset) Delete(i int) error {
 		d.owned = append(append(withHeadroom(len(st.pts)-1), st.pts[:i]...), st.pts[i+1:]...)
 		pts = d.owned[:len(d.owned):len(d.owned)]
 	}
-	ns := &dsState{pts: pts, seq: seq}
+	ns := newState(pts, seq)
 	seedAfterDelete(st, ns, i)
 	d.state.Store(ns)
 	return nil

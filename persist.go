@@ -151,8 +151,10 @@ func (s *dsState) checksum() uint64 {
 // Save serializes the index so later processes can skip the expensive
 // StoredList preprocessing. The dataset itself is not stored; load
 // with LoadIndex against an identically-constructed Dataset. d must
-// still hold the epoch the index describes: an index built or loaded
-// before a mutation of d is ErrIndexMismatch. The stream is framed
+// still hold the epoch the index describes, the one it was built or
+// loaded over (Snapshot views share it): an index from before a
+// mutation of d, or from another Dataset, is ErrIndexMismatch, even
+// when the points match. The stream is framed
 // with a CRC-32C trailer so corruption is detectable on load; use
 // SaveFile for crash-safe writes to disk.
 func (x *Index) Save(w io.Writer, d *Dataset) error {
@@ -170,9 +172,9 @@ func (x *Index) Save(w io.Writer, d *Dataset) error {
 // which must be the one the index describes.
 func (x *Index) encode(d *Dataset) ([]byte, error) {
 	st := d.snap()
-	if st.seq != x.seq || len(st.pts) != x.n {
-		return nil, fmt.Errorf("%w: the index describes %d points at mutation %d, the dataset holds %d at mutation %d",
-			ErrIndexMismatch, x.n, x.seq, len(st.pts), st.seq)
+	if st.id != x.epoch {
+		return nil, fmt.Errorf("%w: the index describes another epoch than the dataset's %d points at mutation %d",
+			ErrIndexMismatch, len(st.pts), st.seq)
 	}
 	// The skyline is already cached on any epoch that built an index
 	// (the list build and the happy-point pass both run it); persisting
@@ -273,7 +275,7 @@ func decodeIndex(data []byte, d *Dataset) (*Index, error) {
 		// the skyline pass; a cache already filled is kept.
 		seedOnce(&st.skyMu, &st.skyDone, func() { st.sky = wire.Ext })
 	}
-	return &Index{list: list, cand: wire.Cand, seq: st.seq, n: n}, nil
+	return &Index{list: list, cand: wire.Cand, epoch: st.id}, nil
 }
 
 // SaveFile writes the index snapshot to path crash-safely (see

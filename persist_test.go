@@ -432,8 +432,63 @@ func TestSaveFileRefusesStaleIndex(t *testing.T) {
 	if err := before.SaveFile(path, eng.Dataset()); !errors.Is(err, ErrIndexMismatch) {
 		t.Fatalf("SaveFile of the index before a fold: want ErrIndexMismatch, got %v", err)
 	}
-	if err := eng.Index().SaveFile(path, eng.Dataset()); err != nil {
+	folded, err := eng.Dataset().BuildIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := folded.SaveFile(path, eng.Dataset()); err != nil {
 		t.Fatalf("SaveFile of the folded epoch's index: %v", err)
+	}
+}
+
+// TestSaveFileRefusesOtherDatasetIndex: an Index is bound to the epoch
+// it was built over, not to a sequence number and length. Saving it
+// against another dataset of the same length at the same sequence
+// number is ErrIndexMismatch and writes nothing, so no engine over
+// that dataset adopts the list. Views that share the epoch
+// (Dataset.Snapshot, Engine.Dataset and the Dataset given to
+// NewEngine) save it.
+func TestSaveFileRefusesOtherDatasetIndex(t *testing.T) {
+	a, err := NewDataset(testPoints(300, 3, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewDataset(testPoints(300, 3, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := a.BuildIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "idx.snap")
+	if err := idx.SaveFile(path, b); !errors.Is(err, ErrIndexMismatch) {
+		t.Fatalf("SaveFile against another dataset: want ErrIndexMismatch, got %v", err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("refused SaveFile left a file (stat: %v)", err)
+	}
+	var buf bytes.Buffer
+	if err := idx.Save(&buf, b); !errors.Is(err, ErrIndexMismatch) || buf.Len() > 0 {
+		t.Fatalf("Save against another dataset: got %v after %d bytes, want ErrIndexMismatch and none", err, buf.Len())
+	}
+
+	eng, err := NewEngine(b, WithSnapshot(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownEngine(t, eng)
+	if !eng.Stats().SnapshotRebuilt {
+		t.Fatal("engine did not build its own list")
+	}
+	sameAsDataset(t, eng, b, upTo(8))
+	for name, d := range map[string]*Dataset{"NewEngine's dataset": b, "Dataset()": eng.Dataset(), "a Snapshot": b.Snapshot()} {
+		if err := eng.Index().SaveFile(path, d); err != nil {
+			t.Fatalf("SaveFile of the engine's index against %s: %v", name, err)
+		}
+	}
+	if err := idx.SaveFile(path, a.Snapshot()); err != nil {
+		t.Fatalf("SaveFile against a Snapshot of the index's dataset: %v", err)
 	}
 }
 

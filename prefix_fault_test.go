@@ -83,7 +83,7 @@ func TestBreakerOpenServesCoveredList(t *testing.T) {
 	if _, err := eng.Query(ctx, 5); err != nil {
 		t.Fatal(err)
 	}
-	eng.breakers.For(breakerKey(AlgoGeoGreedy, ds.Dim())).Trip()
+	eng.breakers[AlgoGeoGreedy].Trip()
 
 	for _, k := range []int{5, 2, 4} {
 		got, err := eng.Query(ctx, k)

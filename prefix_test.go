@@ -501,10 +501,11 @@ func TestFoldChangingHappyKeepsListLength(t *testing.T) {
 	}
 }
 
-// TestSnapshotFoldKeepingHappyReusesList: on a WithSnapshot engine a
-// fold that keeps D_happy serves and persists its predecessor's
-// complete list instead of rebuilding it.
-func TestSnapshotFoldKeepingHappyReusesList(t *testing.T) {
+// TestSnapshotFoldKeepingHappySharesCell: on a WithSnapshot engine a
+// fold that keeps D_happy hands the new epoch the cell of the list
+// startup built to the end, and the new epoch answers from it as
+// Dataset.Query does.
+func TestSnapshotFoldKeepingHappySharesCell(t *testing.T) {
 	ds, err := NewDataset(testPoints(300, 3, 8))
 	if err != nil {
 		t.Fatal(err)
@@ -515,38 +516,23 @@ func TestSnapshotFoldKeepingHappyReusesList(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer shutdownEngine(t, eng)
-	ctx := context.Background()
-	before := eng.Index()
-	happy, err := eng.Dataset().HappyPoints()
+	old := eng.epoch.Load()
+	cell := old.ds.snap().prefix.Load().cell
+	if l := cell.list.Load(); !l.Covers(l.Len() + 1) {
+		t.Fatalf("the startup list holds %d entries and is not complete", l.Len())
+	}
+	happy, err := old.ds.HappyPoints()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Apply(ctx, foldCases[1].mut(t, eng.Dataset(), happy)); err != nil {
+	if err := eng.Apply(context.Background(), foldCases[1].mut(t, old.ds, happy)); err != nil {
 		t.Fatal(err)
 	}
-	after := eng.Index()
-	if after.list != before.list {
-		t.Fatal("a fold that kept D_happy rebuilt the list")
+	cur := eng.epoch.Load()
+	if v := cur.ds.snap().prefix.Load(); v == nil || v.cell != cell {
+		t.Fatal("a fold that kept D_happy did not share the startup list's cell")
 	}
-	loaded, err := LoadFile(path, eng.Dataset())
-	if err != nil {
-		t.Fatalf("persisted list does not load against the new epoch: %v", err)
-	}
-	for _, k := range []int{1, 2, 5, 9} {
-		want, err := eng.Dataset().Query(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, idx := range map[string]*Index{"served": after, "loaded": loaded} {
-			got, err := idx.Query(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := diffAnswer(got, want); err != nil {
-				t.Fatalf("%s index k=%d: %v", name, k, err)
-			}
-		}
-	}
+	sameAsDataset(t, eng, cur.ds, upTo(len(happy)+2))
 }
 
 // TestEngineGrowthRacesFolds runs concurrent default queries with
