@@ -394,7 +394,7 @@ func BenchmarkPaper(b *testing.B) {
 	// WAL and folded into a serving epoch whose candidate caches a
 	// first query warmed. The fold compacts only once the log outgrows
 	// the base snapshot (DESIGN.md §15). An untimed first insert makes
-	// the dataset's owned point array, so the timed inserts write in
+	// the dataset's owned row slab, so the timed inserts write in
 	// place at any b.N and the row measures the steady state: an
 	// in-place insert and a copying delete. ApplySnapshot runs the same
 	// engine with WithSnapshot, which builds the whole list and writes

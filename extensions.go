@@ -22,7 +22,7 @@ func (d *Dataset) QueryExact2D(k int) (*Answer, error) {
 	if k < 1 {
 		return nil, ErrBadK
 	}
-	res, err := core.Exact2D(d.snap().pts, k)
+	res, err := core.Exact2D(d.snap().rows.Views(), k)
 	if err != nil {
 		return nil, fmt.Errorf("kregret: %w", err)
 	}
@@ -45,7 +45,7 @@ func (d *Dataset) QueryAverage(k, samples int, seed int64) (*Answer, float64, er
 		return nil, 0, ErrBadK
 	}
 	st := d.snap()
-	res, err := core.AverageGreedy(st.pts, k, samples, seed)
+	res, err := core.AverageGreedy(st.rows.Views(), k, samples, seed)
 	if err != nil {
 		return nil, 0, fmt.Errorf("kregret: %w", err)
 	}
@@ -76,7 +76,7 @@ type InteractiveSession struct {
 
 // NewInteractiveSession prepares a session over this dataset.
 func (d *Dataset) NewInteractiveSession() (*InteractiveSession, error) {
-	s, err := interactive.NewSession(d.snap().pts)
+	s, err := interactive.NewSession(d.snap().rows.Views())
 	if err != nil {
 		return nil, fmt.Errorf("kregret: %w", err)
 	}

@@ -334,17 +334,12 @@ func FuzzDatasetSnapshot(f *testing.F) {
 			}
 			return
 		}
-		if len(w.Pts) < 1 || len(w.Pts[0]) < 1 {
-			t.Fatalf("loaded %d points, want n, d ≥ 1", len(w.Pts))
+		if w.Pts.Len() < 1 || w.Pts.Dim() < 1 {
+			t.Fatalf("loaded %d points of dimension %d, want n, d ≥ 1", w.Pts.Len(), w.Pts.Dim())
 		}
-		for i, p := range w.Pts {
-			if len(p) != len(w.Pts[0]) {
-				t.Fatalf("point %d has %d coordinates, point 0 has %d", i, len(p), len(w.Pts[0]))
-			}
-			for _, x := range p {
-				if !(x > 0 && x <= math.MaxFloat64) {
-					t.Fatalf("point %d loaded coordinate %g", i, x)
-				}
+		for i, x := range w.Pts.Data() {
+			if !(x > 0 && x <= math.MaxFloat64) {
+				t.Fatalf("point %d loaded coordinate %g", i/w.Pts.Dim(), x)
 			}
 		}
 		if again := w.appendWire(nil); !bytes.Equal(again, payload) {

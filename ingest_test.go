@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -211,7 +212,7 @@ func TestNewDatasetMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("rejected with %q; reference accepts", err)
 				}
-				samePointBits(t, ds.snap().pts, want)
+				samePointBits(t, ds.snap().rows.Views(), want)
 				if !path.normalize {
 					return
 				}
@@ -266,9 +267,9 @@ func TestNewDatasetRejectsLikeReference(t *testing.T) {
 	}
 }
 
-// TestNewDatasetOwnsOnePointArray: the epoch's points are
-// capacity-capped views of one backing array, in order, and share
-// nothing with the caller's slices.
+// TestNewDatasetOwnsOnePointArray: the epoch's points are one
+// pointer-free row-major array of n·d coordinates, in order, capped at
+// its length, and share nothing with the caller's slices.
 func TestNewDatasetOwnsOnePointArray(t *testing.T) {
 	for _, path := range ingestPaths {
 		t.Run(path.name, func(t *testing.T) {
@@ -285,19 +286,22 @@ func TestNewDatasetOwnsOnePointArray(t *testing.T) {
 			}
 			in[0][0], in[1][2] = 99, 99
 			in[2] = Point{7, 7, 7, 7, 7}
+			rows := ds.snap().rows
+			data := rows.Data()
+			if rows.Len() != len(in) || rows.Dim() != 5 || len(data) != 5*len(in) || cap(data) != len(data) {
+				t.Fatalf("rows hold %d points of dimension %d in %d values (cap %d), want %d×5 in exactly %d",
+					rows.Len(), rows.Dim(), len(data), cap(data), len(in), 5*len(in))
+			}
 			for i := range before {
 				if got := ds.Point(i); !reflect.DeepEqual(got, before[i]) {
 					t.Fatalf("caller's mutation reached point %d: %v, was %v", i, got, before[i])
 				}
-			}
-			pts := ds.snap().pts
-			base := reflect.ValueOf(pts[0]).Pointer()
-			for i, v := range pts {
-				if cap(v) != len(v) {
-					t.Fatalf("point %d has cap %d, len %d", i, cap(v), len(v))
+				row := rows.Row(i)
+				if &row[0] != &data[5*i] || cap(row) != len(row) {
+					t.Fatalf("point %d is not the capped row %d of the array", i, i)
 				}
-				if off := reflect.ValueOf(v).Pointer() - base; off != uintptr(8*len(v)*i) {
-					t.Fatalf("point %d starts %d bytes into the backing array, want %d", i, off, 8*len(v)*i)
+				if !reflect.DeepEqual(Point(row), before[i]) {
+					t.Fatalf("row %d reads %v, point %d reads %v", i, row, i, before[i])
 				}
 			}
 		})
@@ -305,26 +309,131 @@ func TestNewDatasetOwnsOnePointArray(t *testing.T) {
 }
 
 // TestNewDatasetAllocsFlat: ingestion allocates a fixed number of
-// objects, however many points it copies.
+// objects, however many points it copies: one count at two sizes
+// below the split cutoff, where both passes run inline, and one (the
+// fan-out's own handful more) at two sizes above it. Above it, the
+// bytes are the row array's plus a constant: no per-point header array.
 func TestNewDatasetAllocsFlat(t *testing.T) {
 	anti, err := dataset.AntiCorrelated(100000, 4, 20140331)
 	if err != nil {
 		t.Fatal(err)
 	}
-	large := vecsToPoints(anti)
-	small := large[:1000]
+	all := vecsToPoints(anti)
+	sizes := [][2]int{{1000, 4000}, {70000, 100000}}
 	for _, path := range ingestPaths {
-		allocs := func(pts []Point) float64 {
-			return testing.AllocsPerRun(3, func() {
+		allocs := func(pts []Point) uint64 {
+			return mallocs(func() {
 				if _, err := NewDataset(pts, path.opts...); err != nil {
 					t.Fatal(err)
 				}
 			})
 		}
-		a, b := allocs(small), allocs(large)
-		if a != b {
-			t.Fatalf("%s: %v allocations at n=%d, %v at n=%d", path.name, a, len(small), b, len(large))
+		for _, ns := range sizes {
+			a, b := allocs(all[:ns[0]]), allocs(all[:ns[1]])
+			if a != b {
+				t.Fatalf("%s: %v allocations at n=%d, %v at n=%d", path.name, a, ns[0], b, ns[1])
+			}
+			t.Logf("%s: %v allocations at n=%d and n=%d", path.name, a, ns[0], ns[1])
 		}
-		t.Logf("%s: %v allocations at n=%d and n=%d", path.name, a, len(small), len(large))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := NewDataset(all, path.opts...); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		rowBytes := uint64(8 * 4 * len(all))
+		if got := after.TotalAlloc - before.TotalAlloc; got > rowBytes+64<<10 {
+			t.Fatalf("%s: NewDataset of %d points allocated %d bytes, %d beyond its rows", path.name, len(all), got, got-rowBytes)
+		}
+	}
+}
+
+// mallocs returns the fewest heap objects one call of f allocated over
+// five calls after a warm-up, at the current GOMAXPROCS:
+// testing.AllocsPerRun sets GOMAXPROCS to 1, which would keep both of
+// Ingest's passes inline.
+func mallocs(f func()) uint64 {
+	f()
+	best := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.Mallocs-before.Mallocs)
+	}
+	return best
+}
+
+// atWidth runs f with GOMAXPROCS set to w, which is the width every
+// dataset pass runs at.
+func atWidth(w int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
+	f()
+}
+
+// TestIngestWidthParity: at width 1 and width 2, on both paths and at
+// sizes on each side of the split cutoff (two grains of 16,384
+// points), NewDataset's coordinates are the reference's bit for bit.
+func TestIngestWidthParity(t *testing.T) {
+	anti, err := dataset.AntiCorrelated(50000, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := scaled(anti, 3, 0.5, 1000, 1e-3)
+	for _, n := range []int{1000, 32767, 32768, 50000} {
+		for _, path := range ingestPaths {
+			want, err := refNewDataset(in[:n], path.normalize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range []int{1, 2} {
+				atWidth(w, func() {
+					ds, err := NewDataset(in[:n], path.opts...)
+					if err != nil {
+						t.Fatalf("n=%d %s width %d: %v", n, path.name, w, err)
+					}
+					samePointBits(t, ds.snap().rows.Views(), want)
+				})
+			}
+		}
+	}
+}
+
+// TestIngestErrorWidthParity: with invalid points in two chunks of the
+// read pass, the error names the lowest one, by the reference's text
+// and errors.Is, at width 1 and width 2. The later chunk's point is of
+// a different kind, so a report of it would read differently too.
+func TestIngestErrorWidthParity(t *testing.T) {
+	anti, err := dataset.AntiCorrelated(40000, 3, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bads := []struct {
+		name        string
+		first, last Point
+	}{
+		{"NaN then ragged", Point{math.NaN(), 0.5, 0.5}, Point{0.5, 0.5}},
+		{"negative then +Inf", Point{0.5, -1, 0.5}, Point{0.5, math.Inf(1), 0.5}},
+		{"ragged then NaN", Point{0.5, 0.5, 0.5, 0.5}, Point{math.NaN(), 0.5, 0.5}},
+	}
+	for _, b := range bads {
+		in := vecsToPoints(anti)
+		in[9000], in[30000] = b.first, b.last
+		for _, path := range ingestPaths {
+			_, wantErr := refNewDataset(in, path.normalize)
+			if wantErr == nil {
+				t.Fatalf("%s: the reference accepts", b.name)
+			}
+			for _, w := range []int{1, 2} {
+				atWidth(w, func() {
+					_, err := NewDataset(in, path.opts...)
+					if err == nil {
+						t.Fatalf("%s %s width %d: accepted; reference rejects with %q", b.name, path.name, w, wantErr)
+					}
+					sameIngestError(t, err, wantErr)
+				})
+			}
+		}
 	}
 }

@@ -27,44 +27,54 @@ func ConvexAmongHappy(pts []geom.Vector, happyIdx []int) ([]int, error) {
 	if _, err := validatePoints(pts); err != nil {
 		return nil, err
 	}
-	for _, i := range happyIdx {
-		if i < 0 || i >= len(pts) {
-			return nil, fmt.Errorf("%w: %d (n=%d)", ErrBadSubset, i, len(pts))
-		}
+	cand, err := Select(pts, happyIdx)
+	if err != nil {
+		return nil, err
 	}
-	return convexAmong(pts, happyIdx)
+	return convexAmong(cand, happyIdx)
 }
 
-func convexAmong(pts []geom.Vector, cand []int) ([]int, error) {
+// ConvexAmongHappyRows is ConvexAmongHappy over validated rows, such as
+// a dataset epoch's: it reads only the happy points' rows.
+func ConvexAmongHappyRows(r geom.Rows, happyIdx []int) ([]int, error) {
+	cand, err := SelectRows(r, happyIdx)
+	if err != nil {
+		return nil, err
+	}
+	return convexAmong(cand, happyIdx)
+}
+
+// convexAmong returns, ascending, the members idx[k] whose points
+// cand[k] are extreme among cand.
+func convexAmong(cand []geom.Vector, idx []int) ([]int, error) {
 	if len(cand) == 0 {
 		return nil, nil
 	}
-	d := len(pts[0])
+	d := len(cand[0])
 	var (
 		out    []int
 		solver lp.Solver
 	)
-	for _, pi := range cand {
-		p := pts[pi]
+	for k, p := range cand {
 		// Covering set: the other candidates, minus exact duplicates
 		// of p.
 		cols := make([]int, 0, len(cand)-1)
-		for _, qi := range cand {
-			if qi == pi || pts[qi].Equal(p, 0) {
+		for c, q := range cand {
+			if c == k || q.Equal(p, 0) {
 				continue
 			}
-			cols = append(cols, qi)
+			cols = append(cols, c)
 		}
 		extreme := true
 		if len(cols) > 0 {
-			covered, err := coverable(&solver, pts, cols, p, d)
+			covered, err := coverable(&solver, cand, cols, p, d)
 			if err != nil {
 				return nil, err
 			}
 			extreme = !covered
 		}
 		if extreme {
-			out = append(out, pi)
+			out = append(out, idx[k])
 		}
 	}
 	sort.Ints(out)

@@ -109,14 +109,27 @@ func validatePoints(pts []geom.Vector) (int, error) {
 
 // Select gathers pts[idx] for each index, preserving order — a
 // convenience for building candidate slices from skyline/happy index
-// sets.
+// sets. The result shares pts' vectors.
 func Select(pts []geom.Vector, idx []int) ([]geom.Vector, error) {
+	return gather(len(pts), func(i int) geom.Vector { return pts[i] }, idx)
+}
+
+// SelectRows is Select over rows: capacity-capped views of the rows
+// idx of r, in order — how a candidate-sized subset of a dataset epoch
+// reaches the solvers without a copy of its coordinates.
+func SelectRows(r geom.Rows, idx []int) ([]geom.Vector, error) {
+	return gather(r.Len(), r.Row, idx)
+}
+
+// gather returns at(j) for each j in idx, refusing any j outside
+// [0, n).
+func gather(n int, at func(int) geom.Vector, idx []int) ([]geom.Vector, error) {
 	out := make([]geom.Vector, len(idx))
 	for i, j := range idx {
-		if j < 0 || j >= len(pts) {
-			return nil, fmt.Errorf("%w: %d (n=%d)", ErrBadSubset, j, len(pts))
+		if j < 0 || j >= n {
+			return nil, fmt.Errorf("%w: %d (n=%d)", ErrBadSubset, j, n)
 		}
-		out[i] = pts[j]
+		out[i] = at(j)
 	}
 	return out, nil
 }

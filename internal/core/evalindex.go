@@ -16,14 +16,15 @@ import (
 // ErrEmptySelection is returned when evaluating an empty selection.
 var ErrEmptySelection = errors.New("core: empty selection")
 
-// checkSelection validates a selection index set against the dataset.
-func checkSelection(pts []geom.Vector, sel []int) error {
+// checkSelection validates a selection index set against a dataset of
+// n points.
+func checkSelection(n int, sel []int) error {
 	if len(sel) == 0 {
 		return ErrEmptySelection
 	}
 	for _, i := range sel {
-		if i < 0 || i >= len(pts) {
-			return fmt.Errorf("%w: %d (n=%d)", ErrBadSubset, i, len(pts))
+		if i < 0 || i >= n {
+			return fmt.Errorf("%w: %d (n=%d)", ErrBadSubset, i, n)
 		}
 	}
 	return nil
@@ -33,11 +34,11 @@ func checkSelection(pts []geom.Vector, sel []int) error {
 // and per-utility regret of a selection are computed by its methods,
 // for callers and for every solver that cannot read its regret off its
 // own search state. It is the reusable evaluation substrate for one
-// dataset: the points flattened into a row-major mat.PointMatrix (built once, so
-// every later scan is a contiguous kernel sweep instead of a
-// pointer-chase over []geom.Vector), plus an optional extreme set —
-// the skyline indices — that the "max over D" side of every evaluator
-// scans instead of the full dataset.
+// dataset: the points' rows, read in place as a row-major
+// mat.PointMatrix (so every scan is a contiguous kernel sweep instead
+// of a pointer-chase over []geom.Vector), plus an optional extreme
+// set — the skyline indices — that the "max over D" side of every
+// evaluator scans instead of the full dataset.
 //
 // Pruning is exact, not approximate (DESIGN.md §12): every utility the
 // evaluators maximize over D is non-negative (validated weights,
@@ -52,19 +53,31 @@ func checkSelection(pts []geom.Vector, sel []int) error {
 // solvers' one-off evaluations of their own candidates and the
 // reference side of the differential tests.
 type EvalIndex struct {
-	pts  []geom.Vector
-	m    *mat.PointMatrix
+	rows geom.Rows
+	m    *mat.PointMatrix // the rows, in place
 	ext  []int            // skyline indices, ascending; nil = no pruning
 	extM *mat.PointMatrix // gathered rows of ext
 }
 
-// NewEvalIndex validates the dataset and flattens it. The point slice
-// is retained (read-only) for selection-side lookups and hull builds.
+// NewEvalIndex validates the dataset and flattens it into rows: the
+// evaluator of NewEvalIndexRows over a copy of pts.
 func NewEvalIndex(pts []geom.Vector) (*EvalIndex, error) {
 	if _, err := validatePoints(pts); err != nil {
 		return nil, err
 	}
-	return &EvalIndex{pts: pts, m: mat.FromVectors(pts)}, nil
+	return NewEvalIndexRows(geom.Flatten(pts))
+}
+
+// NewEvalIndexRows returns the evaluator over the rows r, which it
+// reads in place and retains (read-only) without copying: over a
+// dataset epoch it adds nothing that grows with n but the extreme
+// set's gathered rows. r must be validated (finite, strictly
+// positive), as every dataset epoch's rows are.
+func NewEvalIndexRows(r geom.Rows) (*EvalIndex, error) {
+	if r.Len() == 0 {
+		return nil, ErrNoPoints
+	}
+	return &EvalIndex{rows: r, m: mat.FromRows(r)}, nil
 }
 
 // SetExtreme installs the extreme (skyline) index set consulted by the
@@ -107,13 +120,13 @@ func (x *EvalIndex) scanIndex(i int) int {
 	return i
 }
 
-// buildHull constructs the dual hull Q(S) of the selection sel over
-// pts, inserting every selected point under the context. The
-// selection must already be checked against pts.
-func buildHull(ctx context.Context, pts []geom.Vector, sel []int) (*dualHull, error) {
+// hull constructs the dual hull Q(S) of the selection sel, inserting
+// every selected point under the context. The selection must already
+// be checked against the rows.
+func (x *EvalIndex) hull(ctx context.Context, sel []int) (*dualHull, error) {
 	selPts := make([]geom.Vector, len(sel))
 	for i, s := range sel {
-		selPts[i] = pts[s]
+		selPts[i] = x.rows.Row(s)
 	}
 	hull, err := newDualHull(maxPerDim(selPts))
 	if err != nil {
@@ -192,10 +205,10 @@ func (x *EvalIndex) MRRGeometricParCtx(ctx context.Context, sel []int, workers i
 // of the point whose support prices the regret: the first maximum of
 // the fold, or -1 when the regret is zero.
 func (x *EvalIndex) mrrArgMax(ctx context.Context, sel []int, workers int) (float64, int, error) {
-	if err := checkSelection(x.pts, sel); err != nil {
+	if err := checkSelection(x.rows.Len(), sel); err != nil {
 		return 0, -1, err
 	}
-	hull, err := buildHull(ctx, x.pts, sel)
+	hull, err := x.hull(ctx, sel)
 	if err != nil {
 		return 0, -1, err
 	}
@@ -253,10 +266,10 @@ func (x *EvalIndex) regretOf(sel []int, w geom.Vector) float64 {
 // w (Definition 1): 1 − max_{p∈S} w·p / max_{q∈D} w·q. It is the
 // validated form of regretOf.
 func (x *EvalIndex) RegretOf(sel []int, w geom.Vector) (float64, error) {
-	if err := checkSelection(x.pts, sel); err != nil {
+	if err := checkSelection(x.rows.Len(), sel); err != nil {
 		return 0, err
 	}
-	if err := geom.CheckSameDim(x.pts[0], w); err != nil {
+	if err := geom.CheckSameDim(x.rows.Row(0), w); err != nil {
 		return 0, fmt.Errorf("core: utility weights: %w", err)
 	}
 	if !w.NonNegative(0) {
@@ -283,13 +296,13 @@ const sampleCtxBatch = 16
 // (float addition is order-dependent), so both estimates are
 // byte-identical at every width.
 func (x *EvalIndex) SampledRegretParCtx(ctx context.Context, sel []int, samples int, seed int64, workers int) (worst, mean float64, err error) {
-	if err := checkSelection(x.pts, sel); err != nil {
+	if err := checkSelection(x.rows.Len(), sel); err != nil {
 		return 0, 0, err
 	}
 	if samples < 1 {
 		return 0, 0, fmt.Errorf("core: samples must be positive, got %d", samples)
 	}
-	d := len(x.pts[0])
+	d := x.rows.Dim()
 	rng := rand.New(rand.NewSource(seed))
 	// One flat backing for all sample vectors.
 	wbuf := make([]float64, samples*d)
@@ -368,10 +381,10 @@ func randomUtilityInto(rng *rand.Rand, w geom.Vector) {
 // dominator's support to the last bit — a measure-zero event on
 // continuous data, and the regret value itself is always identical.
 func (x *EvalIndex) WorstUtilityParCtx(ctx context.Context, sel []int, workers int) (geom.Vector, int, error) {
-	if err := checkSelection(x.pts, sel); err != nil {
+	if err := checkSelection(x.rows.Len(), sel); err != nil {
 		return nil, -1, err
 	}
-	hull, err := buildHull(ctx, x.pts, sel)
+	hull, err := x.hull(ctx, sel)
 	if err != nil {
 		return nil, -1, err
 	}
@@ -391,7 +404,7 @@ func (x *EvalIndex) WorstUtilityParCtx(ctx context.Context, sel []int, workers i
 	qi := x.scanIndex(witness)
 	// Recover the argmax dual vertex for the witness (one extra
 	// support evaluation; bit-identical to the scan's value).
-	_, v := hull.supportOf(x.pts[qi])
+	_, v := hull.supportOf(x.rows.Row(qi))
 	if v == nil {
 		return nil, -1, fmt.Errorf("%w: witness %d lost its dual vertex", ErrDegenerate, qi)
 	}

@@ -21,6 +21,17 @@ type Face struct {
 	Offset float64
 }
 
+// buildHull is the dual hull of the selection sel of pts, for the
+// oracles and the differential suites that hold their points as
+// vectors.
+func buildHull(ctx context.Context, pts []geom.Vector, sel []int) (*dualHull, error) {
+	x, err := NewEvalIndex(pts)
+	if err != nil {
+		return nil, err
+	}
+	return x.hull(ctx, sel)
+}
+
 // FacesOf returns every non-origin face of Conv(S) for the selection
 // sel over pts, sorted lexicographically by normal for determinism.
 // It is the primal reading of the dual hull the solvers use, kept
@@ -36,7 +47,7 @@ func FacesOf(pts []geom.Vector, sel []int) ([]Face, error) {
 	if _, err := validatePoints(pts); err != nil {
 		return nil, err
 	}
-	if err := checkSelection(pts, sel); err != nil {
+	if err := checkSelection(len(pts), sel); err != nil {
 		return nil, err
 	}
 	hull, err := buildHull(context.Background(), pts, sel)
@@ -113,7 +124,7 @@ func CriticalRatioOf(pts []geom.Vector, sel []int, q geom.Vector) (float64, erro
 	if _, err := validatePoints(pts); err != nil {
 		return 0, err
 	}
-	if err := checkSelection(pts, sel); err != nil {
+	if err := checkSelection(len(pts), sel); err != nil {
 		return 0, err
 	}
 	if err := geom.CheckSameDim(pts[0], q); err != nil {

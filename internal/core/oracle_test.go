@@ -27,7 +27,7 @@ func MRRByLP(pts []geom.Vector, sel []int) (float64, error) {
 	if _, err := validatePoints(pts); err != nil {
 		return 0, err
 	}
-	if err := checkSelection(pts, sel); err != nil {
+	if err := checkSelection(len(pts), sel); err != nil {
 		return 0, err
 	}
 	mrr := 0.0

@@ -67,6 +67,17 @@ const grainNet = 8
 // points so the ε bound transfers to the whole dataset; Build itself
 // only promises the bound against cand.
 func Build(ctx context.Context, pts []geom.Vector, cand []int, eps float64, workers int) ([]int, float64, error) {
+	return build(ctx, cand, eps, workers, func() ([]geom.Vector, error) { return core.Select(pts, cand) })
+}
+
+// BuildRows is Build over rows, such as a dataset epoch's: it reads
+// only the candidates' rows.
+func BuildRows(ctx context.Context, r geom.Rows, cand []int, eps float64, workers int) ([]int, float64, error) {
+	return build(ctx, cand, eps, workers, func() ([]geom.Vector, error) { return core.SelectRows(r, cand) })
+}
+
+// build is Build over the candidate points that sel gathers.
+func build(ctx context.Context, cand []int, eps float64, workers int, sel func() ([]geom.Vector, error)) ([]int, float64, error) {
 	if eps <= 0 || len(cand) == 0 {
 		out := make([]int, len(cand))
 		copy(out, cand)
@@ -77,7 +88,7 @@ func Build(ctx context.Context, pts []geom.Vector, cand []int, eps float64, work
 			return nil, 0, fmt.Errorf("%w: coreset construction failed: %v", core.ErrDegenerate, err)
 		}
 	}
-	sub, err := core.Select(pts, cand)
+	sub, err := sel()
 	if err != nil {
 		return nil, 0, err
 	}

@@ -17,12 +17,14 @@
 package dataset
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 
 	"repro/internal/geom"
+	"repro/internal/parallel"
 )
 
 // ErrBadParams flags invalid generator parameters.
@@ -170,55 +172,139 @@ func Clustered(n, d, c int, seed int64) ([]geom.Vector, error) {
 // exactly 1 and every coordinate stays strictly positive — the
 // paper's standing normalization (zero coordinates are floored to a
 // tiny positive value, the paper's "add a very small positive value"
-// convention). The input is not modified: the result is Ingest's
-// layout, capacity-capped row views of one fresh backing array. It
-// returns an error for empty input, mixed dimensionality, non-finite
-// or negative coordinates, or a dimension whose maximum is not
-// positive; negate or shift smaller-is-better attributes before
-// normalizing.
-func Normalize(pts []geom.Vector) ([]geom.Vector, error) { return Ingest(pts, true) }
+// convention). The input is not modified: the result is Ingest's rows,
+// as views of one fresh backing array. It returns an error for empty
+// input, mixed dimensionality, non-finite or negative coordinates, or
+// a dimension whose maximum is not positive; negate or shift
+// smaller-is-better attributes before normalizing.
+func Normalize(pts []geom.Vector) ([]geom.Vector, error) {
+	rows, err := Ingest(pts, true)
+	if err != nil {
+		return nil, err
+	}
+	return rows.Views(), nil
+}
 
-// Ingest copies pts into one backing array and returns its
-// capacity-capped row views (Rows). With normalize the rows are
-// Normalize's output, clampCoord(x / max_j); without it they are the
-// coordinates verbatim, which must already be finite and strictly
-// positive. A read pass validates every point, and takes the
-// per-dimension maxima, before anything is written, and the first
-// invalid point in input order is the one reported. Normalized-path
-// errors wrap ErrBadParams, as do empty and zero-dimensional input on
-// both paths.
-func Ingest[P ~[]float64](pts []P, normalize bool) ([]geom.Vector, error) {
+// grainIngest is the parallel grain of Ingest's two passes, in points:
+// below two grains both passes run inline. Each pass reads or writes a
+// few bytes per coordinate, so a chunk needs thousands of points to
+// pay for its share of the fan-out (DESIGN.md §11).
+const grainIngest = 16384
+
+// Ingest copies pts into one pointer-free row-major array and returns
+// its rows. With normalize the rows are Normalize's output,
+// clampCoord(x / max_j); without it they are the coordinates verbatim,
+// which must already be finite and strictly positive. A read pass
+// validates every point, and takes the per-dimension maxima, before
+// anything is written, and the first invalid point in input order is
+// the one reported. Normalized-path errors wrap ErrBadParams, as do
+// empty and zero-dimensional input on both paths.
+func Ingest[P ~[]float64](pts []P, normalize bool) (geom.Rows, error) {
+	return IngestCtx(context.Background(), pts, normalize)
+}
+
+// IngestCtx is Ingest with both passes split over GOMAXPROCS
+// goroutines under ctx (parallel.For): chunks of the read pass record
+// their first invalid point and their maxima in slots of their own,
+// folded in chunk order after the join, so the rows, the maxima and
+// the reported point are the same at every width.
+func IngestCtx[P ~[]float64](ctx context.Context, pts []P, normalize bool) (geom.Rows, error) {
 	if len(pts) == 0 {
-		return nil, fmt.Errorf("%w: no points", ErrBadParams)
+		return geom.Rows{}, fmt.Errorf("%w: no points", ErrBadParams)
 	}
 	d := len(pts[0])
 	if d == 0 {
-		return nil, fmt.Errorf("%w: zero-dimensional points", ErrBadParams)
+		return geom.Rows{}, fmt.Errorf("%w: zero-dimensional points", ErrBadParams)
 	}
+	// Chunks start at least one grain apart, so start/grain is a slot
+	// of the chunk's own. A chunk reports its first invalid point
+	// through its slot, not as a body error: an error would stop the
+	// claims of chunks before it that have not started, and the point
+	// reported must be the first in input order.
+	grain := grainIngest
+	slots := (len(pts)-1)/grain + 1
+	bad := make([]error, slots)
 	var maxs []float64
 	if normalize {
-		maxs = make([]float64, d)
+		maxs = make([]float64, slots*d)
 	}
-	for i, p := range pts {
-		v := geom.Vector(p)
-		if !normalize {
+	err := parallel.For(ctx, len(pts), 0, grain, func(start, end int) error {
+		s := start / grain
+		var m []float64
+		if normalize {
+			m = maxs[s*d : (s+1)*d]
+		}
+		bad[s] = checkChunk(pts[start:end], start, d, m)
+		return nil
+	})
+	if err != nil {
+		return geom.Rows{}, err
+	}
+	for _, err := range bad {
+		if err != nil {
+			return geom.Rows{}, err
+		}
+	}
+	if normalize {
+		for s := 1; s < slots; s++ {
+			for j, x := range maxs[s*d : (s+1)*d] {
+				if x > maxs[j] {
+					maxs[j] = x
+				}
+			}
+		}
+		maxs = maxs[:d]
+		for j, m := range maxs {
+			if m <= 0 {
+				return geom.Rows{}, fmt.Errorf("%w: dimension %d has maximum %g, need positive", ErrBadParams, j, m)
+			}
+		}
+	}
+	flat := make([]float64, len(pts)*d)
+	err = parallel.For(ctx, len(pts), 0, grain, func(start, end int) error {
+		for i := start; i < end; i++ {
+			row := flat[i*d : (i+1)*d]
+			if !normalize {
+				copy(row, pts[i])
+				continue
+			}
+			for j, x := range pts[i] {
+				row[j] = clampCoord(x / maxs[j])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return geom.Rows{}, err
+	}
+	return geom.NewRows(flat, d), nil
+}
+
+// checkChunk returns Ingest's error for the first invalid point of
+// chunk, whose first point is point base, or nil. With maxs (the
+// normalized path) it takes the chunk's per-dimension maxima into maxs
+// as it goes.
+func checkChunk[P ~[]float64](chunk []P, base, d int, maxs []float64) error {
+	for k, p := range chunk {
+		i, v := base+k, geom.Vector(p)
+		if maxs == nil {
 			if len(v) != d {
-				return nil, fmt.Errorf("point %d has dimension %d, want %d", i, len(v), d)
+				return fmt.Errorf("point %d has dimension %d, want %d", i, len(v), d)
 			}
 			if !v.IsFinite() || !v.AllPositive() {
-				return nil, fmt.Errorf("point %d (%v) must be finite and strictly positive (use normalization or shift your data)", i, v)
+				return fmt.Errorf("point %d (%v) must be finite and strictly positive (use normalization or shift your data)", i, v)
 			}
 			continue
 		}
 		if len(v) != d {
-			return nil, fmt.Errorf("%w: point %d has dimension %d, want %d", ErrBadParams, i, len(v), d)
+			return fmt.Errorf("%w: point %d has dimension %d, want %d", ErrBadParams, i, len(v), d)
 		}
 		if !v.IsFinite() {
-			return nil, fmt.Errorf("%w: point %d has non-finite coordinates", ErrBadParams, i)
+			return fmt.Errorf("%w: point %d has non-finite coordinates", ErrBadParams, i)
 		}
 		for j, x := range v {
 			if x < 0 {
-				return nil, fmt.Errorf("%w: point %d has negative coordinate %g on dimension %d (negate or shift smaller-is-better attributes first)",
+				return fmt.Errorf("%w: point %d has negative coordinate %g on dimension %d (negate or shift smaller-is-better attributes first)",
 					ErrBadParams, i, x, j)
 			}
 			if x > maxs[j] {
@@ -226,31 +312,5 @@ func Ingest[P ~[]float64](pts []P, normalize bool) ([]geom.Vector, error) {
 			}
 		}
 	}
-	for j, m := range maxs {
-		if m <= 0 {
-			return nil, fmt.Errorf("%w: dimension %d has maximum %g, need positive", ErrBadParams, j, m)
-		}
-	}
-	flat := make([]float64, len(pts)*d)
-	for i, p := range pts {
-		row := flat[i*d : (i+1)*d]
-		if !normalize {
-			copy(row, p)
-			continue
-		}
-		for j, x := range p {
-			row[j] = clampCoord(x / maxs[j])
-		}
-	}
-	return Rows(flat, d), nil
-}
-
-// Rows returns the capacity-capped row views of flat, a row-major
-// n×d array with len(flat) = n·d and d ≥ 1. The views share flat.
-func Rows(flat []float64, d int) []geom.Vector {
-	rows := make([]geom.Vector, len(flat)/d)
-	for i := range rows {
-		rows[i] = flat[i*d : (i+1)*d : (i+1)*d]
-	}
-	return rows
+	return nil
 }

@@ -49,10 +49,10 @@ const certGrain = 8
 // skyline order (the scalar scan). Each decision is memoized, and the
 // pass itself is every decision of one Checker (Cert), so a point the
 // Checker calls happy is one the pass calls happy. The caller is
-// responsible for sky being the true skyline of pts (ascending) and
-// pts being validated. Safe for concurrent use.
+// responsible for sky being the true skyline of the rows (ascending)
+// and the rows being validated. Safe for concurrent use.
 type Checker struct {
-	pts   []geom.Vector
+	rows  geom.Rows
 	sky   []int
 	sweep *subjSweep // nil below kernelMinSky
 	// memo[i] is 0 while sky[i] is undecided and its witness plus 2
@@ -60,12 +60,12 @@ type Checker struct {
 	memo []atomic.Int32
 }
 
-// NewChecker returns the Checker of the skyline sky of pts. It builds
-// the sweep, one pass over sky; no point is decided yet.
-func NewChecker(pts []geom.Vector, sky []int) *Checker {
-	c := &Checker{pts: pts, sky: sky, memo: make([]atomic.Int32, len(sky))}
+// NewChecker returns the Checker of the skyline sky of the rows r. It
+// builds the sweep, one pass over sky; no point is decided yet.
+func NewChecker(r geom.Rows, sky []int) *Checker {
+	c := &Checker{rows: r, sky: sky, memo: make([]atomic.Int32, len(sky))}
 	if len(sky) >= kernelMinSky {
-		c.sweep = newSubjSweep(pts, sky)
+		c.sweep = newSubjSweep(r, sky)
 	}
 	return c
 }
@@ -80,7 +80,7 @@ func (c *Checker) witness(i int) int32 {
 	if c.sweep != nil {
 		w = c.sweep.firstSubjugator(int(c.sweep.pos[i]))
 	} else {
-		w = scanWitness(c.pts, c.sky, c.sky[i])
+		w = scanWitness(c.rows, c.sky, c.sky[i])
 	}
 	c.memo[i].Store(w + 2)
 	return w
@@ -133,10 +133,11 @@ func ComputeAmongSkylineCertParallel(pts []geom.Vector, sky []int, workers int) 
 }
 
 // ComputeAmongSkylineCertParallelCtx is ComputeAmongSkylineCertParallel
-// with cooperative cancellation (see Checker.Cert).
+// with cooperative cancellation (see Checker.Cert): the Cert of the
+// Checker over pts flattened into rows.
 func ComputeAmongSkylineCertParallelCtx(ctx context.Context, pts []geom.Vector, sky []int, workers int) (*Cert, error) {
 	if len(sky) == 0 {
 		return &Cert{Sky: sky}, nil
 	}
-	return NewChecker(pts, sky).Cert(ctx, workers)
+	return NewChecker(geom.Flatten(pts), sky).Cert(ctx, workers)
 }

@@ -177,7 +177,7 @@ func decide4(p []float64, q0, q1, q2, q3, sq, sp, margin, thresh float64) int {
 // rules need. Built once per preprocess (or per epoch) and shared
 // read-only by every candidate scan, including parallel ones.
 type subjSweep struct {
-	pts  []geom.Vector // original points, for the scalar fallback
+	rows geom.Rows // original points, for the scalar fallback
 	m    *mat.PointMatrix
 	sums []float64 // row sums, sweep order
 	orig []int32   // sweep position -> original point index
@@ -189,15 +189,15 @@ type subjSweep struct {
 	blockSum   []float64 // per block: coordinate sum of blockMax
 }
 
-// newSubjSweep builds the sweep for adversary set sky over pts. The
-// caller guarantees sky is sorted ascending and pts are validated
-// (finite, strictly positive, one dimension).
-func newSubjSweep(pts []geom.Vector, sky []int) *subjSweep {
+// newSubjSweep builds the sweep for adversary set sky over the rows r.
+// The caller guarantees sky is sorted ascending and r is validated
+// (finite, strictly positive).
+func newSubjSweep(r geom.Rows, sky []int) *subjSweep {
 	n := len(sky)
-	d := len(pts[sky[0]])
+	d := r.Dim()
 	sums := make([]float64, n)
 	for i, idx := range sky {
-		sums[i] = pts[idx].Sum()
+		sums[i] = r.Row(idx).Sum()
 	}
 	ord := make([]int32, n)
 	for i := range ord {
@@ -223,7 +223,7 @@ func newSubjSweep(pts []geom.Vector, sky []int) *subjSweep {
 		seg := ord[lo:min(lo+sweepBand, n)]
 		ks := keys[:len(seg)]
 		for i, o := range seg {
-			v := pts[sky[o]]
+			v := r.Row(sky[o])
 			best := 0
 			for j := 1; j < d; j++ {
 				if v[j] > v[best] {
@@ -257,7 +257,7 @@ func newSubjSweep(pts []geom.Vector, sky []int) *subjSweep {
 		pos[o] = int32(p)
 		sweepSums[p] = sums[o]
 	}
-	m, err := mat.FromVectorsIndexed(pts, gather)
+	m, err := mat.FromRows(r).Gather(gather)
 	if err != nil {
 		// Unreachable: indices come straight from sky.
 		panic("happy: sweep gather: " + err.Error())
@@ -287,7 +287,7 @@ func newSubjSweep(pts []geom.Vector, sky []int) *subjSweep {
 		blockSum[b] = s
 	}
 	return &subjSweep{
-		pts: pts, m: m, sums: sweepSums, orig: orig, pos: pos, sky: sky,
+		rows: r, m: m, sums: sweepSums, orig: orig, pos: pos, sky: sky,
 		bandMaxSum: bandMaxSum, blockMax: blockMax, blockSum: blockSum,
 	}
 }
@@ -363,7 +363,7 @@ func (s *subjSweep) firstSubjugator(qpos int) int32 {
 					return s.orig[i]
 				case 0:
 					// eps-boundary: exact legacy path on the originals.
-					if subjugates(s.pts[s.orig[i]], s.pts[s.orig[qpos]]) {
+					if subjugates(s.rows.Row(int(s.orig[i])), s.rows.Row(int(s.orig[qpos]))) {
 						return s.orig[i]
 					}
 				}

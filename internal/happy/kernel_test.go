@@ -15,7 +15,7 @@ import (
 // via the sweep: wit[i] is a subjugator of pts[sky[i]] (original
 // index) or -1 when sky[i] is happy.
 func witnessesKernel(pts []geom.Vector, sky []int) []int32 {
-	s := newSubjSweep(pts, sky)
+	s := newSubjSweep(geom.Flatten(pts), sky)
 	wit := make([]int32, len(sky))
 	for i := range sky {
 		wit[i] = s.firstSubjugator(int(s.pos[i]))
@@ -305,7 +305,7 @@ func TestCheckerMatchesPass(t *testing.T) {
 				}
 				sky := bruteSkyline(pts)
 				want := ComputeAmongSkylineCertParallel(pts, sky, 1)
-				c := NewChecker(pts, sky)
+				c := NewChecker(geom.Flatten(pts), sky)
 				rng := rand.New(rand.NewSource(int64(d)))
 				for _, i := range rng.Perm(len(sky))[:len(sky)/2] {
 					if got := c.Happy(i); got != (want.Wit[i] == -1) {

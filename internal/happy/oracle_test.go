@@ -138,8 +138,9 @@ func TestComputeMatchesCertOnBruteSkyline(t *testing.T) {
 // being the first subjugator in ascending sky order.
 func witnessesScalar(pts []geom.Vector, sky []int) []int32 {
 	wit := make([]int32, len(sky))
+	rows := geom.Flatten(pts)
 	for i, qi := range sky {
-		wit[i] = scanWitness(pts, sky, qi)
+		wit[i] = scanWitness(rows, sky, qi)
 	}
 	return wit
 }

@@ -31,15 +31,15 @@ import (
 // every witness is a member of the same epoch's skyline.
 
 // scanWitness returns the first member of sky (ascending) subjugating
-// pts[qi], or -1 — the scalar rescan used for new and orphaned
+// row qi of r, or -1 — the scalar rescan used for new and orphaned
 // candidates.
-func scanWitness(pts []geom.Vector, sky []int, qi int) int32 {
-	q := pts[qi]
+func scanWitness(r geom.Rows, sky []int, qi int) int32 {
+	q := r.Row(qi)
 	for _, pi := range sky {
 		if pi == qi {
 			continue
 		}
-		if subjugates(pts[pi], q) {
+		if subjugates(r.Row(pi), q) {
 			return int32(pi)
 		}
 	}
@@ -56,17 +56,22 @@ func witnessOf(prev *Cert, s int) (int32, bool) {
 	return 0, false
 }
 
-// UpdateInsert patches certificate prev — computed over the
-// pre-insert skyline — after appending a point at index len(pts)-1.
-// skyNew, removed, and inserted are skyline.UpdateInsert's outputs
+// UpdateInsert is UpdateInsertRows over pts flattened into rows.
+func UpdateInsert(pts []geom.Vector, prev *Cert, skyNew, removed []int, inserted bool) *Cert {
+	return UpdateInsertRows(geom.Flatten(pts), prev, skyNew, removed, inserted)
+}
+
+// UpdateInsertRows patches certificate prev — computed over the
+// pre-insert skyline — after appending a point at index r.Len()-1.
+// skyNew, removed, and inserted are skyline.UpdateInsertRows' outputs
 // for the same mutation. When the new point did not join the skyline
 // the adversary and candidate sets are unchanged and prev is returned
 // AS-IS (shared) — the O(1) fast path.
-func UpdateInsert(pts []geom.Vector, prev *Cert, skyNew, removed []int, inserted bool) *Cert {
+func UpdateInsertRows(r geom.Rows, prev *Cert, skyNew, removed []int, inserted bool) *Cert {
 	if !inserted {
 		return prev
 	}
-	newIdx := len(pts) - 1
+	newIdx := r.Len() - 1
 	removedSet := make(map[int]bool, len(removed))
 	for _, r := range removed {
 		removedSet[r] = true
@@ -74,7 +79,7 @@ func UpdateInsert(pts []geom.Vector, prev *Cert, skyNew, removed []int, inserted
 	wit := make([]int32, len(skyNew))
 	for i, s := range skyNew {
 		if s == newIdx {
-			wit[i] = scanWitness(pts, skyNew, s)
+			wit[i] = scanWitness(r, skyNew, s)
 			continue
 		}
 		w, ok := witnessOf(prev, s)
@@ -82,18 +87,18 @@ func UpdateInsert(pts []geom.Vector, prev *Cert, skyNew, removed []int, inserted
 		case !ok:
 			// Unreachable for consistent inputs (skyNew − {newIdx} ⊆
 			// prev.Sky); rescan rather than corrupt the certificate.
-			wit[i] = scanWitness(pts, skyNew, s)
+			wit[i] = scanWitness(r, skyNew, s)
 		case w == -1:
 			// Was happy: no old adversary subjugates it, and removal
 			// only shrinks the adversary set — test the one addition.
-			if subjugates(pts[newIdx], pts[s]) {
+			if subjugates(r.Row(newIdx), r.Row(s)) {
 				wit[i] = int32(newIdx)
 			} else {
 				wit[i] = -1
 			}
 		case removedSet[int(w)]:
 			// Witness left the skyline: rescan (see package comment).
-			wit[i] = scanWitness(pts, skyNew, s)
+			wit[i] = scanWitness(r, skyNew, s)
 		default:
 			wit[i] = w
 		}
@@ -101,11 +106,16 @@ func UpdateInsert(pts []geom.Vector, prev *Cert, skyNew, removed []int, inserted
 	return &Cert{Sky: skyNew, Wit: wit}
 }
 
-// UpdateDelete patches certificate prev after deleting oldIdx delIdx
-// under the shift-down convention. skyNew, entrants, and wasSky are
-// skyline.UpdateDelete's outputs for the same mutation (post-delete
-// indices). pts is the post-delete point set.
+// UpdateDelete is UpdateDeleteRows over pts flattened into rows.
 func UpdateDelete(pts []geom.Vector, prev *Cert, delIdx int, skyNew, entrants []int, wasSky bool) *Cert {
+	return UpdateDeleteRows(geom.Flatten(pts), prev, delIdx, skyNew, entrants, wasSky)
+}
+
+// UpdateDeleteRows patches certificate prev after deleting oldIdx
+// delIdx under the shift-down convention. skyNew, entrants, and wasSky
+// are skyline.UpdateDeleteRows' outputs for the same mutation
+// (post-delete indices). r is the post-delete point set.
+func UpdateDeleteRows(r geom.Rows, prev *Cert, delIdx int, skyNew, entrants []int, wasSky bool) *Cert {
 	unshift := func(s int) int {
 		// Post-delete index back to the pre-delete index prev knows.
 		if s >= delIdx {
@@ -120,25 +130,25 @@ func UpdateDelete(pts []geom.Vector, prev *Cert, delIdx int, skyNew, entrants []
 	wit := make([]int32, len(skyNew))
 	for i, s := range skyNew {
 		if entrantSet[s] {
-			wit[i] = scanWitness(pts, skyNew, s)
+			wit[i] = scanWitness(r, skyNew, s)
 			continue
 		}
 		w, ok := witnessOf(prev, unshift(s))
 		switch {
 		case !ok:
-			wit[i] = scanWitness(pts, skyNew, s) // unreachable backstop, as in UpdateInsert
+			wit[i] = scanWitness(r, skyNew, s) // unreachable backstop, as in UpdateInsert
 		case w == -1:
 			// Was happy: only the entrants are new adversaries.
 			wit[i] = -1
 			for _, e := range entrants {
-				if subjugates(pts[e], pts[s]) {
+				if subjugates(r.Row(e), r.Row(s)) {
 					wit[i] = int32(e)
 					break
 				}
 			}
 		case int(w) == delIdx:
 			// Witness was deleted: rescan against the new skyline.
-			wit[i] = scanWitness(pts, skyNew, s)
+			wit[i] = scanWitness(r, skyNew, s)
 		default:
 			// Witness survives (a non-deleted skyline member stays in
 			// the skyline when points are only removed); shift it.

@@ -15,34 +15,7 @@ package mat
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/geom"
 )
-
-// FromVectorsIndexed gathers pts[idx[0]], pts[idx[1]], ... into a
-// fresh row-major matrix, in the given order. It is FromVectors
-// composed with a gather, without the intermediate copy. Indices out
-// of range return an error (they may come from a persisted cache).
-func FromVectorsIndexed(pts []geom.Vector, idx []int) (*PointMatrix, error) {
-	if len(idx) == 0 {
-		return &PointMatrix{}, nil
-	}
-	if len(pts) == 0 {
-		return nil, fmt.Errorf("mat: FromVectorsIndexed: %d indices over an empty point set", len(idx))
-	}
-	d := len(pts[0])
-	m := &PointMatrix{data: make([]float64, len(idx)*d), n: len(idx), d: d}
-	for k, r := range idx {
-		if r < 0 || r >= len(pts) {
-			return nil, fmt.Errorf("mat: FromVectorsIndexed row %d out of range (n=%d)", r, len(pts))
-		}
-		if len(pts[r]) != d {
-			return nil, fmt.Errorf("mat: FromVectorsIndexed row %d has dimension %d, want %d", r, len(pts[r]), d)
-		}
-		copy(m.data[k*d:(k+1)*d], pts[r])
-	}
-	return m, nil
-}
 
 // ComponentMaxInto writes the componentwise maximum of rows [lo, hi)
 // into dst (length Dim). The range must be non-empty and in bounds;

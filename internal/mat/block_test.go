@@ -9,14 +9,22 @@ import (
 	"repro/internal/geom"
 )
 
-func TestFromVectorsIndexed(t *testing.T) {
+// TestFromRowsGather: a matrix over rows shares their array, and
+// Gather copies the named rows out in order, refusing indices out of
+// range.
+func TestFromRowsGather(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pts := make([]geom.Vector, 20)
 	for i := range pts {
 		pts[i] = randVec(rng, 3)
 	}
+	rows := geom.Flatten(pts)
+	full := FromRows(rows)
+	if full.Rows() != 20 || full.Dim() != 3 || &full.data[0] != &rows.Data()[0] {
+		t.Fatalf("FromRows is %dx%d, want 20x3 over the rows' own array", full.Rows(), full.Dim())
+	}
 	idx := []int{5, 0, 19, 5, 7}
-	m, err := FromVectorsIndexed(pts, idx)
+	m, err := full.Gather(idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,18 +39,14 @@ func TestFromVectorsIndexed(t *testing.T) {
 			}
 		}
 	}
-	if _, err := FromVectorsIndexed(pts, []int{20}); err == nil {
+	if _, err := full.Gather([]int{20}); err == nil {
 		t.Fatal("out-of-range index accepted")
 	}
-	if _, err := FromVectorsIndexed(pts, []int{-1}); err == nil {
+	if _, err := full.Gather([]int{-1}); err == nil {
 		t.Fatal("negative index accepted")
 	}
-	if m, err := FromVectorsIndexed(pts, nil); err != nil || m.Rows() != 0 {
+	if m, err := full.Gather(nil); err != nil || m.Rows() != 0 {
 		t.Fatalf("empty gather: %v, %d rows", err, m.Rows())
-	}
-	ragged := []geom.Vector{{1, 2, 3}, {1, 2}}
-	if _, err := FromVectorsIndexed(ragged, []int{0, 1}); err == nil {
-		t.Fatal("ragged dimensions accepted")
 	}
 }
 

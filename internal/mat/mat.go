@@ -63,19 +63,13 @@ type PointMatrix struct {
 // FromVectors copies pts into a fresh row-major matrix. All vectors
 // must share one dimension (callers validate points before building);
 // a mismatch panics like geom.Vector.Dot does.
-func FromVectors(pts []geom.Vector) *PointMatrix {
-	if len(pts) == 0 {
-		return &PointMatrix{}
-	}
-	d := len(pts[0])
-	m := &PointMatrix{data: make([]float64, len(pts)*d), n: len(pts), d: d}
-	for i, p := range pts {
-		if len(p) != d {
-			panic(fmt.Sprintf("mat: FromVectors row %d has dimension %d, want %d", i, len(p), d))
-		}
-		copy(m.data[i*d:(i+1)*d], p)
-	}
-	return m
+func FromVectors(pts []geom.Vector) *PointMatrix { return FromRows(geom.Flatten(pts)) }
+
+// FromRows wraps the rows r as a matrix that shares their array, so an
+// evaluator over a dataset epoch reads the epoch's rows in place
+// instead of a private copy.
+func FromRows(r geom.Rows) *PointMatrix {
+	return &PointMatrix{data: r.Data(), n: r.Len(), d: r.Dim()}
 }
 
 // Rows returns the number of points.

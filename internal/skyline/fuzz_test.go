@@ -67,7 +67,7 @@ func FuzzSkyline(f *testing.F) {
 		}
 		for name, run := range map[string]func() ([]int, error){
 			"Of":              func() ([]int, error) { return Of(pts) },
-			"OfSubset":        func() ([]int, error) { return OfSubset(pts, all) },
+			"OfSubset":        func() ([]int, error) { return OfSubset(geom.Flatten(pts), all) },
 			"ComputeParallel": func() ([]int, error) { return ComputeParallel(pts, 2) },
 			"EpsCover":        func() ([]int, error) { return EpsCover(pts, 0, len(pts), 0) },
 		} {
@@ -88,7 +88,7 @@ func FuzzSkyline(f *testing.F) {
 		for k, i := range wantSub {
 			wantSub[k] = even[i]
 		}
-		got, err := OfSubset(pts, even)
+		got, err := OfSubset(geom.Flatten(pts), even)
 		if err != nil {
 			t.Fatal(err)
 		}

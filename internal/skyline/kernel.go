@@ -299,26 +299,33 @@ func (w *domWindow) result() []int {
 	return out
 }
 
-// exactPass returns the exact skyline of the n points pts[subset[k]],
-// or pts[lo+k] when subset is nil, as original indices ascending. It
-// sorts the points by descending coordinate sum, packs them in that
-// order into the one copy of the rows the pass keeps, and probes them.
-// canceled, when not nil, is the caller's context's Err.
-func exactPass(canceled func() error, pts []geom.Vector, subset []int, lo, n int) ([]int, error) {
+// exactPass returns the exact skyline of the rows r.Row(subset[k]) or,
+// when subset is nil, of every row of r, as original indices
+// ascending: subset[k], or base+k without a subset. It sorts the
+// points by descending coordinate sum, packs them in that order into
+// the one copy of the rows the pass keeps, and probes them. canceled,
+// when not nil, is the caller's context's Err.
+func exactPass(canceled func() error, r geom.Rows, subset []int, base int) ([]int, error) {
+	n := len(subset)
+	if subset == nil {
+		n = r.Len()
+	}
 	if n == 0 {
 		return nil, nil
 	}
 	at := func(k int) int {
 		if subset == nil {
-			return lo + k
+			return k
 		}
 		return subset[k]
 	}
-	d := len(pts[at(0)])
+	d := r.Dim()
+	data := r.Data()
 	sums := make([]float64, n)
 	ord := make([]int32, n)
 	for k := range sums {
-		sums[k] = rowSum(pts[at(k)])
+		i := at(k)
+		sums[k] = rowSum(data[i*d : (i+1)*d])
 		ord[k] = int32(k)
 	}
 	if err := mat.SortIdxByFloatDesc(sums, ord); err != nil {
@@ -328,12 +335,12 @@ func exactPass(canceled func() error, pts []geom.Vector, subset []int, lo, n int
 	for pos, k := range ord {
 		i := at(int(k))
 		if d == 4 {
-			p, r := pts[i], rows[pos*4:pos*4+4:pos*4+4]
-			r[0], r[1], r[2], r[3] = p[0], p[1], p[2], p[3]
+			p, q := data[i*4:i*4+4:i*4+4], rows[pos*4:pos*4+4:pos*4+4]
+			q[0], q[1], q[2], q[3] = p[0], p[1], p[2], p[3]
 		} else {
-			copy(rows[pos*d:(pos+1)*d], pts[i])
+			copy(rows[pos*d:(pos+1)*d], data[i*d:(i+1)*d])
 		}
-		ord[pos] = int32(i)
+		ord[pos] = int32(base + i)
 	}
 	return probePass(canceled, rows, ord, d, cacheGrid(n, min(d-1, 3)), 0)
 }

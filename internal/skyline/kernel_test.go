@@ -81,7 +81,7 @@ func TestKernelSumTieExactness(t *testing.T) {
 		if !geom.Dominates(pts[1], pts[0]) {
 			t.Fatalf("case %d: construction broken, no dominance", ci)
 		}
-		got, err := exactPass(nil, pts, nil, 0, len(pts))
+		got, err := exactPass(nil, geom.Flatten(pts), nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestKernelDuplicatesRetained(t *testing.T) {
 	pts := []geom.Vector{
 		{0.9, 0.1}, {0.5, 0.5}, {0.9, 0.1}, {0.2, 0.3}, {0.5, 0.5},
 	}
-	got, err := exactPass(nil, pts, nil, 0, len(pts))
+	got, err := exactPass(nil, geom.Flatten(pts), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestKernelIndexedSubset(t *testing.T) {
 	for i := 0; i < len(pts); i += 2 {
 		subset = append(subset, i)
 	}
-	got, err := exactPass(nil, pts, subset, 0, len(subset))
+	got, err := exactPass(nil, geom.Flatten(pts), subset, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,25 +127,31 @@ func TestKernelIndexedSubset(t *testing.T) {
 		want[i] = subset[want[i]]
 	}
 	equalInts(t, "indexed", got, want)
-	if empty, err := exactPass(nil, pts, []int{}, 0, 0); err != nil || empty != nil {
+	if empty, err := exactPass(nil, geom.Flatten(pts), []int{}, 0); err != nil || empty != nil {
 		t.Fatalf("empty subset: %v, %v", empty, err)
 	}
 }
 
-// TestParallelKernelMatchesSequential: ComputeParallelCtx returns the
-// exact kernel's skyline at every width, on all three distributions.
+// TestParallelKernelMatchesSequential: OfRows, and ComputeParallel at
+// every workers argument, return the exact kernel's skyline on all
+// three distributions.
 func TestParallelKernelMatchesSequential(t *testing.T) {
 	for _, g := range kernelGens {
 		pts, err := g.fn(4000, 4, 77)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := exactPass(nil, pts, nil, 0, len(pts))
+		want, err := exactPass(nil, geom.Flatten(pts), nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got, err := OfRows(context.Background(), geom.Flatten(pts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		equalInts(t, g.name, got, want)
 		for _, w := range []int{2, 4, 8} {
-			got, err := ComputeParallelCtx(context.Background(), pts, w)
+			got, err := ComputeParallel(pts, w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +169,7 @@ func TestParallelKernelCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ComputeParallelCtx(ctx, pts, 4); !errors.Is(err, context.Canceled) {
+	if _, err := OfRows(ctx, geom.Flatten(pts)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled context: err = %v, want context.Canceled", err)
 	}
 	// A context that ends after the first check: the pass must notice
@@ -202,7 +208,7 @@ func TestKernelAlgorithmRegistered(t *testing.T) {
 	if got, err = Of(pts); err != nil {
 		t.Fatal(err)
 	}
-	want, err := exactPass(nil, pts, nil, 0, len(pts))
+	want, err := exactPass(nil, geom.Flatten(pts), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

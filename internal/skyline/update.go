@@ -14,24 +14,29 @@ import (
 // dominance is an exact, tolerance-free predicate here, and skyline
 // membership ("dominated by nobody") does not depend on scan order.
 
-// UpdateInsert patches prevSky — the skyline of pts[:len(pts)-1] —
-// after appending the point at index len(pts)-1. It returns the new
-// skyline (ascending), the prevSky members the new point evicted
+// UpdateInsert is UpdateInsertRows over pts flattened into rows.
+func UpdateInsert(pts []geom.Vector, prevSky []int) (sky []int, removed []int, inserted bool, err error) {
+	return UpdateInsertRows(geom.Flatten(pts), prevSky)
+}
+
+// UpdateInsertRows patches prevSky — the skyline of every row of r but
+// the last — after appending the row at index r.Len()-1. It returns the
+// new skyline (ascending), the prevSky members the new point evicted
 // (ascending, original indices), and whether the new point joined.
 // When the new point is dominated, the returned slice IS prevSky
 // (shared, not copied) — the O(|sky|·d) no-op fast path epoch folds
 // rely on.
-func UpdateInsert(pts []geom.Vector, prevSky []int) (sky []int, removed []int, inserted bool, err error) {
-	if len(pts) == 0 {
+func UpdateInsertRows(r geom.Rows, prevSky []int) (sky []int, removed []int, inserted bool, err error) {
+	if r.Len() == 0 {
 		return nil, nil, false, fmt.Errorf("skyline: UpdateInsert on empty point set")
 	}
-	newIdx := len(pts) - 1
-	q := pts[newIdx]
+	newIdx := r.Len() - 1
+	q := r.Row(newIdx)
 	for _, s := range prevSky {
 		if s < 0 || s >= newIdx {
 			return nil, nil, false, fmt.Errorf("skyline: UpdateInsert: cached skyline index %d out of range (new point at %d)", s, newIdx)
 		}
-		if geom.Dominates(pts[s], q) {
+		if geom.Dominates(r.Row(s), q) {
 			// Dominated by a skyline member ⟺ dominated by anyone
 			// (dominance is transitive), so the skyline is unchanged.
 			return prevSky, nil, false, nil
@@ -39,7 +44,7 @@ func UpdateInsert(pts []geom.Vector, prevSky []int) (sky []int, removed []int, i
 	}
 	sky = make([]int, 0, len(prevSky)+1)
 	for _, s := range prevSky {
-		if geom.Dominates(q, pts[s]) {
+		if geom.Dominates(q, r.Row(s)) {
 			removed = append(removed, s)
 		} else {
 			sky = append(sky, s)
@@ -49,8 +54,13 @@ func UpdateInsert(pts []geom.Vector, prevSky []int) (sky []int, removed []int, i
 	return sky, removed, true, nil
 }
 
-// UpdateDelete patches prevSky — the skyline of the pre-delete
-// points oldPts — after removing index delIdx, under the Dataset
+// UpdateDelete is UpdateDeleteRows over oldPts flattened into rows.
+func UpdateDelete(oldPts []geom.Vector, prevSky []int, delIdx int) (sky []int, entrants []int, wasSky bool, err error) {
+	return UpdateDeleteRows(geom.Flatten(oldPts), prevSky, delIdx)
+}
+
+// UpdateDeleteRows patches prevSky — the skyline of the pre-delete
+// rows old — after removing index delIdx, under the Dataset
 // shift-down convention (indices above delIdx decrease by one). It
 // returns the post-delete skyline and the indices that ENTERED it,
 // both ascending in post-delete indices, plus whether the deleted
@@ -67,8 +77,8 @@ func UpdateInsert(pts []geom.Vector, prevSky []int) (sky []int, removed []int, i
 // (a chain delIdx ≻ x ≻ i leaves both x and i with delIdx as sole
 // skyline dominator), so the survivors of the mini-skyline among
 // candidates are exactly the entrants.
-func UpdateDelete(oldPts []geom.Vector, prevSky []int, delIdx int) (sky []int, entrants []int, wasSky bool, err error) {
-	n := len(oldPts)
+func UpdateDeleteRows(old geom.Rows, prevSky []int, delIdx int) (sky []int, entrants []int, wasSky bool, err error) {
+	n := old.Len()
 	if delIdx < 0 || delIdx >= n {
 		return nil, nil, false, fmt.Errorf("skyline: UpdateDelete index %d out of range (n=%d)", delIdx, n)
 	}
@@ -105,13 +115,13 @@ func UpdateDelete(oldPts []geom.Vector, prevSky []int, delIdx int) (sky []int, e
 	for _, s := range prevSky {
 		inSky[s] = true
 	}
-	dp := oldPts[delIdx]
+	dp := old.Row(delIdx)
 	var cand []int
 	for i := 0; i < n; i++ {
 		if i == delIdx || inSky[i] {
 			continue
 		}
-		if geom.Dominates(dp, oldPts[i]) {
+		if geom.Dominates(dp, old.Row(i)) {
 			cand = append(cand, i)
 		}
 	}
@@ -121,7 +131,7 @@ func UpdateDelete(oldPts []geom.Vector, prevSky []int, delIdx int) (sky []int, e
 	for _, i := range cand {
 		dominated := false
 		for _, s := range survivors {
-			if geom.Dominates(oldPts[s], oldPts[i]) {
+			if geom.Dominates(old.Row(s), old.Row(i)) {
 				dominated = true
 				break
 			}
@@ -133,7 +143,7 @@ func UpdateDelete(oldPts []geom.Vector, prevSky []int, delIdx int) (sky []int, e
 	for _, i := range freed {
 		dominated := false
 		for _, j := range freed {
-			if j != i && geom.Dominates(oldPts[j], oldPts[i]) {
+			if j != i && geom.Dominates(old.Row(j), old.Row(i)) {
 				dominated = true
 				break
 			}

@@ -275,12 +275,12 @@ type Dataset struct {
 	// may lack acknowledged mutations or refuse appends, so the next
 	// mutation compacts before it appends (logLocked).
 	walStale bool
-	// owned is the point array the mutations publish capacity-capped
-	// views of, with headroom so Insert can write its slot in place;
-	// nil until the first mutation copies the epoch's points into it.
-	// Its length is the high-water mark: no epoch ever published a
-	// longer view of it, so every slot from len(owned) on is unseen.
-	owned []geom.Vector
+	// owned is the row slab the mutations publish capacity-capped
+	// prefixes of, with headroom so Insert can write its row in place;
+	// nil until the first mutation copies the epoch's rows into it. Its
+	// length is the high-water mark: no epoch ever published a longer
+	// prefix of it, so every row from len(owned) on is unseen.
+	owned []float64
 }
 
 // dsState is one immutable epoch of a Dataset: the points plus every
@@ -292,8 +292,10 @@ type Dataset struct {
 // "never asked for" without triggering the computation itself — only
 // ready caches are folded incrementally into the successor epoch.
 type dsState struct {
-	pts []geom.Vector
-	seq uint64 // last mutation folded into this epoch
+	// rows are the epoch's points, one pointer-free row-major array
+	// (DESIGN.md §12), never written again once published.
+	rows geom.Rows
+	seq  uint64 // last mutation folded into this epoch
 	// id tells this epoch apart from every other the process made
 	// (newState), even one with the same seq and length, so an Index
 	// names the epoch it describes without pinning its points.
@@ -371,25 +373,27 @@ func (d *Dataset) snap() *dsState { return d.state.Load() }
 // epochIDs numbers the epochs newState makes.
 var epochIDs atomic.Uint64
 
-// newState makes the epoch of pts at seq, with an id of its own. Every
-// epoch is made here: by a new dataset, an Insert or a Delete.
-func newState(pts []geom.Vector, seq uint64) *dsState {
-	return &dsState{pts: pts, seq: seq, id: epochIDs.Add(1)}
+// newState makes the epoch of rows at seq, with an id of its own.
+// Every epoch is made here: by a new dataset, an Insert or a Delete.
+func newState(rows geom.Rows, seq uint64) *dsState {
+	return &dsState{rows: rows, seq: seq, id: epochIDs.Add(1)}
 }
 
-// newDatasetFromVectors finishes Dataset construction from validated,
-// already-normalized vectors (shared by NewDataset and Recover).
-func newDatasetFromVectors(pts []geom.Vector, seq uint64) *Dataset {
+// newDatasetFromRows finishes Dataset construction from validated,
+// already-normalized rows (shared by NewDataset, Recover and the shard
+// view).
+func newDatasetFromRows(rows geom.Rows, seq uint64) *Dataset {
 	d := &Dataset{}
-	d.state.Store(newState(pts, seq))
+	d.state.Store(newState(rows, seq))
 	return d
 }
 
 // NewDataset validates and (by default) normalizes the tuples so
 // every attribute maximum is 1 and every coordinate is strictly
 // positive, per the paper's conventions. One read pass validates the
-// input, then it is copied into a single backing array whose rows
-// become the dataset's points (DESIGN.md §12). Without normalization
+// input, then it is copied into a single pointer-free array whose rows
+// are the dataset's points (DESIGN.md §12); both passes split over
+// GOMAXPROCS goroutines on large inputs. Without normalization
 // the points must already be finite and strictly positive; either
 // way they need at least one dimension.
 func NewDataset(points []Point, opts ...Option) (*Dataset, error) {
@@ -397,11 +401,11 @@ func NewDataset(points []Point, opts ...Option) (*Dataset, error) {
 	if len(points) == 0 {
 		return nil, ErrNoPoints
 	}
-	pts, err := dataset.Ingest(points, o.normalize)
+	rows, err := dataset.Ingest(points, o.normalize)
 	if err != nil {
 		return nil, fmt.Errorf("kregret: %w", err)
 	}
-	d := newDatasetFromVectors(pts, 0)
+	d := newDatasetFromRows(rows, 0)
 	if o.walPath != "" {
 		if err := d.attachWAL(o); err != nil {
 			return nil, err
@@ -411,9 +415,9 @@ func NewDataset(points []Point, opts ...Option) (*Dataset, error) {
 }
 
 // evalIndex lazily builds the epoch's evaluation index, the one
-// evaluator every regret the Dataset reports goes through: the points
-// flattened into one contiguous matrix plus the skyline as the
-// extreme set the evaluators scan (bit-identical to a full scan,
+// evaluator every regret the Dataset reports goes through: the epoch's
+// rows, read in place, plus the skyline as the extreme set the
+// evaluators scan (bit-identical to a full scan,
 // DESIGN.md §12). Built once per epoch; concurrent first callers
 // share the computation, and the skyline itself is reused from — or
 // seeds — the skyline cache, filled under ctx.
@@ -424,7 +428,7 @@ func (s *dsState) evalIndex() (*core.EvalIndex, error) {
 // evalIndexCtx is evalIndex with the skyline fill under ctx.
 func (s *dsState) evalIndexCtx(ctx context.Context) (*core.EvalIndex, error) {
 	err := fillOnce(&s.evalMu, &s.evalDone, "evaluation index", func() error {
-		x, err := core.NewEvalIndex(s.pts)
+		x, err := core.NewEvalIndexRows(s.rows)
 		if err != nil {
 			return fmt.Errorf("kregret: %w", err)
 		}
@@ -445,14 +449,14 @@ func (s *dsState) evalIndexCtx(ctx context.Context) (*core.EvalIndex, error) {
 }
 
 // Len returns the number of tuples.
-func (d *Dataset) Len() int { return len(d.snap().pts) }
+func (d *Dataset) Len() int { return d.snap().rows.Len() }
 
 // Dim returns the number of attributes.
-func (d *Dataset) Dim() int { return len(d.snap().pts[0]) }
+func (d *Dataset) Dim() int { return d.snap().rows.Dim() }
 
 // Point returns the (normalized) coordinates of tuple i.
 func (d *Dataset) Point(i int) Point {
-	return Point(d.snap().pts[i].Clone())
+	return Point(d.snap().rows.Row(i).Clone())
 }
 
 // skyline returns the epoch's cached skyline indices (shared, not
@@ -463,7 +467,7 @@ func (s *dsState) skyline() ([]int, error) { return s.skylineCtx(context.Backgro
 // leaves it unfilled.
 func (s *dsState) skylineCtx(ctx context.Context) ([]int, error) {
 	err := fillOnce(&s.skyMu, &s.skyDone, "skyline", func() error {
-		sky, err := skyline.ComputeParallelCtx(ctx, s.pts, 0)
+		sky, err := skyline.OfRows(ctx, s.rows)
 		if err != nil {
 			return fmt.Errorf("kregret: %w", err)
 		}
@@ -495,7 +499,7 @@ func (s *dsState) happyChecker(ctx context.Context) (*happy.Checker, error) {
 		if err != nil {
 			return err
 		}
-		s.checker = happy.NewChecker(s.pts, sky)
+		s.checker = happy.NewChecker(s.rows, sky)
 		return nil
 	})
 	if err != nil {
@@ -550,7 +554,7 @@ func (s *dsState) convexPoints() ([]int, error) {
 		if err != nil {
 			return err
 		}
-		conv, err := core.ConvexAmongHappy(s.pts, h)
+		conv, err := core.ConvexAmongHappyRows(s.rows, h)
 		if err != nil {
 			return fmt.Errorf("kregret: %w", err)
 		}
@@ -611,7 +615,7 @@ func (s *dsState) candidateIndices(ctx context.Context, c CandidateSet) ([]int, 
 	case CandidatesSkyline:
 		return s.skylineCtx(ctx)
 	case CandidatesAll:
-		idx := make([]int, len(s.pts))
+		idx := make([]int, s.rows.Len())
 		for i := range idx {
 			idx[i] = i
 		}
@@ -657,7 +661,7 @@ func (d *Dataset) queryContext(ctx context.Context, k, workers int, o *options) 
 	if err != nil {
 		return nil, degradation{}, err
 	}
-	candPts, err := core.Select(st.pts, cand)
+	candPts, err := core.SelectRows(st.rows, cand)
 	if err != nil {
 		return nil, degradation{}, fmt.Errorf("kregret: %w", err)
 	}

@@ -14,7 +14,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/fault"
 	"repro/internal/geom"
 )
@@ -131,15 +130,16 @@ const indexVersion = 3
 // decoder's version check get reviewed together.
 var wireManifest = map[string]string{
 	"indexWire":   "v3 Version int; Checksum uint64; N int; Dim int; Cand []int; Ext []int; Core []int",
-	"datasetWire": "v2 Seq uint64; Pts []geom.Vector",
+	"datasetWire": "v2 Seq uint64; Pts geom.Rows",
 }
 
-// checksum fingerprints the epoch's (normalized) points.
+// checksum fingerprints the epoch's (normalized) points: FNV-64a over
+// every coordinate's bits, in row order.
 func (s *dsState) checksum() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
-	for _, p := range s.pts {
-		for _, x := range p {
+	for i := 0; i < s.rows.Len(); i++ {
+		for _, x := range s.rows.Row(i) {
 			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
 			//kregret:allow errdrop: hash.Hash.Write never returns an error
 			h.Write(buf[:])
@@ -174,7 +174,7 @@ func (x *Index) encode(d *Dataset) ([]byte, error) {
 	st := d.snap()
 	if st.id != x.epoch {
 		return nil, fmt.Errorf("%w: the index describes another epoch than the dataset's %d points at mutation %d",
-			ErrIndexMismatch, len(st.pts), st.seq)
+			ErrIndexMismatch, st.rows.Len(), st.seq)
 	}
 	// The skyline is already cached on any epoch that built an index
 	// (the list build and the happy-point pass both run it); persisting
@@ -187,8 +187,8 @@ func (x *Index) encode(d *Dataset) ([]byte, error) {
 	if err := gob.NewEncoder(&payload).Encode(indexWire{
 		Version:  indexVersion,
 		Checksum: st.checksum(),
-		N:        len(st.pts),
-		Dim:      len(st.pts[0]),
+		N:        st.rows.Len(),
+		Dim:      st.rows.Dim(),
 		Cand:     x.cand,
 		Ext:      sky,
 	}); err != nil {
@@ -233,8 +233,8 @@ func decodeIndex(data []byte, d *Dataset) (*Index, error) {
 		return nil, fmt.Errorf("kregret: index payload v%d, want v%d", wire.Version, indexVersion)
 	}
 	st := d.snap()
-	n := len(st.pts)
-	if wire.N != n || wire.Dim != len(st.pts[0]) || wire.Checksum != st.checksum() {
+	n := st.rows.Len()
+	if wire.N != n || wire.Dim != st.rows.Dim() || wire.Checksum != st.checksum() {
 		return nil, ErrIndexMismatch
 	}
 	if len(wire.Core) > 0 {
@@ -392,11 +392,11 @@ var ErrCorruptSnapshot = errors.New("kregret: corrupt dataset snapshot")
 // frame-version error.
 //
 // datasetWire is a base snapshot's payload: the (already normalized)
-// points plus the sequence number of the last mutation folded in —
-// the watermark Recover's replay skips WAL records by.
+// points' rows plus the sequence number of the last mutation folded in
+// — the watermark Recover's replay skips WAL records by.
 type datasetWire struct {
 	Seq uint64
-	Pts []geom.Vector
+	Pts geom.Rows
 }
 
 // datasetHdrLen is the payload's fixed prefix: seq, n and d.
@@ -404,7 +404,7 @@ const datasetHdrLen = 3 * 8
 
 // wireLen is the length of the payload appendWire writes.
 func (w datasetWire) wireLen() int {
-	return datasetHdrLen + 8*len(w.Pts)*len(w.Pts[0])
+	return datasetHdrLen + 8*len(w.Pts.Data())
 }
 
 // appendWire appends the payload: seq, n and d as uint64
@@ -412,12 +412,10 @@ func (w datasetWire) wireLen() int {
 // little-endian.
 func (w datasetWire) appendWire(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, w.Seq)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(w.Pts)))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(w.Pts[0])))
-	for _, p := range w.Pts {
-		for _, x := range p {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
-		}
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(w.Pts.Len()))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(w.Pts.Dim()))
+	for _, x := range w.Pts.Data() {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
 	}
 	return dst
 }
@@ -447,16 +445,16 @@ func (w *datasetWire) decodeWire(payload []byte) error {
 		coords[i] = x
 	}
 	w.Seq = binary.LittleEndian.Uint64(payload)
-	w.Pts = dataset.Rows(coords, int(dim))
+	w.Pts = geom.NewRows(coords, int(dim))
 	return nil
 }
 
 // saveDatasetFile writes st as a base snapshot to path with the same
 // crash-safe protocol as Index.SaveFile (writeSnapshotFile) and
 // returns the snapshot's size in bytes. The frame is built in one
-// allocation of its exact size, straight from the epoch's points.
+// allocation of its exact size, straight from the epoch's rows.
 func saveDatasetFile(path string, st *dsState) (int64, error) {
-	w := datasetWire{Seq: st.seq, Pts: st.pts}
+	w := datasetWire{Seq: st.seq, Pts: st.rows}
 	n := w.wireLen()
 	frame := appendFrameHeader(make([]byte, 0, snapshotHdrLen+n+4), dsSnapMagic, dsSnapVersion, n)
 	frame = sealFrame(w.appendWire(frame))
@@ -466,18 +464,18 @@ func saveDatasetFile(path string, st *dsState) (int64, error) {
 	return int64(len(frame)), nil
 }
 
-// loadDatasetFile reads a base snapshot back: the points, the
-// sequence watermark and the snapshot's size in bytes. Any framing,
-// integrity or structural violation is ErrCorruptSnapshot; a missing
-// file is the underlying fs error.
-func loadDatasetFile(path string) ([]geom.Vector, uint64, int64, error) {
+// loadDatasetFile reads a base snapshot back: the rows, the sequence
+// watermark and the snapshot's size in bytes. Any framing, integrity
+// or structural violation is ErrCorruptSnapshot; a missing file is the
+// underlying fs error.
+func loadDatasetFile(path string) (geom.Rows, uint64, int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("kregret: loading dataset snapshot: %w", err)
+		return geom.Rows{}, 0, 0, fmt.Errorf("kregret: loading dataset snapshot: %w", err)
 	}
 	w, err := decodeDataset(data)
 	if err != nil {
-		return nil, 0, 0, err
+		return geom.Rows{}, 0, 0, err
 	}
 	return w.Pts, w.Seq, int64(len(data)), nil
 }

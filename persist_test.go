@@ -207,7 +207,7 @@ func TestSnapshotSeedsExtremeSet(t *testing.T) {
 func indexPayload(tb testing.TB, ds *Dataset, w indexWire, list []byte) []byte {
 	tb.Helper()
 	st := ds.snap()
-	w.Version, w.Checksum, w.N, w.Dim = indexVersion, st.checksum(), len(st.pts), len(st.pts[0])
+	w.Version, w.Checksum, w.N, w.Dim = indexVersion, st.checksum(), st.rows.Len(), st.rows.Dim()
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(w); err != nil {
 		tb.Fatal(err)
@@ -540,7 +540,7 @@ func TestDatasetSnapshotLayout(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "base.krgd")
 	pts := []geom.Vector{{0.5, 0.25}, {1, 0.125}}
-	size, err := saveDatasetFile(path, &dsState{seq: 7, pts: pts})
+	size, err := saveDatasetFile(path, &dsState{seq: 7, rows: geom.Flatten(pts)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,12 +555,12 @@ func TestDatasetSnapshotLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != 7 || loadedSize != size || len(loaded) != len(pts) {
-		t.Fatalf("loaded seq %d, size %d, %d points; want 7, %d, %d", seq, loadedSize, len(loaded), size, len(pts))
+	if seq != 7 || loadedSize != size || loaded.Len() != len(pts) {
+		t.Fatalf("loaded seq %d, size %d, %d points; want 7, %d, %d", seq, loadedSize, loaded.Len(), size, len(pts))
 	}
 	for i, p := range pts {
-		if !slices.Equal(loaded[i], p) {
-			t.Fatalf("point %d loaded as %v, want %v", i, loaded[i], p)
+		if !slices.Equal(loaded.Row(i), p) {
+			t.Fatalf("point %d loaded as %v, want %v", i, loaded.Row(i), p)
 		}
 	}
 }

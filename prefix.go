@@ -205,7 +205,7 @@ func (v *prefixView) query(ctx context.Context, st *dsState, k, workers int, o *
 			return nil, degradation{}, herr
 		}
 	}
-	candPts, serr := core.Select(st.pts, cand)
+	candPts, serr := core.SelectRows(st.rows, cand)
 	if serr != nil {
 		return nil, degradation{}, fmt.Errorf("kregret: %w", serr)
 	}
@@ -244,7 +244,7 @@ func (v *prefixView) grow(ctx context.Context, st *dsState, k int, build listBui
 // epoch's happy checker as rely, marking the cell missed when the list
 // relies on a point that is not happy.
 func (v *prefixView) run(ctx context.Context, st *dsState, n int, build listBuild) (*core.StoredList, error) {
-	candPts, err := core.Select(st.pts, v.cand)
+	candPts, err := core.SelectRows(st.rows, v.cand)
 	if err != nil {
 		return nil, fmt.Errorf("kregret: %w", err)
 	}

@@ -221,7 +221,7 @@ func TestFoldColdHappySharesCell(t *testing.T) {
 			case !fc.share && (v == nil || v.cell.checked || !slices.Equal(v.cand, cur.happy)):
 				t.Fatal("a fold that changed the skyline gave no fresh cell over the happy points")
 			}
-			fresh, err := NewDataset(vecsToPoints(cur.pts), WithoutNormalization())
+			fresh, err := NewDataset(vecsToPoints(cur.rows.Views()), WithoutNormalization())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -394,7 +394,7 @@ func TestFoldSharesPrefixCell(t *testing.T) {
 			if shared := v != nil && v.cell == oldCell; shared != fc.share {
 				t.Fatalf("new epoch shares the cell: %v, want %v", shared, fc.share)
 			}
-			fresh, err := NewDataset(vecsToPoints(cur.ds.snap().pts), WithoutNormalization())
+			fresh, err := NewDataset(vecsToPoints(cur.ds.snap().rows.Views()), WithoutNormalization())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -486,7 +486,7 @@ func TestFoldChangingHappyKeepsListLength(t *testing.T) {
 			if l := v.cell.list.Load(); l.Len() < min(oldLen, len(v.cand)) && !l.Covers(l.Len()+1) {
 				t.Fatalf("the successor's first build holds %d entries, want at least %d", l.Len(), oldLen)
 			}
-			fresh, err := NewDataset(vecsToPoints(cur.ds.snap().pts), WithoutNormalization())
+			fresh, err := NewDataset(vecsToPoints(cur.ds.snap().rows.Views()), WithoutNormalization())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -147,7 +147,8 @@ func decodeReplay(data []byte) (pts []geom.Vector, seq uint64, recs []wal.Record
 // first difference.
 func checkReplay(data []byte) error {
 	pts, seq, recs := decodeReplay(data)
-	gotPts, gotSeq, gotErr := replayLog(append([]geom.Vector(nil), pts...), seq, recs)
+	gotRows, gotSeq, gotErr := replayLog(geom.Flatten(pts), seq, recs)
+	gotPts := gotRows.Views()
 	wantPts, wantSeq, wantErr := replayOracle(append([]geom.Vector(nil), pts...), seq, recs)
 	switch {
 	case (gotErr == nil) != (wantErr == nil):

@@ -215,7 +215,7 @@ func TestPerturbedDeterministicAndTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := ds.snap().pts
+	pts := ds.snap().rows.Views()
 	a, b := perturbed(pts), perturbed(pts)
 	for i := range a {
 		for j := range a[i] {

@@ -34,6 +34,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/coreset"
 	"repro/internal/fault"
+	"repro/internal/geom"
 	"repro/internal/happy"
 	"repro/internal/parallel"
 	"repro/internal/skyline"
@@ -127,7 +128,7 @@ func (e *Engine) shardEpoch(ctx context.Context, ep *engineEpoch) {
 // after clamping to n.
 func buildShardView(ctx context.Context, ds *Dataset, shards int, eps float64) (*Dataset, []int, int, error) {
 	st := ds.snap()
-	n := len(st.pts)
+	n := st.rows.Len()
 	if shards > n {
 		shards = n
 	}
@@ -138,7 +139,7 @@ func buildShardView(ctx context.Context, ds *Dataset, shards int, eps float64) (
 			if lo >= hi {
 				continue // degenerate empty shard: contributes nothing
 			}
-			surv, err := skyline.EpsCover(st.pts, lo, hi, eps/2)
+			surv, err := skyline.EpsCoverRows(st.rows, lo, hi, eps/2)
 			if err != nil {
 				return fmt.Errorf("kregret: shard %d cover: %w", s, err)
 			}
@@ -161,25 +162,25 @@ func buildShardView(ctx context.Context, ds *Dataset, shards int, eps float64) (
 		// Exact plan: per-shard covers are exact skylines, so one more
 		// exact pass over the union yields skyline(D) and the happy
 		// points among it — precisely the unsharded candidate set.
-		sky, err := skyline.OfSubset(st.pts, merged)
+		sky, err := skyline.OfSubset(st.rows, merged)
 		if err != nil {
 			return nil, nil, 0, fmt.Errorf("kregret: shard union skyline: %w", err)
 		}
-		cert, err := happy.ComputeAmongSkylineCertParallelCtx(ctx, st.pts, sky, 0)
+		cert, err := happy.NewChecker(st.rows, sky).Cert(ctx, 0)
 		if err != nil {
 			return nil, nil, 0, fmt.Errorf("kregret: shard union happy points: %w", err)
 		}
 		cand = cert.HappyPoints()
 	}
-	coreIdx, _, err := coreset.Build(ctx, st.pts, cand, kernelEps, 0)
+	coreIdx, _, err := coreset.BuildRows(ctx, st.rows, cand, kernelEps, 0)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("kregret: merged coreset: %w", err)
 	}
-	pts, err := core.Select(st.pts, coreIdx)
+	pts, err := core.SelectRows(st.rows, coreIdx)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("kregret: shard merge: %w", err)
 	}
-	serveDS := newDatasetFromVectors(pts, st.seq)
+	serveDS := newDatasetFromRows(geom.Flatten(pts), st.seq)
 	return serveDS, coreIdx, shards, nil
 }
 
