@@ -1,6 +1,7 @@
 package skyline
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -111,6 +112,9 @@ func TestBadInput(t *testing.T) {
 		}
 		if _, err := e.fn([]geom.Vector{{math.NaN(), 1}}); err == nil {
 			t.Fatalf("%s: NaN input accepted", e.name)
+		}
+		if _, err := e.fn([]geom.Vector{{}, {}}); !errors.Is(err, ErrBadInput) {
+			t.Fatalf("%s: zero-dimensional input: err = %v, want ErrBadInput", e.name, err)
 		}
 	}
 }
